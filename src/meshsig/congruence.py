@@ -25,7 +25,7 @@ from .errors import (
     NotOrdinary,
     OutOfDomain,
 )
-from .euclidean import chord, euclidean_curvature, se_signature
+from .euclidean import chord, interior_curvatures, se_signature
 from .geometry import (
     SPEC11,
     Group,
@@ -374,8 +374,8 @@ def decide_eq2_signed(
                 return _hyp_fail(f"signed angle outside (0, pi) at index {i}")
         if (why := _values_differ(th1, th2, angle_tol, "signed angles")) is not None:
             return _hyp_fail(why)
-        k1 = [euclidean_curvature(m1, i) for i in interior]
-        k2 = [euclidean_curvature(m2, i) for i in interior]
+        k1 = interior_curvatures(m1)
+        k2 = interior_curvatures(m2)
         if (why := _values_differ(k1, k2, sig_tol, "curvature sequences")) is not None:
             return _hyp_fail(why)
         return _finish_with_oracle(m1, m2, Group.SE, tol)
@@ -445,8 +445,8 @@ def decide_eq4(
     if not m1.closed and m1.n <= 7:
         raise MeshTooShort("EQ4 needs more than 7 points on an open mesh")
     i31 = list(m1.interior(3, 1))
-    k1 = [euclidean_curvature(m1, i, SPEC31) for i in i31]
-    k2 = [euclidean_curvature(m2, i, SPEC31) for i in i31]
+    k1 = interior_curvatures(m1, SPEC31)
+    k2 = interior_curvatures(m2, SPEC31)
     if (why := _values_differ(k1, k2, sig_tol, "(3,1)-curvature sequences")) is not None:
         return _hyp_fail(why)
     a1 = [signed_angle(m1, i, SPEC31) for i in i31]

@@ -1,8 +1,11 @@
 """Two-point Euclidean curvature and the four SE-signature schemes.
 
 The curvature of a stencil triple is 1/R of its circumcircle, computed from
-the three pairwise distances with the numerically stable sorted-operand
-product formula, so needle triples stay accurate.
+the three rounded pairwise distances a >= b >= c with Kahan's sorted-operand
+product formula for the area. The product itself is stable, but the sides
+carry rounding of order eps * a into b + c - a, so on nearly straight
+triples the curvature's relative error grows to about
+eps * (a + b + c) / (b + c - a).
 """
 
 from __future__ import annotations
@@ -10,39 +13,69 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateStencil, DegenerateTriple, MeshTooShort, NotOrdinary, SchemeSpacingMismatch
-from .geometry import SPEC11, Mesh, NeighborhoodSpec, is_equally_spaced, is_ordinary
+from .geometry import SPEC11, Mesh, NeighborhoodSpec, edge_lengths, is_equally_spaced, is_ordinary, row_norms
 from .signatures import Scheme, Signature, SignaturePoint
 
 # Denominator chords smaller than this fraction of the diameter abort the quotient.
 STENCIL_REL_TOL = 1e-12
 
 
-def curvature_of_triple(p, q, r) -> float:
-    """Reciprocal circumradius of three points; 0 for collinear triples."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    d = sorted(
-        (
-            float(np.linalg.norm(q - p)),
-            float(np.linalg.norm(r - q)),
-            float(np.linalg.norm(r - p)),
-        ),
-        reverse=True,
-    )
-    a, b, c = d
-    if c <= 1e-15 * a:
-        raise DegenerateTriple("two stencil points coincide")
-    # Kahan's sorted-operand form: 4 * area = sqrt of this product
+def _curvatures(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reciprocal circumradii of the triples (p[k], q[k], r[k]) of three (k, 2) arrays.
+
+    Returns (kappa, degenerate): kappa is 0 for collinear triples, and
+    degenerate marks triples with two coinciding points, whose kappa is
+    meaningless. Per triple, the sides are sorted a >= b >= c and kappa is
+    sqrt(t) / (a*b*c) with Kahan's product t = 16 * area**2; its relative
+    error is about eps * (a + b + c) / (b + c - a).
+    """
+    d = np.concatenate([q - p, r - q, r - p])
+    a, b, c = np.sort(row_norms(d).reshape(3, -1), axis=0)[::-1]
+    degenerate = c <= 1e-15 * a
     t = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-    if t <= 0.0:
-        return 0.0
-    return float(np.sqrt(t) / (a * b * c))
+    kappa = np.zeros_like(t)
+    bent = t > 0.0
+    kappa[bent] = np.sqrt(t[bent]) / (a[bent] * b[bent] * c[bent])
+    return kappa, degenerate
+
+
+def _checked(kappa: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    if degenerate.any():
+        raise DegenerateTriple("two stencil points coincide")
+    return kappa
+
+
+def curvature_of_triple(p, q, r) -> float:
+    """Reciprocal circumradius of three points; 0 for collinear triples.
+
+    Relative error about eps * (a + b + c) / (b + c - a) for sides
+    a >= b >= c, so nearly straight triples lose accuracy. Raises
+    DegenerateTriple when two of the points coincide.
+    """
+    return float(_checked(*_curvatures(*np.asarray([p, q, r], dtype=float)[:, None]))[0])
 
 
 def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
     """Curvature at p[i] from its (m1, m2)-neighborhood."""
     return curvature_of_triple(mesh.p(i, -spec.m1), mesh.p(i), mesh.p(i, spec.m2))
+
+
+def _stencil_curvatures(
+    mesh: Mesh, centers: np.ndarray, spec: NeighborhoodSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    # (kappa, degenerate) at the given centers; closed meshes wrap, open ones must hold the stencils
+    pts, n = mesh.points, mesh.n
+    return _curvatures(pts[(centers - spec.m1) % n], pts[centers % n], pts[(centers + spec.m2) % n])
+
+
+def interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> np.ndarray:
+    """Curvature at every center of ``mesh.interior(m1, m2)``, as one array.
+
+    Equal bit for bit to :func:`euclidean_curvature` at each center; raises
+    DegenerateTriple when any stencil has two coinciding points.
+    """
+    interior = mesh.interior(spec.m1, spec.m2)
+    return _checked(*_stencil_curvatures(mesh, np.arange(interior.start, interior.stop), spec))
 
 
 def chord(mesh: Mesh, i: int, j: int) -> float:
@@ -110,8 +143,6 @@ def se_signature(
     if scheme.needs_equal_spacing:
         ok = is_equally_spaced(mesh) if spacing_tol is None else is_equally_spaced(mesh, spacing_tol)
         if not ok:
-            from .geometry import edge_lengths
-
             edges = edge_lengths(mesh)
             worst = int(np.argmax(np.abs(edges - edges.mean())))
             raise SchemeSpacingMismatch(
@@ -120,24 +151,24 @@ def se_signature(
     indices = se_scheme_indices(mesh, scheme, spec)
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
-
-    kappa_cache: dict[int, float] = {}
-
-    def kappa(j: int) -> float:
-        j = mesh.resolve(j)
-        if j not in kappa_cache:
-            kappa_cache[j] = euclidean_curvature(mesh, j, spec)
-        return kappa_cache[j]
-
+    rows = np.arange(indices.start, indices.stop)
+    c = int(scheme.centered)
+    # curvature centers read by the rows: row r reads positions r, r + c and r + c + 1
+    kappa, degenerate = _stencil_curvatures(mesh, np.arange(indices.start - c, indices.stop + 1), spec)
     lo_c, hi_c = _chord_offsets(scheme)
-    rows = []
-    for i in indices:
-        num_lo = i - 1 if scheme.centered else i
-        numerator = kappa(i + 1) - kappa(num_lo)
-        denom = float(np.linalg.norm(mesh.p(i, hi_c) - mesh.p(i, lo_c)))
-        if denom <= STENCIL_REL_TOL * mesh.diameter:
-            raise DegenerateStencil(
-                f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes"
-            )
-        rows.append(SignaturePoint(i, kappa(i), scheme.factor * numerator / denom))
-    return Signature(rows, scheme, spec)
+    pts = mesh.points
+    denom = row_norms(pts[(rows + hi_c) % mesh.n] - pts[(rows + lo_c) % mesh.n])
+    bad = np.flatnonzero(denom <= STENCIL_REL_TOL * mesh.diameter)
+    # Raise what a row-by-row evaluation meets first: each row's quotient
+    # curvatures, then its chord, and the first centered row's own curvature
+    # only after its chord.
+    read = degenerate if len(bad) == 0 else degenerate[: bad[0] + 2 + c]
+    if len(bad) and bad[0] == 0 and c:
+        read = read[[0, 2]]
+    _checked(kappa, read)
+    if len(bad):
+        i = int(rows[bad[0]])
+        raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
+    kappa_s = scheme.factor * (kappa[1 + c:] - kappa[: len(rows)]) / denom
+    points = list(map(SignaturePoint, rows.tolist(), kappa[c : c + len(rows)].tolist(), kappa_s.tolist()))
+    return Signature(points, scheme, spec)

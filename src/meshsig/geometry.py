@@ -7,6 +7,7 @@ exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -91,36 +92,71 @@ def cross2(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
+def orient(p, q, r) -> float:
     """Twice the signed area of triangle (p, q, r); positive for ccw."""
-    return cross2(np.asarray(q, float) - p, np.asarray(r, float) - p)
+    return float((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
 
 
 def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    # a private copy, so that freezing it never touches the caller's array
+    arr = np.array(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidMesh(f"expected an (n, 2) point array, got shape {arr.shape}")
     return arr
 
 
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """Length of each row of a (k, 2) array, rounded as ``np.linalg.norm`` rounds one row.
+
+    ``np.linalg.norm`` of a 2-vector is ``sqrt(dot(d, d))`` through BLAS,
+    which can round differently from ``sqrt(dx*dx + dy*dy)``; the stacked
+    matmul takes the same dot product for every row at once.
+    """
+    return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+
+
 def _pointset_diameter(pts: np.ndarray) -> float:
-    n = len(pts)
-    if n <= 2048:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=2)).max())
-    # large meshes: the diameter is attained on the convex hull
+    """Largest pairwise distance of the points, in O(n log n) time and O(n) memory.
+
+    Equal bit for bit to the dense ``sqrt(((pts[:, None] - pts[None]) ** 2).sum(2)).max()``:
+    the farthest pair is an antipodal pair of the convex hull, so rotating
+    calipers visit it, and the maximum is taken over squared distances
+    rounded as the dense form rounds them. Each antipodal vertex is checked
+    with its two hull neighbours, so that near-ties between parallel edges
+    (regular polygons, circles) cannot skip the maximum.
+    """
     hull = _convex_hull(pts)
-    diff = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    h = len(hull)
+
+    def dist2(a, b):
+        dx = a[0] - b[0]
+        dy = a[1] - b[1]
+        return dx * dx + dy * dy
+
+    if h < 3:
+        return math.sqrt(dist2(hull[0], hull[-1]))
+    best = 0.0
+    j = 1
+    for i in range(h):
+        a, b = hull[i], hull[(i + 1) % h]
+        # advance j to the hull vertex farthest from the line through edge (a, b)
+        while orient(a, b, hull[(j + 1) % h]) > orient(a, b, hull[j]):
+            j = (j + 1) % h
+        for k in (j - 1, j, (j + 1) % h):
+            best = max(best, dist2(a, hull[k]), dist2(b, hull[k]))
+    return math.sqrt(best)
 
 
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    # Andrew's monotone chain
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    sorted_pts = pts[order]
+def _convex_hull(pts: np.ndarray) -> list:
+    """Counterclockwise hull vertices as [x, y] lists, by Andrew's monotone chain.
+
+    Collinear and repeated points are dropped; all-collinear input gives its
+    two extreme points.
+    """
+    sorted_pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
 
     def half(points):
-        chain: list[np.ndarray] = []
+        chain: list = []
         for p in points:
             while len(chain) >= 2 and orient(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
@@ -128,8 +164,8 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
         return chain
 
     lower = half(sorted_pts)
-    upper = half(sorted_pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    upper = half(reversed(sorted_pts))
+    return lower[:-1] + upper[:-1]
 
 
 class Mesh:
@@ -138,7 +174,8 @@ class Mesh:
     Construction rejects non-finite coordinates, fewer than three points and
     successive duplicates (closer than ``COLLINEARITY_REL_TOL * diameter``,
     including the wrap edge of closed meshes). Cusps are permitted at
-    construction and reported by :func:`is_ordinary`.
+    construction and reported by :func:`is_ordinary`. The points are copied
+    and frozen; the caller's array is left as it was.
     """
 
     __slots__ = ("_points", "closed", "label", "_diameter", "_conic_cache")
@@ -406,11 +443,12 @@ def is_equally_spaced(mesh: Mesh, rel_tol: float = SPACING_REL_TOL) -> bool:
 
 def is_ordinary(mesh: Mesh) -> bool:
     """True when the mesh has no cusp (p[i+1] never returns onto p[i-1])."""
-    tol = COLLINEARITY_REL_TOL * mesh.diameter
-    for i in mesh.interior():
-        if np.linalg.norm(mesh.p(i, 1) - mesh.p(i, -1)) <= tol:
-            return False
-    return True
+    pts = mesh.points
+    if mesh.closed:
+        spans = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    else:
+        spans = pts[2:] - pts[:-2]
+    return not (row_norms(spans) <= COLLINEARITY_REL_TOL * mesh.diameter).any()
 
 
 def is_convex(mesh: Mesh) -> bool:
@@ -448,21 +486,16 @@ def circumcircle(p, q, r) -> tuple[Point2, float]:
     Perpendicular-bisector intersection, solved in coordinates relative to p
     for stability. Raises CollinearPoints when the triple is degenerate.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    u = q - p
-    v = r - p
-    scale = max(np.linalg.norm(u), np.linalg.norm(v), np.linalg.norm(r - q))
-    d = 2.0 * cross2(u, v)
-    if abs(d) <= COLLINEARITY_REL_TOL * scale ** 2 * 2.0:
+    (px, py), (qx, qy), (rx, ry) = ((float(x), float(y)) for x, y in (p, q, r))
+    ux, uy = qx - px, qy - py
+    vx, vy = rx - px, ry - py
+    uu = ux * ux + uy * uy
+    vv = vx * vx + vy * vy
+    scale2 = max(uu, vv, (rx - qx) ** 2 + (ry - qy) ** 2)
+    d = 2.0 * (ux * vy - uy * vx)
+    if abs(d) <= COLLINEARITY_REL_TOL * scale2 * 2.0:
         raise CollinearPoints("circumcircle of a collinear triple")
-    uu = float(u @ u)
-    vv = float(v @ v)
-    cx = (v[1] * uu - u[1] * vv) / d
-    cy = (u[0] * vv - v[0] * uu) / d
-    center = p + np.array([cx, cy])
-    radius = float(
-        np.mean([np.linalg.norm(center - p), np.linalg.norm(center - q), np.linalg.norm(center - r)])
-    )
-    return Point2(float(center[0]), float(center[1])), radius
+    cx = (vy * uu - uy * vv) / d
+    cy = (ux * vv - vx * uu) / d
+    radius = (math.hypot(cx, cy) + math.hypot(cx - ux, cy - uy) + math.hypot(cx - vx, cy - vy)) / 3.0
+    return Point2(px + cx, py + cy), radius

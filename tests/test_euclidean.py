@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,63 @@ from meshsig.errors import (
     NotOrdinary,
     SchemeSpacingMismatch,
 )
+from meshsig.euclidean import _chord_offsets, interior_curvatures, se_scheme_indices
 from meshsig.signatures import signature_max_error
+
+
+def scalar_curvature_of_triple(p, q, r):
+    # frozen scalar reference: one triple per call, sides by np.linalg.norm
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(r, dtype=float)
+    d = sorted(
+        (
+            float(np.linalg.norm(q - p)),
+            float(np.linalg.norm(r - q)),
+            float(np.linalg.norm(r - p)),
+        ),
+        reverse=True,
+    )
+    a, b, c = d
+    if c <= 1e-15 * a:
+        raise DegenerateTriple("two stencil points coincide")
+    t = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    if t <= 0.0:
+        return 0.0
+    return float(np.sqrt(t) / (a * b * c))
+
+
+def scalar_se_signature(mesh, scheme, spec):
+    # frozen scalar reference: the row-by-row loop with a curvature cache;
+    # it skips the ordinary and spacing checks, which se_signature makes first
+    cache = {}
+
+    def kappa(j):
+        j = mesh.resolve(j)
+        if j not in cache:
+            cache[j] = scalar_curvature_of_triple(mesh.p(j, -spec.m1), mesh.p(j), mesh.p(j, spec.m2))
+        return cache[j]
+
+    lo_c, hi_c = _chord_offsets(scheme)
+    rows = []
+    for i in se_scheme_indices(mesh, scheme, spec):
+        numerator = kappa(i + 1) - kappa(i - 1 if scheme.centered else i)
+        denom = float(np.linalg.norm(mesh.p(i, hi_c) - mesh.p(i, lo_c)))
+        if denom <= 1e-12 * mesh.diameter:
+            raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
+        rows.append((i, kappa(i), scheme.factor * numerator / denom))
+    return rows
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (DegenerateTriple, DegenerateStencil) as exc:
+        return type(exc), str(exc)
+
+
+SE_SCHEMES = (ms.Scheme.EQ1, ms.Scheme.EQ2, ms.Scheme.EQ3, ms.Scheme.EQ4)
+SPECS = (ms.NeighborhoodSpec(1, 1), ms.NeighborhoodSpec(2, 1), ms.NeighborhoodSpec(1, 3))
 
 
 class TestCurvature:
@@ -64,6 +122,117 @@ class TestCurvature:
         m = gen.circle_mesh(12, radius=2.0)
         for spec in (ms.NeighborhoodSpec(2, 2), ms.NeighborhoodSpec(3, 1)):
             assert ms.euclidean_curvature(m, 4, spec) == pytest.approx(0.5, rel=1e-12)
+
+
+class TestCurvatureKernel:
+    """The array kernel equals the frozen scalar reference bit for bit."""
+
+    def test_triples_match_scalar_reference(self):
+        rng = np.random.default_rng(21)
+        pts = rng.normal(size=(3000, 3, 2)) * 10.0 ** rng.uniform(-4, 4, size=(3000, 1, 1))
+        # nearly straight triples too
+        pts[::3, 1] = 0.5 * (pts[::3, 0] + pts[::3, 2]) + 1e-9 * pts[::3, 1]
+        for p, q, r in pts:
+            assert ms.curvature_of_triple(p, q, r) == scalar_curvature_of_triple(p, q, r)
+
+    def test_meshes_match_scalar_reference(self):
+        rng = np.random.default_rng(22)
+        for k in range(40):
+            m = ms.Mesh(gen.random_ordinary_mesh(rng, int(rng.integers(8, 200))).points, closed=bool(k % 2))
+            for spec in SPECS:
+                interior = m.interior(spec.m1, spec.m2)
+                expected = [
+                    scalar_curvature_of_triple(m.p(i, -spec.m1), m.p(i), m.p(i, spec.m2)) for i in interior
+                ]
+                assert interior_curvatures(m, spec).tolist() == expected
+                assert [ms.euclidean_curvature(m, i, spec) for i in interior] == expected
+
+    def test_degenerate_triples_raise(self):
+        # a closed triangle walked twice: its (2,1)-stencils close up on themselves
+        m = ms.Mesh([(0, 0), (1, 0), (0, 1)] * 2, closed=True)
+        with pytest.raises(DegenerateTriple, match="two stencil points coincide"):
+            interior_curvatures(m, ms.NeighborhoodSpec(2, 1))
+        with pytest.raises(DegenerateTriple, match="two stencil points coincide"):
+            ms.curvature_of_triple((1, 1), (1, 1), (0, 0))
+
+    def test_needle_accuracy_bound(self):
+        """Relative error <= eps * (a + b + c) / (b + c - a), against 50-digit arithmetic."""
+        rng = np.random.default_rng(23)
+        eps = Decimal(np.finfo(float).eps)
+        worst_err = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(1000):
+                p = rng.uniform(-10, 10, 2)
+                r = p + rng.uniform(-5, 5, 2)
+                normal = np.array([p[1] - r[1], r[0] - p[0]])
+                q = p + rng.uniform(0.05, 0.95) * (r - p) + normal * 10.0 ** rng.uniform(-12, -2)
+                (px, py), (qx, qy), (rx, ry) = ([Decimal(float(x)) for x in v] for v in (p, q, r))
+                u = ((qx - px) ** 2 + (qy - py) ** 2).sqrt()
+                v = ((rx - qx) ** 2 + (ry - qy) ** 2).sqrt()
+                w = ((rx - px) ** 2 + (ry - py) ** 2).sqrt()
+                exact = 2 * abs((qx - px) * (ry - py) - (qy - py) * (rx - px)) / (u * v * w)
+                a, b, c = sorted((u, v, w), reverse=True)
+                err = abs(Decimal(ms.curvature_of_triple(p, q, r)) - exact) / exact
+                assert err <= eps * (a + b + c) / (b + c - a)
+                worst_err = max(worst_err, float(err))
+        # the bound is not vacuous: nearly straight triples do lose digits
+        assert worst_err > 1e-8
+
+
+class TestSeSignatureArrays:
+    """se_signature equals the frozen row-by-row loop, exceptions included."""
+
+    def check(self, m):
+        for spec in SPECS:
+            for scheme in SE_SCHEMES:
+                got = outcome(ms.se_signature, m, scheme, spec, 1.0)
+                expected = outcome(scalar_se_signature, m, scheme, spec)
+                if isinstance(expected, tuple):
+                    assert got == expected
+                else:
+                    assert list(zip(got.indices.tolist(), got.kappas.tolist(), got.kappa_s.tolist())) == expected
+
+    def test_random_meshes(self):
+        rng = np.random.default_rng(24)
+        for k in range(30):
+            self.check(ms.Mesh(gen.random_ordinary_mesh(rng, int(rng.integers(8, 300))).points, closed=bool(k % 2)))
+
+    def test_degenerate_stencils_raise_in_row_order(self):
+        # a triangle walked round repeatedly, with one lap displaced: (2,1) and
+        # (1,3) stencils close up on themselves, and so do eq2 chords
+        rng = np.random.default_rng(25)
+        for n in range(8, 40):
+            pts = np.tile(rng.uniform(-1, 1, (3, 2)), (n // 3 + 1, 1))[:n]
+            pts[int(rng.integers(n // 2, n)):] += 1e-3 * rng.uniform(-1, 1, 2)
+            for closed in (False, True):
+                try:
+                    m = ms.Mesh(pts, closed=closed)
+                except ms.errors.InvalidMesh:
+                    continue
+                if ms.is_ordinary(m):
+                    self.check(m)
+
+    @pytest.mark.parametrize(
+        "ties, raised",
+        [
+            # eq4 row 0 reads the (2,1)-curvatures at 2 and 4, then chord (0, 6), then the curvature at 3
+            ([(4, 1), (6, 0)], DegenerateStencil),
+            ([(4, 1), (7, 1)], DegenerateTriple),
+            # row 5 reads the curvatures at 4 and 6 before its chord (2, 8)
+            ([(13, 10), (8, 2)], DegenerateStencil),
+            ([(7, 4), (8, 2)], DegenerateTriple),
+        ],
+    )
+    def test_first_failing_row_decides(self, ties, raised):
+        pts = np.random.default_rng(26).uniform(-1, 1, (20, 2))
+        for dst, src in ties:
+            pts[dst] = pts[src]
+        m = ms.Mesh(pts)
+        assert ms.is_ordinary(m)
+        with pytest.raises(raised):
+            ms.se_signature(m, ms.Scheme.EQ4, ms.NeighborhoodSpec(2, 1), spacing_tol=1.0)
+        self.check(m)
 
 
 class TestChord:

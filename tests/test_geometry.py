@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from meshsig.errors import (
     InvalidMesh,
     OutOfDomain,
 )
-from meshsig.geometry import GROUP_TOL, edge_lengths
+from meshsig.geometry import GROUP_TOL, _pointset_diameter, edge_lengths, row_norms
 
 
 class TestMesh:
@@ -46,6 +48,96 @@ class TestMesh:
         m = ms.Mesh([(0, 0), (1, 0), (0, 0.0000000001 * 0 + 0)])  # p2 == p0
         assert not ms.is_ordinary(m)
         assert ms.is_ordinary(gen.circle_mesh(8))
+
+
+def dense_diameter(pts):
+    # the O(n^2) reference: every pairwise distance
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+def regular_polygon(n, radius=1.0, phase=0.0):
+    t = phase + 2.0 * np.pi * np.arange(n) / n
+    return radius * np.column_stack([np.cos(t), np.sin(t)])
+
+
+class TestMeshInput:
+    def test_input_array_not_aliased(self):
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        before = a.copy()
+        m = ms.Mesh(a, closed=True)
+        assert a.flags.writeable
+        assert np.array_equal(a, before)
+        a[0] = (5.0, 5.0)
+        assert np.array_equal(m.points, before)
+        assert not m.points.flags.writeable
+
+
+class TestDiameter:
+    """The hull-and-calipers diameter equals the dense maximum bit for bit."""
+
+    def check(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        assert _pointset_diameter(pts) == dense_diameter(pts)
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(3, 400))
+            scale = 10.0 ** rng.uniform(-6, 6)
+            self.check(rng.normal(size=(n, 2)) * scale + rng.uniform(-1e3, 1e3, 2))
+
+    def test_regular_polygons_and_circles(self):
+        # many exact or near ties between antipodal pairs
+        rng = np.random.default_rng(12)
+        for n in list(range(3, 61)) + [64, 99, 100, 256, 1000, 1001, 1600]:
+            self.check(regular_polygon(n))
+            for _ in range(10 if n <= 60 else 1):
+                pts = regular_polygon(n, rng.uniform(0.1, 10.0), rng.uniform(0, 2 * np.pi))
+                self.check(pts + rng.uniform(-100, 100, 2))
+
+    def test_integer_grids_with_repeats_and_collinear_points(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(3, 300))
+            side = int(rng.integers(1, 8))
+            grid = rng.integers(-side, side + 1, size=(n, 2))
+            self.check(grid)
+            # rounded coordinates: antipodal distances tie to within an ulp
+            self.check(grid * rng.uniform(0.1, 3.0) + rng.uniform(-5, 5, 2))
+        xs, ys = np.meshgrid(np.arange(7), np.arange(5))
+        self.check(np.column_stack([xs.ravel(), ys.ravel()]))
+
+    def test_all_collinear_two_point_hull(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            t = rng.integers(-20, 20, size=int(rng.integers(3, 60)))
+            direction = rng.integers(-3, 4, size=2)
+            self.check(np.outer(t, direction) + rng.integers(-5, 5, size=2))
+        self.check([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+
+    def test_mesh_uses_it(self):
+        pts = regular_polygon(37, 3.0)
+        assert ms.Mesh(pts, closed=True).diameter == dense_diameter(pts)
+
+    def test_large_circle_memory_bounded(self):
+        # the dense form would need about 6.4 GB for these 20 000 points
+        pts = regular_polygon(20000)
+        tracemalloc.start()
+        try:
+            m = ms.Mesh(pts, closed=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert m.diameter == pytest.approx(2.0, rel=1e-12)
+
+
+def test_row_norms_match_linalg_norm():
+    rng = np.random.default_rng(15)
+    d = rng.normal(size=(20000, 2)) * 10.0 ** rng.uniform(-3, 3, size=(20000, 1))
+    expected = np.array([np.linalg.norm(v) for v in d])
+    assert np.array_equal(row_norms(d), expected)
 
 
 class TestMotions:
