@@ -40,7 +40,9 @@ from .geometry import (
     is_equally_spaced,
     is_fine,
     is_ordinary,
+    neighbor_triples,
     orient,
+    orient_rows,
     signature_direction,
     signed_angle,
     signed_angle_type,
@@ -114,17 +116,25 @@ def _euclidean_candidates(p0, p1, q0, q1, group: Group, scale: float, tol: float
     return candidates, ""
 
 
-def _unimodular_candidate(P: np.ndarray, Q: np.ndarray, group: Group, scale: float, tol: float):
-    n = len(P)
+def _anchor_triple(P: np.ndarray):
+    """(pick, orientation, edge matrix) of P's first non-collinear consecutive triple.
+
+    None when every consecutive triple is collinear. It depends on P only,
+    so a cyclic scan computes it once, not once per shift.
+    """
     area_tol = 1e-9 * _pointset_scale(P) ** 2
-    pick = None
-    for i in range(n - 2):
-        if abs(orient(P[i], P[i + 1], P[i + 2])) > area_tol:
-            pick = i
-            break
-    if pick is None:
+    o = orient_rows(P[:-2], P[1:-1], P[2:])
+    hits = np.flatnonzero(np.abs(o) > area_tol)
+    if not len(hits):
+        return None
+    pick = int(hits[0])
+    return pick, float(o[pick]), np.column_stack([P[pick + 1] - P[pick], P[pick + 2] - P[pick]])
+
+
+def _unimodular_candidate(P: np.ndarray, Q: np.ndarray, group: Group, scale: float, tol: float, triple):
+    if triple is None:
         raise NoNonCollinearTriple("mesh has no non-collinear consecutive triple")
-    op = orient(P[pick], P[pick + 1], P[pick + 2])
+    pick, op, dp = triple
     oq = orient(Q[pick], Q[pick + 1], Q[pick + 2])
     if group is Group.SA:
         if abs(op - oq) > tol * scale ** 2:
@@ -132,7 +142,6 @@ def _unimodular_candidate(P: np.ndarray, Q: np.ndarray, group: Group, scale: flo
     else:
         if abs(abs(op) - abs(oq)) > tol * scale ** 2:
             return None, f"unsigned triangle areas differ at triple {pick}"
-    dp = np.column_stack([P[pick + 1] - P[pick], P[pick + 2] - P[pick]])
     dq = np.column_stack([Q[pick + 1] - Q[pick], Q[pick + 2] - Q[pick]])
     linear = dq @ np.linalg.inv(dp)
     det = float(np.linalg.det(linear))
@@ -184,6 +193,7 @@ def align(
     best_reason = "no candidate motion matched"
     if group in (Group.SE, Group.E) and abs(m1.diameter - m2.diameter) > tol * scale:
         return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
+    triple = _anchor_triple(P) if group in (Group.SA, Group.ABAR) else None
     for idx, tag in _correspondences(m1.n, mode, m1.closed and m2.closed):
         Q = m2.points[idx]
         if group in (Group.SE, Group.E):
@@ -193,7 +203,7 @@ def align(
                 continue
             mats = [(m, 0) for m in candidates]
         else:
-            mats, why = _unimodular_candidate(P, Q, group, scale, tol)
+            mats, why = _unimodular_candidate(P, Q, group, scale, tol, triple)
             if mats is None:
                 best_reason = f"{why} ({tag})"
                 continue
@@ -505,31 +515,31 @@ def decide_affine(
     else:
         if not (affine.is_affine_fine(m1) and affine.is_affine_fine(m2)):
             return _hyp_fail("a mesh is not affine-fine")
-    interior = list(affine.affine_fine_interior(m1))
-    kap1 = [affine.affine_curvature(m1, i) for i in interior]
-    kap2 = [affine.affine_curvature(m2, i) for i in interior]
+    interior = affine.affine_fine_interior(m1)
+    kap1 = affine.interior_curvatures(m1)
+    kap2 = affine.interior_curvatures(m2)
+    za, zb = np.abs(kap1) <= affine.PARABOLIC_TOL, np.abs(kap2) <= affine.PARABOLIC_TOL
     if variant == "thm5.7":
-        for i, k in zip(interior, kap1):
-            if abs(k) <= affine.PARABOLIC_TOL:
-                return _hyp_fail(f"curvature vanishes at index {i}")
-        for i, k in zip(interior, kap2):
-            if abs(k) <= affine.PARABOLIC_TOL:
-                return _hyp_fail(f"curvature vanishes at index {i} (second mesh)")
+        for zero, which in ((za, ""), (zb, " (second mesh)")):
+            if zero.any():
+                return _hyp_fail(f"curvature vanishes at index {interior[int(np.argmax(zero))]}{which}")
     else:
-        for i, (ka, kb) in zip(interior, zip(kap1, kap2)):
-            za, zb = abs(ka) <= affine.PARABOLIC_TOL, abs(kb) <= affine.PARABOLIC_TOL
-            if za != zb:
-                return _hyp_fail(f"zero-curvature points do not correspond at index {i}")
-            if za:
-                t1 = abs(orient(m1.p(i, -1), m1.p(i), m1.p(i, 1))) / 2.0
-                t2 = abs(orient(m2.p(i, -1), m2.p(i), m2.p(i, 1))) / 2.0
-                scale = max(t1, t2, 1e-300)
-                if abs(t1 - t2) > sig_tol * scale:
-                    return _hyp_fail(f"one-neighborhood areas differ at zero-curvature index {i}")
-    for i in interior:
-        s1 = affine.arc_length_set(m1, i)
-        s2 = affine.arc_length_set(m2, i)
-        if (why := _values_differ(s1.values, s2.values, sig_tol, f"arc-length sets at {i}")) is not None:
+        t1, t2 = (np.abs(orient_rows(*neighbor_triples(m, interior))) / 2.0 for m in (m1, m2))
+        scale = np.maximum(np.maximum(t1, t2), 1e-300)
+        bad = np.flatnonzero((za != zb) | (za & (np.abs(t1 - t2) > sig_tol * scale)))
+        if len(bad):
+            k = int(bad[0])
+            if za[k] != zb[k]:
+                return _hyp_fail(f"zero-curvature points do not correspond at index {interior[k]}")
+            return _hyp_fail(f"one-neighborhood areas differ at zero-curvature index {interior[k]}")
+    (a1, ok1), (a2, ok2) = affine.interior_arc_length_sets(m1), affine.interior_arc_length_sets(m2)
+    scale = np.maximum(np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)), 1e-300)
+    differ = np.abs(a1 - a2).max(axis=1) > sig_tol * scale
+    # rows that raise or differ, replayed in index order: the first one decides
+    for k in np.flatnonzero(~(ok1 & ok2) | differ).tolist():
+        s1 = affine.arc_length_set(m1, interior[k])
+        s2 = affine.arc_length_set(m2, interior[k])
+        if (why := _values_differ(s1.values, s2.values, sig_tol, f"arc-length sets at {interior[k]}")) is not None:
             return _hyp_fail(why)
     sig1 = affine.sa_signature(m1, Scheme.EQ6)
     sig2 = affine.sa_signature(m2, Scheme.EQ6)

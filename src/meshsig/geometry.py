@@ -106,13 +106,18 @@ def _as_points(points) -> np.ndarray:
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:
-    """Length of each row of a (k, 2) array, rounded as ``np.linalg.norm`` rounds one row.
+    """Length of each row of a (k, d) array, rounded as ``np.linalg.norm`` rounds one row.
 
-    ``np.linalg.norm`` of a 2-vector is ``sqrt(dot(d, d))`` through BLAS,
+    ``np.linalg.norm`` of a vector is ``sqrt(dot(v, v))`` through BLAS,
     which can round differently from ``sqrt(dx*dx + dy*dy)``; the stacked
     matmul takes the same dot product for every row at once.
     """
     return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+
+
+def orient_rows(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """:func:`orient` of the triples (p[k], q[k], r[k]) of three (k, 2) arrays, bit for bit."""
+    return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
 
 
 def _pointset_diameter(pts: np.ndarray) -> float:
@@ -178,7 +183,7 @@ class Mesh:
     and frozen; the caller's array is left as it was.
     """
 
-    __slots__ = ("_points", "closed", "label", "_diameter", "_conic_cache")
+    __slots__ = ("_points", "closed", "label", "_diameter", "_affine")
 
     def __init__(self, points, closed: bool = False, label: str = ""):
         pts = _as_points(points)
@@ -202,7 +207,7 @@ class Mesh:
         self.closed = bool(closed)
         self.label = label
         self._diameter = diameter
-        self._conic_cache: dict[int, object] = {}
+        self._affine = None  # equiaffine block, built by the affine module on first use
 
     @property
     def points(self) -> np.ndarray:
@@ -451,19 +456,32 @@ def is_ordinary(mesh: Mesh) -> bool:
     return not (row_norms(spans) <= COLLINEARITY_REL_TOL * mesh.diameter).any()
 
 
+def neighbor_triples(mesh: Mesh, centers: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p[i-1], p[i], p[i+1]) for every center i of a range, as three (k, 2) arrays."""
+    c, pts, n = np.arange(centers.start, centers.stop), mesh.points, mesh.n
+    return pts[(c - 1) % n], pts[c], pts[(c + 1) % n]
+
+
+def _vertex_angles(prev: np.ndarray, mid: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    # angle() of each triple, in its operation order; 0 where an arm has zero length
+    u, v = prev - mid, nxt - mid
+    return np.arctan2(np.abs(orient_rows(mid, prev, nxt)), (u[:, None, :] @ v[:, :, None]).ravel())
+
+
 def is_convex(mesh: Mesh) -> bool:
     """Consistent nonzero turning at every interior point.
 
     Closed meshes must additionally wind exactly once (total turning
     +-2pi), which rules out multiply-wound star traversals.
     """
-    signs = [signature_sign(mesh, i) for i in mesh.interior()]
-    if any(s == 0 for s in signs):
-        return False
-    if len(set(signs)) > 1:
+    prev, mid, nxt = neighbor_triples(mesh, mesh.interior())
+    cross = orient_rows(mid, nxt, prev)
+    signs = np.where(np.abs(cross) <= COLLINEARITY_REL_TOL * mesh.diameter ** 2, 0, np.where(cross > 0, 1, -1))
+    if (signs == 0).any() or (signs != signs[0]).any():
         return False
     if mesh.closed:
-        turning = sum(s * (np.pi - angle(mesh, i)) for i, s in zip(mesh.interior(), signs))
+        # summed in index order as Python floats, as a per-index loop sums them
+        turning = sum((signs * (np.pi - _vertex_angles(prev, mid, nxt))).tolist())
         if abs(abs(turning) - 2.0 * np.pi) > 1e-6:
             return False
     return True
@@ -471,13 +489,14 @@ def is_convex(mesh: Mesh) -> bool:
 
 def is_fine(mesh: Mesh, tol: float = RIGHT_ANGLE_TOL) -> bool:
     """True when every interior vertex angle is obtuse."""
-    for i in mesh.interior():
-        try:
-            if angle_type(angle(mesh, i), tol) is not AngleType.OBTUSE:
-                return False
-        except OutOfDomain:  # straight angle: not obtuse
-            return False
-    return True
+    theta = _vertex_angles(*neighbor_triples(mesh, mesh.interior()))
+    half = np.pi / 2.0
+    # angle_type's tests: inside (0, pi), outside the right-angle band, not acute
+    obtuse = (0.0 < theta) & (theta < np.pi) & ~(np.abs(theta - half) <= tol) & ~(theta < half)
+    bad = np.flatnonzero(~obtuse)
+    if len(bad):
+        angle(mesh, mesh.interior()[int(bad[0])])  # raises DegenerateArm on a zero-length arm
+    return not len(bad)
 
 
 def circumcircle(p, q, r) -> tuple[Point2, float]:

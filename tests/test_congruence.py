@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import meshsig as ms
+from meshsig import congruence
 from meshsig import generators as gen
 from meshsig.congruence import MatchMode, Verdict
-from meshsig.errors import LengthMismatch, NoNonCollinearTriple
+from meshsig.errors import LengthMismatch, NoNonCollinearTriple, NotClosed, NotOrdinary
+from meshsig.geometry import orient
 from meshsig.signatures import signature_max_error
 
 
@@ -75,6 +77,117 @@ class TestAlign:
 
         with pytest.raises(NotClosed):
             ms.align(m, m, ms.Group.SE, MatchMode.CYCLIC)
+
+
+def scalar_unimodular_candidate(P, Q, group, scale, tol):
+    # frozen reference: recomputes the P-only scale, tolerance and anchor triple per call
+    area_tol = 1e-9 * congruence._pointset_scale(P) ** 2
+    pick = None
+    for i in range(len(P) - 2):
+        if abs(orient(P[i], P[i + 1], P[i + 2])) > area_tol:
+            pick = i
+            break
+    if pick is None:
+        raise NoNonCollinearTriple("mesh has no non-collinear consecutive triple")
+    op = orient(P[pick], P[pick + 1], P[pick + 2])
+    oq = orient(Q[pick], Q[pick + 1], Q[pick + 2])
+    if group is ms.Group.SA:
+        if abs(op - oq) > tol * scale ** 2:
+            return None, f"triangle areas differ at triple {pick}"
+    elif abs(abs(op) - abs(oq)) > tol * scale ** 2:
+        return None, f"unsigned triangle areas differ at triple {pick}"
+    dp = np.column_stack([P[pick + 1] - P[pick], P[pick + 2] - P[pick]])
+    dq = np.column_stack([Q[pick + 1] - Q[pick], Q[pick + 2] - Q[pick]])
+    linear = dq @ np.linalg.inv(dp)
+    det = float(np.linalg.det(linear))
+    if group is ms.Group.SA and det <= 0:
+        return None, f"recovered map reverses orientation (det {det:.3g})"
+    if abs(abs(det) - 1.0) > 1e-6:
+        return None, f"recovered map is not unimodular (det {det:.6g})"
+    linear /= np.sqrt(abs(det))
+    return [(linear, pick)], ""
+
+
+def scalar_align(m1, m2, group, mode=MatchMode.INDEX_ALIGNED, tol=congruence.DEFAULT_POINT_TOL):
+    # frozen reference: align before the P-only work was hoisted out of the shift loop
+    if m1.n != m2.n:
+        raise LengthMismatch(f"point counts differ: {m1.n} vs {m2.n}")
+    if not ms.is_ordinary(m1) or not ms.is_ordinary(m2):
+        raise NotOrdinary("alignment requires cusp-free meshes")
+    scale = max(m1.diameter, m2.diameter)
+    P = m1.points
+    best_reason = "no candidate motion matched"
+    if group in (ms.Group.SE, ms.Group.E) and abs(m1.diameter - m2.diameter) > tol * scale:
+        return ms.CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
+    for idx, tag in congruence._correspondences(m1.n, mode, m1.closed and m2.closed):
+        Q = m2.points[idx]
+        if group in (ms.Group.SE, ms.Group.E):
+            candidates, why = congruence._euclidean_candidates(P[0], P[1], Q[0], Q[1], group, scale, tol)
+            if candidates is None:
+                best_reason = f"{why} ({tag})"
+                continue
+            mats = [(m, 0) for m in candidates]
+        else:
+            mats, why = scalar_unimodular_candidate(P, Q, group, scale, tol)
+            if mats is None:
+                best_reason = f"{why} ({tag})"
+                continue
+        for linear, anchor in mats:
+            translation = Q[anchor] - linear @ P[anchor]
+            deviation = float(np.abs(P @ linear.T + translation - Q).max())
+            if deviation <= tol * scale:
+                witness = ms.GroupElement(linear, translation, group)
+                return ms.CongruenceVerdict(Verdict.CONGRUENT, witness=witness, max_deviation=deviation, correspondence=tag)
+            best_reason = f"max deviation {deviation:.3e} over {tol * scale:.3e} ({tag})"
+    return ms.CongruenceVerdict(Verdict.NOT_CONGRUENT, reason=best_reason)
+
+
+def align_outcome(f, *args):
+    try:
+        v = f(*args)
+    except ms.MeshSigError as exc:
+        return type(exc), str(exc)
+    witness = None if v.witness is None else (v.witness.linear.tobytes(), v.witness.translation.tobytes())
+    return v.status, v.reason, repr(v.max_deviation), v.correspondence, witness
+
+
+class TestCyclicAlignEquivalence:
+    """align equals its frozen per-shift reference bit for bit: verdict, witness, reason and tag."""
+
+    def test_closed_outlines(self):
+        rng = np.random.default_rng(25)
+        statuses = set()
+        for k in range(40):
+            n = int(rng.integers(5, 40))
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            pts = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.7, 1.3, size=(n, 1))
+            if k % 8 == 0:
+                pts[:4] = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]  # collinear leading triples
+            for group in ms.Group:
+                g = ms.random_motion(group, rng)
+                start, reverse = int(rng.integers(0, n)), bool(rng.integers(0, 2))
+                order = (start - np.arange(n)) % n if reverse else (np.arange(n) + start) % n
+                image = g.apply(pts)[order]
+                if k % 3 == 1:
+                    image = image + rng.normal(scale=1e-4, size=image.shape)
+                for closed in (True, False):
+                    try:
+                        m1, m2 = ms.Mesh(pts, closed=closed), ms.Mesh(image, closed=closed)
+                    except ms.MeshSigError:
+                        continue
+                    for mode in MatchMode:
+                        got = align_outcome(ms.align, m1, m2, group, mode)
+                        assert got == align_outcome(scalar_align, m1, m2, group, mode)
+                        statuses.add(got[0])
+        assert set(Verdict) - {Verdict.HYPOTHESES_NOT_MET} <= statuses
+        assert NotClosed in statuses
+
+    def test_all_collinear_raises_after_not_closed(self):
+        line = ms.Mesh([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
+        for mode in MatchMode:
+            got = align_outcome(ms.align, line, line, ms.Group.SA, mode)
+            assert got == align_outcome(scalar_align, line, line, ms.Group.SA, mode)
+            assert got[0] is (NoNonCollinearTriple if mode is MatchMode.INDEX_ALIGNED else NotClosed)
 
 
 class TestCounterexamples:

@@ -321,6 +321,94 @@ class TestPredicates:
         np.testing.assert_allclose(e1, e0, rtol=1e-9)
 
 
+def scalar_is_convex(mesh):
+    # frozen scalar reference: one signature_sign / angle call per index
+    signs = [ms.signature_sign(mesh, i) for i in mesh.interior()]
+    if any(s == 0 for s in signs):
+        return False
+    if len(set(signs)) > 1:
+        return False
+    if mesh.closed:
+        turning = sum(s * (np.pi - ms.angle(mesh, i)) for i, s in zip(mesh.interior(), signs))
+        if abs(abs(turning) - 2.0 * np.pi) > 1e-6:
+            return False
+    return True
+
+
+def scalar_is_fine(mesh, tol=ms.geometry.RIGHT_ANGLE_TOL):
+    # frozen scalar reference
+    for i in mesh.interior():
+        try:
+            if ms.angle_type(ms.angle(mesh, i), tol) is not ms.AngleType.OBTUSE:
+                return False
+        except OutOfDomain:
+            return False
+    return True
+
+
+def predicate_meshes():
+    """Random, star-traversal, collinear and near-right-angle meshes, open and closed."""
+    rng = np.random.default_rng(31)
+    point_sets = []
+    for _ in range(150):
+        n = int(rng.integers(3, 30))
+        point_sets.append(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-3, 3))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        point_sets.append(np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.5, 2.0, size=(n, 1)))
+    for k in range(5, 14):
+        for wind in (1, 2, 3):
+            t = 2.0 * np.pi * wind * np.arange(k) / k
+            point_sets.append(np.column_stack([np.cos(t), np.sin(t)]))
+            # the same circle traversed twice, slightly shifted so no point repeats
+            t2 = 2.0 * np.pi * (np.arange(2 * k) + 0.5 * (np.arange(2 * k) >= k)) / k
+            point_sets.append(np.column_stack([np.cos(t2), np.sin(t2)]))
+    for _ in range(60):
+        # right-angle staircases: some turns inside the RIGHT_ANGLE_TOL band, some just outside
+        pts, heading = [np.zeros(2)], 0.0
+        for j in range(int(rng.integers(3, 12))):
+            pts.append(pts[-1] + rng.uniform(0.5, 2.0) * np.array([np.cos(heading), np.sin(heading)]))
+            heading += np.pi / 2.0 + rng.choice([0.0, 5e-8, -5e-8, 9.9e-8, 1.01e-7, 3e-7, 0.3])
+        pts = np.array(pts)
+        if rng.integers(0, 2):
+            pts = np.insert(pts, 2, 0.5 * (pts[1] + pts[2]), axis=0)  # an exactly collinear triple
+        point_sets.append(pts)
+    meshes = []
+    for pts in point_sets:
+        for closed in (False, True):
+            try:
+                meshes.append(ms.Mesh(pts, closed=closed))
+            except InvalidMesh:
+                pass
+    return meshes
+
+
+class TestArrayPredicates:
+    """is_convex and is_fine equal their frozen per-index references."""
+
+    def test_match_scalar_references(self):
+        meshes = predicate_meshes()
+        convex = [ms.is_convex(m) for m in meshes]
+        assert convex == [scalar_is_convex(m) for m in meshes]
+        assert any(convex) and not all(convex)
+        for tol in (ms.geometry.RIGHT_ANGLE_TOL, 1e-3, 0.5):
+            fine = [ms.is_fine(m, tol) for m in meshes]
+            assert fine == [scalar_is_fine(m, tol) for m in meshes]
+            assert any(fine) and not all(fine)
+
+    def test_twice_wound_star_not_convex(self):
+        t = 2.0 * np.pi * 2 * np.arange(7) / 7
+        star = ms.Mesh(np.column_stack([np.cos(t), np.sin(t)]), closed=True)
+        assert not ms.is_convex(star) and not scalar_is_convex(star)
+        assert ms.is_convex(ms.Mesh(star.points[[0, 4, 1, 5, 2, 6, 3]], closed=True))
+
+    def test_right_angle_band(self):
+        for dtheta, fine in ((5e-8, False), (-5e-8, False), (2e-7, True), (-2e-7, False)):
+            theta = np.pi / 2.0 + dtheta
+            m = ms.Mesh([(1.0, 0.0), (0.0, 0.0), (np.cos(theta), np.sin(theta))])
+            assert ms.is_fine(m) is fine
+            assert scalar_is_fine(m) is fine
+
+
 class TestCircumcircle:
     def test_unit_circle_points(self):
         center, radius = ms.circumcircle((1, 0), (0, 1), (-1, 0))
