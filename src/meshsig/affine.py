@@ -55,7 +55,7 @@ from .geometry import (
     orient_rows,
     row_norms,
 )
-from .signatures import Scheme, Signature, SignaturePoint
+from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
 
 # |S| below this (unit-norm coefficients) marks the conic parabolic.
 PARABOLIC_TOL = 1e-10
@@ -70,6 +70,8 @@ AFFINE_SPACING_REL_TOL = 1e-6
 FIT_HALF_WIDTH = 2
 # Arc lengths at a point are only defined inside its five-neighborhood.
 ARC_HALF_WIDTH = 5
+# Each curvature reads the conic fit window around its center.
+SA_SPEC = NeighborhoodSpec(FIT_HALF_WIDTH, FIT_HALF_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -618,7 +620,7 @@ def hyperbola_gap_bound(mesh: Mesh, i: int) -> float:
     """
     blk, w = _row(mesh, i)
     if blk.gap_undefined[w]:
-        raise ZeroDivisionError("float division by zero")
+        raise ParabolicConic(f"conic at index {i} is parabolic in the unit scale: no gap bound")
     radicand = float(blk.radicand[w])
     if radicand < 0.0:
         raise NonRealMu(f"gap bound radicand {radicand!r} negative at index {i}")
@@ -664,27 +666,6 @@ def is_affine_fine(mesh: Mesh) -> bool:
     return all(_window_is_fine(mesh, i) for i in rows[~blk.affine_fine[rows]].tolist())
 
 
-def _sa_offsets(scheme: Scheme) -> tuple[int, int, tuple[int, int]]:
-    """(min, max) window offsets and the arc-length endpoint offsets."""
-    arc = {
-        Scheme.EQ5: (0, 1),
-        Scheme.EQ6: (-1, 1),
-        Scheme.EQ7: (-2, 3),
-        Scheme.EQ8: (-5, 5),
-    }[scheme]
-    kappa_centers = (-1, 0, 1) if scheme.centered else (0, 1)
-    lo = min(min(c - FIT_HALF_WIDTH for c in kappa_centers), arc[0])
-    hi = max(max(c + FIT_HALF_WIDTH for c in kappa_centers), arc[1])
-    return lo, hi, arc
-
-
-def sa_scheme_indices(mesh: Mesh, scheme: Scheme) -> range:
-    if mesh.closed:
-        return range(mesh.n)
-    lo, hi, _ = _sa_offsets(scheme)
-    return range(max(0, -lo), mesh.n - hi)
-
-
 def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
     """L[i] = arc length from p[i] to p[i+1], each from the conic at p[i]."""
     if indices is None:
@@ -701,7 +682,7 @@ def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
 
 def _signature_row(mesh: Mesh, scheme: Scheme, i: int) -> None:
     # the reads of sa_signature's row i in their order, raising as they raise
-    _, _, (arc_lo, arc_hi) = _sa_offsets(scheme)
+    arc_lo, arc_hi = denominator_offsets(scheme)
     affine_curvature(mesh, i + 1)
     affine_curvature(mesh, i - 1 if scheme.centered else i)
     denom = affine_arc_length(mesh, i, mesh.resolve(i, arc_lo), mesh.resolve(i, arc_hi))
@@ -743,23 +724,20 @@ def sa_signature(
                 raise SchemeSpacingMismatch(
                     f"{scheme.label} requires equal arc lengths; arc {worst} deviates"
                 )
-    indices = sa_scheme_indices(mesh, scheme)
+    indices = scheme_rows(mesh, scheme, SA_SPEC)
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
     blk, n, pts = _block(mesh), mesh.n, mesh.points
-    rows = _span(indices)
-    hi, lo = (rows + 1) % n, (rows - int(scheme.centered)) % n
-    _, _, (arc_lo, arc_hi) = _sa_offsets(scheme)
+    rows, centers = _span(indices), curvature_centers(scheme, indices) % n
+    arc_lo, arc_hi = denominator_offsets(scheme)
     denom = _arcs(blk, rows, pts[(rows + arc_lo) % n, None], pts[(rows + arc_hi) % n, None])[:, 0]
-    ok = blk.kappa_ok[hi] & blk.kappa_ok[lo] & blk.kappa_ok[rows] & blk.arc_ok[rows] & (np.abs(denom) > 1e-15)
+    c, kappa_ok = int(scheme.centered), blk.kappa_ok[centers]
+    ok = kappa_ok[1 + c:] & kappa_ok[: len(rows)] & kappa_ok[c : c + len(rows)] & blk.arc_ok[rows] & (np.abs(denom) > 1e-15)
     for i in rows[~ok].tolist():
         _signature_row(mesh, scheme, i)
-    kappa = blk.kappa
-    kappa_s = scheme.factor * (kappa[hi] - kappa[lo]) / denom
-    rows_out = list(map(SignaturePoint, rows.tolist(), kappa[rows].tolist(), kappa_s.tolist()))
-    meta = {}
+    sig = quotient_signature(scheme, SA_SPEC, indices, blk.kappa[centers], denom)
     if scheme in (Scheme.EQ7, Scheme.EQ8):
-        meta["arc_length_extrapolation"] = (
+        sig.meta["arc_length_extrapolation"] = (
             "long-span arc lengths evaluated with the conic fitted at the row's center point"
         )
-    return Signature(rows_out, scheme, NeighborhoodSpec(FIT_HALF_WIDTH, FIT_HALF_WIDTH), meta=meta)
+    return sig

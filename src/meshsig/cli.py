@@ -25,20 +25,6 @@ EXIT_SPACING = 3
 EXIT_HYPOTHESES = 4
 EXIT_RULE_MISMATCH = 5
 
-_VIA_GROUPS = {
-    "oracle": None,  # any group
-    "thm3.3": Group.SE,
-    "thm4.9": Group.SE,
-    "thm4.14": Group.SE,
-    "thm4.18": Group.SE,
-    "thm4.25": Group.SE,
-    "thm4.26": Group.SE,
-    "thm5.7": Group.SA,
-    "thm5.8": Group.SA,
-    "cor5.9": Group.SA,
-    "host": Group.SE,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -72,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     cong.add_argument("input1")
     cong.add_argument("input2")
     cong.add_argument("--group", choices=["se", "e", "sa", "abar"], default="se")
-    cong.add_argument("--via", choices=sorted(_VIA_GROUPS), default="oracle",
+    cong.add_argument("--via", choices=sorted(["oracle", *congruence.RULES]), default="oracle",
                       help="decision rule; theorem rules fix their own group")
     cong.add_argument("--mode", choices=["aligned", "cyclic", "cyclic-reversal"],
                       default="aligned", help="index correspondence (cyclic: closed meshes)")
@@ -84,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="right-angle classification band, radians")
     cong.add_argument("--fine", action="store_true",
                       help="thm4.14 only: use the fine-mesh variant of the rule")
-    cong.add_argument("--endpoint-rule", choices=["equal-end-angles", "obtuse-start"],
+    cong.add_argument("--endpoint-rule", choices=congruence.RULES["thm4.26"].options["endpoint_rule"],
                       default="equal-end-angles", help="thm4.26 open-mesh endpoint condition")
     cong.add_argument("--closed", action="store_true", help="treat CSV meshes as closed")
     cong.set_defaults(func=cmd_congruent)
@@ -114,9 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_signature(args) -> int:
     scheme = Scheme.from_id(args.scheme)
-    expected_group = "se" if scheme.value <= 4 else "sa"
-    if args.group != expected_group:
-        print(f"error: scheme {args.scheme} belongs to group {expected_group}, not {args.group}",
+    if args.group != scheme.group.value:
+        print(f"error: scheme {args.scheme} belongs to group {scheme.group.value}, not {args.group}",
               file=sys.stderr)
         return EXIT_PARSE
     mesh = meshio.read_mesh(args.input, closed=args.closed or None)
@@ -129,7 +114,7 @@ def cmd_signature(args) -> int:
         sig = affine.sa_signature(mesh, scheme, spacing=args.sa_spacing,
                                   spacing_tol=args.spacing_tol)
     if not mesh.closed:
-        lo, hi = sig.points[0].index, sig.points[-1].index
+        lo, hi = sig.indices[[0, -1]].tolist()
         print(f"note: open mesh: stencils truncate the index range to {lo}..{hi} "
               f"of 0..{mesh.n - 1}", file=sys.stderr)
     provenance = {
@@ -140,63 +125,24 @@ def cmd_signature(args) -> int:
     if args.out:
         meshio.write_signature_csv(sig, args.out, provenance=provenance)
     else:
-        sys.stdout.write(meshio.SIGNATURE_HEADER + "\n")
-        for p in sig.points:
-            sys.stdout.write(
-                f"{p.index},{format(p.kappa, '.17g')},{format(p.kappa_s, '.17g')},"
-                f"{sig.scheme.label},{sig.spec.m1},{sig.spec.m2}\n"
-            )
+        sys.stdout.write("".join(line + "\n" for line in meshio.signature_lines(sig)))
     if args.plot:
         meshio.write_signature_svg(sig, args.plot)
     return EXIT_OK
 
 
-def _run_rule(args, m1, m2):
-    group = Group.from_string(args.group)
-    via = args.via
-    required = _VIA_GROUPS[via]
-    if required is not None:
-        allowed = {Group.SE: {"se"}, Group.SA: {"sa"}}[required]
-        if args.group not in allowed:
-            raise _RuleMismatch(f"rule {via} decides {required.value} congruence, not {args.group}")
-    kw = dict(sig_tol=args.sig_tol, tol=args.tol)
-    if via == "oracle":
-        mode = {"aligned": MatchMode.INDEX_ALIGNED, "cyclic": MatchMode.CYCLIC,
-                "cyclic-reversal": MatchMode.CYCLIC_REVERSAL}[args.mode]
-        return congruence.align(m1, m2, group, mode, tol=args.tol)
-    if via == "thm3.3":
-        return congruence.decide_dist_angle(m1, m2, tol=args.tol)
-    if via == "thm4.9":
-        return congruence.decide_eq1(m1, m2, **kw)
-    if via == "thm4.14":
-        return congruence.decide_eq2_angle_type(m1, m2, fine_variant=args.fine,
-                                                right_tol=args.right_tol, **kw)
-    if via == "thm4.18":
-        return congruence.decide_eq2_signed(m1, m2, right_tol=args.right_tol, **kw)
-    if via == "thm4.25":
-        return congruence.decide_eq3(m1, m2, right_tol=args.right_tol, **kw)
-    if via == "thm4.26":
-        return congruence.decide_eq4(m1, m2, endpoint_rule=args.endpoint_rule,
-                                     right_tol=args.right_tol, **kw)
-    if via in ("thm5.7", "thm5.8", "cor5.9"):
-        return congruence.decide_affine(m1, m2, variant=via, **kw)
-    if via == "host":
-        return host.decide_host(m1, m2, right_tol=args.right_tol, **kw)
-    raise ValueError(f"unhandled rule {via!r}")
-
-
-class _RuleMismatch(Exception):
-    pass
-
-
 def cmd_congruent(args) -> int:
     m1 = meshio.read_mesh(args.input1, closed=args.closed or None)
     m2 = meshio.read_mesh(args.input2, closed=args.closed or None)
-    try:
-        verdict = _run_rule(args, m1, m2)
-    except _RuleMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    group = Group.from_string(args.group)
+    if args.via == "oracle":
+        verdict = congruence.align(m1, m2, group, MatchMode(args.mode), tol=args.tol)
+    elif (rule := congruence.RULES[args.via]).group is not group:
+        print(f"error: rule {args.via} decides {rule.group.value} congruence, not {args.group}", file=sys.stderr)
         return EXIT_RULE_MISMATCH
+    else:
+        verdict = congruence._decide(args.via, m1, m2, sig_tol=args.sig_tol, tol=args.tol, right_tol=args.right_tol,
+                                     fine_variant=args.fine, endpoint_rule=args.endpoint_rule)
     print(f"verdict: {verdict.status.value}")
     if verdict.reason:
         print(f"reason: {verdict.reason}")

@@ -2,10 +2,11 @@
 
 The alignment oracle exploits that the group actions are free: a single edge
 (SE/E) or a single non-collinear triple (SA/Abar) determines the only
-candidate motion, which is then verified pointwise. Decision procedures
-check their rule's hypotheses; when all hold they defer to the oracle, so a
-Congruent verdict always carries a verified witness motion. NotCongruent
-only ever comes from the oracle itself.
+candidate motion, which is then verified pointwise. Each decision rule is a
+row of RULES: its group, its preconditions and its ordered hypothesis
+checks. One engine evaluates any row; when all hypotheses hold it defers to
+the oracle, so a Congruent verdict always carries a verified witness motion.
+NotCongruent only ever comes from the oracle itself.
 """
 
 from __future__ import annotations
@@ -23,18 +24,18 @@ from .errors import (
     NotClosed,
     NotConvex,
     NotOrdinary,
-    OutOfDomain,
 )
 from .euclidean import chord, interior_curvatures, se_signature
 from .geometry import (
+    RIGHT_ANGLE_TOL,
     SPEC11,
+    AngleType,
     Group,
     GroupElement,
     Mesh,
     NeighborhoodSpec,
-    SigDirection,
     angle,
-    angle_type,
+    angle_types,
     edge_lengths,
     is_convex,
     is_equally_spaced,
@@ -43,13 +44,14 @@ from .geometry import (
     neighbor_triples,
     orient,
     orient_rows,
-    signature_direction,
+    row_norms,
     signed_angle,
-    signed_angle_type,
+    triple_angles,
 )
 from .signatures import SIGNATURE_REL_TOL, Scheme, signature_max_error
 
 DEFAULT_POINT_TOL = 1e-6
+DEFAULT_ANGLE_TOL = 1e-9
 SPEC12 = NeighborhoodSpec(1, 2)
 SPEC31 = NeighborhoodSpec(3, 1)
 SPEC33 = NeighborhoodSpec(3, 3)
@@ -237,62 +239,6 @@ def _finish_with_oracle(
     return verdict
 
 
-def _check_counts(m1: Mesh, m2: Mesh) -> None:
-    if m1.n != m2.n:
-        raise LengthMismatch(f"point counts differ: {m1.n} vs {m2.n}")
-    if m1.closed != m2.closed:
-        raise LengthMismatch("one mesh is closed, the other open")
-
-
-def _same_sd(m1: Mesh, m2: Mesh, spec: NeighborhoodSpec = SPEC11) -> str | None:
-    for i in m1.interior(spec.m1, spec.m2):
-        d1 = signature_direction(m1, i, spec)
-        d2 = signature_direction(m2, i, spec)
-        if d1 is SigDirection.UNDEFINED or d2 is SigDirection.UNDEFINED:
-            return f"signature-direction undefined at index {i}"
-        if d1 is not d2:
-            return f"signature-directions differ at index {i}"
-    return None
-
-
-def _same_angle_types(m1, m2, spec=SPEC11, tol=None) -> str | None:
-    kwargs = {} if tol is None else {"tol": tol}
-    for i in m1.interior(spec.m1, spec.m2):
-        try:
-            t1 = angle_type(angle(m1, i, spec), **kwargs)
-            t2 = angle_type(angle(m2, i, spec), **kwargs)
-        except OutOfDomain:
-            return f"angle type undefined at index {i}"
-        if t1 is not t2:
-            return f"angle types differ at index {i} ({t1.value} vs {t2.value})"
-    return None
-
-
-def _same_signed_angle_types(m1, m2, spec=SPEC11, tol=None) -> str | None:
-    kwargs = {} if tol is None else {"tol": tol}
-    for i in m1.interior(spec.m1, spec.m2):
-        try:
-            t1 = signed_angle_type(m1, i, spec, **kwargs)
-            t2 = signed_angle_type(m2, i, spec, **kwargs)
-        except OutOfDomain:
-            return f"signed angle type undefined at index {i}"
-        if t1 != t2:
-            return f"signed angle types differ at index {i}"
-    return None
-
-
-def _signatures_differ(m1, m2, scheme, spec=SPEC11, sig_tol=SIGNATURE_REL_TOL) -> str | None:
-    try:
-        s1 = se_signature(m1, scheme, spec)
-        s2 = se_signature(m2, scheme, spec)
-    except MeshTooShort:
-        return None  # no rows to compare: the condition holds vacuously
-    err = signature_max_error(s1, s2)
-    if err > sig_tol:
-        return f"{scheme.label} signatures differ (max relative error {err:.3e})"
-    return None
-
-
 def _values_differ(v1, v2, tol, what: str) -> str | None:
     v1 = np.asarray(v1, float)
     v2 = np.asarray(v2, float)
@@ -305,233 +251,195 @@ def _values_differ(v1, v2, tol, what: str) -> str | None:
     return None
 
 
-def decide_eq1(
-    m1: Mesh,
-    m2: Mesh,
-    sig_tol: float = SIGNATURE_REL_TOL,
-    tol: float = DEFAULT_POINT_TOL,
-) -> CongruenceVerdict:
-    """Equal spacing + matching signature-directions + equal forward signatures."""
-    _check_counts(m1, m2)
-    if not (is_ordinary(m1) and is_ordinary(m2)):
-        return _hyp_fail("a mesh has a cusp")
-    if not (is_equally_spaced(m1) and is_equally_spaced(m2)):
-        return _hyp_fail("a mesh is not equally spaced")
-    if (why := _same_sd(m1, m2)) is not None:
-        return _hyp_fail(why)
-    if (why := _signatures_differ(m1, m2, Scheme.EQ1, sig_tol=sig_tol)) is not None:
-        return _hyp_fail(why)
-    return _finish_with_oracle(m1, m2, Group.SE, tol)
+def _first_event(*events: np.ndarray) -> tuple[int, int] | None:
+    """(k, e): the first position k where any event holds, and the first event e holding there."""
+    hits = np.stack(events)
+    k = np.flatnonzero(hits.any(axis=0))
+    return None if not len(k) else (int(k[0]), int(np.argmax(hits[:, k[0]])))
 
 
-def decide_eq2_angle_type(
-    m1: Mesh,
-    m2: Mesh,
-    fine_variant: bool = False,
-    sig_tol: float = SIGNATURE_REL_TOL,
-    tol: float = DEFAULT_POINT_TOL,
-    right_tol: float | None = None,
-) -> CongruenceVerdict:
-    """Equal spacing + signature-directions + angle types + centered signatures.
-
-    With ``fine_variant`` the per-point angle-type condition is replaced by
-    requiring both meshes to be fine (all interior angles obtuse).
-    """
-    _check_counts(m1, m2)
-    if not (is_ordinary(m1) and is_ordinary(m2)):
-        return _hyp_fail("a mesh has a cusp")
-    if not (is_equally_spaced(m1) and is_equally_spaced(m2)):
-        return _hyp_fail("a mesh is not equally spaced")
-    if (why := _same_sd(m1, m2)) is not None:
-        return _hyp_fail(why)
-    if fine_variant:
-        fine_kwargs = {} if right_tol is None else {"tol": right_tol}
-        if not (is_fine(m1, **fine_kwargs) and is_fine(m2, **fine_kwargs)):
-            return _hyp_fail("a mesh is not fine (has a non-obtuse interior angle)")
-    else:
-        if (why := _same_angle_types(m1, m2, tol=right_tol)) is not None:
-            return _hyp_fail(why)
-    if (why := _signatures_differ(m1, m2, Scheme.EQ2, sig_tol=sig_tol)) is not None:
-        return _hyp_fail(why)
-    return _finish_with_oracle(m1, m2, Group.SE, tol)
+def _signed_angles(mesh: Mesh, spec: NeighborhoodSpec) -> np.ndarray:
+    """signed_angle at every center of the spec's interior; raises DegenerateArm where it first would."""
+    centers = mesh.interior(spec.m1, spec.m2)
+    sign, theta, zero_arm = triple_angles(mesh, centers, spec)
+    if zero_arm.any():
+        angle(mesh, centers[int(np.argmax(zero_arm))], spec)
+    return sign * theta
 
 
-def decide_eq2_signed(
-    m1: Mesh,
-    m2: Mesh,
-    curvature_only: bool = False,
-    sig_tol: float = SIGNATURE_REL_TOL,
-    tol: float = DEFAULT_POINT_TOL,
-    right_tol: float | None = None,
-    angle_tol: float = 1e-9,
-) -> CongruenceVerdict:
-    """Equal spacing + signed angle types + centered signatures.
-
-    With ``curvature_only`` the signature condition is dropped: equal signed
-    angle values in (0, pi) plus equal curvature sequences suffice.
-    """
-    _check_counts(m1, m2)
-    if not (is_ordinary(m1) and is_ordinary(m2)):
-        return _hyp_fail("a mesh has a cusp")
-    if not (is_equally_spaced(m1) and is_equally_spaced(m2)):
-        return _hyp_fail("a mesh is not equally spaced")
-    if curvature_only:
-        interior = list(m1.interior())
-        th1 = [signed_angle(m1, i) for i in interior]
-        th2 = [signed_angle(m2, i) for i in interior]
-        for i, (a1, a2) in zip(interior, zip(th1, th2)):
-            if not (0.0 < a1 < np.pi and 0.0 < a2 < np.pi):
-                return _hyp_fail(f"signed angle outside (0, pi) at index {i}")
-        if (why := _values_differ(th1, th2, angle_tol, "signed angles")) is not None:
-            return _hyp_fail(why)
-        k1 = interior_curvatures(m1)
-        k2 = interior_curvatures(m2)
-        if (why := _values_differ(k1, k2, sig_tol, "curvature sequences")) is not None:
-            return _hyp_fail(why)
-        return _finish_with_oracle(m1, m2, Group.SE, tol)
-    if (why := _same_signed_angle_types(m1, m2, tol=right_tol)) is not None:
-        return _hyp_fail(why)
-    if (why := _signatures_differ(m1, m2, Scheme.EQ2, sig_tol=sig_tol)) is not None:
-        return _hyp_fail(why)
-    return _finish_with_oracle(m1, m2, Group.SE, tol)
+def _chords(mesh: Mesh, lo: int, hi: int, centers: range) -> np.ndarray:
+    """chord(mesh, i + lo, i + hi) at each center."""
+    c, pts = np.arange(centers.start, centers.stop), mesh.points
+    return row_norms(pts[(c + lo) % mesh.n] - pts[(c + hi) % mesh.n])
 
 
-def decide_eq3(
-    m1: Mesh,
-    m2: Mesh,
-    sig_tol: float = SIGNATURE_REL_TOL,
-    tol: float = DEFAULT_POINT_TOL,
-    right_tol: float | None = None,
-) -> CongruenceVerdict:
-    """Centered-chord sequence + signed (1,2)-angle types + EQ3 signatures.
+# Preconditions, called as (m1, m2), and hypothesis checks, called as
+# (m1, m2, p) with the rule parameters p. A check over every index finds the
+# first failing one from arrays and raises there what the per-index
+# predicates of geometry raise.
 
-    Open meshes additionally require the closing (1,2)-span chord
-    |p[n-4] - p[n-1]| to agree, extending congruence to the final point.
-    """
-    _check_counts(m1, m2)
-    if not (is_ordinary(m1) and is_ordinary(m2)):
-        return _hyp_fail("a mesh has a cusp")
-    interior = list(m1.interior())
-    d1 = [chord(m1, m1.resolve(i, -1), m1.resolve(i, 1)) for i in interior]
-    d2 = [chord(m2, m2.resolve(i, -1), m2.resolve(i, 1)) for i in interior]
-    if (why := _values_differ(d1, d2, sig_tol, "centered chord sequences")) is not None:
-        return _hyp_fail(why)
-    if (why := _same_signed_angle_types(m1, m2, SPEC12, tol=right_tol)) is not None:
-        return _hyp_fail(why)
-    if m1.n < 4 and not m1.closed:
-        raise MeshTooShort("the closing-chord condition needs at least 4 points")
-    if (why := _signatures_differ(m1, m2, Scheme.EQ3, SPEC12, sig_tol)) is not None:
-        return _hyp_fail(why)
-    if not m1.closed:
-        n = m1.n
-        c1 = chord(m1, n - 4, n - 1)
-        c2 = chord(m2, n - 4, n - 1)
-        scale = max(m1.diameter, m2.diameter)
-        if abs(c1 - c2) > sig_tol * scale:
-            return _hyp_fail(
-                f"closing (1,2)-span chords |p[{n - 4}] - p[{n - 1}]| differ"
-            )
-    return _finish_with_oracle(m1, m2, Group.SE, tol)
+def _check_counts(m1: Mesh, m2: Mesh) -> None:
+    if m1.n != m2.n:
+        raise LengthMismatch(f"point counts differ: {m1.n} vs {m2.n}")
+    if m1.closed != m2.closed:
+        raise LengthMismatch("one mesh is closed, the other open")
 
 
-def decide_eq4(
-    m1: Mesh,
-    m2: Mesh,
-    endpoint_rule: str = "equal-end-angles",
-    sig_tol: float = SIGNATURE_REL_TOL,
-    tol: float = DEFAULT_POINT_TOL,
-    right_tol: float | None = None,
-    angle_tol: float = 1e-9,
-) -> CongruenceVerdict:
-    """(3,1)-curvatures and signed angles + 3-step data + EQ4 signatures.
-
-    Open meshes need an endpoint rule: "equal-end-angles" compares the
-    signed 3-angles at both ends, "obtuse-start" instead requires the
-    starting signed 3-angle of both meshes to be at least pi/2.
-    """
-    _check_counts(m1, m2)
-    if not (is_ordinary(m1) and is_ordinary(m2)):
-        return _hyp_fail("a mesh has a cusp")
-    if not m1.closed and m1.n <= 7:
-        raise MeshTooShort("EQ4 needs more than 7 points on an open mesh")
-    i31 = list(m1.interior(3, 1))
-    k1 = interior_curvatures(m1, SPEC31)
-    k2 = interior_curvatures(m2, SPEC31)
-    if (why := _values_differ(k1, k2, sig_tol, "(3,1)-curvature sequences")) is not None:
-        return _hyp_fail(why)
-    a1 = [signed_angle(m1, i, SPEC31) for i in i31]
-    a2 = [signed_angle(m2, i, SPEC31) for i in i31]
-    if (why := _values_differ(a1, a2, angle_tol, "signed (3,1)-angles")) is not None:
-        return _hyp_fail(why)
-    if (why := _same_signed_angle_types(m1, m2, SPEC33, tol=right_tol)) is not None:
-        return _hyp_fail(why)
-    i3 = list(m1.interior(3, 0)) if not m1.closed else list(range(m1.n))
-    d1 = [chord(m1, m1.resolve(i, -3), i) for i in i3]
-    d2 = [chord(m2, m2.resolve(i, -3), i) for i in i3]
-    if (why := _values_differ(d1, d2, sig_tol, "3-step chord sequences")) is not None:
-        return _hyp_fail(why)
-    if (why := _signatures_differ(m1, m2, Scheme.EQ4, SPEC33, sig_tol)) is not None:
-        return _hyp_fail(why)
-    if not m1.closed:
-        ends = (3, m1.n - 4)
-        if endpoint_rule == "equal-end-angles":
-            e1 = [signed_angle(m1, i, SPEC33) for i in ends]
-            e2 = [signed_angle(m2, i, SPEC33) for i in ends]
-            if (why := _values_differ(e1, e2, angle_tol, "end signed 3-angles")) is not None:
-                return _hyp_fail(why)
-        elif endpoint_rule == "obtuse-start":
-            for mesh in (m1, m2):
-                if signed_angle(mesh, 3, SPEC33) < np.pi / 2.0:
-                    return _hyp_fail("starting signed 3-angle below pi/2")
-        else:
-            raise ValueError(f"unknown endpoint rule {endpoint_rule!r}")
-    return _finish_with_oracle(m1, m2, Group.SE, tol)
+def _closed(m1: Mesh, m2: Mesh) -> None:
+    if not (m1.closed and m2.closed):
+        raise NotClosed("the traversal rule applies to closed meshes only")
 
 
-def decide_affine(
-    m1: Mesh,
-    m2: Mesh,
-    variant: str = "thm5.7",
-    sig_tol: float = 1e-6,
-    tol: float = DEFAULT_POINT_TOL,
-) -> CongruenceVerdict:
-    """Equiaffine decision rules over arc-length sets and EQ6 signatures.
-
-    variant "thm5.7": both meshes affine-fine with nowhere-zero curvature;
-    "thm5.8": affine-fine, zero-curvature points allowed when the matching
-    one-neighborhood triangle areas agree; "cor5.9": as 5.8 with Euclidean
-    fineness replacing affine fineness.
-    """
-    _check_counts(m1, m2)
+def _ordinary_convex(m1: Mesh, m2: Mesh) -> None:
     if not (is_ordinary(m1) and is_ordinary(m2)):
         raise NotOrdinary("affine decision requires cusp-free meshes")
     if not (is_convex(m1) and is_convex(m2)):
         raise NotConvex("affine decision requires convex meshes")
-    if variant not in ("thm5.7", "thm5.8", "cor5.9"):
-        raise ValueError(f"unknown affine variant {variant!r}")
-    if variant == "cor5.9":
-        if not (is_fine(m1) and is_fine(m2)):
-            return _hyp_fail("a mesh is not fine (has a non-obtuse interior angle)")
-    else:
-        if not (affine.is_affine_fine(m1) and affine.is_affine_fine(m2)):
-            return _hyp_fail("a mesh is not affine-fine")
+
+
+def _both(test, reason: str):
+    """test(mesh, p) holds on the first mesh and then on the second."""
+    return lambda m1, m2, p: None if test(m1, p) and test(m2, p) else reason
+
+
+def _band(p) -> float:
+    return RIGHT_ANGLE_TOL if p["right_tol"] is None else p["right_tol"]
+
+
+_NOT_FINE = "a mesh is not fine (has a non-obtuse interior angle)"
+_ORDINARY = _both(lambda m, p: is_ordinary(m), "a mesh has a cusp")
+_EQUALLY_SPACED = _both(lambda m, p: is_equally_spaced(m), "a mesh is not equally spaced")
+
+
+def _equal(values, tol: str, what: str):
+    """values(m1) and values(m2) agree within the relative tolerance p[tol]."""
+    return lambda m1, m2, p: _values_differ(values(m1), values(m2), p[tol], what)
+
+
+def _same_directions(m1, m2, p):
+    centers = m1.interior()
+    s1, s2 = (triple_angles(m, centers)[0] for m in (m1, m2))
+    hit = _first_event((s1 == 0) | (s2 == 0), s1 != s2)
+    if hit is None:
+        return None
+    what = ("signature-direction undefined", "signature-directions differ")[hit[1]]
+    return f"{what} at index {centers[hit[0]]}"
+
+
+def _angle_types(spec: NeighborhoodSpec, signed: bool):
+    """Equal angle types (with equal signature signs when signed) of the spec's triples at every center."""
+
+    def types(mesh, centers, band):
+        sign, theta, zero_arm = triple_angles(mesh, centers, spec)
+        kind = angle_types(theta, band)  # 0 where undefined
+        return (sign * kind if signed else kind), zero_arm
+
+    def check(m1, m2, p):
+        centers = m1.interior(spec.m1, spec.m2)
+        (t1, z1), (t2, z2) = (types(m, centers, _band(p)) for m in (m1, m2))
+        hit = _first_event(z1, t1 == 0, z2, t2 == 0, t1 != t2)
+        if hit is None:
+            return None
+        (k, event), what = hit, "signed angle type" if signed else "angle type"
+        if event in (0, 2):
+            angle((m1, m2)[event // 2], centers[k], spec)  # raises DegenerateArm
+        if event < 4:
+            return f"{what} undefined at index {centers[k]}"
+        if signed:
+            return f"signed angle types differ at index {centers[k]}"
+        a1, a2 = (list(AngleType)[t[k] - 1].value for t in (t1, t2))
+        return f"angle types differ at index {centers[k]} ({a1} vs {a2})"
+
+    return check
+
+
+def _half_turn_angles(m1, m2, p):
+    th1, th2 = (_signed_angles(m, SPEC11) for m in (m1, m2))
+    bad = np.flatnonzero(~((0.0 < th1) & (th1 < np.pi) & (0.0 < th2) & (th2 < np.pi)))
+    return f"signed angle outside (0, pi) at index {m1.interior()[int(bad[0])]}" if len(bad) else None
+
+
+def _open_at_least(n: int, message: str):
+    def check(m1, m2, p):
+        if not m1.closed and m1.n < n:
+            raise MeshTooShort(message)
+
+    return check
+
+
+def _closing_chord(m1, m2, p):
+    n = m1.n
+    if m1.closed or abs(chord(m1, n - 4, n - 1) - chord(m2, n - 4, n - 1)) <= p["sig_tol"] * max(m1.diameter, m2.diameter):
+        return None
+    return f"closing (1,2)-span chords |p[{n - 4}] - p[{n - 1}]| differ"
+
+
+def _end_angles(m1, m2, p):
+    if m1.closed:
+        return None
+    e1, e2 = ([signed_angle(m, i, SPEC33) for i in (3, m.n - 4)] for m in (m1, m2))
+    return _values_differ(e1, e2, p["angle_tol"], "end signed 3-angles")
+
+
+def _obtuse_start(m1, m2, p):
+    if m1.closed or all(signed_angle(m, 3, SPEC33) >= np.pi / 2.0 for m in (m1, m2)):
+        return None
+    return "starting signed 3-angle below pi/2"
+
+
+def _step3_complete(m1, m2, p):
+    from .host import traverse  # host builds on this module
+
+    if traverse(m1.n, 3).complete:
+        return None
+    return f"step-3 traversal incomplete: n = {m1.n} is divisible by 3"
+
+
+def _signatures(signature, too_short_holds: bool):
+    """Equal signatures; with too_short_holds, a mesh too short for any row satisfies the condition."""
+
+    def check(m1, m2, p):
+        try:
+            s1, s2 = signature(m1), signature(m2)
+        except MeshTooShort:
+            if too_short_holds:
+                return None
+            raise
+        err = signature_max_error(s1, s2)
+        return f"{s1.scheme.label} signatures differ (max relative error {err:.3e})" if err > p["sig_tol"] else None
+
+    return check
+
+
+def _se_signatures(scheme: Scheme, spec: NeighborhoodSpec = SPEC11):
+    return _signatures(lambda m: se_signature(m, scheme, spec), too_short_holds=True)
+
+
+def _nonzero_curvature(m1, m2, p):
     interior = affine.affine_fine_interior(m1)
-    kap1 = affine.interior_curvatures(m1)
-    kap2 = affine.interior_curvatures(m2)
-    za, zb = np.abs(kap1) <= affine.PARABOLIC_TOL, np.abs(kap2) <= affine.PARABOLIC_TOL
-    if variant == "thm5.7":
-        for zero, which in ((za, ""), (zb, " (second mesh)")):
-            if zero.any():
-                return _hyp_fail(f"curvature vanishes at index {interior[int(np.argmax(zero))]}{which}")
-    else:
-        t1, t2 = (np.abs(orient_rows(*neighbor_triples(m, interior))) / 2.0 for m in (m1, m2))
-        scale = np.maximum(np.maximum(t1, t2), 1e-300)
-        bad = np.flatnonzero((za != zb) | (za & (np.abs(t1 - t2) > sig_tol * scale)))
-        if len(bad):
-            k = int(bad[0])
-            if za[k] != zb[k]:
-                return _hyp_fail(f"zero-curvature points do not correspond at index {interior[k]}")
-            return _hyp_fail(f"one-neighborhood areas differ at zero-curvature index {interior[k]}")
+    zeros = [np.abs(affine.interior_curvatures(m)) <= affine.PARABOLIC_TOL for m in (m1, m2)]
+    for zero, which in zip(zeros, ("", " (second mesh)")):
+        if zero.any():
+            return f"curvature vanishes at index {interior[int(np.argmax(zero))]}{which}"
+    return None
+
+
+def _zero_curvature_areas(m1, m2, p):
+    interior = affine.affine_fine_interior(m1)
+    za, zb = (np.abs(affine.interior_curvatures(m)) <= affine.PARABOLIC_TOL for m in (m1, m2))
+    t1, t2 = (np.abs(orient_rows(*neighbor_triples(m, interior))) / 2.0 for m in (m1, m2))
+    scale = np.maximum(np.maximum(t1, t2), 1e-300)
+    bad = np.flatnonzero((za != zb) | (za & (np.abs(t1 - t2) > p["sig_tol"] * scale)))
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    if za[k] != zb[k]:
+        return f"zero-curvature points do not correspond at index {interior[k]}"
+    return f"one-neighborhood areas differ at zero-curvature index {interior[k]}"
+
+
+def _arc_length_sets(m1, m2, p):
+    interior, sig_tol = affine.affine_fine_interior(m1), p["sig_tol"]
     (a1, ok1), (a2, ok2) = affine.interior_arc_length_sets(m1), affine.interior_arc_length_sets(m2)
     scale = np.maximum(np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)), 1e-300)
     differ = np.abs(a1 - a2).max(axis=1) > sig_tol * scale
@@ -540,33 +448,201 @@ def decide_affine(
         s1 = affine.arc_length_set(m1, interior[k])
         s2 = affine.arc_length_set(m2, interior[k])
         if (why := _values_differ(s1.values, s2.values, sig_tol, f"arc-length sets at {interior[k]}")) is not None:
-            return _hyp_fail(why)
-    sig1 = affine.sa_signature(m1, Scheme.EQ6)
-    sig2 = affine.sa_signature(m2, Scheme.EQ6)
-    err = signature_max_error(sig1, sig2)
-    if err > sig_tol:
-        return _hyp_fail(f"eq6 signatures differ (max relative error {err:.3e})")
-    return _finish_with_oracle(m1, m2, Group.SA, tol)
+            return why
+    return None
 
 
-def decide_dist_angle(
-    m1: Mesh,
-    m2: Mesh,
-    tol: float = DEFAULT_POINT_TOL,
-    angle_tol: float = 1e-9,
-) -> CongruenceVerdict:
-    """Baseline rule: equal edge lengths and equal signed angles force congruence."""
-    _check_counts(m1, m2)
-    if not (is_ordinary(m1) and is_ordinary(m2)):
-        return _hyp_fail("a mesh has a cusp")
-    e1, e2 = edge_lengths(m1), edge_lengths(m2)
-    if (why := _values_differ(e1, e2, tol, "edge length sequences")) is not None:
+@dataclass(frozen=True)
+class _Choice:
+    """The checks one option of a rule selects, by the option's value."""
+
+    option: str
+    cases: dict
+
+    def __call__(self, m1, m2, p):
+        return _first_failure(self.cases[p[self.option]], m1, m2, p)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A decision rule: the group it decides, its preconditions and its ordered hypothesis checks.
+
+    The preconditions run first and raise when the rule does not apply. A
+    check returns the reason its hypothesis fails, or None; the first
+    failure gives the HYPOTHESES_NOT_MET verdict, and when every check
+    holds the alignment oracle decides in the rule's group.
+    """
+
+    group: Group
+    preconditions: tuple
+    checks: tuple
+
+    @property
+    def options(self) -> dict:
+        """Each option of the rule, with the values it accepts."""
+        return {c.option: tuple(c.cases) for c in self.checks if isinstance(c, _Choice)}
+
+
+def _first_failure(checks, m1, m2, p) -> str | None:
+    for check in checks:
+        if (why := check(m1, m2, p)) is not None:
+            return why
+    return None
+
+
+_THREE_STEP = (
+    _angle_types(SPEC33, signed=True),
+    _equal(lambda m: _chords(m, -3, 0, m.interior(3, 0)), "sig_tol", "3-step chord sequences"),
+    _se_signatures(Scheme.EQ4, SPEC33),
+)
+_SA_PRECONDITIONS = (_check_counts, _ordinary_convex)
+_AFFINE_FINE = _both(lambda m, p: affine.is_affine_fine(m), "a mesh is not affine-fine")
+_AFFINE_TAIL = (_arc_length_sets, _signatures(lambda m: affine.sa_signature(m, Scheme.EQ6), too_short_holds=False))
+
+RULES = {
+    "thm3.3": Rule(Group.SE, (_check_counts,), (
+        _ORDINARY,
+        _equal(edge_lengths, "tol", "edge length sequences"),
+        _equal(lambda m: _signed_angles(m, SPEC11), "angle_tol", "signed angle sequences"),
+    )),
+    "thm4.9": Rule(Group.SE, (_check_counts,), (
+        _ORDINARY, _EQUALLY_SPACED, _same_directions, _se_signatures(Scheme.EQ1),
+    )),
+    "thm4.14": Rule(Group.SE, (_check_counts,), (
+        _ORDINARY, _EQUALLY_SPACED, _same_directions,
+        _Choice("fine_variant", {
+            False: (_angle_types(SPEC11, signed=False),),
+            True: (_both(lambda m, p: is_fine(m, _band(p)), _NOT_FINE),),
+        }),
+        _se_signatures(Scheme.EQ2),
+    )),
+    "thm4.18": Rule(Group.SE, (_check_counts,), (
+        _ORDINARY, _EQUALLY_SPACED,
+        _Choice("curvature_only", {
+            False: (_angle_types(SPEC11, signed=True), _se_signatures(Scheme.EQ2)),
+            True: (
+                _half_turn_angles,
+                _equal(lambda m: _signed_angles(m, SPEC11), "angle_tol", "signed angles"),
+                _equal(interior_curvatures, "sig_tol", "curvature sequences"),
+            ),
+        }),
+    )),
+    "thm4.25": Rule(Group.SE, (_check_counts,), (
+        _ORDINARY,
+        _equal(lambda m: _chords(m, -1, 1, m.interior()), "sig_tol", "centered chord sequences"),
+        _angle_types(SPEC12, signed=True),
+        _open_at_least(4, "the closing-chord condition needs at least 4 points"),
+        _se_signatures(Scheme.EQ3, SPEC12),
+        _closing_chord,
+    )),
+    "thm4.26": Rule(Group.SE, (_check_counts,), (
+        _ORDINARY,
+        _open_at_least(8, "EQ4 needs more than 7 points on an open mesh"),
+        _equal(lambda m: interior_curvatures(m, SPEC31), "sig_tol", "(3,1)-curvature sequences"),
+        _equal(lambda m: _signed_angles(m, SPEC31), "angle_tol", "signed (3,1)-angles"),
+        *_THREE_STEP,
+        _Choice("endpoint_rule", {"equal-end-angles": (_end_angles,), "obtuse-start": (_obtuse_start,)}),
+    )),
+    "thm5.7": Rule(Group.SA, _SA_PRECONDITIONS, (_AFFINE_FINE, _nonzero_curvature, *_AFFINE_TAIL)),
+    "thm5.8": Rule(Group.SA, _SA_PRECONDITIONS, (_AFFINE_FINE, _zero_curvature_areas, *_AFFINE_TAIL)),
+    "cor5.9": Rule(Group.SA, _SA_PRECONDITIONS, (
+        _both(lambda m, p: is_fine(m), _NOT_FINE), _zero_curvature_areas, *_AFFINE_TAIL,
+    )),
+    # thm4.26's closed-mesh checks less the (3,1) ones, gated on a complete step-3 walk
+    "host": Rule(Group.SE, (_closed, _check_counts), (_ORDINARY, _step3_complete, *_THREE_STEP)),
+}
+
+_DEFAULTS = {
+    "sig_tol": SIGNATURE_REL_TOL, "tol": DEFAULT_POINT_TOL, "right_tol": None, "angle_tol": DEFAULT_ANGLE_TOL,
+    "fine_variant": False, "curvature_only": False, "endpoint_rule": "equal-end-angles",
+}
+
+
+def _decide(via: str, m1: Mesh, m2: Mesh, **params) -> CongruenceVerdict:
+    """Evaluate the rule RULES[via] on the pair; params override _DEFAULTS.
+
+    Option values are checked before anything else: an unknown one raises
+    ValueError.
+    """
+    rule, p = RULES[via], {**_DEFAULTS, **params}
+    for option, values in rule.options.items():
+        if p[option] not in values:
+            raise ValueError(f"unknown {option.replace('_', ' ')} {p[option]!r}")
+    for precondition in rule.preconditions:
+        precondition(m1, m2)
+    if (why := _first_failure(rule.checks, m1, m2, p)) is not None:
         return _hyp_fail(why)
-    a1 = [signed_angle(m1, i) for i in m1.interior()]
-    a2 = [signed_angle(m2, i) for i in m2.interior()]
-    if (why := _values_differ(a1, a2, angle_tol, "signed angle sequences")) is not None:
-        return _hyp_fail(why)
-    return _finish_with_oracle(m1, m2, Group.SE, tol)
+    return _finish_with_oracle(m1, m2, rule.group, p["tol"])
+
+
+def decide_eq1(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: float = DEFAULT_POINT_TOL) -> CongruenceVerdict:
+    """Equal spacing + matching signature-directions + equal forward signatures (rule thm4.9)."""
+    return _decide("thm4.9", m1, m2, sig_tol=sig_tol, tol=tol)
+
+
+def decide_eq2_angle_type(m1: Mesh, m2: Mesh, fine_variant: bool = False, sig_tol: float = SIGNATURE_REL_TOL,
+                          tol: float = DEFAULT_POINT_TOL, right_tol: float | None = None) -> CongruenceVerdict:
+    """Equal spacing + signature-directions + angle types + centered signatures (rule thm4.14).
+
+    With ``fine_variant`` the per-point angle-type condition is replaced by
+    requiring both meshes to be fine (all interior angles obtuse).
+    """
+    return _decide("thm4.14", m1, m2, fine_variant=fine_variant, sig_tol=sig_tol, tol=tol, right_tol=right_tol)
+
+
+def decide_eq2_signed(m1: Mesh, m2: Mesh, curvature_only: bool = False, sig_tol: float = SIGNATURE_REL_TOL,
+                      tol: float = DEFAULT_POINT_TOL, right_tol: float | None = None,
+                      angle_tol: float = DEFAULT_ANGLE_TOL) -> CongruenceVerdict:
+    """Equal spacing + signed angle types + centered signatures (rule thm4.18).
+
+    With ``curvature_only`` the signature condition is dropped: equal signed
+    angle values in (0, pi) plus equal curvature sequences suffice.
+    """
+    return _decide("thm4.18", m1, m2, curvature_only=curvature_only, sig_tol=sig_tol, tol=tol,
+                   right_tol=right_tol, angle_tol=angle_tol)
+
+
+def decide_eq3(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: float = DEFAULT_POINT_TOL,
+               right_tol: float | None = None) -> CongruenceVerdict:
+    """Centered-chord sequence + signed (1,2)-angle types + EQ3 signatures (rule thm4.25).
+
+    Open meshes additionally require the closing (1,2)-span chord
+    |p[n-4] - p[n-1]| to agree, extending congruence to the final point.
+    """
+    return _decide("thm4.25", m1, m2, sig_tol=sig_tol, tol=tol, right_tol=right_tol)
+
+
+def decide_eq4(m1: Mesh, m2: Mesh, endpoint_rule: str = "equal-end-angles", sig_tol: float = SIGNATURE_REL_TOL,
+               tol: float = DEFAULT_POINT_TOL, right_tol: float | None = None,
+               angle_tol: float = DEFAULT_ANGLE_TOL) -> CongruenceVerdict:
+    """(3,1)-curvatures and signed angles + 3-step data + EQ4 signatures (rule thm4.26).
+
+    Open meshes need an endpoint rule: "equal-end-angles" compares the
+    signed 3-angles at both ends, "obtuse-start" instead requires the
+    starting signed 3-angle of both meshes to be at least pi/2.
+    """
+    return _decide("thm4.26", m1, m2, endpoint_rule=endpoint_rule, sig_tol=sig_tol, tol=tol,
+                   right_tol=right_tol, angle_tol=angle_tol)
+
+
+def decide_affine(m1: Mesh, m2: Mesh, variant: str = "thm5.7", sig_tol: float = 1e-6,
+                  tol: float = DEFAULT_POINT_TOL) -> CongruenceVerdict:
+    """Equiaffine decision rules over arc-length sets and EQ6 signatures.
+
+    variant "thm5.7": both meshes affine-fine with nowhere-zero curvature;
+    "thm5.8": affine-fine, zero-curvature points allowed when the matching
+    one-neighborhood triangle areas agree; "cor5.9": as 5.8 with Euclidean
+    fineness replacing affine fineness.
+    """
+    if variant not in ("thm5.7", "thm5.8", "cor5.9"):
+        raise ValueError(f"unknown affine variant {variant!r}")
+    return _decide(variant, m1, m2, sig_tol=sig_tol, tol=tol)
+
+
+def decide_dist_angle(m1: Mesh, m2: Mesh, tol: float = DEFAULT_POINT_TOL,
+                      angle_tol: float = DEFAULT_ANGLE_TOL) -> CongruenceVerdict:
+    """Baseline rule: equal edge lengths and equal signed angles force congruence (rule thm3.3)."""
+    return _decide("thm3.3", m1, m2, tol=tol, angle_tol=angle_tol)
 
 
 # ---------------------------------------------------------------------------

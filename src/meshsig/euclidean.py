@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateStencil, DegenerateTriple, MeshTooShort, NotOrdinary, SchemeSpacingMismatch
 from .geometry import SPEC11, Mesh, NeighborhoodSpec, edge_lengths, is_equally_spaced, is_ordinary, row_norms
-from .signatures import Scheme, Signature, SignaturePoint
+from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
 
 # Denominator chords smaller than this fraction of the diameter abort the quotient.
 STENCIL_REL_TOL = 1e-12
@@ -83,33 +83,6 @@ def chord(mesh: Mesh, i: int, j: int) -> float:
     return float(np.linalg.norm(mesh.p(i) - mesh.p(j)))
 
 
-def _chord_offsets(scheme: Scheme) -> tuple[int, int]:
-    # offsets of the quotient denominator chord relative to the center index
-    return {
-        Scheme.EQ1: (0, 1),
-        Scheme.EQ2: (-1, 1),
-        Scheme.EQ3: (-1, 2),
-        Scheme.EQ4: (-3, 3),
-    }[scheme]
-
-
-def scheme_offsets(scheme: Scheme, spec: NeighborhoodSpec) -> tuple[int, int]:
-    """(min, max) point offsets a signature row at center i touches."""
-    lo_c, hi_c = _chord_offsets(scheme)
-    kappa_centers = (-1, 0, 1) if scheme.centered else (0, 1)
-    lo = min(min(c - spec.m1 for c in kappa_centers), lo_c)
-    hi = max(max(c + spec.m2 for c in kappa_centers), hi_c)
-    return lo, hi
-
-
-def se_scheme_indices(mesh: Mesh, scheme: Scheme, spec: NeighborhoodSpec = SPEC11) -> range:
-    """Center indices where the scheme's full stencil exists."""
-    if mesh.closed:
-        return range(mesh.n)
-    lo, hi = scheme_offsets(scheme, spec)
-    return range(max(0, -lo), mesh.n - hi)
-
-
 def se_signature(
     mesh: Mesh,
     scheme: Scheme,
@@ -148,14 +121,13 @@ def se_signature(
             raise SchemeSpacingMismatch(
                 f"{scheme.label} requires an equally spaced mesh; edge {worst} deviates"
             )
-    indices = se_scheme_indices(mesh, scheme, spec)
+    indices = scheme_rows(mesh, scheme, spec)
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
     rows = np.arange(indices.start, indices.stop)
     c = int(scheme.centered)
-    # curvature centers read by the rows: row r reads positions r, r + c and r + c + 1
-    kappa, degenerate = _stencil_curvatures(mesh, np.arange(indices.start - c, indices.stop + 1), spec)
-    lo_c, hi_c = _chord_offsets(scheme)
+    kappa, degenerate = _stencil_curvatures(mesh, curvature_centers(scheme, indices), spec)
+    lo_c, hi_c = denominator_offsets(scheme)
     pts = mesh.points
     denom = row_norms(pts[(rows + hi_c) % mesh.n] - pts[(rows + lo_c) % mesh.n])
     bad = np.flatnonzero(denom <= STENCIL_REL_TOL * mesh.diameter)
@@ -169,6 +141,4 @@ def se_signature(
     if len(bad):
         i = int(rows[bad[0]])
         raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
-    kappa_s = scheme.factor * (kappa[1 + c:] - kappa[: len(rows)]) / denom
-    points = list(map(SignaturePoint, rows.tolist(), kappa[c : c + len(rows)].tolist(), kappa_s.tolist()))
-    return Signature(points, scheme, spec)
+    return quotient_signature(scheme, spec, indices, kappa, denom)

@@ -456,16 +456,41 @@ def is_ordinary(mesh: Mesh) -> bool:
     return not (row_norms(spans) <= COLLINEARITY_REL_TOL * mesh.diameter).any()
 
 
-def neighbor_triples(mesh: Mesh, centers: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p[i-1], p[i], p[i+1]) for every center i of a range, as three (k, 2) arrays."""
+def neighbor_triples(mesh: Mesh, centers: range, spec: NeighborhoodSpec = SPEC11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p[i-m1], p[i], p[i+m2]) for every center i of a range, as three (k, 2) arrays."""
     c, pts, n = np.arange(centers.start, centers.stop), mesh.points, mesh.n
-    return pts[(c - 1) % n], pts[c], pts[(c + 1) % n]
+    return pts[(c - spec.m1) % n], pts[c], pts[(c + spec.m2) % n]
 
 
 def _vertex_angles(prev: np.ndarray, mid: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     # angle() of each triple, in its operation order; 0 where an arm has zero length
     u, v = prev - mid, nxt - mid
     return np.arctan2(np.abs(orient_rows(mid, prev, nxt)), (u[:, None, :] @ v[:, :, None]).ravel())
+
+
+def _signs(mesh: Mesh, prev: np.ndarray, mid: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    # signature_sign() of each triple
+    cross = orient_rows(mid, nxt, prev)
+    return np.where(np.abs(cross) <= COLLINEARITY_REL_TOL * mesh.diameter ** 2, 0, np.where(cross > 0, 1, -1))
+
+
+def triple_angles(mesh: Mesh, centers: range, spec: NeighborhoodSpec = SPEC11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sign, theta, zero_arm) of the (m1, m2)-triples at the centers, as arrays.
+
+    sign equals :func:`signature_sign` and theta equals :func:`angle` bit for
+    bit, except on the triples that zero_arm marks: there an arm has zero
+    length and angle raises DegenerateArm.
+    """
+    prev, mid, nxt = neighbor_triples(mesh, centers, spec)
+    zero_arm = (row_norms(prev - mid) == 0.0) | (row_norms(nxt - mid) == 0.0)
+    return _signs(mesh, prev, mid, nxt), _vertex_angles(prev, mid, nxt), zero_arm
+
+
+def angle_types(theta: np.ndarray, tol: float = RIGHT_ANGLE_TOL) -> np.ndarray:
+    """:func:`angle_type` of each angle, as 1 + its position in AngleType; 0 where angle_type raises OutOfDomain."""
+    half = np.pi / 2.0
+    kind = np.where(np.abs(theta - half) <= tol, 2, np.where(theta < half, 1, 3))
+    return np.where((0.0 < theta) & (theta < np.pi), kind, 0)
 
 
 def is_convex(mesh: Mesh) -> bool:
@@ -475,8 +500,7 @@ def is_convex(mesh: Mesh) -> bool:
     +-2pi), which rules out multiply-wound star traversals.
     """
     prev, mid, nxt = neighbor_triples(mesh, mesh.interior())
-    cross = orient_rows(mid, nxt, prev)
-    signs = np.where(np.abs(cross) <= COLLINEARITY_REL_TOL * mesh.diameter ** 2, 0, np.where(cross > 0, 1, -1))
+    signs = _signs(mesh, prev, mid, nxt)
     if (signs == 0).any() or (signs != signs[0]).any():
         return False
     if mesh.closed:
@@ -489,11 +513,7 @@ def is_convex(mesh: Mesh) -> bool:
 
 def is_fine(mesh: Mesh, tol: float = RIGHT_ANGLE_TOL) -> bool:
     """True when every interior vertex angle is obtuse."""
-    theta = _vertex_angles(*neighbor_triples(mesh, mesh.interior()))
-    half = np.pi / 2.0
-    # angle_type's tests: inside (0, pi), outside the right-angle band, not acute
-    obtuse = (0.0 < theta) & (theta < np.pi) & ~(np.abs(theta - half) <= tol) & ~(theta < half)
-    bad = np.flatnonzero(~obtuse)
+    bad = np.flatnonzero(angle_types(_vertex_angles(*neighbor_triples(mesh, mesh.interior())), tol) != 3)
     if len(bad):
         angle(mesh, mesh.interior()[int(bad[0])])  # raises DegenerateArm on a zero-length arm
     return not len(bad)

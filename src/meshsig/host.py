@@ -9,20 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import (
-    SPEC33,
-    CongruenceVerdict,
-    _check_counts,
-    _finish_with_oracle,
-    _hyp_fail,
-    _same_signed_angle_types,
-    _signatures_differ,
-    _values_differ,
-)
-from .errors import InvalidStep, NotClosed
-from .euclidean import chord
-from .geometry import Group, Mesh, is_ordinary
-from .signatures import SIGNATURE_REL_TOL, Scheme
+from .congruence import CongruenceVerdict, _decide
+from .errors import InvalidStep
+from .geometry import Mesh
+from .signatures import SIGNATURE_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -102,34 +92,13 @@ def totient(n: int) -> int:
     return result
 
 
-def decide_host(
-    m1: Mesh,
-    m2: Mesh,
-    sig_tol: float = SIGNATURE_REL_TOL,
-    tol: float = 1e-6,
-    right_tol: float | None = None,
-) -> CongruenceVerdict:
-    """Closed-mesh congruence from 3-step data alone.
+def decide_host(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: float = 1e-6,
+                right_tol: float | None = None) -> CongruenceVerdict:
+    """Closed-mesh congruence from 3-step data alone (rule host).
 
     Requires the step-3 traversal to be complete (n not divisible by 3), so
     the three residue classes of the wide stencils chain together; then
     matching signed 3-angle types, 3-step chords and EQ4 signatures force
     congruence, confirmed by the alignment oracle.
     """
-    if not (m1.closed and m2.closed):
-        raise NotClosed("the traversal rule applies to closed meshes only")
-    _check_counts(m1, m2)
-    if not (is_ordinary(m1) and is_ordinary(m2)):
-        return _hyp_fail("a mesh has a cusp")
-    n = m1.n
-    if not traverse(n, 3).complete:
-        return _hyp_fail(f"step-3 traversal incomplete: n = {n} is divisible by 3")
-    if (why := _same_signed_angle_types(m1, m2, SPEC33, tol=right_tol)) is not None:
-        return _hyp_fail(why)
-    d1 = [chord(m1, m1.resolve(i, -3), i) for i in range(n)]
-    d2 = [chord(m2, m2.resolve(i, -3), i) for i in range(n)]
-    if (why := _values_differ(d1, d2, sig_tol, "3-step chord sequences")) is not None:
-        return _hyp_fail(why)
-    if (why := _signatures_differ(m1, m2, Scheme.EQ4, SPEC33, sig_tol)) is not None:
-        return _hyp_fail(why)
-    return _finish_with_oracle(m1, m2, Group.SE, tol)
+    return _decide("host", m1, m2, sig_tol=sig_tol, tol=tol, right_tol=right_tol)

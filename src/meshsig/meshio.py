@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MeshParseError
 from .geometry import Mesh, NeighborhoodSpec
-from .signatures import Scheme, Signature, SignaturePoint
+from .signatures import Scheme, Signature
 
 
 def _fmt(value: float) -> str:
@@ -106,26 +106,22 @@ def write_mesh_json(mesh: Mesh, path) -> None:
 SIGNATURE_HEADER = "index,kappa,kappa_s,scheme,m1,m2"
 
 
+def signature_lines(sig: Signature) -> list[str]:
+    """The header and one CSV row per signature point, each float at 17 significant digits."""
+    tail = f"{sig.scheme.label},{sig.spec.m1},{sig.spec.m2}"
+    rows = zip(sig.indices.tolist(), sig.kappas.tolist(), sig.kappa_s.tolist())
+    return [SIGNATURE_HEADER] + [f"{i},{_fmt(k)},{_fmt(ks)},{tail}" for i, k, ks in rows]
+
+
 def write_signature_csv(sig: Signature, path, provenance: dict | None = None) -> None:
     """Dump a signature at full precision with provenance comment lines."""
-    path = Path(path)
-    lines = []
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key}: {value}")
-    for key, value in sig.meta.items():
-        lines.append(f"# {key}: {value}")
-    lines.append(SIGNATURE_HEADER)
-    for point in sig.points:
-        lines.append(
-            f"{point.index},{_fmt(point.kappa)},{_fmt(point.kappa_s)},"
-            f"{sig.scheme.label},{sig.spec.m1},{sig.spec.m2}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    comments = [f"# {key}: {value}" for key, value in (*(provenance or {}).items(), *sig.meta.items())]
+    Path(path).write_text("\n".join(comments + signature_lines(sig)) + "\n")
 
 
 def read_signature_csv(path) -> Signature:
     path = Path(path)
-    points = []
+    rows = []
     scheme = None
     spec = None
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -136,14 +132,14 @@ def read_signature_csv(path) -> Signature:
         if len(fields) != 6:
             raise MeshParseError(f"{path.name}, line {lineno}: expected 6 fields")
         try:
-            points.append(SignaturePoint(int(fields[0]), float(fields[1]), float(fields[2])))
+            rows.append((int(fields[0]), float(fields[1]), float(fields[2])))
             scheme = Scheme.from_id(int(fields[3].removeprefix("eq")))
             spec = NeighborhoodSpec(int(fields[4]), int(fields[5]))
         except ValueError as exc:
             raise MeshParseError(f"{path.name}, line {lineno}: {exc}") from exc
     if scheme is None:
         raise MeshParseError(f"{path.name}: no signature rows")
-    return Signature(points, scheme, spec)
+    return Signature(*zip(*rows), scheme, spec)
 
 
 def signature_svg(sig: Signature, width: int = 640, height: int = 480) -> str:

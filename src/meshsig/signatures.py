@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ class Scheme(Enum):
 
     @property
     def centered(self) -> bool:
-        return self.value in (2, 4, 6, 8)
+        return _QUOTIENTS[self].numerator[0] == -1
 
     @property
     def needs_equal_spacing(self) -> bool:
@@ -44,7 +43,7 @@ class Scheme(Enum):
 
     @property
     def factor(self) -> float:
-        return {1: 1.0, 2: 1.0, 3: 3.0, 4: 3.0, 5: 1.0, 6: 1.0, 7: 5.0, 8: 5.0}[self.value]
+        return _QUOTIENTS[self].factor
 
     @property
     def label(self) -> str:
@@ -58,38 +57,83 @@ class Scheme(Enum):
             raise ValueError(f"scheme must be 1..8, got {value!r}") from None
 
 
+class _Quotient(NamedTuple):
+    """kappa_s at center i: factor * (kappa[i + numerator[1]] - kappa[i + numerator[0]]) / the chord (SE)
+    or arc length (SA) between the points i + denominator[0] and i + denominator[1]."""
+
+    numerator: tuple[int, int]
+    denominator: tuple[int, int]
+    factor: float
+
+
+_QUOTIENTS = {
+    Scheme.EQ1: _Quotient((0, 1), (0, 1), 1.0),
+    Scheme.EQ2: _Quotient((-1, 1), (-1, 1), 1.0),
+    Scheme.EQ3: _Quotient((0, 1), (-1, 2), 3.0),
+    Scheme.EQ4: _Quotient((-1, 1), (-3, 3), 3.0),
+    Scheme.EQ5: _Quotient((0, 1), (0, 1), 1.0),
+    Scheme.EQ6: _Quotient((-1, 1), (-1, 1), 1.0),
+    Scheme.EQ7: _Quotient((0, 1), (-2, 3), 5.0),
+    Scheme.EQ8: _Quotient((-1, 1), (-5, 5), 5.0),
+}
+
+
+def denominator_offsets(scheme: Scheme) -> tuple[int, int]:
+    """Offsets from the row's center of the two points whose distance divides the quotient."""
+    return _QUOTIENTS[scheme].denominator
+
+
+def scheme_rows(mesh, scheme: Scheme, spec: NeighborhoodSpec) -> range:
+    """Center indices where the scheme's denominator points and numerator curvature stencils all exist."""
+    if mesh.closed:
+        return range(mesh.n)
+    (num_lo, num_hi), (den_lo, den_hi), _ = _QUOTIENTS[scheme]
+    lo = min(num_lo - spec.m1, den_lo)
+    hi = max(num_hi + spec.m2, den_hi)
+    return range(max(0, -lo), mesh.n - hi)
+
+
+def curvature_centers(scheme: Scheme, rows: range) -> np.ndarray:
+    """The curvature centers the rows read, in order: rows.start - 1 (centered schemes) to rows.stop."""
+    return np.arange(rows.start + _QUOTIENTS[scheme].numerator[0], rows.stop + 1)
+
+
 class SignaturePoint(NamedTuple):
     index: int
     kappa: float
     kappa_s: float
 
 
-@dataclass
 class Signature:
-    """(kappa, kappa_s) pairs indexed by mesh point."""
+    """(kappa, kappa_s) pairs indexed by mesh point, held as three read-only columns."""
 
-    points: list[SignaturePoint]
-    scheme: Scheme
-    spec: NeighborhoodSpec
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.array([p.index for p in self.points], dtype=int)
-
-    @property
-    def kappas(self) -> np.ndarray:
-        return np.array([p.kappa for p in self.points], dtype=float)
+    def __init__(self, indices, kappas, kappa_s, scheme: Scheme, spec: NeighborhoodSpec, meta: dict | None = None):
+        self.indices, self.kappas, self.kappa_s = (
+            np.array(col, dtype=dtype) for col, dtype in ((indices, int), (kappas, float), (kappa_s, float))
+        )
+        for col in (self.indices, self.kappas, self.kappa_s):
+            col.setflags(write=False)
+        self.scheme = scheme
+        self.spec = spec
+        self.meta = {} if meta is None else meta
 
     @property
-    def kappa_s(self) -> np.ndarray:
-        return np.array([p.kappa_s for p in self.points], dtype=float)
+    def points(self) -> list[SignaturePoint]:
+        return list(map(SignaturePoint, self.indices.tolist(), self.kappas.tolist(), self.kappa_s.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.indices)
 
     def __iter__(self):
         return iter(self.points)
+
+
+def quotient_signature(scheme: Scheme, spec: NeighborhoodSpec, rows: range, kappa: np.ndarray,
+                       denom: np.ndarray) -> Signature:
+    """The signature of the rows from the curvatures at ``curvature_centers(scheme, rows)`` and the denominators."""
+    c = int(scheme.centered)
+    kappa_s = scheme.factor * (kappa[1 + c:] - kappa[: len(rows)]) / denom
+    return Signature(np.arange(rows.start, rows.stop), kappa[c : c + len(rows)], kappa_s, scheme, spec)
 
 
 # A column whose magnitude is below this fraction of the whole signature's

@@ -276,6 +276,12 @@ class TestFineness:
             affine.hyperbola_gap_bound(m, 4)
         assert not ms.is_affine_fine(m)
 
+    def test_gap_bound_of_parabolic_conic_raises(self):
+        # S is exactly 0 in the unit scale at index 4: the bound divides by it
+        m = ms.Mesh([[-2, -3], [1, -1], [-3, 2], [2, 1], [2, -3], [-2, 0], [-2, 2]])
+        with pytest.raises(ParabolicConic, match="index 4"):
+            affine.hyperbola_gap_bound(m, 4)
+
     def test_is_affine_fine(self):
         assert ms.is_affine_fine(gen.ellipse_mesh(12, 2.0, 1.0, t0=0.3, step=0.2, closed=False))
         assert ms.is_affine_fine(gen.circle_mesh(12))
@@ -508,8 +514,11 @@ def ref_hyperbola_gap_bound(mesh, i):
     root = float(np.sqrt(max(tr * tr - 4.0 * inv.S, 0.0)))
     r1, r2 = (tr + root) / 2.0, (tr - root) / 2.0
     lam = r1 if abs(r1) > abs(r2) else r2 if abs(r2) > abs(r1) else max(r1, r2)
-    inv_u = ref_invariants(c.scaled(1.0 / abs(lam)))
-    radicand = -inv_u.F / inv_u.S
+    try:
+        inv_u = ref_invariants(c.scaled(1.0 / abs(lam)))
+        radicand = -inv_u.F / inv_u.S
+    except ZeroDivisionError:
+        raise ParabolicConic(f"conic at index {i} is parabolic in the unit scale: no gap bound") from None
     if radicand < 0.0:
         raise NonRealMu(f"gap bound radicand {radicand!r} negative at index {i}")
     return 2.0 * float(np.sqrt(radicand))
@@ -545,6 +554,27 @@ def ref_consecutive_arc_lengths(mesh, indices=None):
     return np.array([ref_affine_arc_length(mesh, i, i, mesh.resolve(i, 1)) for i in indices])
 
 
+def ref_sa_offsets(scheme):
+    # frozen copy: (min, max) window offsets and the arc-length endpoint offsets
+    arc = {
+        ms.Scheme.EQ5: (0, 1),
+        ms.Scheme.EQ6: (-1, 1),
+        ms.Scheme.EQ7: (-2, 3),
+        ms.Scheme.EQ8: (-5, 5),
+    }[scheme]
+    kappa_centers = (-1, 0, 1) if scheme.centered else (0, 1)
+    lo = min(min(c - 2 for c in kappa_centers), arc[0])
+    hi = max(max(c + 2 for c in kappa_centers), arc[1])
+    return lo, hi, arc
+
+
+def ref_sa_scheme_indices(mesh, scheme):
+    if mesh.closed:
+        return range(mesh.n)
+    lo, hi, _ = ref_sa_offsets(scheme)
+    return range(max(0, -lo), mesh.n - hi)
+
+
 def ref_sa_signature(mesh, scheme, spacing="affine", spacing_tol=affine.AFFINE_SPACING_REL_TOL):
     if not is_ordinary(mesh):
         raise NotOrdinary("signature of a mesh with a cusp")
@@ -562,10 +592,10 @@ def ref_sa_signature(mesh, scheme, spacing="affine", spacing_tol=affine.AFFINE_S
             if spread > spacing_tol * float(np.abs(arcs).max()):
                 worst = int(np.argmax(np.abs(np.abs(arcs) - np.abs(arcs).mean())))
                 raise SchemeSpacingMismatch(f"{scheme.label} requires equal arc lengths; arc {worst} deviates")
-    indices = affine.sa_scheme_indices(mesh, scheme)
+    indices = ref_sa_scheme_indices(mesh, scheme)
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
-    _, _, (arc_lo, arc_hi) = affine._sa_offsets(scheme)
+    _, _, (arc_lo, arc_hi) = ref_sa_offsets(scheme)
     rows = []
     for i in indices:
         num_lo = i - 1 if scheme.centered else i
@@ -613,8 +643,8 @@ def ref_decide_affine(m1, m2, variant="thm5.7", sig_tol=1e-6, tol=congruence.DEF
         s1, s2 = ref_arc_length_set(m1, i), ref_arc_length_set(m2, i)
         if (why := congruence._values_differ(s1.values, s2.values, sig_tol, f"arc-length sets at {i}")) is not None:
             return fail(why)
-    sig1 = ms.Signature(ref_sa_signature(m1, ms.Scheme.EQ6), ms.Scheme.EQ6, ms.NeighborhoodSpec(2, 2))
-    sig2 = ms.Signature(ref_sa_signature(m2, ms.Scheme.EQ6), ms.Scheme.EQ6, ms.NeighborhoodSpec(2, 2))
+    sig1, sig2 = (ms.Signature(*zip(*ref_sa_signature(m, ms.Scheme.EQ6)), ms.Scheme.EQ6, ms.NeighborhoodSpec(2, 2))
+                  for m in (m1, m2))
     err = signature_max_error(sig1, sig2)
     if err > sig_tol:
         return fail(f"eq6 signatures differ (max relative error {err:.3e})")

@@ -105,6 +105,21 @@ class TestSignatureCommand:
         rows_b = [l for l in out_b.read_text().splitlines() if not l.startswith("#")]
         assert rows_a == rows_b
 
+    def test_stdout_and_file_rows_are_the_17_digit_rows(self, tmp_path, capsys):
+        mesh = gen.random_equally_spaced_mesh(np.random.default_rng(61), 12)
+        path, out = tmp_path / "m.csv", tmp_path / "s.csv"
+        meshio.write_mesh_csv(mesh, path)
+        assert main(["signature", str(path), "--group", "se", "--scheme", "2"]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["signature", str(path), "--group", "se", "--scheme", "2", "--out", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        sig = ms.se_signature(meshio.read_mesh_csv(path), ms.Scheme.EQ2)
+        expected = [meshio.SIGNATURE_HEADER] + [
+            f"{p.index},{format(p.kappa, '.17g')},{format(p.kappa_s, '.17g')},eq2,1,1" for p in sig.points
+        ]
+        assert stdout == "".join(line + "\n" for line in expected)
+        assert rows == expected
+
     def test_group_scheme_mismatch(self, tmp_path):
         path = tmp_path / "c.csv"
         write_circle(path)

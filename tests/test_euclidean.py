@@ -12,7 +12,7 @@ from meshsig.errors import (
     NotOrdinary,
     SchemeSpacingMismatch,
 )
-from meshsig.euclidean import _chord_offsets, interior_curvatures, se_scheme_indices
+from meshsig.euclidean import interior_curvatures
 from meshsig.signatures import signature_max_error
 
 
@@ -36,6 +36,33 @@ def scalar_curvature_of_triple(p, q, r):
     if t <= 0.0:
         return 0.0
     return float(np.sqrt(t) / (a * b * c))
+
+
+def _chord_offsets(scheme):
+    # frozen copy: offsets of the quotient denominator chord relative to the center index
+    return {
+        ms.Scheme.EQ1: (0, 1),
+        ms.Scheme.EQ2: (-1, 1),
+        ms.Scheme.EQ3: (-1, 2),
+        ms.Scheme.EQ4: (-3, 3),
+    }[scheme]
+
+
+def scheme_offsets(scheme, spec):
+    # frozen copy: (min, max) point offsets a signature row at center i touches
+    lo_c, hi_c = _chord_offsets(scheme)
+    kappa_centers = (-1, 0, 1) if scheme.centered else (0, 1)
+    lo = min(min(c - spec.m1 for c in kappa_centers), lo_c)
+    hi = max(max(c + spec.m2 for c in kappa_centers), hi_c)
+    return lo, hi
+
+
+def se_scheme_indices(mesh, scheme, spec=ms.NeighborhoodSpec(1, 1)):
+    # frozen copy: center indices where the scheme's full stencil exists
+    if mesh.closed:
+        return range(mesh.n)
+    lo, hi = scheme_offsets(scheme, spec)
+    return range(max(0, -lo), mesh.n - hi)
 
 
 def scalar_se_signature(mesh, scheme, spec):
