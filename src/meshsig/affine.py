@@ -17,15 +17,22 @@ fineness and its hyperbola gap bound. A degenerate window is recorded in
 the block and raises only when that window is read. The per-index
 functions (`conic_at`, `affine_curvature`, `has_fine_area`, ...) read the
 block, and `fit_conic`, `invariants` and `kappa_from_invariants` run the
-same kernels on a one-row stack. Every value, and the exception met first in
-index order, equals the former one-index-at-a-time evaluation bit for bit:
-each kernel keeps that evaluation's operation order, its BLAS calls and its
-C-library `pow` (see `_pow`).
+same kernels on a one-row stack.
+
+Numerical contract: each kernel is within a stated bound of the exact
+evaluation (rational arithmetic, roots to 50 digits) of its formula on the
+same doubles it was given. The fit is within 2 eps sigma_1 / sigma_5 of the
+exact conic through the five points (see `_fit`); S, F, the curvature,
+the center and the arc lengths are within a few eps of their exact values
+for the fitted coefficients (see `_invariants`, `_kappa`, `_centers` and
+`_arcs`). A function over many windows raises what its first failing
+index raises, with the class a one-window evaluation raises there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -79,7 +86,7 @@ class ConicCoeffs:
     """Coefficients of A x^2 + 2B xy + C y^2 + 2D x + 2E y + F0 = 0.
 
     Stored at unit Euclidean norm with the first non-negligible entry of
-    (A, B, C) positive, so repeated fits are bitwise reproducible.
+    (A, B, C) positive, so a conic has one representation.
     """
 
     A: float
@@ -135,40 +142,13 @@ class ArcLengthSet:
 # Kernels: each works on a stack of windows or conics, one row per window
 # ---------------------------------------------------------------------------
 
-def _pow(x: np.ndarray, y: float) -> np.ndarray:
-    """x ** y per element, rounded by the C library's pow as float ** y rounds it.
-
-    numpy's array power may run a SIMD pow that rounds differently (on an
-    AVX-512 host, x ** 1.5 differed in about one element in twenty, and
-    even x ** 2.0 differs from x * x now and then), so the scalars of the
-    kernels go through Python floats.
-    """
-    return np.array([v ** y for v in x.tolist()], dtype=float)
-
-
 def _matrix3(coef: np.ndarray) -> np.ndarray:
     """(m, 3, 3) stack of [[A, B, D], [B, C, E], [D, E, F0]] from (m, 6) coefficients."""
-    return np.ascontiguousarray(coef[:, [[0, 1, 3], [1, 2, 4], [3, 4, 5]]])
+    return coef[:, [[0, 1, 3], [1, 2, 4], [3, 4, 5]]]
 
 
-def _fit_checks():
-    # fit_conic's coincidence and collinearity checks of a five-point window,
-    # in the order its nested scan meets them: pair (i, j), then the triples
-    # (i, j, k) for k > j. Each check's column indexes [10 pairs, 10 triples].
-    pairs, triples, columns, messages = [], [], [], []
-    for i in range(5):
-        for j in range(i + 1, 5):
-            columns.append(len(pairs))
-            pairs.append((i, j))
-            messages.append(f"fit points {i} and {j} coincide")
-            for k in range(j + 1, 5):
-                columns.append(10 + len(triples))
-                triples.append((i, j, k))
-                messages.append(f"fit points {i}, {j}, {k} are collinear")
-    return np.array(pairs).T, np.array(triples).T, columns, messages
-
-
-_PAIRS, _TRIPLES, _CHECK_COLUMN, _CHECK_MESSAGES = _fit_checks()
+_PAIRS = np.array(list(combinations(range(5), 2))).T
+_TRIPLES = np.array(list(combinations(range(5), 3))).T
 _FIT_OFFSETS = np.arange(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
 
 
@@ -177,8 +157,15 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
 
     Returns (coef, errors): coef is (w, 6), unit-norm and sign-normalized,
     NaN on the rows of degenerate windows, and errors maps each of those
-    rows to its DegenerateConfiguration message. Each window is fitted in
-    its own centered, isotropically scaled frame by one stacked SVD.
+    rows to its DegenerateConfiguration message: coinciding points first,
+    then a collinear triple, then rank < 5, then the residual. Each window
+    is fitted in its own centered, isotropically scaled frame by one
+    stacked SVD.
+
+    Bound: each entry of a fitted row is within 2 eps sigma_1 / sigma_5 of
+    the unit-norm, sign-normalized exact conic through the same five
+    doubles, where sigma_1 / sigma_5 is the condition of the window's 5x6
+    design [x^2, 2xy, y^2, 2x, 2y, 1] in the given coordinates.
     """
     w = len(pts)
     coef = np.full((w, 6), np.nan)
@@ -186,13 +173,15 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         return coef, {}
     absmax = np.abs(pts).max(axis=(1, 2))
     scale = np.maximum(absmax, 1e-300)
-    close = row_norms((pts[:, _PAIRS[0]] - pts[:, _PAIRS[1]]).reshape(-1, 2)).reshape(w, -1)
-    close = close <= 1e-12 * scale[:, None]
+    gaps = row_norms((pts[:, _PAIRS[0]] - pts[:, _PAIRS[1]]).reshape(-1, 2)).reshape(w, -1)
+    close = gaps <= 1e-12 * scale[:, None]
     area = orient_rows(*(pts[:, t].reshape(-1, 2) for t in _TRIPLES)).reshape(w, -1)
-    collinear = np.abs(area) <= (1e-12 * _pow(scale, 2.0))[:, None]
-    failed = np.concatenate([close, collinear], axis=1)[:, _CHECK_COLUMN]
-    errors = {int(r): _CHECK_MESSAGES[int(np.argmax(failed[r]))] for r in np.flatnonzero(failed.any(axis=1))}
-    ok = np.flatnonzero(~failed.any(axis=1))
+    collinear = np.abs(area) <= 1e-12 * (scale * scale)[:, None]
+    errors = {int(r): "fit points {}, {}, {} are collinear".format(*_TRIPLES[:, collinear[r].argmax()])
+              for r in np.flatnonzero(collinear.any(axis=1))}
+    errors.update({int(r): "fit points {} and {} coincide".format(*_PAIRS[:, close[r].argmax()])
+                   for r in np.flatnonzero(close.any(axis=1))})
+    ok = np.flatnonzero(~(close.any(axis=1) | collinear.any(axis=1)))
     if len(ok) == 0:
         return coef, errors
     p = pts[ok]
@@ -207,8 +196,7 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     frame[:, :2, 2] = -centroid / spread[:, None]
     frame[:, 2, 2] = 1.0
     mat = frame.transpose(0, 2, 1) @ _matrix3(vt[:, -1]) @ frame
-    # contiguous rows: a strided row would reach BLAS's dot with another summation order
-    vec = np.ascontiguousarray(mat[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]])
+    vec = mat[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]]
     vec = vec / row_norms(vec)[:, None]
     big = np.abs(vec) > 1e-12
     lead = np.where(big[:, :3].any(axis=1), np.argmax(big[:, :3], axis=1), np.argmax(big, axis=1))
@@ -217,8 +205,7 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     px, py = p[..., 0], p[..., 1]
     residual = a * px * px + 2.0 * b * px * py + c * py * py + 2.0 * d * px + 2.0 * e * py + f0
     worst = np.abs(residual).max(axis=1)
-    row_scale = _pow(absmax[ok], 2.0)
-    row_scale = np.where(row_scale > 1.0, row_scale, 1.0)
+    row_scale = np.maximum(absmax[ok] ** 2, 1.0)
     for k in np.flatnonzero(sv[:, 4] <= 1e-13 * sv[:, 0]):
         errors[int(ok[k])] = "conic through the five points is not unique (rank < 5)"
     for k in np.flatnonzero(worst > RESIDUAL_TOL * row_scale):
@@ -229,23 +216,32 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
 
 
 def _invariants(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S = AC - B^2 and F = det(3x3) of each row of an (m, 6) coefficient stack."""
+    """S = AC - B^2 and F = det(3x3) of each row of an (m, 6) coefficient stack.
+
+    Bound, against exact evaluation of the same coefficients: |S error| <=
+    2 eps (|AC| + B^2) and |F error| <= 64 eps P, where P is the sum of the
+    absolute values of the six products in F's expansion.
+    """
     return coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1], np.linalg.det(_matrix3(coef))
 
 
 def _kappa(S: np.ndarray, F: np.ndarray) -> np.ndarray:
-    # S over the squared real cube root of F
-    return S / _pow(np.cbrt(F), 2.0)
+    """S / cbrt(F)^2, within 4 eps (relative) of its exact value for the same S and F."""
+    return S / np.cbrt(F) ** 2
 
 
 def _centers(coef: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """(m, 2) centers ((BE - CD)/S, -(AE - BD)/S)."""
+    """(m, 2) centers ((BE - CD)/S, -(AE - BD)/S).
+
+    Bound, against exact evaluation of the same coefficients and S: each
+    coordinate within 2 eps (|BE| + |CD|) / |S|, resp. 2 eps (|AE| + |BD|) / |S|.
+    """
     a, b, c, d, e = coef[:, :5].T
     return np.stack([(b * e - c * d) / S, -(a * e - b * d) / S], axis=1)
 
 
 def _ellipse_areas(S: np.ndarray, F: np.ndarray) -> np.ndarray:
-    return np.pi * np.abs(F) / _pow(S, 1.5)
+    return np.pi * np.abs(F) / S ** 1.5
 
 
 def _fine_areas(coef, S, F, center, win) -> tuple[np.ndarray, np.ndarray]:
@@ -268,24 +264,19 @@ def _fine_areas(coef, S, F, center, win) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(quad)
     radius = np.sqrt(rho[e] / np.sqrt(S[e]))
     scale = radius / np.sqrt(rho[e])
-    rel = win[e] - center[e, None]
-    # a column swap keeps the circle map orientation-preserving; the swapped
-    # eigenvectors are a reversed-stride view, multiplied without BLAS as before
+    # a column swap keeps the circle map orientation-preserving
     swap = np.linalg.det(evecs) < 0
-    mapped = np.empty_like(rel)
-    mapped[~swap] = rel[~swap] @ evecs[~swap]
-    mapped[swap] = rel[swap] @ evecs[swap][:, :, ::-1]
-    evals[swap] = evals[swap][:, ::-1]
+    evecs[swap], evals[swap] = evecs[swap][:, :, ::-1], evals[swap][:, ::-1]
+    mapped = (win[e] - center[e, None]) @ evecs
     u = scale[:, None, None] * mapped * np.sqrt(evals)[:, None, :]
     theta = np.arctan2(u[..., 1], u[..., 0])
     polygon = np.concatenate([center[e, None], win[e]], axis=1)
     px, py = polygon[..., 0], polygon[..., 1]
-    dots = [(s[:, None, :] @ np.roll(t, -1, axis=1)[:, :, None])[:, 0, 0] for s, t in ((px, py), (py, px))]
-    sh = 0.5 * (dots[0] - dots[1])
+    sh = 0.5 * (px * np.roll(py, -1, axis=1) - py * np.roll(px, -1, axis=1)).sum(axis=1)
     step = np.diff(theta, axis=1)
     delta = np.mod(np.where((sh >= 0)[:, None], step, -step), 2.0 * np.pi)
-    seg = (0.5 * _pow(radius, 2.0))[:, None] * (delta - np.sin(delta))
-    sector = np.abs(sh) + (seg[:, 0] + seg[:, 1] + seg[:, 2] + seg[:, 3])
+    seg = (0.5 * radius * radius)[:, None] * (delta - np.sin(delta))
+    sector = np.abs(sh) + seg.sum(axis=1)
     fine[e] = _ellipse_areas(S[e], F[e]) >= sector * (1.0 - 1e-9)
     return rho, fine
 
@@ -385,6 +376,12 @@ def _arcs(blk: _Block, rows: np.ndarray, pk: np.ndarray, pl: np.ndarray) -> np.n
     pk and pl are (m, k, 2). Nonzero-curvature conics use the center
     parallelogram area; parabolic conics use the signed linear element.
     Values on rows whose arc length raises (see `_arc_row`) are meaningless.
+
+    Bound, with d = pk - pl and e = pk - center: on a central conic within
+    3 eps |kappa| (|d_x e_y| + |d_y e_x|) of |kappa (d x e)| for the row's
+    kappa and center; on a parabolic one within 2 eps (2 + (|AE| + |BD|) /
+    |AE - BD|) |s| (|d_x| + |B d_y / A|) of s (d_x + (B / A) d_y), s =
+    cbrt(A^2 / (AE - BD)), for the row's coefficients.
     """
     # the branch not taken may multiply inf by 0 (an infinite center or parabolic factor)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -417,12 +414,12 @@ def _row(mesh: Mesh, i: int) -> tuple[_Block, int]:
     if not blk.has_window[i]:
         _fit_window(mesh, i)  # the window reaches past an end: IndexOutOfRange
     if i in blk.fit_errors:
-        raise DegenerateConfiguration(blk.fit_errors[i])
+        raise DegenerateConfiguration(f"window at index {i}: {blk.fit_errors[i]}")
     return blk, i
 
 
 def _zero_f(blk: _Block, i: int) -> ZeroF:
-    return ZeroF(f"cubic invariant {float(blk.F[i])!r} too small: degenerate conic")
+    return ZeroF(f"cubic invariant {float(blk.F[i])!r} at index {i} too small: degenerate conic")
 
 
 def _kappa_row(mesh: Mesh, i: int) -> tuple[_Block, int]:
@@ -435,7 +432,7 @@ def _kappa_row(mesh: Mesh, i: int) -> tuple[_Block, int]:
 def _arc_row(mesh: Mesh, i: int) -> tuple[_Block, int]:
     blk, i = _row(mesh, i)
     if blk.parabolic[i] and blk.zero_den[i]:
-        raise ZeroDenominator("parabolic arc length: A or AE - BD vanishes")
+        raise ZeroDenominator(f"parabolic arc length at index {i}: A or AE - BD vanishes")
     if not blk.parabolic[i] and blk.zero_f[i]:
         raise _zero_f(blk, i)
     return blk, i
@@ -443,6 +440,12 @@ def _arc_row(mesh: Mesh, i: int) -> tuple[_Block, int]:
 
 def _span(r: range) -> np.ndarray:
     return np.arange(r.start, r.stop)
+
+
+def _raise_first(bad: np.ndarray, view) -> None:
+    """Evaluate the per-index view at the first bad index, where it raises."""
+    if len(bad):
+        view(int(bad[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +509,13 @@ def affine_curvature(mesh: Mesh, i: int) -> float:
 def interior_curvatures(mesh: Mesh) -> np.ndarray:
     """Curvature at every center of ``affine_fine_interior(mesh)``, as one array.
 
-    Equal bit for bit to :func:`affine_curvature` at each center; raises
-    what the first failing center raises.
+    The values are :func:`affine_curvature`'s: each within 4 eps of S /
+    cbrt(F)^2 for its window's S and F, whose own bounds are those of the
+    fit and of the invariants (see the module docstring). Raises what the
+    first failing center raises.
     """
     blk, rows = _block(mesh), _span(affine_fine_interior(mesh))
-    for i in rows[~blk.kappa_ok[rows]].tolist():
-        affine_curvature(mesh, i)
+    _raise_first(rows[~blk.kappa_ok[rows]], lambda i: _kappa_row(mesh, i))
     return blk.kappa[rows]
 
 
@@ -543,7 +547,6 @@ def affine_arc_length(mesh: Mesh, at: int, k: int, l: int) -> float:
     """
     _check_arc_offset(mesh, at, k)
     _check_arc_offset(mesh, at, l)
-    at = _row(mesh, at)[1]
     pk, pl = mesh.p(k), mesh.p(l)
     blk, at = _arc_row(mesh, at)
     return float(_arcs(blk, np.array([at]), pk[None, None], pl[None, None])[0, 0])
@@ -558,8 +561,9 @@ def arc_length_set(mesh: Mesh, i: int) -> ArcLengthSet:
 def interior_arc_length_sets(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """(values, ok): the arc-length set of every center of ``affine_fine_interior``.
 
-    values is (k, 4) and equals :func:`arc_length_set` bit for bit on the
-    rows where ok is True; arc_length_set raises at the other rows.
+    values is (k, 4) and holds :func:`arc_length_set`'s values, within the
+    bounds of ``_arcs``, on the rows where ok is True; arc_length_set raises
+    at the other rows.
     """
     blk, rows = _block(mesh), _span(affine_fine_interior(mesh))
     return blk.arcs[rows], blk.arc_ok[rows]
@@ -641,19 +645,6 @@ def affine_fine_interior(mesh: Mesh) -> range:
     return mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH)
 
 
-def _window_is_fine(mesh: Mesh, i: int) -> bool:
-    # is_affine_fine's condition at one window, raising as it raises
-    kappa = affine_curvature(mesh, i)
-    if kappa > PARABOLIC_TOL:
-        return has_fine_area(mesh, i)
-    if kappa < -PARABOLIC_TOL:
-        try:
-            return in_fine_position(mesh, i)
-        except NonRealMu:
-            return False
-    return True
-
-
 def is_affine_fine(mesh: Mesh) -> bool:
     """Fine-area at every elliptic point, fine-position at every hyperbolic one.
 
@@ -661,9 +652,16 @@ def is_affine_fine(mesh: Mesh) -> bool:
     condition. A non-real gap bound counts as not fine.
     """
     blk, rows = _block(mesh), _span(affine_fine_interior(mesh))
-    # only flagged windows are evaluated one by one, in index order, so the
-    # first of them decides: it returns False or raises
-    return all(_window_is_fine(mesh, i) for i in rows[~blk.affine_fine[rows]].tolist())
+    bad = rows[~blk.affine_fine[rows]]
+    if not len(bad):
+        return True
+    # the first flagged window is not fine, or its condition raises
+    i = int(bad[0])
+    try:
+        (in_fine_position if blk.kappa[i] < -PARABOLIC_TOL else has_fine_area)(mesh, i)
+    except NonRealMu:
+        pass
+    return False
 
 
 def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
@@ -674,21 +672,9 @@ def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
     blk, n = _block(mesh), mesh.n
     rows = idx % n
     ok = blk.arc_ok[rows] & (mesh.closed | ((idx >= 0) & (idx < n)))
-    for i in idx[~ok].tolist():
-        affine_arc_length(mesh, i, i, mesh.resolve(i, 1))
+    _raise_first(idx[~ok], lambda i: affine_arc_length(mesh, i, i, mesh.resolve(i, 1)))
     pts = mesh.points
     return _arcs(blk, rows, pts[rows, None], pts[(rows + 1) % n, None])[:, 0]
-
-
-def _signature_row(mesh: Mesh, scheme: Scheme, i: int) -> None:
-    # the reads of sa_signature's row i in their order, raising as they raise
-    arc_lo, arc_hi = denominator_offsets(scheme)
-    affine_curvature(mesh, i + 1)
-    affine_curvature(mesh, i - 1 if scheme.centered else i)
-    denom = affine_arc_length(mesh, i, mesh.resolve(i, arc_lo), mesh.resolve(i, arc_hi))
-    if abs(denom) <= 1e-15:
-        raise DegenerateStencil(f"{scheme.label} arc length at index {i} vanishes")
-    affine_curvature(mesh, i)
 
 
 def sa_signature(
@@ -703,6 +689,11 @@ def sa_signature(
     (`spacing="euclidean"` switches to Euclidean edge lengths). EQ7/EQ8
     measure their long arc lengths with the conic fitted at the row's
     center point; the signature metadata flags that extrapolation.
+
+    A stencil that cannot be evaluated raises, by class priority: what the
+    first failing curvature center raises, else what the first failing
+    arc-length row raises, else DegenerateStencil at the first row whose
+    arc length vanishes.
     """
     if scheme.value <= 4:
         raise ValueError(f"{scheme} is a Euclidean scheme; use se_signature")
@@ -731,10 +722,11 @@ def sa_signature(
     rows, centers = _span(indices), curvature_centers(scheme, indices) % n
     arc_lo, arc_hi = denominator_offsets(scheme)
     denom = _arcs(blk, rows, pts[(rows + arc_lo) % n, None], pts[(rows + arc_hi) % n, None])[:, 0]
-    c, kappa_ok = int(scheme.centered), blk.kappa_ok[centers]
-    ok = kappa_ok[1 + c:] & kappa_ok[: len(rows)] & kappa_ok[c : c + len(rows)] & blk.arc_ok[rows] & (np.abs(denom) > 1e-15)
-    for i in rows[~ok].tolist():
-        _signature_row(mesh, scheme, i)
+    _raise_first(centers[~blk.kappa_ok[centers]], lambda i: _kappa_row(mesh, i))
+    _raise_first(rows[~blk.arc_ok[rows]], lambda i: _arc_row(mesh, i))
+    vanishing = rows[np.abs(denom) <= 1e-15]
+    if len(vanishing):
+        raise DegenerateStencil(f"{scheme.label} arc length at index {vanishing[0]} vanishes")
     sig = quotient_signature(scheme, SA_SPEC, indices, blk.kappa[centers], denom)
     if scheme in (Scheme.EQ7, Scheme.EQ8):
         sig.meta["arc_length_extrapolation"] = (

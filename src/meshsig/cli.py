@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     cong.add_argument("--sig-tol", type=float, default=1e-6,
                       help="relative tolerance for signature/sequence hypotheses")
     cong.add_argument("--right-tol", type=float, default=1e-7,
-                      help="right-angle classification band, radians")
+                      help="right-angle classification band, radians (thm4.14, thm4.18, thm4.25, "
+                           "thm4.26, host: angle types; thm4.14 --fine, cor5.9: fineness)")
     cong.add_argument("--fine", action="store_true",
                       help="thm4.14 only: use the fine-mesh variant of the rule")
     cong.add_argument("--endpoint-rule", choices=congruence.RULES["thm4.26"].options["endpoint_rule"],

@@ -259,11 +259,8 @@ def _first_event(*events: np.ndarray) -> tuple[int, int] | None:
 
 
 def _signed_angles(mesh: Mesh, spec: NeighborhoodSpec) -> np.ndarray:
-    """signed_angle at every center of the spec's interior; raises DegenerateArm where it first would."""
-    centers = mesh.interior(spec.m1, spec.m2)
-    sign, theta, zero_arm = triple_angles(mesh, centers, spec)
-    if zero_arm.any():
-        angle(mesh, centers[int(np.argmax(zero_arm))], spec)
+    """signed_angle at every center of the spec's interior, whose arms the rules reading it never let be zero."""
+    sign, theta, _ = triple_angles(mesh, mesh.interior(spec.m1, spec.m2), spec)
     return sign * theta
 
 
@@ -367,6 +364,12 @@ def _open_at_least(n: int, message: str):
     return check
 
 
+def _closed_above(n: int, spec: NeighborhoodSpec):
+    """A closed mesh of at most n points wraps the spec's stencil onto itself."""
+    why = "a closed mesh of n = {} points wraps the ({},{}) stencil onto itself"
+    return lambda m1, m2, p: why.format(m1.n, spec.m1, spec.m2) if m1.closed and m1.n <= n else None
+
+
 def _closing_chord(m1, m2, p):
     n = m1.n
     if m1.closed or abs(chord(m1, n - 4, n - 1) - chord(m2, n - 4, n - 1)) <= p["sig_tol"] * max(m1.diameter, m2.diameter):
@@ -443,13 +446,12 @@ def _arc_length_sets(m1, m2, p):
     (a1, ok1), (a2, ok2) = affine.interior_arc_length_sets(m1), affine.interior_arc_length_sets(m2)
     scale = np.maximum(np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)), 1e-300)
     differ = np.abs(a1 - a2).max(axis=1) > sig_tol * scale
-    # rows that raise or differ, replayed in index order: the first one decides
-    for k in np.flatnonzero(~(ok1 & ok2) | differ).tolist():
-        s1 = affine.arc_length_set(m1, interior[k])
-        s2 = affine.arc_length_set(m2, interior[k])
-        if (why := _values_differ(s1.values, s2.values, sig_tol, f"arc-length sets at {interior[k]}")) is not None:
-            return why
-    return None
+    bad = np.flatnonzero(~(ok1 & ok2) | differ)
+    if not len(bad):
+        return None
+    # the first row that raises or differs decides
+    s1, s2 = (affine.arc_length_set(m, interior[int(bad[0])]) for m in (m1, m2))
+    return _values_differ(s1.values, s2.values, sig_tol, f"arc-length sets at {s1.at}")
 
 
 @dataclass(frozen=True)
@@ -538,6 +540,7 @@ RULES = {
     "thm4.26": Rule(Group.SE, (_check_counts,), (
         _ORDINARY,
         _open_at_least(8, "EQ4 needs more than 7 points on an open mesh"),
+        _closed_above(4, SPEC31),
         _equal(lambda m: interior_curvatures(m, SPEC31), "sig_tol", "(3,1)-curvature sequences"),
         _equal(lambda m: _signed_angles(m, SPEC31), "angle_tol", "signed (3,1)-angles"),
         *_THREE_STEP,
@@ -546,10 +549,12 @@ RULES = {
     "thm5.7": Rule(Group.SA, _SA_PRECONDITIONS, (_AFFINE_FINE, _nonzero_curvature, *_AFFINE_TAIL)),
     "thm5.8": Rule(Group.SA, _SA_PRECONDITIONS, (_AFFINE_FINE, _zero_curvature_areas, *_AFFINE_TAIL)),
     "cor5.9": Rule(Group.SA, _SA_PRECONDITIONS, (
-        _both(lambda m, p: is_fine(m), _NOT_FINE), _zero_curvature_areas, *_AFFINE_TAIL,
+        _both(lambda m, p: is_fine(m, _band(p)), _NOT_FINE), _zero_curvature_areas, *_AFFINE_TAIL,
     )),
     # thm4.26's closed-mesh checks less the (3,1) ones, gated on a complete step-3 walk
-    "host": Rule(Group.SE, (_closed, _check_counts), (_ORDINARY, _step3_complete, *_THREE_STEP)),
+    "host": Rule(Group.SE, (_closed, _check_counts), (
+        _ORDINARY, _closed_above(3, SPEC33), _step3_complete, *_THREE_STEP,
+    )),
 }
 
 _DEFAULTS = {

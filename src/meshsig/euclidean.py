@@ -60,22 +60,26 @@ def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> 
     return curvature_of_triple(mesh.p(i, -spec.m1), mesh.p(i), mesh.p(i, spec.m2))
 
 
-def _stencil_curvatures(
-    mesh: Mesh, centers: np.ndarray, spec: NeighborhoodSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    # (kappa, degenerate) at the given centers; closed meshes wrap, open ones must hold the stencils
+def _stencil_curvatures(mesh: Mesh, centers: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
+    # kappa at the given centers, raising at the first degenerate stencil; closed meshes wrap,
+    # open ones must hold the stencils
     pts, n = mesh.points, mesh.n
-    return _curvatures(pts[(centers - spec.m1) % n], pts[centers % n], pts[(centers + spec.m2) % n])
+    kappa, degenerate = _curvatures(pts[(centers - spec.m1) % n], pts[centers % n], pts[(centers + spec.m2) % n])
+    if degenerate.any():
+        raise DegenerateTriple(f"two stencil points coincide at index {centers[degenerate.argmax()] % n}")
+    return kappa
 
 
 def interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> np.ndarray:
     """Curvature at every center of ``mesh.interior(m1, m2)``, as one array.
 
-    Equal bit for bit to :func:`euclidean_curvature` at each center; raises
+    Each value is :func:`euclidean_curvature`'s at its center, within
+    eps * (a + b + c) / (b + c - a) (relative) of the exact reciprocal
+    circumradius of the same doubles, for sides a >= b >= c. Raises
     DegenerateTriple when any stencil has two coinciding points.
     """
     interior = mesh.interior(spec.m1, spec.m2)
-    return _checked(*_stencil_curvatures(mesh, np.arange(interior.start, interior.stop), spec))
+    return _stencil_curvatures(mesh, np.arange(interior.start, interior.stop), spec)
 
 
 def chord(mesh: Mesh, i: int, j: int) -> float:
@@ -107,7 +111,9 @@ def se_signature(
     Returns
     -------
     Signature
-        One (kappa, kappa_s) row per valid center index.
+        One (kappa, kappa_s) row per valid center index. DegenerateTriple is
+        raised when any stencil read has two coinciding points, else
+        DegenerateStencil at the first row whose denominator chord vanishes.
     """
     if scheme.value > 4:
         raise ValueError(f"{scheme} is an equiaffine scheme; use sa_signature")
@@ -124,20 +130,12 @@ def se_signature(
     indices = scheme_rows(mesh, scheme, spec)
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
+    kappa = _stencil_curvatures(mesh, curvature_centers(scheme, indices), spec)
     rows = np.arange(indices.start, indices.stop)
-    c = int(scheme.centered)
-    kappa, degenerate = _stencil_curvatures(mesh, curvature_centers(scheme, indices), spec)
     lo_c, hi_c = denominator_offsets(scheme)
     pts = mesh.points
     denom = row_norms(pts[(rows + hi_c) % mesh.n] - pts[(rows + lo_c) % mesh.n])
     bad = np.flatnonzero(denom <= STENCIL_REL_TOL * mesh.diameter)
-    # Raise what a row-by-row evaluation meets first: each row's quotient
-    # curvatures, then its chord, and the first centered row's own curvature
-    # only after its chord.
-    read = degenerate if len(bad) == 0 else degenerate[: bad[0] + 2 + c]
-    if len(bad) and bad[0] == 0 and c:
-        read = read[[0, 2]]
-    _checked(kappa, read)
     if len(bad):
         i = int(rows[bad[0]])
         raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")

@@ -504,8 +504,7 @@ def is_convex(mesh: Mesh) -> bool:
     if (signs == 0).any() or (signs != signs[0]).any():
         return False
     if mesh.closed:
-        # summed in index order as Python floats, as a per-index loop sums them
-        turning = sum((signs * (np.pi - _vertex_angles(prev, mid, nxt))).tolist())
+        turning = float(np.sum(signs * (np.pi - _vertex_angles(prev, mid, nxt))))
         if abs(abs(turning) - 2.0 * np.pi) > 1e-6:
             return False
     return True
@@ -513,10 +512,7 @@ def is_convex(mesh: Mesh) -> bool:
 
 def is_fine(mesh: Mesh, tol: float = RIGHT_ANGLE_TOL) -> bool:
     """True when every interior vertex angle is obtuse."""
-    bad = np.flatnonzero(angle_types(_vertex_angles(*neighbor_triples(mesh, mesh.interior())), tol) != 3)
-    if len(bad):
-        angle(mesh, mesh.interior()[int(bad[0])])  # raises DegenerateArm on a zero-length arm
-    return not len(bad)
+    return bool((angle_types(_vertex_angles(*neighbor_triples(mesh, mesh.interior())), tol) == 3).all())
 
 
 def circumcircle(p, q, r) -> tuple[Point2, float]:

@@ -130,7 +130,10 @@ class Signature:
 
 def quotient_signature(scheme: Scheme, spec: NeighborhoodSpec, rows: range, kappa: np.ndarray,
                        denom: np.ndarray) -> Signature:
-    """The signature of the rows from the curvatures at ``curvature_centers(scheme, rows)`` and the denominators."""
+    """The signature of the rows from the curvatures at ``curvature_centers(scheme, rows)`` and the denominators.
+
+    Each kappa_s is within 2 eps (relative) of the exact quotient of the same curvatures and denominator.
+    """
     c = int(scheme.centered)
     kappa_s = scheme.factor * (kappa[1 + c:] - kappa[: len(rows)]) / denom
     return Signature(np.arange(rows.start, rows.stop), kappa[c : c + len(rows)], kappa_s, scheme, spec)

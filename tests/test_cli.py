@@ -199,6 +199,19 @@ class TestCongruentCommand:
         meshio.write_mesh_csv(moved, pb)
         assert main(["congruent", str(pa), str(pb), "--group", "sa", "--via", "thm5.7"]) == 0
 
+    def test_right_tol_reaches_cor59(self, tmp_path, capsys):
+        # the 16-gon's angles are 1.18 rad off a right angle: a band of 1.2 rad makes them right
+        mesh = gen.circle_mesh(16)
+        moved = ms.apply_motion(ms.random_motion(ms.Group.SA, 4), mesh)
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        meshio.write_mesh_csv(mesh, pa)
+        meshio.write_mesh_csv(moved, pb)
+        args = ["congruent", str(pa), str(pb), "--closed", "--group", "sa", "--via", "cor5.9"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main([*args, "--right-tol", "1.2"]) == 4
+        assert "reason: a mesh is not fine" in capsys.readouterr().out
+
     def test_rule_group_mismatch_exit_code(self, tmp_path):
         path = tmp_path / "c.csv"
         write_circle(path)

@@ -13,7 +13,7 @@ from meshsig.errors import (
     SchemeSpacingMismatch,
 )
 from meshsig.euclidean import interior_curvatures
-from meshsig.signatures import signature_max_error
+from meshsig.signatures import scheme_rows, signature_max_error
 
 
 def scalar_curvature_of_triple(p, q, r):
@@ -48,42 +48,26 @@ def _chord_offsets(scheme):
     }[scheme]
 
 
-def scheme_offsets(scheme, spec):
-    # frozen copy: (min, max) point offsets a signature row at center i touches
-    lo_c, hi_c = _chord_offsets(scheme)
-    kappa_centers = (-1, 0, 1) if scheme.centered else (0, 1)
-    lo = min(min(c - spec.m1 for c in kappa_centers), lo_c)
-    hi = max(max(c + spec.m2 for c in kappa_centers), hi_c)
-    return lo, hi
-
-
-def se_scheme_indices(mesh, scheme, spec=ms.NeighborhoodSpec(1, 1)):
-    # frozen copy: center indices where the scheme's full stencil exists
-    if mesh.closed:
-        return range(mesh.n)
-    lo, hi = scheme_offsets(scheme, spec)
-    return range(max(0, -lo), mesh.n - hi)
-
-
 def scalar_se_signature(mesh, scheme, spec):
-    # frozen scalar reference: the row-by-row loop with a curvature cache;
-    # it skips the ordinary and spacing checks, which se_signature makes first
-    cache = {}
-
-    def kappa(j):
-        j = mesh.resolve(j)
-        if j not in cache:
-            cache[j] = scalar_curvature_of_triple(mesh.p(j, -spec.m1), mesh.p(j), mesh.p(j, spec.m2))
-        return cache[j]
-
+    # scalar reference: every curvature the rows read (DegenerateTriple at any
+    # degenerate stencil), then the rows one by one; it skips the ordinary and
+    # spacing checks, which se_signature makes first (TestSeSignature pins the
+    # row ranges of (1,1) stencils)
+    indices = scheme_rows(mesh, scheme, spec)
+    kappa = {}
+    for j in range(indices.start - scheme.centered, indices.stop + 1):
+        try:
+            kappa[j] = scalar_curvature_of_triple(mesh.p(j, -spec.m1), mesh.p(j), mesh.p(j, spec.m2))
+        except DegenerateTriple as exc:
+            raise DegenerateTriple(f"{exc} at index {mesh.resolve(j)}") from None
     lo_c, hi_c = _chord_offsets(scheme)
     rows = []
-    for i in se_scheme_indices(mesh, scheme, spec):
-        numerator = kappa(i + 1) - kappa(i - 1 if scheme.centered else i)
+    for i in indices:
+        numerator = kappa[i + 1] - kappa[i - 1 if scheme.centered else i]
         denom = float(np.linalg.norm(mesh.p(i, hi_c) - mesh.p(i, lo_c)))
         if denom <= 1e-12 * mesh.diameter:
             raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
-        rows.append((i, kappa(i), scheme.factor * numerator / denom))
+        rows.append((i, kappa[i], scheme.factor * numerator / denom))
     return rows
 
 
@@ -208,7 +192,7 @@ class TestCurvatureKernel:
 
 
 class TestSeSignatureArrays:
-    """se_signature equals the frozen row-by-row loop, exceptions included."""
+    """se_signature equals the scalar loop, exceptions included."""
 
     def check(self, m):
         for spec in SPECS:
@@ -243,11 +227,12 @@ class TestSeSignatureArrays:
     @pytest.mark.parametrize(
         "ties, raised",
         [
-            # eq4 row 0 reads the (2,1)-curvatures at 2 and 4, then chord (0, 6), then the curvature at 3
-            ([(4, 1), (6, 0)], DegenerateStencil),
+            # eq4 with (2,1) stencils on 20 points: row i divides by the chord (i - 3, i + 3)
+            # and reads the stencils (j - 2, j, j + 1) for j = 2 .. 17
+            ([(6, 0)], DegenerateStencil),
             ([(4, 1), (7, 1)], DegenerateTriple),
-            # row 5 reads the curvatures at 4 and 6 before its chord (2, 8)
-            ([(13, 10), (8, 2)], DegenerateStencil),
+            ([(14, 8)], DegenerateStencil),
+            # a degenerate stencil (4, 6, 7) wins over the earlier vanishing chord (2, 8)
             ([(7, 4), (8, 2)], DegenerateTriple),
         ],
     )

@@ -2,8 +2,10 @@
 
 Each ``ref_*`` function below is the rule as it was written before the
 rules became rows of ``congruence.RULES``: scalar per-index loops over the
-geometry predicates. The engine must reproduce every verdict field and
-every exception (class and message) on a seeded corpus.
+geometry predicates. Since then, ref_decide_eq4 and ref_decide_host also
+reject a closed mesh too small for their (3,1) and (3,3) stencils, as the
+rows do. The engine must reproduce every verdict field and every
+exception (class and message) on a seeded corpus.
 """
 
 import numpy as np
@@ -228,6 +230,8 @@ def ref_decide_eq4(m1, m2, endpoint_rule="equal-end-angles", sig_tol=SIGNATURE_R
         return ref_hyp_fail("a mesh has a cusp")
     if not m1.closed and m1.n <= 7:
         raise MeshTooShort("EQ4 needs more than 7 points on an open mesh")
+    if m1.closed and m1.n <= 4:
+        return ref_hyp_fail(f"a closed mesh of n = {m1.n} points wraps the (3,1) stencil onto itself")
     i31 = list(m1.interior(3, 1))
     k1 = interior_curvatures(m1, SPEC31)
     k2 = interior_curvatures(m2, SPEC31)
@@ -330,6 +334,8 @@ def ref_decide_host(m1, m2, sig_tol=SIGNATURE_REL_TOL, tol=1e-6, right_tol=None)
     if not (is_ordinary(m1) and is_ordinary(m2)):
         return ref_hyp_fail("a mesh has a cusp")
     n = m1.n
+    if n <= 3:
+        return ref_hyp_fail(f"a closed mesh of n = {n} points wraps the (3,3) stencil onto itself")
     if not traverse(n, 3).complete:
         return ref_hyp_fail(f"step-3 traversal incomplete: n = {n} is divisible by 3")
     if (why := ref_same_signed_angle_types(m1, m2, SPEC33, tol=right_tol)) is not None:
@@ -528,17 +534,18 @@ class TestRulesMatchFrozenReferences:
         assert set(Verdict) | {NotConvex, MeshTooShort} <= seen
 
     def test_corpus_reaches_every_outcome(self):
-        seen = set()
+        seen, small_closed = set(), False
         for m1, m2 in SE_PAIRS:
             for _, ref, variants in SE_RULES:
                 for kwargs in variants:
                     got = outcome(ref, m1, m2, **kwargs)
                     seen.add((got[1], got[2].split(" ")[0]) if got[0] == "raised" else (got[0], got[1].split(" ")[0]))
+                    small_closed |= got[0] is Verdict.HYPOTHESES_NOT_MET and got[1].startswith("a closed mesh")
         kinds = {kind for kind, _ in seen}
         assert set(Verdict) <= kinds
-        assert {ms.errors.DegenerateArm, ms.errors.DegenerateTriple, MeshTooShort, NotClosed,
-                ms.errors.InvalidStep, LengthMismatch} <= kinds
+        assert {ms.errors.DegenerateArm, ms.errors.DegenerateTriple, MeshTooShort, NotClosed, LengthMismatch} <= kinds
         reasons = {head for kind, head in seen if kind is Verdict.HYPOTHESES_NOT_MET}
+        assert small_closed
         assert {"signature-direction", "signature-directions", "angle", "signed", "step-3", "closing",
                 "a", "edge", "centered", "(3,1)-curvature", "3-step", "end", "starting", "curvature",
                 "eq1", "eq2", "eq3"} <= reasons
