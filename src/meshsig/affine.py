@@ -19,14 +19,10 @@ functions (`conic_at`, `affine_curvature`, `has_fine_area`, ...) read the
 block, and `fit_conic`, `invariants` and `kappa_from_invariants` run the
 same kernels on a one-row stack.
 
-Numerical contract: each kernel is within a stated bound of the exact
-evaluation (rational arithmetic, roots to 50 digits) of its formula on the
-same doubles it was given. The fit is within 2 eps sigma_1 / sigma_5 of the
-exact conic through the five points (see `_fit`); S, F, the curvature,
-the center and the arc lengths are within a few eps of their exact values
-for the fitted coefficients (see `_invariants`, `_kappa`, `_centers` and
-`_arcs`). A function over many windows raises what its first failing
-index raises, with the class a one-window evaluation raises there.
+Numerical contract: each kernel's docstring states a bound against the
+exact evaluation (rational arithmetic, roots and angles to 50 digits) of
+its formula on the same doubles it was given. A function over many
+windows raises what its first failing index raises, as one window would.
 """
 
 from __future__ import annotations
@@ -241,25 +237,30 @@ def _centers(coef: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def _ellipse_areas(S: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """pi |F| / S^(3/2), within 4 eps (relative) of its exact value for the same S and F."""
     return np.pi * np.abs(F) / S ** 1.5
 
 
-def _fine_areas(coef, S, F, center, win) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each elliptic conic contains the sector swept by its window.
+def _sectors(coef, S, F, center, win) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, sector) of the elliptic conics (S > PARABOLIC_TOL) of an (m, 6) stack.
 
-    Returns (rho, fine) for (m, 6) coefficients with S > PARABOLIC_TOL; fine
-    is meaningful where rho > 0. The sector is the shoelace area of (center,
-    window points) plus the four circular-segment corrections, computed
-    exactly after the unimodular map of the ellipse onto an equal-area
-    circle.
+    rho = sgn(A + C) (-F / S). Where rho > 0, sector is the shoelace area H
+    of (center, window points) plus the segments r^2 / 2 (delta_j - sin
+    delta_j), r^2 = rho / sqrt(S), delta_j in [0, 2 pi) the angle from point
+    j to j + 1, in H's direction, after the unimodular map of the ellipse
+    onto an equal-area circle. Bound, against exact evaluation: 4 eps (sum|h|
+    + sector) + sum_j r^2 / 2 ((1 - cos delta_j) t + 2 eps delta_j), sum|h|
+    the absolute shoelace products, t = 4 eps (cond(Q) + 4) the angle error,
+    Q = sgn(A + C) [[A, B], [B, C]]; an angle within t of 0 or 2 pi, or H
+    within 4 eps sum|h| of 0, may wrap.
     """
     a, b, c = coef[:, 0], coef[:, 1], coef[:, 2]
     sgn = np.where(a + c > 0, 1.0, -1.0)
     rho = sgn * (-F / S)
-    fine = np.zeros(len(coef), dtype=bool)
+    sector = np.full(len(coef), np.nan)
     e = np.flatnonzero(rho > 0.0)
     if len(e) == 0:
-        return rho, fine
+        return rho, sector
     quad = sgn[e, None, None] * coef[e][:, [[0, 1], [1, 2]]]
     evals, evecs = np.linalg.eigh(quad)
     radius = np.sqrt(rho[e] / np.sqrt(S[e]))
@@ -276,9 +277,8 @@ def _fine_areas(coef, S, F, center, win) -> tuple[np.ndarray, np.ndarray]:
     step = np.diff(theta, axis=1)
     delta = np.mod(np.where((sh >= 0)[:, None], step, -step), 2.0 * np.pi)
     seg = (0.5 * radius * radius)[:, None] * (delta - np.sin(delta))
-    sector = np.abs(sh) + seg.sum(axis=1)
-    fine[e] = _ellipse_areas(S[e], F[e]) >= sector * (1.0 - 1e-9)
-    return rho, fine
+    sector[e] = np.abs(sh) + seg.sum(axis=1)
+    return rho, sector
 
 
 def _gap_bounds(coef: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,6 +288,13 @@ def _gap_bounds(coef: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray
     quotient divides by zero. The bound is evaluated in the coefficient
     scale where the larger-magnitude characteristic root lambda1 of
     t^2 - (A+C) t + S = 0 (ties toward the larger value) has unit magnitude.
+
+    Bound, against -F / (|lambda1| (AC - B^2)) evaluated exactly for the same
+    doubles: the radicand within a relative (r + 2 eps |A + C|) / |lambda1| +
+    eps (70 P / |F| + 4 (|AC| + B^2) / |AC - B^2| + 4), P as in `_invariants`,
+    where r = min(sqrt(d), d / sqrt(D)) + eps sqrt(D) bounds the error of the
+    root of D = (A + C)^2 - 4 S, d = 2 eps ((A + C)^2 + 4 |S|); mu within half
+    of that plus 2 eps.
     """
     tr = coef[:, 0] + coef[:, 2]
     disc = tr * tr - 4.0 * S
@@ -310,7 +317,7 @@ class _Block:
     __slots__ = (
         "has_window", "fit_errors", "fitted", "coef", "S", "F", "kappa", "zero_f", "center",
         "parabolic", "zero_den", "para_scale", "para_ratio", "kappa_ok", "arc_ok", "arcs",
-        "rho", "fine_area", "gap_undefined", "radicand", "mu", "position", "affine_fine",
+        "rho", "sector", "area", "fine_area", "gap_undefined", "radicand", "mu", "position", "affine_fine",
     )
 
     def __init__(self, mesh: Mesh):
@@ -350,12 +357,13 @@ class _Block:
             self.arcs = full(_arcs(self, rows, win[:, :-1], win[:, 1:]))
 
             elliptic = self.kappa_ok[rows] & (kappa > tol) & (S > tol)
-            rho, fine = np.full(len(rows), np.nan), np.zeros(len(rows), dtype=bool)
+            rho, sector = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
             if elliptic.any():
-                rho[elliptic], fine[elliptic] = _fine_areas(
+                rho[elliptic], sector[elliptic] = _sectors(
                     coef[elliptic], S[elliptic], F[elliptic], center[elliptic], win[elliptic]
                 )
-            self.rho, self.fine_area = full(rho), full(fine, False)
+            self.rho, self.sector, self.area = full(rho), full(sector), full(_ellipse_areas(S, F))
+            self.fine_area = self.area >= self.sector * (1.0 - 1e-9)
             undefined, radicand, mu = _gap_bounds(coef, S)
             gaps = np.sqrt((np.diff(win, axis=1) ** 2).sum(axis=2))
             self.gap_undefined = full(undefined, False)
@@ -597,12 +605,7 @@ def ellipse_area(c: ConicCoeffs) -> float:
 
 
 def has_fine_area(mesh: Mesh, i: int) -> bool:
-    """Ellipse-side fineness: the fitted ellipse contains the swept sector.
-
-    The sector is the shoelace area of (center, window points) plus the four
-    circular-segment corrections computed exactly after the unimodular map
-    of the ellipse onto an equal-area circle.
-    """
+    """Ellipse-side fineness: the fitted ellipse's area covers the sector its window sweeps (`_sectors`)."""
     blk, i = _kappa_row(mesh, i)
     kappa = float(blk.kappa[i])
     if kappa <= PARABOLIC_TOL:
@@ -690,10 +693,9 @@ def sa_signature(
     measure their long arc lengths with the conic fitted at the row's
     center point; the signature metadata flags that extrapolation.
 
-    A stencil that cannot be evaluated raises, by class priority: what the
-    first failing curvature center raises, else what the first failing
-    arc-length row raises, else DegenerateStencil at the first row whose
-    arc length vanishes.
+    The first row whose stencil cannot be evaluated raises: what its first
+    failing curvature center raises, else what its arc length raises, else
+    DegenerateStencil if that arc length vanishes.
     """
     if scheme.value <= 4:
         raise ValueError(f"{scheme} is a Euclidean scheme; use se_signature")
@@ -722,11 +724,16 @@ def sa_signature(
     rows, centers = _span(indices), curvature_centers(scheme, indices) % n
     arc_lo, arc_hi = denominator_offsets(scheme)
     denom = _arcs(blk, rows, pts[(rows + arc_lo) % n, None], pts[(rows + arc_hi) % n, None])[:, 0]
-    _raise_first(centers[~blk.kappa_ok[centers]], lambda i: _kappa_row(mesh, i))
-    _raise_first(rows[~blk.arc_ok[rows]], lambda i: _arc_row(mesh, i))
-    vanishing = rows[np.abs(denom) <= 1e-15]
-    if len(vanishing):
-        raise DegenerateStencil(f"{scheme.label} arc length at index {vanishing[0]} vanishes")
+    # row k reads the curvatures at centers[k : k + reads]
+    reads = 2 + int(scheme.centered)
+    ok = np.lib.stride_tricks.sliding_window_view(blk.kappa_ok[centers], reads).all(axis=1)
+    ok &= blk.arc_ok[rows] & (np.abs(denom) > 1e-15)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        for j in centers[k : k + reads].tolist():
+            _kappa_row(mesh, j)
+        _arc_row(mesh, int(rows[k]))
+        raise DegenerateStencil(f"{scheme.label} arc length at index {rows[k]} vanishes")
     sig = quotient_signature(scheme, SA_SPEC, indices, blk.kappa[centers], denom)
     if scheme in (Scheme.EQ7, Scheme.EQ8):
         sig.meta["arc_length_extrapolation"] = (

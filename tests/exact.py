@@ -2,7 +2,8 @@
 
 Every function takes the doubles a kernel was given and evaluates the
 kernel's formula on them exactly: rational arithmetic (``fractions``) for
-everything but roots, which are taken in 50-digit ``decimal``.
+everything but roots, arctangents and sines, which are taken in 50-digit
+``decimal``.
 """
 
 from decimal import Decimal, localcontext
@@ -90,3 +91,96 @@ def invariant_scales(coef) -> tuple[Fraction, Fraction]:
     """|A C| + B^2 and the sum of the absolute Leibniz terms of F: the magnitudes their roundings scale with."""
     a, b, c, d, e, f = (abs(Fraction(v)) for v in coef)
     return a * c + b * b, a * c * f + 2 * b * e * d + a * e * e + b * b * f + c * d * d
+
+
+# pi, to more digits than DIGITS
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def atan2(y, x) -> Decimal:
+    """The angle of (x, y) in (-pi, pi], for Decimals or Fractions."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        y, x = (v if isinstance(v, Decimal) else decimal(Fraction(v)) for v in (y, x))
+        if x == 0:
+            return (PI / 2).copy_sign(y) if y else Decimal(0)
+        # atan t = 2 atan(t / (1 + sqrt(1 + t^2))): halve the angle until the series converges fast
+        t, halvings = y / x, 0
+        while abs(t) > Decimal("1e-3"):
+            t, halvings = t / (1 + (1 + t * t).sqrt()), halvings + 1
+        term, total, n = t, t, 1
+        while abs(term) > Decimal(10) ** -(DIGITS + 5):
+            term, n = -term * t * t, n + 2
+            total += term / n
+        angle = total * 2 ** halvings
+        if x < 0:
+            angle += PI if y >= 0 else -PI
+        return angle
+
+
+def segment(delta: Decimal) -> Decimal:
+    """delta - sin(delta) by its alternating series, free of the difference's cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        term, total, n = delta ** 3 / 6, Decimal(0), 3
+        while abs(term) > Decimal(10) ** -(2 * DIGITS):
+            total += term
+            term, n = -term * delta * delta / ((n + 1) * (n + 2)), n + 2
+        return total
+
+
+def ellipse_area(S, F) -> Decimal:
+    """pi |F| / S^(3/2)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        s = Fraction(float(S))
+        return PI * decimal(abs(Fraction(float(F))) / s) / sqrt(s)
+
+
+def sector(coef, S, F, center, window) -> tuple[Decimal, Fraction, list]:
+    """(sector, shoelace, angles) of the elliptic conic coef, center and five-point window.
+
+    The sector is |shoelace(center, window)| plus the four segments
+    r^2 / 2 (delta_j - sin delta_j), r^2 = rho / sqrt(S), rho = sgn(A + C) (-F / S).
+    delta_j is the angle from window point j to j + 1 on the equal-area circle,
+    atan2(sqrt(AC - B^2) (e_j x e_j+1), e_j^T Q e_j+1) with e_j = window_j - center
+    and Q = sgn(A + C) [[A, B], [B, C]], in [0, 2 pi) in the shoelace's turning direction.
+    """
+    a, b, c = fractions(coef)[:3]
+    s, f = Fraction(float(S)), Fraction(float(F))
+    sgn = 1 if a + c > 0 else -1
+    cx, cy = fractions(center)
+    pts = [(cx, cy)] + list(zip(*[iter(fractions(window))] * 2))
+    shoelace = sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])) / 2
+    turn = 1 if shoelace >= 0 else -1
+    rel = [(x - cx, y - cy) for x, y in pts[1:]]
+    root_det = sqrt(a * c - b * b)
+    angles = []
+    for (x0, y0), (x1, y1) in zip(rel, rel[1:]):
+        dot = sgn * (a * x0 * x1 + b * (x0 * y1 + y0 * x1) + c * y0 * y1)
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            angle = atan2(root_det * decimal(turn * (x0 * y1 - y0 * x1)), dot)
+            angles.append(angle + 2 * PI if angle < 0 else angle)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        r2 = decimal(sgn * (-f / s)) / sqrt(s)
+        return abs(decimal(shoelace)) + r2 / 2 * sum(segment(d) for d in angles), shoelace, angles
+
+
+def gap_radicand(coef, S) -> tuple[Decimal | None, Decimal]:
+    """(radicand, lam): -F / (|lam| (AC - B^2)) with lam the larger-magnitude root of t^2 - (A+C) t + S.
+
+    radicand is None where the quotient divides by zero.
+    """
+    a, b, c = fractions(coef)[:3]
+    tr = a + c
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        root = sqrt(max(tr * tr - 4 * Fraction(float(S)), Fraction(0)))
+        r1, r2 = (decimal(tr) + root) / 2, (decimal(tr) - root) / 2
+        lam = r1 if abs(r1) > abs(r2) else r2 if abs(r2) > abs(r1) else max(r1, r2)
+        s_exact, f_exact = invariants(coef)
+        if lam == 0 or s_exact == 0:
+            return None, lam
+        return -decimal(f_exact / s_exact) / abs(lam), lam

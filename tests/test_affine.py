@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import exact
@@ -415,6 +416,78 @@ def check_arc(mesh, at, k, l, value):
     assert_within(value, ref, bound, f"arc length ({at}: {k}, {l})")
 
 
+def check_fine_area(mesh, i, kappa):
+    """has_fine_area: area within 4 eps (relative) of pi |F| / S^(3/2) and sector within the bound of
+    `affine._sectors`; the verdict area >= sector (1 - 1e-9) is the exact one unless the sides are that close."""
+    got, blk, i = outcome(ms.has_fine_area, mesh, i), affine._block(mesh), mesh.resolve(i)
+    if kappa <= PARABOLIC_TOL or blk.S[i] <= PARABOLIC_TOL:
+        assert got is WrongCurvatureSign
+        return
+    coef, S, F, center = blk.coef[i], blk.S[i], blk.F[i], blk.center[i]
+    a, _, c = coef[:3]
+    if (1 if a + c > 0 else -1) * -Fraction(float(F)) / Fraction(float(S)) <= 0:
+        assert got is DegenerateConfiguration
+        return
+    area = Fraction(exact.ellipse_area(S, F))
+    assert_within(blk.area[i], area, 4 * EPS * area, "ellipse area")
+    window = np.array([mesh.p(i, off) for off in range(-2, 3)])
+    sector, shoelace, angles = exact.sector(coef, S, F, center, window)
+    quad = np.linalg.eigvalsh(coef[[[0, 1], [1, 2]]])
+    angle_error = 4 * exact.EPS * (np.abs(quad).max() / np.abs(quad).min() + 4)
+    px, py = np.vstack([center, window]).T
+    products = Fraction(float(np.abs(px * np.roll(py, -1)).sum() + np.abs(py * np.roll(px, -1)).sum()))
+    wraps = any(not angle_error < d < 2 * exact.PI - Decimal(angle_error) for d in angles)
+    if wraps or abs(shoelace) <= 4 * EPS * products:
+        assert got in (True, False)  # an angle or the turning direction may wrap
+        return
+    r2 = Fraction(float(blk.rho[i])) / Fraction(exact.sqrt(S))
+    bound = 4 * EPS * (products + Fraction(sector)) + sum(
+        r2 / 2 * (Fraction(1 - np.cos(float(d))) * Fraction(angle_error) + 2 * EPS * Fraction(d)) for d in angles)
+    assert_within(blk.sector[i], sector, bound, "sector")
+    margin, slack = area - Fraction(sector) * (1 - Fraction(1e-9)), 4 * EPS * area + bound + EPS * Fraction(sector)
+    assert got == (margin >= 0) if abs(margin) > slack else got in (True, False)
+
+
+def check_gap_bound(mesh, i, kappa):
+    """hyperbola_gap_bound: radicand within the relative bound of `affine._gap_bounds` of -F / (|lam| S), mu
+    within half that plus 2 eps; in_fine_position's verdict is the exact one unless a gap is that close to mu."""
+    got, blk = outcome(affine.hyperbola_gap_bound, mesh, i), affine._block(mesh)
+    position = outcome(ms.in_fine_position, mesh, i) if not isinstance(kappa, type) else None
+    i = mesh.resolve(i)
+    if position is not None and kappa >= -PARABOLIC_TOL:
+        assert position is WrongCurvatureSign
+        position = None
+    coef, S = blk.coef[i], float(blk.S[i])
+    radicand, lam = exact.gap_radicand(coef, S)
+    if radicand is not None:
+        (s, f), (s_scale, f_scale) = exact.invariants(coef), exact.invariant_scales(coef)
+        tr = Fraction(float(coef[0] + coef[2]))
+        disc, disc_error = tr * tr - 4 * Fraction(S), 2 * EPS * (tr * tr + 4 * abs(Fraction(S)))
+        root = Fraction(exact.sqrt(max(disc, 0)))
+        root_error = Fraction(exact.sqrt(disc_error))
+        if root:
+            root_error = min(root_error, disc_error / root)
+        root_error += EPS * root
+        rel = (root_error + 2 * EPS * abs(tr)) / abs(Fraction(lam))
+        rel += EPS * (70 * f_scale / abs(f) + 4 * s_scale / abs(s) + 4)
+    if radicand is None or rel >= 1:
+        assert got is ParabolicConic or got is NonRealMu or isinstance(got, float)
+        assert position in (None, True, False, got)
+        return
+    if radicand < 0:
+        assert got is NonRealMu and position in (None, NonRealMu)
+        return
+    assert_within(blk.radicand[i], radicand, rel * Fraction(radicand), "gap bound radicand")
+    mu, mu_rel = 2 * exact.sqrt(Fraction(radicand)), rel / 2 + 2 * EPS
+    assert_within(got, mu, mu_rel * Fraction(mu), "gap bound")
+    if position is None:
+        return
+    window = [exact.fractions(mesh.p(i, off)) for off in range(-2, 3)]
+    gaps = [Fraction(exact.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)) for (x0, y0), (x1, y1) in zip(window, window[1:])]
+    close = any(abs(g - Fraction(mu)) <= mu_rel * Fraction(mu) + 2 * EPS * g for g in gaps)
+    assert position in (True, False) if close else position == all(g < Fraction(mu) for g in gaps)
+
+
 def outcome(f, *args, **kwargs):
     """What a call returns, or the class of what it raises."""
     try:
@@ -492,6 +565,13 @@ def equivalence_meshes():
     flat = np.column_stack([np.cos(t), 2.6e-6 * np.sin(t)])
     bend = [[-0.8, -0.05], [-1.3, -0.4], [-1.5, -1.0], [-1.4, -1.7], [-1.0, -2.3]]
     out.append(ms.Mesh(np.vstack([flat, bend]) + [0.0, 0.5]))
+    # convex: a sideways parabola (zero arc-length denominators from row 2), then a
+    # nearly flat ellipse arc (raising curvatures from row 8): the first row decides
+    y = np.arange(-1.0, 2.01, 0.5)
+    t = np.linspace(1.8, 0.2, 6)
+    c, s = np.cos(0.1), np.sin(0.1)
+    flat = np.column_stack([np.cos(t), 2.6e-6 * np.sin(t)]) @ [[c, s], [-s, c]] + [4.59, 2.087]
+    out.append(ms.Mesh(np.vstack([np.column_stack([y * y, y]), flat])))
     return out
 
 
@@ -601,11 +681,8 @@ class TestScalarEquivalence:
                 assert outcome(ms.has_fine_area, m, i) is outcome(ms.in_fine_position, m, i) is ZeroF
             else:
                 check_kappa(inv.S, inv.F, kappa)
-                area, position = outcome(ms.has_fine_area, m, i), outcome(ms.in_fine_position, m, i)
-                assert area in ((True, False, WrongCurvatureSign, DegenerateConfiguration) if kappa > PARABOLIC_TOL
-                                else (WrongCurvatureSign,))
-                assert position in ((True, False, ParabolicConic, NonRealMu) if kappa < -PARABOLIC_TOL
-                                    else (WrongCurvatureSign,))
+                check_fine_area(m, i, kappa)
+            check_gap_bound(m, i, kappa)
             if abs(inv.S) > PARABOLIC_TOL:
                 check_center(c.vector, inv.S, ms.conic_center(c))
             arcs = outcome(ms.arc_length_set, m, i)
@@ -644,16 +721,15 @@ class TestScalarEquivalence:
                 got = outcome(ms.sa_signature, m, scheme, **kwargs)
                 if got in (NotOrdinary, NotConvex, SchemeSpacingMismatch, MeshTooShort):
                     continue
-                # the first failing curvature center, else the first failing arc-length row, else a vanishing arc
-                kappas = [outcome(ms.affine_curvature, m, j) for j in range(rows.start - scheme.centered, rows.stop + 1)]
+                # the first failing row: its first failing curvature center, else its arc, else a vanishing arc
+                c = int(scheme.centered)
+                kappas = [outcome(ms.affine_curvature, m, j) for j in range(rows.start - c, rows.stop + 1)]
                 arcs = [outcome(ms.affine_arc_length, m, i, m.resolve(i, lo), m.resolve(i, hi)) for i in rows]
-                raised = first_raised(kappas) or first_raised(arcs)
-                if raised is None and any(abs(a) <= 1e-15 for a in arcs):
-                    raised = DegenerateStencil
-                if raised is not None:
+                per_row = [first_raised(kappas[k : k + 2 + c] + [arc]) or (DegenerateStencil if abs(arc) <= 1e-15 else None)
+                           for k, arc in enumerate(arcs)]
+                if (raised := next(filter(None, per_row), None)) is not None:
                     assert got is raised
                     continue
-                c = int(scheme.centered)
                 assert got.kappas.tolist() == kappas[c : c + len(rows)]
                 for k, (value, arc) in enumerate(zip(got.kappa_s, arcs)):
                     ref = Fraction(scheme.factor) * (Fraction(kappas[k + 1 + c]) - Fraction(kappas[k])) / Fraction(arc)
