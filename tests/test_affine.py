@@ -572,6 +572,9 @@ def equivalence_meshes():
     c, s = np.cos(0.1), np.sin(0.1)
     flat = np.column_stack([np.cos(t), 2.6e-6 * np.sin(t)]) @ [[c, s], [-s, c]] + [4.59, 2.087]
     out.append(ms.Mesh(np.vstack([np.column_stack([y * y, y]), flat])))
+    # one hyperbola branch in long steps: gaps on both sides of the gap bound mu = 2
+    s = 0.7 * np.arange(-3, 4)
+    out.append(ms.Mesh(np.column_stack([np.cosh(s), np.sinh(s)]) @ [[1.0, 0.0], [0.3, 1.0]] + [1.0, -2.0]))
     return out
 
 
