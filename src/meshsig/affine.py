@@ -47,6 +47,7 @@ from .errors import (
     ZeroF,
 )
 from .geometry import (
+    SPACING_REL_TOL,
     Mesh,
     NeighborhoodSpec,
     Point2,
@@ -66,8 +67,6 @@ PARABOLIC_TOL = 1e-10
 ZERO_F_TOL = 1e-12
 # Residual bound for the five fitted points, at unit design-row scale.
 RESIDUAL_TOL = 1e-8
-# Relative spread tolerated between consecutive arc lengths for EQ5/EQ6.
-AFFINE_SPACING_REL_TOL = 1e-6
 
 # Conic fit window: the two-neighborhood on each side of the center point.
 FIT_HALF_WIDTH = 2
@@ -281,7 +280,7 @@ def _sectors(coef, S, F, center, win) -> tuple[np.ndarray, np.ndarray]:
     return rho, sector
 
 
-def _gap_bounds(coef: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gap_bounds(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Branch-separation bounds 2*sqrt(-F / (lambda1^2 S)) of an (m, 6) stack.
 
     Returns (undefined, radicand, mu): undefined marks rows where the
@@ -290,15 +289,13 @@ def _gap_bounds(coef: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray
     t^2 - (A+C) t + S = 0 (ties toward the larger value) has unit magnitude.
 
     Bound, against -F / (|lambda1| (AC - B^2)) evaluated exactly for the same
-    doubles: the radicand within a relative (r + 2 eps |A + C|) / |lambda1| +
-    eps (70 P / |F| + 4 (|AC| + B^2) / |AC - B^2| + 4), P as in `_invariants`,
-    where r = min(sqrt(d), d / sqrt(D)) + eps sqrt(D) bounds the error of the
-    root of D = (A + C)^2 - 4 S, d = 2 eps ((A + C)^2 + 4 |S|); mu within half
-    of that plus 2 eps.
+    doubles: the radicand within a relative (3 eps sqrt(D) + 2 eps |A + C|) /
+    |lambda1| + eps (70 P / |F| + 4 (|AC| + B^2) / |AC - B^2| + 4), P as in
+    `_invariants`, where D = (A - C)^2 + 4 B^2 is the discriminant (A + C)^2 -
+    4 S, formed without cancellation; mu within half of that plus 2 eps.
     """
-    tr = coef[:, 0] + coef[:, 2]
-    disc = tr * tr - 4.0 * S
-    root = np.sqrt(np.where(0.0 > disc, 0.0, disc))
+    tr, diff = coef[:, 0] + coef[:, 2], coef[:, 0] - coef[:, 2]
+    root = np.sqrt(diff * diff + 4.0 * coef[:, 1] * coef[:, 1])
     r1, r2 = (tr + root) / 2.0, (tr - root) / 2.0
     lam = np.where(np.abs(r1) > np.abs(r2), r1, np.where(np.abs(r2) > np.abs(r1), r2, np.where(r2 > r1, r2, r1)))
     su, fu = _invariants(coef * (1.0 / np.abs(lam))[:, None])
@@ -364,7 +361,7 @@ class _Block:
                 )
             self.rho, self.sector, self.area = full(rho), full(sector), full(_ellipse_areas(S, F))
             self.fine_area = self.area >= self.sector * (1.0 - 1e-9)
-            undefined, radicand, mu = _gap_bounds(coef, S)
+            undefined, radicand, mu = _gap_bounds(coef)
             gaps = np.sqrt((np.diff(win, axis=1) ** 2).sum(axis=2))
             self.gap_undefined = full(undefined, False)
             self.radicand, self.mu = full(radicand), full(mu)
@@ -684,7 +681,7 @@ def sa_signature(
     mesh: Mesh,
     scheme: Scheme,
     spacing: str = "affine",
-    spacing_tol: float = AFFINE_SPACING_REL_TOL,
+    spacing_tol: float = SPACING_REL_TOL,
 ) -> Signature:
     """The SA-signature of a convex ordinary mesh under one of schemes 5-8.
 

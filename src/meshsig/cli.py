@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import affine, congruence, euclidean, host, meshio, selfcheck
 from .errors import MeshParseError, MeshSigError, SchemeSpacingMismatch
-from .geometry import Group, NeighborhoodSpec
-from .signatures import Scheme
+from .geometry import RIGHT_ANGLE_TOL, SPACING_REL_TOL, Group, NeighborhoodSpec
+from .signatures import SIGNATURE_REL_TOL, Scheme
 from .congruence import MatchMode, Verdict
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sig.add_argument("--m1", type=int, default=1, help="curvature stencil back-offset (se only)")
     sig.add_argument("--m2", type=int, default=1, help="curvature stencil forward-offset (se only)")
     sig.add_argument("--closed", action="store_true", help="treat a CSV mesh as closed")
-    sig.add_argument("--spacing-tol", type=float, default=1e-6,
+    sig.add_argument("--spacing-tol", type=float, default=SPACING_REL_TOL,
                      help="relative equal-spacing tolerance for schemes 1, 2, 5, 6")
     sig.add_argument("--sa-spacing", choices=["affine", "euclidean"], default="affine",
                      help="spacing measure for schemes 5-6")
@@ -64,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default="aligned", help="index correspondence (cyclic: closed meshes)")
     cong.add_argument("--tol", type=float, default=congruence.DEFAULT_POINT_TOL,
                       help="pointwise tolerance, relative to the mesh diameter")
-    cong.add_argument("--sig-tol", type=float, default=1e-6,
+    cong.add_argument("--sig-tol", type=float, default=SIGNATURE_REL_TOL,
                       help="relative tolerance for signature/sequence hypotheses")
-    cong.add_argument("--right-tol", type=float, default=1e-7,
+    cong.add_argument("--right-tol", type=float, default=RIGHT_ANGLE_TOL,
                       help="right-angle classification band, radians (thm4.14, thm4.18, thm4.25, "
                            "thm4.26, host: angle types; thm4.14 --fine, cor5.9: fineness)")
     cong.add_argument("--fine", action="store_true",

@@ -1,8 +1,10 @@
 """Congruence oracles and signature-based decision procedures.
 
-The alignment oracle exploits that the group actions are free: a single edge
-(SE/E) or a single non-collinear triple (SA/Abar) determines the only
-candidate motion, which is then verified pointwise. Each decision rule is a
+The alignment oracle fits one least-squares witness per correspondence (the
+Procrustes rotation or reflection for SE/E, the linear fit scaled to
+|det| = 1 for SA/Abar) and verifies it pointwise. Cyclic modes get every
+shift's least residual at once from FFT cross-covariances, O(n log n), and
+verify only the shifts whose residual could pass. Each decision rule is a
 row of RULES: its group, its preconditions and its ordered hypothesis
 checks. One engine evaluates any row; when all hypotheses hold it defers to
 the oracle, so a Congruent verdict always carries a verified witness motion.
@@ -11,6 +13,7 @@ NotCongruent only ever comes from the oracle itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,7 +45,6 @@ from .geometry import (
     is_fine,
     is_ordinary,
     neighbor_triples,
-    orient,
     orient_rows,
     row_norms,
     signed_angle,
@@ -87,76 +89,66 @@ class CongruenceVerdict:
         return f"CongruenceVerdict({self.status.value}{extra})"
 
 
-def _correspondences(n: int, mode: MatchMode, closed: bool):
-    if mode is not MatchMode.INDEX_ALIGNED and not closed:
-        raise NotClosed("cyclic match modes require closed meshes")
-    base = np.arange(n)
-    yield base, "identity"
-    if mode is MatchMode.INDEX_ALIGNED:
-        return
-    for shift in range(n):
-        if shift:
-            yield (base + shift) % n, f"shift+{shift}"
-        if mode is MatchMode.CYCLIC_REVERSAL:
-            yield (shift - base) % n, f"reversed shift+{shift}"
+def _witness_maps(Pc: np.ndarray, Qc: np.ndarray, group: Group) -> tuple[list[np.ndarray], str]:
+    """Least-squares linear parts taking the centred points Pc[k] to Qc[k], in trial order.
 
-
-def _euclidean_candidates(p0, p1, q0, q1, group: Group, scale: float, tol: float):
-    dp = p1 - p0
-    dq = q1 - q0
-    if abs(np.linalg.norm(dp) - np.linalg.norm(dq)) > tol * scale:
-        return None, "first edge lengths differ"
-    candidates = []
-    ang = np.arctan2(dq[1], dq[0]) - np.arctan2(dp[1], dp[0])
-    c, s = np.cos(ang), np.sin(ang)
-    candidates.append(np.array([[c, -s], [s, c]]))
-    if group is Group.E:
-        # reflective candidate: mirror across the x axis, then rotate
-        ang_m = np.arctan2(dq[1], dq[0]) - np.arctan2(-dp[1], dp[0])
-        c, s = np.cos(ang_m), np.sin(ang_m)
-        candidates.append(np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0]))
-    return candidates, ""
-
-
-def _anchor_triple(P: np.ndarray):
-    """(pick, orientation, edge matrix) of P's first non-collinear consecutive triple.
-
-    None when every consecutive triple is collinear. It depends on P only,
-    so a cyclic scan computes it once, not once per shift.
+    SE/E: the Procrustes rotation (Kabsch), then for E the Procrustes
+    reflection; with H = Pcᵀ Qc they maximise tr(A H) by taking (1, 0) along
+    (h00 + h11, h01 - h10), resp. (h00 - h11, h01 + h10). SA/Abar: the
+    general-linear fit Hᵀ G⁻¹ (G = Pcᵀ Pc) scaled to |det| = 1 (Umeyama);
+    SA rejects det <= 0. No map comes with a reason.
     """
-    area_tol = 1e-9 * _pointset_scale(P) ** 2
-    o = orient_rows(P[:-2], P[1:-1], P[2:])
-    hits = np.flatnonzero(np.abs(o) > area_tol)
-    if not len(hits):
-        return None
-    pick = int(hits[0])
-    return pick, float(o[pick]), np.column_stack([P[pick + 1] - P[pick], P[pick + 2] - P[pick]])
-
-
-def _unimodular_candidate(P: np.ndarray, Q: np.ndarray, group: Group, scale: float, tol: float, triple):
-    if triple is None:
-        raise NoNonCollinearTriple("mesh has no non-collinear consecutive triple")
-    pick, op, dp = triple
-    oq = orient(Q[pick], Q[pick + 1], Q[pick + 2])
-    if group is Group.SA:
-        if abs(op - oq) > tol * scale ** 2:
-            return None, f"triangle areas differ at triple {pick}"
-    else:
-        if abs(abs(op) - abs(oq)) > tol * scale ** 2:
-            return None, f"unsigned triangle areas differ at triple {pick}"
-    dq = np.column_stack([Q[pick + 1] - Q[pick], Q[pick + 2] - Q[pick]])
-    linear = dq @ np.linalg.inv(dp)
+    H = Pc.T @ Qc
+    (h00, h01), (h10, h11) = H.tolist()
+    if group in (Group.SE, Group.E):
+        maps = []
+        for c, s, det in ((h00 + h11, h01 - h10, 1.0), (h00 - h11, h01 + h10, -1.0))[: 1 + (group is Group.E)]:
+            norm = math.hypot(c, s)  # 0 only when every orthogonal map fits equally well
+            c, s = (c / norm, s / norm) if norm else (1.0, 0.0)
+            maps.append(np.array([[c, -det * s], [s, det * c]]))
+        return maps, ""
+    linear = H.T @ np.linalg.inv(Pc.T @ Pc)
     det = float(np.linalg.det(linear))
     if group is Group.SA and det <= 0:
-        return None, f"recovered map reverses orientation (det {det:.3g})"
-    if abs(abs(det) - 1.0) > 1e-6:
-        return None, f"recovered map is not unimodular (det {det:.6g})"
-    linear /= np.sqrt(abs(det))
-    return [(linear, pick)], ""
+        return [], f"recovered map reverses orientation (det {det:.3g})"
+    return ([linear / math.sqrt(abs(det))], "") if det else ([], "recovered map is singular")
 
 
-def _pointset_scale(P: np.ndarray) -> float:
-    return float(np.ptp(P, axis=0).max()) or 1.0
+def _shift_scan(Pc: np.ndarray, Qc: np.ndarray, group: Group, reversal: bool, limit: float):
+    """(residual, bound, admitted) of every cyclic correspondence, in O(n log n) time and O(n) memory.
+
+    residual[s, 0] belongs to the shift σ(k) = k + s, residual[s, 1] (with
+    ``reversal``) to σ(k) = s - k: the least sum over k of
+    |A pc_k + t - qc_σ(k)|² over the group's linear maps A (all of GL for
+    SA/Abar, a lower bound on the unimodular fit) and translations t. It
+    comes in closed form from the cross-covariances H_s, all found at once
+    by FFT cross-correlation (forward) or convolution (reversed). With
+    pp = |Pc|², qq = |Qc|², G = Pcᵀ Pc and κ = tr(G)²/det G (1 for SE/E),
+    each residual is within bound = 8 eps (pp + qq) (√(nκ) log2(2n) + nκ)
+    of its exact value on the same centred doubles: the FFT's normwise
+    error eps·O(log n) (Higham, ASNA §24.1) taken entrywise, through the
+    closed form. A witness within limit per coordinate leaves a residual of
+    at most 2n limit², so ``admitted``, the flat indices of residual within
+    2n limit² + bound, holds every correspondence that could verify, up to
+    the rounding of the centring and of the deviation check itself.
+    """
+    n = len(Pc)
+    fp, fq = np.fft.rfft(Pc.T), np.fft.rfft(Qc.T)
+    spectra = [fp.conj()[:, None] * fq] + ([fp[:, None] * fq] if reversal else [])
+    h00, h01, h10, h11 = np.fft.irfft(np.stack(spectra, axis=-1), n, axis=-2).reshape(4, n, -1)
+    (g00, g01), (_, g11) = (Pc.T @ Pc).tolist()
+    pp, qq = g00 + g11, float((Qc * Qc).sum())
+    if group in (Group.SE, Group.E):
+        fit = np.hypot(h00 + h11, h01 - h10)
+        if group is Group.E:
+            fit = np.maximum(fit, np.hypot(h00 - h11, h01 + h10))
+        residual, kappa = pp + qq - 2.0 * fit, 1.0
+    else:
+        det = g00 * g11 - g01 * g01
+        fit = g11 * (h00 * h00 + h01 * h01) - 2.0 * g01 * (h00 * h10 + h01 * h11) + g00 * (h10 * h10 + h11 * h11)
+        residual, kappa = qq - fit / det, pp * pp / det
+    bound = 8.0 * math.ulp(1.0) * (pp + qq) * (math.sqrt(n * kappa) * math.log2(2 * n) + n * kappa)
+    return residual, bound, np.flatnonzero(residual.ravel() <= 2 * n * limit ** 2 + bound)
 
 
 def align(
@@ -166,7 +158,16 @@ def align(
     mode: MatchMode = MatchMode.INDEX_ALIGNED,
     tol: float = DEFAULT_POINT_TOL,
 ) -> CongruenceVerdict:
-    """Exact congruence oracle: recover the unique candidate motion and verify.
+    """Congruence oracle: fit a least-squares witness motion and verify it pointwise.
+
+    A correspondence's witness is the group's least-squares linear map of
+    the centred point sets (``_witness_maps``) with the translation carrying
+    centroid to centroid. Cyclic modes scan all shifts at once
+    (``_shift_scan``) and verify only the admitted ones, in the order
+    identity, reversed shift+0, shift+1, reversed shift+1, ...; when none is
+    admitted, the least-residual shift is verified to report its deviation.
+    Under SA/Abar, NoNonCollinearTriple is raised when G = Pcᵀ Pc is
+    singular: det G <= n eps tr(G)², the rounding of its entries.
 
     Parameters
     ----------
@@ -175,7 +176,7 @@ def align(
     group : Group
         Transformation group the witness must belong to.
     mode : MatchMode
-        Index correspondence; cyclic modes (closed meshes only) retry over
+        Index correspondence; cyclic modes (closed meshes only) also try
         index rotations and optionally reversal.
     tol : float
         Maximum pointwise deviation, relative to the larger mesh diameter.
@@ -183,45 +184,42 @@ def align(
     Returns
     -------
     CongruenceVerdict
-        Congruent with the recovered witness, or NotCongruent with the best
-        failure reason across attempted correspondences.
+        Congruent with the verified witness, or NotCongruent with the
+        reason of the last correspondence tried.
     """
     if m1.n != m2.n:
         raise LengthMismatch(f"point counts differ: {m1.n} vs {m2.n}")
     if not is_ordinary(m1) or not is_ordinary(m2):
         raise NotOrdinary("alignment requires cusp-free meshes")
     scale = max(m1.diameter, m2.diameter)
-    P = m1.points
-    best_reason = "no candidate motion matched"
     if group in (Group.SE, Group.E) and abs(m1.diameter - m2.diameter) > tol * scale:
         return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
-    triple = _anchor_triple(P) if group in (Group.SA, Group.ABAR) else None
-    for idx, tag in _correspondences(m1.n, mode, m1.closed and m2.closed):
-        Q = m2.points[idx]
-        if group in (Group.SE, Group.E):
-            candidates, why = _euclidean_candidates(P[0], P[1], Q[0], Q[1], group, scale, tol)
-            if candidates is None:
-                best_reason = f"{why} ({tag})"
-                continue
-            mats = [(m, 0) for m in candidates]
-        else:
-            mats, why = _unimodular_candidate(P, Q, group, scale, tol, triple)
-            if mats is None:
-                best_reason = f"{why} ({tag})"
-                continue
-        for linear, anchor in mats:
-            translation = Q[anchor] - linear @ P[anchor]
-            deviation = float(np.abs(P @ linear.T + translation - Q).max())
-            if deviation <= tol * scale:
-                witness = GroupElement(linear, translation, group)
-                return CongruenceVerdict(
-                    Verdict.CONGRUENT,
-                    witness=witness,
-                    max_deviation=deviation,
-                    correspondence=tag,
-                )
-            best_reason = f"max deviation {deviation:.3e} over {tol * scale:.3e} ({tag})"
-    return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason=best_reason)
+    if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
+        raise NotClosed("cyclic match modes require closed meshes")
+    n, P, Q, limit = m1.n, m1.points, m2.points, tol * scale
+    p_mean, q_mean = P.sum(axis=0) / n, Q.sum(axis=0) / n
+    Pc, Qc = P - p_mean, Q - q_mean
+    if group in (Group.SA, Group.ABAR):
+        (g00, g01), (_, g11) = (Pc.T @ Pc).tolist()
+        if g00 * g11 - g01 * g01 <= n * math.ulp(1.0) * (g00 + g11) ** 2:
+            raise NoNonCollinearTriple("mesh points are collinear")
+    order, width, base = [0], 1, np.arange(n)
+    if mode is not MatchMode.INDEX_ALIGNED:
+        residual, _, order = _shift_scan(Pc, Qc, group, mode is MatchMode.CYCLIC_REVERSAL, limit)
+        order, width = order if len(order) else [residual.argmin()], residual.shape[1]
+    for shift, rev in (divmod(int(j), width) for j in order):
+        tag = f"reversed shift+{shift}" if rev else f"shift+{shift}" if shift else "identity"
+        idx = (shift - base) % n if rev else (base + shift) % n if shift else slice(None)
+        maps, why = _witness_maps(Pc, Qc[idx], group)
+        for linear in maps:
+            translation = q_mean - linear @ p_mean
+            deviation = float(np.abs(P @ linear.T + translation - Q[idx]).max())
+            if deviation <= limit:
+                return CongruenceVerdict(Verdict.CONGRUENT, witness=GroupElement(linear, translation, group),
+                                         max_deviation=deviation, correspondence=tag)
+            why = f"max deviation {deviation:.3e} over {limit:.3e}"
+        reason = f"{why} ({tag})"
+    return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason=reason)
 
 
 def _hyp_fail(reason: str) -> CongruenceVerdict:
@@ -630,7 +628,7 @@ def decide_eq4(m1: Mesh, m2: Mesh, endpoint_rule: str = "equal-end-angles", sig_
                    right_tol=right_tol, angle_tol=angle_tol)
 
 
-def decide_affine(m1: Mesh, m2: Mesh, variant: str = "thm5.7", sig_tol: float = 1e-6,
+def decide_affine(m1: Mesh, m2: Mesh, variant: str = "thm5.7", sig_tol: float = SIGNATURE_REL_TOL,
                   tol: float = DEFAULT_POINT_TOL) -> CongruenceVerdict:
     """Equiaffine decision rules over arc-length sets and EQ6 signatures.
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import CongruenceVerdict, _decide
+from .congruence import DEFAULT_POINT_TOL, CongruenceVerdict, _decide
 from .errors import InvalidStep
 from .geometry import Mesh
 from .signatures import SIGNATURE_REL_TOL
@@ -75,24 +75,15 @@ def valid_steps(n: int) -> list[int]:
 
 
 def totient(n: int) -> int:
-    """Euler's phi by trial-division factorization."""
+    """Euler's phi, n times the product of (1 - 1/p) over the primes p dividing n."""
     if n < 1:
         raise ValueError(f"totient needs n >= 1, got {n}")
-    result = n
-    remaining = n
-    p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            while remaining % p == 0:
-                remaining //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if remaining > 1:
-        result -= result // remaining
-    return result
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
-def decide_host(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: float = 1e-6,
+def decide_host(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: float = DEFAULT_POINT_TOL,
                 right_tol: float | None = None) -> CongruenceVerdict:
     """Closed-mesh congruence from 3-step data alone (rule host).
 

@@ -168,8 +168,8 @@ def sector(coef, S, F, center, window) -> tuple[Decimal, Fraction, list]:
         return abs(decimal(shoelace)) + r2 / 2 * sum(segment(d) for d in angles), shoelace, angles
 
 
-def gap_radicand(coef, S) -> tuple[Decimal | None, Decimal]:
-    """(radicand, lam): -F / (|lam| (AC - B^2)) with lam the larger-magnitude root of t^2 - (A+C) t + S.
+def gap_radicand(coef) -> tuple[Decimal | None, Decimal]:
+    """(radicand, lam): -F / (|lam| (AC - B^2)) with lam the larger-magnitude root of t^2 - (A+C) t + AC - B^2.
 
     radicand is None where the quotient divides by zero.
     """
@@ -177,7 +177,7 @@ def gap_radicand(coef, S) -> tuple[Decimal | None, Decimal]:
     tr = a + c
     with localcontext() as ctx:
         ctx.prec = DIGITS
-        root = sqrt(max(tr * tr - 4 * Fraction(float(S)), Fraction(0)))
+        root = sqrt((a - c) ** 2 + 4 * b * b)
         r1, r2 = (decimal(tr) + root) / 2, (decimal(tr) - root) / 2
         lam = r1 if abs(r1) > abs(r2) else r2 if abs(r2) > abs(r1) else max(r1, r2)
         s_exact, f_exact = invariants(coef)

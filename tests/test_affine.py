@@ -457,18 +457,13 @@ def check_gap_bound(mesh, i, kappa):
     if position is not None and kappa >= -PARABOLIC_TOL:
         assert position is WrongCurvatureSign
         position = None
-    coef, S = blk.coef[i], float(blk.S[i])
-    radicand, lam = exact.gap_radicand(coef, S)
+    coef = blk.coef[i]
+    radicand, lam = exact.gap_radicand(coef)
     if radicand is not None:
         (s, f), (s_scale, f_scale) = exact.invariants(coef), exact.invariant_scales(coef)
-        tr = Fraction(float(coef[0] + coef[2]))
-        disc, disc_error = tr * tr - 4 * Fraction(S), 2 * EPS * (tr * tr + 4 * abs(Fraction(S)))
-        root = Fraction(exact.sqrt(max(disc, 0)))
-        root_error = Fraction(exact.sqrt(disc_error))
-        if root:
-            root_error = min(root_error, disc_error / root)
-        root_error += EPS * root
-        rel = (root_error + 2 * EPS * abs(tr)) / abs(Fraction(lam))
+        a, b, c = exact.fractions(coef)[:3]
+        root = Fraction(exact.sqrt((a - c) ** 2 + 4 * b * b))
+        rel = (3 * EPS * root + 2 * EPS * abs(a + c)) / abs(Fraction(lam))
         rel += EPS * (70 * f_scale / abs(f) + 4 * s_scale / abs(s) + 4)
     if radicand is None or rel >= 1:
         assert got is ParabolicConic or got is NonRealMu or isinstance(got, float)
@@ -575,6 +570,12 @@ def equivalence_meshes():
     # one hyperbola branch in long steps: gaps on both sides of the gap bound mu = 2
     s = 0.7 * np.arange(-3, 4)
     out.append(ms.Mesh(np.column_stack([np.cosh(s), np.sinh(s)]) @ [[1.0, 0.0], [0.3, 1.0]] + [1.0, -2.0]))
+    # near-circular arcs, axes 1 and 1 + k 1e-9: the characteristic discriminant nearly vanishes
+    for k in (0, 1, 4, 30):
+        t = 0.3 * np.arange(7)
+        c, s = np.cos(0.7 * k + 0.2), np.sin(0.7 * k + 0.2)
+        arc = np.column_stack([np.cos(t), (1.0 + k * 1e-9) * np.sin(t)])
+        out.append(ms.Mesh(arc @ [[c, s], [-s, c]] + [3.0 - k, 0.5 * k]))
     return out
 
 

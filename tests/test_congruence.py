@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,14 @@ class TestAlign:
         assert not ms.align(m, reversed_, ms.Group.SE, MatchMode.CYCLIC).congruent
         assert ms.align(m, reversed_, ms.Group.SE, MatchMode.CYCLIC_REVERSAL).congruent
 
+    def test_cyclic_visit_order(self):
+        # every correspondence of a regular polygon onto itself or its mirror image has
+        # a witness, so the first one in the documented visiting order is returned
+        m = gen.circle_mesh(12)
+        mirror = ms.Mesh(m.points * [1.0, -1.0], closed=True)
+        assert ms.align(m, m, ms.Group.E, MatchMode.CYCLIC_REVERSAL).correspondence == "identity"
+        assert ms.align(m, mirror, ms.Group.SE, MatchMode.CYCLIC_REVERSAL).correspondence == "reversed shift+0"
+
     def test_cyclic_requires_closed(self):
         m = gen.random_ordinary_mesh(np.random.default_rng(24), 8)
         from meshsig.errors import NotClosed
@@ -79,80 +89,85 @@ class TestAlign:
             ms.align(m, m, ms.Group.SE, MatchMode.CYCLIC)
 
 
-def scalar_unimodular_candidate(P, Q, group, scale, tol):
-    # frozen reference: recomputes the P-only scale, tolerance and anchor triple per call
-    area_tol = 1e-9 * congruence._pointset_scale(P) ** 2
-    pick = None
-    for i in range(len(P) - 2):
-        if abs(orient(P[i], P[i + 1], P[i + 2])) > area_tol:
-            pick = i
-            break
-    if pick is None:
-        raise NoNonCollinearTriple("mesh has no non-collinear consecutive triple")
-    op = orient(P[pick], P[pick + 1], P[pick + 2])
-    oq = orient(Q[pick], Q[pick + 1], Q[pick + 2])
-    if group is ms.Group.SA:
-        if abs(op - oq) > tol * scale ** 2:
-            return None, f"triangle areas differ at triple {pick}"
-    elif abs(abs(op) - abs(oq)) > tol * scale ** 2:
-        return None, f"unsigned triangle areas differ at triple {pick}"
-    dp = np.column_stack([P[pick + 1] - P[pick], P[pick + 2] - P[pick]])
-    dq = np.column_stack([Q[pick + 1] - Q[pick], Q[pick + 2] - Q[pick]])
-    linear = dq @ np.linalg.inv(dp)
-    det = float(np.linalg.det(linear))
-    if group is ms.Group.SA and det <= 0:
-        return None, f"recovered map reverses orientation (det {det:.3g})"
-    if abs(abs(det) - 1.0) > 1e-6:
-        return None, f"recovered map is not unimodular (det {det:.6g})"
-    linear /= np.sqrt(abs(det))
-    return [(linear, pick)], ""
+def reference_align(m1, m2, group, mode=MatchMode.INDEX_ALIGNED, tol=congruence.DEFAULT_POINT_TOL):
+    """The anchor oracle that the least-squares witness replaced, kept as a reference.
 
-
-def scalar_align(m1, m2, group, mode=MatchMode.INDEX_ALIGNED, tol=congruence.DEFAULT_POINT_TOL):
-    # frozen reference: align before the P-only work was hoisted out of the shift loop
+    Per correspondence (identity, reversed shift+0, shift+1, ...) the motion
+    comes from the first edge (SE/E: the rotation, then for E the
+    reflection) or from the first consecutive triple whose area exceeds
+    1e-9 bbox² (SA/Abar, after an area prefilter and a 1e-6 det band), and
+    is verified pointwise. Reasons are not reproduced.
+    """
     if m1.n != m2.n:
-        raise LengthMismatch(f"point counts differ: {m1.n} vs {m2.n}")
+        raise LengthMismatch("point counts differ")
     if not ms.is_ordinary(m1) or not ms.is_ordinary(m2):
         raise NotOrdinary("alignment requires cusp-free meshes")
-    scale = max(m1.diameter, m2.diameter)
-    P = m1.points
-    best_reason = "no candidate motion matched"
-    if group in (ms.Group.SE, ms.Group.E) and abs(m1.diameter - m2.diameter) > tol * scale:
+    n, P, scale = m1.n, m1.points, max(m1.diameter, m2.diameter)
+    limit = tol * scale
+    euclidean = group in (ms.Group.SE, ms.Group.E)
+    if euclidean and abs(m1.diameter - m2.diameter) > limit:
         return ms.CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
-    for idx, tag in congruence._correspondences(m1.n, mode, m1.closed and m2.closed):
-        Q = m2.points[idx]
-        if group in (ms.Group.SE, ms.Group.E):
-            candidates, why = congruence._euclidean_candidates(P[0], P[1], Q[0], Q[1], group, scale, tol)
-            if candidates is None:
-                best_reason = f"{why} ({tag})"
-                continue
-            mats = [(m, 0) for m in candidates]
+    if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
+        raise NotClosed("cyclic match modes require closed meshes")
+    if not euclidean:
+        band = 1e-9 * (float(np.ptp(P, axis=0).max()) or 1.0) ** 2
+        picks = [i for i in range(n - 2) if abs(orient(P[i], P[i + 1], P[i + 2])) > band]
+        if not picks:
+            raise NoNonCollinearTriple("mesh has no non-collinear consecutive triple")
+        pick = picks[0]
+        dp = np.column_stack([P[pick + 1] - P[pick], P[pick + 2] - P[pick]])
+    base, trials = np.arange(n), [(np.arange(n), "identity")]
+    for s in range(n) if mode is not MatchMode.INDEX_ALIGNED else ():
+        trials += [((base + s) % n, f"shift+{s}")] if s else []
+        trials += [((s - base) % n, f"reversed shift+{s}")] if mode is MatchMode.CYCLIC_REVERSAL else []
+    for idx, tag in trials:
+        Q, maps = m2.points[idx], []
+        if euclidean:
+            dp, dq, anchor = P[1] - P[0], Q[1] - Q[0], 0
+            if abs(np.linalg.norm(dp) - np.linalg.norm(dq)) <= limit:
+                for mirror in (1.0, -1.0)[: 2 if group is ms.Group.E else 1]:
+                    ang = np.arctan2(dq[1], dq[0]) - np.arctan2(mirror * dp[1], dp[0])
+                    maps.append(np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]) @ np.diag([1.0, mirror]))
         else:
-            mats, why = scalar_unimodular_candidate(P, Q, group, scale, tol)
-            if mats is None:
-                best_reason = f"{why} ({tag})"
-                continue
-        for linear, anchor in mats:
+            op, oq, anchor = orient(*P[pick:pick + 3]), orient(*Q[pick:pick + 3]), pick
+            if abs(op - oq if group is ms.Group.SA else abs(op) - abs(oq)) <= tol * scale ** 2:
+                linear = np.column_stack([Q[pick + 1] - Q[pick], Q[pick + 2] - Q[pick]]) @ np.linalg.inv(dp)
+                det = float(np.linalg.det(linear))
+                if not (group is ms.Group.SA and det <= 0) and abs(abs(det) - 1.0) <= 1e-6:
+                    maps.append(linear / np.sqrt(abs(det)))
+        for linear in maps:
             translation = Q[anchor] - linear @ P[anchor]
             deviation = float(np.abs(P @ linear.T + translation - Q).max())
-            if deviation <= tol * scale:
+            if deviation <= limit:
                 witness = ms.GroupElement(linear, translation, group)
                 return ms.CongruenceVerdict(Verdict.CONGRUENT, witness=witness, max_deviation=deviation, correspondence=tag)
-            best_reason = f"max deviation {deviation:.3e} over {tol * scale:.3e} ({tag})"
-    return ms.CongruenceVerdict(Verdict.NOT_CONGRUENT, reason=best_reason)
+    return ms.CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="no candidate motion matched")
 
 
 def align_outcome(f, *args):
+    """(status or exception class, correspondence, witness deviation) of one call."""
     try:
         v = f(*args)
     except ms.MeshSigError as exc:
-        return type(exc), str(exc)
-    witness = None if v.witness is None else (v.witness.linear.tobytes(), v.witness.translation.tobytes())
-    return v.status, v.reason, repr(v.max_deviation), v.correspondence, witness
+        return type(exc), None, None
+    if not v.congruent:
+        return v.status, None, None
+    m1, m2 = args[:2]
+    matched = m2.points[tag_indices(v.correspondence, m1.n)]
+    return v.status, v.correspondence, float(np.abs(v.witness.apply(m1.points) - matched).max())
+
+
+def tag_indices(tag, n):
+    """Index map of a correspondence tag, rebuilt from its documented format."""
+    base = np.arange(n)
+    if tag == "identity":
+        return base
+    shift = int(tag.rsplit("+", 1)[1])
+    return (shift - base) % n if tag.startswith("reversed") else (base + shift) % n
 
 
 class TestCyclicAlignEquivalence:
-    """align equals its frozen per-shift reference bit for bit: verdict, witness, reason and tag."""
+    """align contains the anchor oracle: every reference Congruent is kept, with its correspondence."""
 
     def test_closed_outlines(self):
         rng = np.random.default_rng(25)
@@ -177,7 +192,10 @@ class TestCyclicAlignEquivalence:
                         continue
                     for mode in MatchMode:
                         got = align_outcome(ms.align, m1, m2, group, mode)
-                        assert got == align_outcome(scalar_align, m1, m2, group, mode)
+                        want = align_outcome(reference_align, m1, m2, group, mode)
+                        assert got[:2] == want[:2] or (got[0] is Verdict.CONGRUENT and want[0] is Verdict.NOT_CONGRUENT)
+                        if got[0] is Verdict.CONGRUENT:
+                            assert got[2] <= congruence.DEFAULT_POINT_TOL * max(m1.diameter, m2.diameter)
                         statuses.add(got[0])
         assert set(Verdict) - {Verdict.HYPOTHESES_NOT_MET} <= statuses
         assert NotClosed in statuses
@@ -186,8 +204,110 @@ class TestCyclicAlignEquivalence:
         line = ms.Mesh([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
         for mode in MatchMode:
             got = align_outcome(ms.align, line, line, ms.Group.SA, mode)
-            assert got == align_outcome(scalar_align, line, line, ms.Group.SA, mode)
+            assert got == align_outcome(reference_align, line, line, ms.Group.SA, mode)
             assert got[0] is (NoNonCollinearTriple if mode is MatchMode.INDEX_ALIGNED else NotClosed)
+
+
+def radial_outline(rng, n):
+    """Closed star-shaped outline with no symmetry: random low harmonics of the radius."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    r = 1.0 + sum(rng.uniform(-0.08, 0.08) * np.cos(k * t + rng.uniform(0.0, 2.0 * np.pi)) for k in range(2, 6))
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+CYCLIC_CASES = (
+    (ms.Group.SE, MatchMode.CYCLIC, False),
+    (ms.Group.E, MatchMode.CYCLIC_REVERSAL, True),
+    (ms.Group.SA, MatchMode.CYCLIC, False),
+    (ms.Group.ABAR, MatchMode.CYCLIC_REVERSAL, True),
+)
+
+
+def cyclic_image(rng, pts, group, reverse):
+    """(image points, true flat scan index shift * 2 + reversed) of pts under a random motion and start."""
+    n = len(pts)
+    linear = ms.random_motion(group, rng).linear @ np.diag([1.0, -1.0 if reverse else 1.0])
+    start = int(rng.integers(1, n))
+    order = (start - np.arange(n)) % n if reverse else (np.arange(n) + start) % n
+    return (pts @ linear.T + rng.uniform(-10.0, 10.0, size=2))[order], 2 * start + 1 if reverse else 2 * (n - start)
+
+
+def direct_residual(Pc, Qc, group):
+    """Least sum of squared residuals of one correspondence, summed directly after an SVD or lstsq fit."""
+    if group in (ms.Group.SA, ms.Group.ABAR):
+        linear = np.linalg.lstsq(Pc, Qc, rcond=None)[0].T
+    else:
+        u, _, vt = np.linalg.svd(Pc.T @ Qc)
+        d = 1.0 if group is ms.Group.E else np.sign(np.linalg.det(vt.T @ u.T))
+        linear = vt.T @ np.diag([1.0, d]) @ u.T
+    return float(((Pc @ linear.T - Qc) ** 2).sum())
+
+
+class TestLeastSquaresOracle:
+    def test_fine_circle_rotation_is_found(self):
+        # the anchor oracle raised NoNonCollinearTriple: consecutive triples fell below its area band
+        m = gen.circle_mesh(4000)
+        rolled = ms.Mesh(np.roll(m.points, 1234, axis=0), closed=True)
+        assert ms.align(m, rolled, ms.Group.SA, MatchMode.CYCLIC).congruent
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_noisy_images(self, n):
+        rng = np.random.default_rng(n)
+        pts = radial_outline(rng, n)
+        m = ms.Mesh(pts, closed=True)
+        for group, mode, reverse in CYCLIC_CASES:
+            aligned = ms.random_motion(group, rng).apply(pts)
+            shifted, _ = cyclic_image(rng, pts, group, reverse)
+            for image, match in ((aligned, MatchMode.INDEX_ALIGNED), (shifted, mode)):
+                noisy = ms.Mesh(image + rng.normal(scale=1e-8, size=image.shape), closed=True)
+                v = ms.align(m, noisy, group, match)
+                assert v.congruent, (group, match, v.reason)
+                assert v.max_deviation <= 1e-7
+                moved = noisy.points.copy()
+                moved[int(rng.integers(0, n))] += 1e3 * congruence.DEFAULT_POINT_TOL * max(m.diameter, noisy.diameter)
+                assert not ms.align(m, ms.Mesh(moved, closed=True), group, match).congruent
+
+    def test_scan_residuals_within_bound(self):
+        rng = np.random.default_rng(31)
+        for n in (3, 7, 64, 97, 250):
+            P = rng.normal(size=(n, 2)) * [1.0, rng.uniform(0.01, 1.0)] + rng.uniform(-100.0, 100.0, size=2)
+            for Q in (rng.normal(size=(n, 2)), P[(np.arange(n) + 5) % n] @ rng.normal(size=(2, 2))):
+                Pc, Qc = P - P.mean(axis=0), Q - Q.mean(axis=0)
+                for group in ms.Group:
+                    residual, bound, _ = congruence._shift_scan(Pc, Qc, group, True, 0.0)
+                    base = np.arange(n)
+                    for s in range(n):
+                        for rev, idx in enumerate(((base + s) % n, (s - base) % n)):
+                            assert abs(residual[s, rev] - direct_residual(Pc, Qc[idx], group)) <= bound
+
+    @pytest.mark.parametrize("n", [300, 3000])
+    def test_scan_admits_exactly_the_true_correspondence(self, n):
+        rng = np.random.default_rng(n + 1)
+        pts, other = radial_outline(rng, n), radial_outline(rng, n)
+        m = ms.Mesh(pts, closed=True)
+        Pc = m.points - m.points.mean(axis=0)
+        for group, _, reverse in CYCLIC_CASES:
+            image, true_index = cyclic_image(rng, pts, group, reverse)
+            # every point moved by 0.9 limit per coordinate: residual near 1.6 n limit², still admitted
+            edge = image + 0.9e-6 * m.diameter * rng.choice([-1.0, 1.0], size=image.shape)
+            for Q, expected in ((image, [true_index]), (edge, [true_index]), (other, [])):
+                Qc = Q - Q.mean(axis=0)
+                limit = congruence.DEFAULT_POINT_TOL * max(m.diameter, ms.Mesh(Q, closed=True).diameter)
+                admitted = congruence._shift_scan(Pc, Qc, group, True, limit)[2]
+                assert admitted.tolist() == expected, (group, reverse)
+
+    def test_cyclic_scan_memory_is_linear(self):
+        rng = np.random.default_rng(33)
+        pts = radial_outline(rng, 20000)
+        image, _ = cyclic_image(rng, pts, ms.Group.E, True)
+        m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh(image, closed=True)
+        tracemalloc.start()
+        try:
+            assert ms.align(m1, m2, ms.Group.E, MatchMode.CYCLIC_REVERSAL).congruent
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20  # an n x n float array would take 3.2 GB
 
 
 class TestCounterexamples:
