@@ -9,15 +9,15 @@ with the quadratic invariant S = AC - B^2 and the cubic invariant F the
 determinant of [[A,B,D],[B,C,E],[D,E,F0]]. The curvature S / cbrt(F)^2 is
 unchanged by coefficient rescaling and by unimodular maps.
 
-Each mesh carries one equiaffine block, built in one pass on first use and
-never changed afterwards. Row i of the block belongs to the window centred
-at p[i]: its conic (every window fitted by one stacked SVD), S, F, the
-curvature, the centre, the window's four consecutive arc lengths, its
-fineness and its hyperbola gap bound. A degenerate window is recorded in
-the block and raises only when that window is read. The per-index
-functions (`conic_at`, `affine_curvature`, `has_fine_area`, ...) read the
-block, and `fit_conic`, `invariants` and `kappa_from_invariants` run the
-same kernels on a one-row stack.
+Each mesh's derived data holds one equiaffine block, built in one pass on
+first use and never changed afterwards; its arrays are read-only. Row i of
+the block belongs to the window centred at p[i]: its conic (every window
+fitted by one stacked SVD), S, F, the curvature, the centre, the window's
+four consecutive arc lengths, its fineness and its hyperbola gap bound. A
+degenerate window is recorded in the block and raises only when that
+window is read. The per-index functions (`conic_at`, `affine_curvature`,
+`has_fine_area`, ...) read the block, and `fit_conic`, `invariants` and
+`kappa_from_invariants` run the same kernels on a one-row stack.
 
 Numerical contract: each kernel's docstring states a bound against the
 exact evaluation (rational arithmetic, roots and angles to 50 digits) of
@@ -52,6 +52,7 @@ from .geometry import (
     NeighborhoodSpec,
     Point2,
     SigDirection,
+    derived,
     is_convex,
     is_equally_spaced,
     is_ordinary,
@@ -373,6 +374,9 @@ class _Block:
             self.affine_fine = self.kappa_ok & np.where(
                 k > tol, (self.rho > 0.0) & self.fine_area, np.where(k < -tol, in_position, True)
             )
+        for name in self.__slots__:
+            if name != "fit_errors":
+                getattr(self, name).setflags(write=False)
 
 
 def _arcs(blk: _Block, rows: np.ndarray, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
@@ -397,15 +401,8 @@ def _arcs(blk: _Block, rows: np.ndarray, pk: np.ndarray, pl: np.ndarray) -> np.n
 
 
 def _block(mesh: Mesh) -> _Block:
-    """The mesh's equiaffine block, built on first use.
-
-    The block is written once; concurrent first uses may each build one,
-    but every build is identical, so whichever is kept is the same.
-    """
-    blk = mesh._affine
-    if blk is None:
-        blk = mesh._affine = _Block(mesh)
-    return blk
+    """The mesh's equiaffine block, an entry of its derived data built on first use."""
+    return derived(mesh, "affine", _Block)
 
 
 def _fit_window(mesh: Mesh, i: int) -> np.ndarray:
@@ -519,9 +516,10 @@ def interior_curvatures(mesh: Mesh) -> np.ndarray:
     fit and of the invariants (see the module docstring). Raises what the
     first failing center raises.
     """
-    blk, rows = _block(mesh), _span(affine_fine_interior(mesh))
+    blk, interior = _block(mesh), affine_fine_interior(mesh)
+    rows = _span(interior)
     _raise_first(rows[~blk.kappa_ok[rows]], lambda i: _kappa_row(mesh, i))
-    return blk.kappa[rows]
+    return blk.kappa[interior.start : interior.stop]
 
 
 def conic_center(c: ConicCoeffs, tol: float = PARABOLIC_TOL) -> Point2:
@@ -570,7 +568,8 @@ def interior_arc_length_sets(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     bounds of ``_arcs``, on the rows where ok is True; arc_length_set raises
     at the other rows.
     """
-    blk, rows = _block(mesh), _span(affine_fine_interior(mesh))
+    blk, interior = _block(mesh), affine_fine_interior(mesh)
+    rows = slice(interior.start, interior.stop)
     return blk.arcs[rows], blk.arc_ok[rows]
 
 

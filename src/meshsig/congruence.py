@@ -167,7 +167,12 @@ def align(
     identity, reversed shift+0, shift+1, reversed shift+1, ...; when none is
     admitted, the least-residual shift is verified to report its deviation.
     Under SA/Abar, NoNonCollinearTriple is raised when G = Pcᵀ Pc is
-    singular: det G <= n eps tr(G)², the rounding of its entries.
+    singular: det G <= n eps tr(G)², the rounding of its entries. Under
+    SE/E, meshes whose diameters differ by more than 2√2 limit + 64 eps
+    (M + scale) are rejected at once, M the largest coordinate magnitude: a
+    witness within limit per coordinate moves each point by at most √2
+    limit, and 64 eps (M + scale) covers the rounding of the diameters and
+    of the deviation check.
 
     Parameters
     ----------
@@ -191,12 +196,14 @@ def align(
         raise LengthMismatch(f"point counts differ: {m1.n} vs {m2.n}")
     if not is_ordinary(m1) or not is_ordinary(m2):
         raise NotOrdinary("alignment requires cusp-free meshes")
-    scale = max(m1.diameter, m2.diameter)
-    if group in (Group.SE, Group.E) and abs(m1.diameter - m2.diameter) > tol * scale:
-        return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
+    n, P, Q, scale = m1.n, m1.points, m2.points, max(m1.diameter, m2.diameter)
+    limit = tol * scale
+    if group in (Group.SE, Group.E):
+        rounding = 64 * math.ulp(1.0) * (max(float(np.abs(P).max()), float(np.abs(Q).max())) + scale)
+        if abs(m1.diameter - m2.diameter) > 2 * math.sqrt(2) * limit + rounding:
+            return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
     if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
         raise NotClosed("cyclic match modes require closed meshes")
-    n, P, Q, limit = m1.n, m1.points, m2.points, tol * scale
     p_mean, q_mean = P.sum(axis=0) / n, Q.sum(axis=0) / n
     Pc, Qc = P - p_mean, Q - q_mean
     if group in (Group.SA, Group.ABAR):
@@ -258,7 +265,7 @@ def _first_event(*events: np.ndarray) -> tuple[int, int] | None:
 
 def _signed_angles(mesh: Mesh, spec: NeighborhoodSpec) -> np.ndarray:
     """signed_angle at every center of the spec's interior, whose arms the rules reading it never let be zero."""
-    sign, theta, _ = triple_angles(mesh, mesh.interior(spec.m1, spec.m2), spec)
+    sign, theta, _ = triple_angles(mesh, spec)
     return sign * theta
 
 
@@ -313,7 +320,7 @@ def _equal(values, tol: str, what: str):
 
 def _same_directions(m1, m2, p):
     centers = m1.interior()
-    s1, s2 = (triple_angles(m, centers)[0] for m in (m1, m2))
+    s1, s2 = (triple_angles(m).sign for m in (m1, m2))
     hit = _first_event((s1 == 0) | (s2 == 0), s1 != s2)
     if hit is None:
         return None
@@ -324,14 +331,14 @@ def _same_directions(m1, m2, p):
 def _angle_types(spec: NeighborhoodSpec, signed: bool):
     """Equal angle types (with equal signature signs when signed) of the spec's triples at every center."""
 
-    def types(mesh, centers, band):
-        sign, theta, zero_arm = triple_angles(mesh, centers, spec)
+    def types(mesh, band):
+        sign, theta, zero_arm = triple_angles(mesh, spec)
         kind = angle_types(theta, band)  # 0 where undefined
         return (sign * kind if signed else kind), zero_arm
 
     def check(m1, m2, p):
         centers = m1.interior(spec.m1, spec.m2)
-        (t1, z1), (t2, z2) = (types(m, centers, _band(p)) for m in (m1, m2))
+        (t1, z1), (t2, z2) = (types(m, _band(p)) for m in (m1, m2))
         hit = _first_event(z1, t1 == 0, z2, t2 == 0, t1 != t2)
         if hit is None:
             return None

@@ -13,7 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateStencil, DegenerateTriple, MeshTooShort, NotOrdinary, SchemeSpacingMismatch
-from .geometry import SPEC11, Mesh, NeighborhoodSpec, edge_lengths, is_equally_spaced, is_ordinary, row_norms
+from .geometry import (
+    SPEC11,
+    Mesh,
+    NeighborhoodSpec,
+    _frozen,
+    derived,
+    edge_lengths,
+    is_equally_spaced,
+    is_ordinary,
+    neighbor_triples,
+    row_norms,
+)
 from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
 
 # Denominator chords smaller than this fraction of the diameter abort the quotient.
@@ -60,26 +71,33 @@ def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> 
     return curvature_of_triple(mesh.p(i, -spec.m1), mesh.p(i), mesh.p(i, spec.m2))
 
 
+def _interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
+    return _frozen(*_curvatures(*neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)))
+
+
 def _stencil_curvatures(mesh: Mesh, centers: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
     # kappa at the given centers, raising at the first degenerate stencil; closed meshes wrap,
     # open ones must hold the stencils
-    pts, n = mesh.points, mesh.n
-    kappa, degenerate = _curvatures(pts[(centers - spec.m1) % n], pts[centers % n], pts[(centers + spec.m2) % n])
-    if degenerate.any():
-        raise DegenerateTriple(f"two stencil points coincide at index {centers[degenerate.argmax()] % n}")
-    return kappa
+    kappa, degenerate = derived(mesh, ("curvature", spec.m1, spec.m2), _interior_curvatures, spec)
+    rows = centers % mesh.n - mesh.interior(spec.m1, spec.m2).start
+    if degenerate[rows].any():
+        raise DegenerateTriple(f"two stencil points coincide at index {centers[degenerate[rows].argmax()] % mesh.n}")
+    return kappa[rows]
 
 
 def interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> np.ndarray:
-    """Curvature at every center of ``mesh.interior(m1, m2)``, as one array.
+    """Curvature at every center of ``mesh.interior(m1, m2)``, as one read-only array.
 
     Each value is :func:`euclidean_curvature`'s at its center, within
     eps * (a + b + c) / (b + c - a) (relative) of the exact reciprocal
     circumradius of the same doubles, for sides a >= b >= c. Raises
-    DegenerateTriple when any stencil has two coinciding points.
+    DegenerateTriple when any stencil has two coinciding points. Built once
+    per mesh and stencil.
     """
-    interior = mesh.interior(spec.m1, spec.m2)
-    return _stencil_curvatures(mesh, np.arange(interior.start, interior.stop), spec)
+    kappa, degenerate = derived(mesh, ("curvature", spec.m1, spec.m2), _interior_curvatures, spec)
+    if degenerate.any():
+        raise DegenerateTriple(f"two stencil points coincide at index {mesh.interior(spec.m1, spec.m2)[degenerate.argmax()]}")
+    return kappa
 
 
 def chord(mesh: Mesh, i: int, j: int) -> float:

@@ -181,9 +181,16 @@ class Mesh:
     including the wrap edge of closed meshes). Cusps are permitted at
     construction and reported by :func:`is_ordinary`. The points are copied
     and frozen; the caller's array is left as it was.
+
+    Everything computed from the points alone, or from the points and one
+    stencil, is kept in one store of derived data (see :func:`derived`):
+    the edge lengths, the ordinary and convex flags, each stencil's signs,
+    vertex angles, zero-arm flags and Euclidean curvatures, and the
+    equiaffine block. An entry is built on first use and never changed;
+    its arrays are read-only.
     """
 
-    __slots__ = ("_points", "closed", "label", "_diameter", "_affine")
+    __slots__ = ("_points", "closed", "label", "_diameter", "_derived")
 
     def __init__(self, points, closed: bool = False, label: str = ""):
         pts = _as_points(points)
@@ -203,11 +210,12 @@ class Mesh:
             i = int(too_close[0])
             raise InvalidMesh(f"successive points {i} and {(i + 1) % len(pts)} coincide")
         pts.setflags(write=False)
+        edges.setflags(write=False)
         self._points = pts
         self.closed = bool(closed)
         self.label = label
         self._diameter = diameter
-        self._affine = None  # equiaffine block, built by the affine module on first use
+        self._derived = {"edges": edges}
 
     @property
     def points(self) -> np.ndarray:
@@ -255,13 +263,30 @@ class Mesh:
         return Mesh(points, closed=self.closed, label=self.label if label is None else label)
 
 
+def derived(mesh: Mesh, key, build, *args):
+    """The mesh's derived value under ``key``: ``build(mesh, *args)`` on first use, the stored value after.
+
+    A key names an entry kind, and its stencil where it has one, never a
+    tolerance, so a mesh stores a bounded number of entries. Entries are
+    never changed once stored and their arrays are read-only. Concurrent
+    first uses may each build the entry; ``setdefault`` keeps one of the
+    identical builds. A build that raises stores nothing.
+    """
+    value = mesh._derived.get(key)
+    if value is None:
+        value = mesh._derived.setdefault(key, build(mesh, *args))
+    return value
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def edge_lengths(mesh: Mesh) -> np.ndarray:
-    """Consecutive edge lengths, including the wrap edge of a closed mesh."""
-    pts = mesh.points
-    edges = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    if mesh.closed:
-        edges = np.append(edges, np.linalg.norm(pts[0] - pts[-1]))
-    return edges
+    """Consecutive edge lengths, including the wrap edge of a closed mesh, as a read-only array."""
+    return mesh._derived["edges"]
 
 
 class GroupElement:
@@ -446,8 +471,7 @@ def is_equally_spaced(mesh: Mesh, rel_tol: float = SPACING_REL_TOL) -> bool:
     return float(edges.max() - edges.min()) <= rel_tol * float(edges.max())
 
 
-def is_ordinary(mesh: Mesh) -> bool:
-    """True when the mesh has no cusp (p[i+1] never returns onto p[i-1])."""
+def _ordinary(mesh: Mesh) -> bool:
     pts = mesh.points
     if mesh.closed:
         spans = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
@@ -456,34 +480,48 @@ def is_ordinary(mesh: Mesh) -> bool:
     return not (row_norms(spans) <= COLLINEARITY_REL_TOL * mesh.diameter).any()
 
 
+def is_ordinary(mesh: Mesh) -> bool:
+    """True when the mesh has no cusp (p[i+1] never returns onto p[i-1])."""
+    return derived(mesh, "ordinary", _ordinary)
+
+
 def neighbor_triples(mesh: Mesh, centers: range, spec: NeighborhoodSpec = SPEC11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p[i-m1], p[i], p[i+m2]) for every center i of a range, as three (k, 2) arrays."""
     c, pts, n = np.arange(centers.start, centers.stop), mesh.points, mesh.n
     return pts[(c - spec.m1) % n], pts[c], pts[(c + spec.m2) % n]
 
 
-def _vertex_angles(prev: np.ndarray, mid: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    # angle() of each triple, in its operation order; 0 where an arm has zero length
+def _vertex_angles(cross: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # angle() of each triple with arms u, v and cross product u x v up to sign; 0 where an arm has zero length
+    return np.arctan2(np.abs(cross), (u[:, None, :] @ v[:, :, None]).ravel())
+
+
+class StencilAngles(NamedTuple):
+    """Per center of ``mesh.interior(m1, m2)``: the data of its (m1, m2)-triple, as read-only arrays."""
+
+    sign: np.ndarray      # signature_sign
+    theta: np.ndarray     # angle, 0 where zero_arm holds
+    zero_arm: np.ndarray  # an arm has zero length, so angle raises DegenerateArm
+
+
+def _stencil_angles(mesh: Mesh, spec: NeighborhoodSpec) -> StencilAngles:
+    prev, mid, nxt = neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)
     u, v = prev - mid, nxt - mid
-    return np.arctan2(np.abs(orient_rows(mid, prev, nxt)), (u[:, None, :] @ v[:, :, None]).ravel())
-
-
-def _signs(mesh: Mesh, prev: np.ndarray, mid: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    # signature_sign() of each triple
+    # orient(mid, nxt, prev) is signature_sign's cross product and, negated exactly, angle's
     cross = orient_rows(mid, nxt, prev)
-    return np.where(np.abs(cross) <= COLLINEARITY_REL_TOL * mesh.diameter ** 2, 0, np.where(cross > 0, 1, -1))
+    sign = np.where(np.abs(cross) <= COLLINEARITY_REL_TOL * mesh.diameter ** 2, 0, np.where(cross > 0, 1, -1))
+    zero_arm = (row_norms(u) == 0.0) | (row_norms(v) == 0.0)
+    return StencilAngles(*_frozen(sign, _vertex_angles(cross, u, v), zero_arm))
 
 
-def triple_angles(mesh: Mesh, centers: range, spec: NeighborhoodSpec = SPEC11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sign, theta, zero_arm) of the (m1, m2)-triples at the centers, as arrays.
+def triple_angles(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> StencilAngles:
+    """(sign, theta, zero_arm) of the (m1, m2)-triples at every center of ``mesh.interior(m1, m2)``.
 
     sign equals :func:`signature_sign` and theta equals :func:`angle` bit for
     bit, except on the triples that zero_arm marks: there an arm has zero
-    length and angle raises DegenerateArm.
+    length and angle raises DegenerateArm. Built once per mesh and stencil.
     """
-    prev, mid, nxt = neighbor_triples(mesh, centers, spec)
-    zero_arm = (row_norms(prev - mid) == 0.0) | (row_norms(nxt - mid) == 0.0)
-    return _signs(mesh, prev, mid, nxt), _vertex_angles(prev, mid, nxt), zero_arm
+    return derived(mesh, ("angles", spec.m1, spec.m2), _stencil_angles, spec)
 
 
 def angle_types(theta: np.ndarray, tol: float = RIGHT_ANGLE_TOL) -> np.ndarray:
@@ -493,26 +531,29 @@ def angle_types(theta: np.ndarray, tol: float = RIGHT_ANGLE_TOL) -> np.ndarray:
     return np.where((0.0 < theta) & (theta < np.pi), kind, 0)
 
 
+def _convex(mesh: Mesh) -> bool:
+    signs, theta, _ = triple_angles(mesh)
+    if (signs == 0).any() or (signs != signs[0]).any():
+        return False
+    if mesh.closed:
+        turning = float(np.sum(signs * (np.pi - theta)))
+        if abs(abs(turning) - 2.0 * np.pi) > 1e-6:
+            return False
+    return True
+
+
 def is_convex(mesh: Mesh) -> bool:
     """Consistent nonzero turning at every interior point.
 
     Closed meshes must additionally wind exactly once (total turning
     +-2pi), which rules out multiply-wound star traversals.
     """
-    prev, mid, nxt = neighbor_triples(mesh, mesh.interior())
-    signs = _signs(mesh, prev, mid, nxt)
-    if (signs == 0).any() or (signs != signs[0]).any():
-        return False
-    if mesh.closed:
-        turning = float(np.sum(signs * (np.pi - _vertex_angles(prev, mid, nxt))))
-        if abs(abs(turning) - 2.0 * np.pi) > 1e-6:
-            return False
-    return True
+    return derived(mesh, "convex", _convex)
 
 
 def is_fine(mesh: Mesh, tol: float = RIGHT_ANGLE_TOL) -> bool:
     """True when every interior vertex angle is obtuse."""
-    return bool((angle_types(_vertex_angles(*neighbor_triples(mesh, mesh.interior())), tol) == 3).all())
+    return bool((angle_types(triple_angles(mesh).theta, tol) == 3).all())
 
 
 def circumcircle(p, q, r) -> tuple[Point2, float]:

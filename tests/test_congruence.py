@@ -57,6 +57,24 @@ class TestAlign:
         assert v.status is Verdict.NOT_CONGRUENT
         assert "diameter" in v.reason
 
+    def test_diameter_reject_is_admissible(self):
+        # the diameter's endpoints pushed apart by 0.9 limit per coordinate: the identity stays within limit
+        pts = radial_outline(np.random.default_rng(0), 300)
+        far = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        i, j = np.unravel_index(far.argmax(), far.shape)
+        m = ms.Mesh(pts, closed=True)
+        push = 0.9 * congruence.DEFAULT_POINT_TOL * m.diameter * np.sign(pts[j] - pts[i])
+        moved = pts.copy()
+        moved[i] -= push
+        moved[j] += push
+        pushed = ms.Mesh(moved, closed=True)
+        limit = congruence.DEFAULT_POINT_TOL * pushed.diameter
+        assert pushed.diameter - m.diameter > 2.0 * limit
+        for group in ms.Group:
+            v = ms.align(m, pushed, group)
+            assert v.congruent, (group, v.reason)
+            assert v.max_deviation <= limit
+
     def test_collinear_mesh_has_no_sa_anchor(self):
         m = ms.Mesh([(0, 0), (1, 0), (2, 0), (3, 0)])
         with pytest.raises(NoNonCollinearTriple):
