@@ -47,7 +47,6 @@ from .geometry import (
     neighbor_triples,
     orient_rows,
     row_norms,
-    signed_angle,
     triple_angles,
 )
 from .signatures import SIGNATURE_REL_TOL, Scheme, signature_max_error
@@ -382,15 +381,23 @@ def _closing_chord(m1, m2, p):
     return f"closing (1,2)-span chords |p[{n - 4}] - p[{n - 1}]| differ"
 
 
+def _end_angle(mesh: Mesh, i: int) -> float:
+    """signed_angle(mesh, i, SPEC33) at index 3 or n - 4 of an open mesh, read from the stored (3,3) triples."""
+    sign, theta, zero_arm = triple_angles(mesh, SPEC33)
+    if zero_arm[i - 3]:
+        angle(mesh, i, SPEC33)  # raises DegenerateArm
+    return float(sign[i - 3] * theta[i - 3])
+
+
 def _end_angles(m1, m2, p):
     if m1.closed:
         return None
-    e1, e2 = ([signed_angle(m, i, SPEC33) for i in (3, m.n - 4)] for m in (m1, m2))
+    e1, e2 = ([_end_angle(m, i) for i in (3, m.n - 4)] for m in (m1, m2))
     return _values_differ(e1, e2, p["angle_tol"], "end signed 3-angles")
 
 
 def _obtuse_start(m1, m2, p):
-    if m1.closed or all(signed_angle(m, 3, SPEC33) >= np.pi / 2.0 for m in (m1, m2)):
+    if m1.closed or all(_end_angle(m, 3) >= np.pi / 2.0 for m in (m1, m2)):
         return None
     return "starting signed 3-angle below pi/2"
 

@@ -9,6 +9,7 @@ in-memory floats bit for bit; an SVG polyline plot is available for eyes.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,30 +32,60 @@ def read_mesh(path, closed: bool | None = None) -> Mesh:
 
 
 def read_mesh_csv(path, closed: bool = False) -> Mesh:
+    """Load a mesh from "x,y" rows; each coordinate is ``float(field)``.
+
+    '#' starts a comment, blank lines are skipped, and leading rows whose
+    fields are all non-numeric are headers. A bad row raises MeshParseError
+    naming its line.
+    """
     path = Path(path)
-    rows = []
-    label = path.stem
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    coords = _csv_coords(path)
+    try:
+        return Mesh(coords, closed=closed, label=path.stem)
+    except Exception as exc:
+        raise MeshParseError(f"{path.name}: {exc}") from exc
+
+
+def _csv_coords(path: Path) -> np.ndarray:
+    text = path.read_text()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(filter(str.strip, lines))
+    start = 0
+    while start < len(rows) and _is_header(rows[start]):
+        start += 1
+    data = rows[start:]
+    if data and set(map(str.count, data, repeat(","))) == {1}:
+        fields = chain.from_iterable(map(str.split, data, repeat(",")))
+        try:
+            return np.fromiter(map(float, fields), float, 2 * len(data)).reshape(-1, 2)
+        except ValueError:
+            pass
+    raise _csv_error(path.name, lines)
+
+
+def _is_header(row: str) -> bool:
+    fields = row.split(",")
+    return len(fields) == 2 and not any(map(_is_number, fields))
+
+
+def _csv_error(name: str, lines: list[str]) -> MeshParseError:
+    """The error of the first bad row of a mesh CSV, or of a file without data rows."""
+    data_started = False
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
-            raise MeshParseError(f"{path.name}, line {lineno}: expected two fields, got {len(fields)}")
-        try:
-            rows.append((float(fields[0]), float(fields[1])))
-        except ValueError:
-            if not rows and all(not _is_number(f) for f in fields):
-                continue  # header row
-            raise MeshParseError(
-                f"{path.name}, line {lineno}: non-numeric field {fields[0]!r} or {fields[1]!r}"
-            ) from None
-    if not rows:
-        raise MeshParseError(f"{path.name}: no data rows")
-    try:
-        return Mesh(np.array(rows), closed=closed, label=label)
-    except Exception as exc:
-        raise MeshParseError(f"{path.name}: {exc}") from exc
+            return MeshParseError(f"{name}, line {lineno}: expected two fields, got {len(fields)}")
+        numeric = [_is_number(f) for f in fields]
+        if all(numeric):
+            data_started = True
+        elif data_started or any(numeric):
+            return MeshParseError(f"{name}, line {lineno}: non-numeric field {fields[0]!r} or {fields[1]!r}")
+    return MeshParseError(f"{name}: no data rows")
 
 
 def _is_number(text: str) -> bool:

@@ -37,6 +37,49 @@ class TestMeshIO:
         with pytest.raises(meshio.MeshParseError, match="two fields"):
             meshio.read_mesh_csv(path)
 
+    def test_csv_coordinates_are_float_of_each_field(self, tmp_path):
+        pairs = [(" 1.5 ", "-2e-3"), ("1_000.25", "3E+2"), ("\t0.1", " 7 "), (".5", "-0.0"),
+                 ("1e-320", "12.345678901234567890123"), ("-1_2.5e-1_0", "4.0")]
+        rows = [f"{a},{b}" for a, b in pairs]
+        text = "\r\n".join([
+            "x , y",
+            "name,label  # a second header row",
+            "# a full-line comment",
+            "",
+            rows[0],
+            "   ",
+            rows[1] + "# trailing",
+            rows[2] + "  # trailing, with a comma",
+            "\t",
+            *rows[3:],
+            "",
+        ])
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        want = np.array([[float(a), float(b)] for a, b in pairs])
+        got = meshio.read_mesh_csv(path).points
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0\n1,0,3\n", "bad.csv, line 2: expected two fields, got 3"),
+        ("x,y,z\n0,0\n", "bad.csv, line 1: expected two fields, got 3"),
+        ("x,y\n# note\n0,0\n\n1,zzz\n2,1\n", "bad.csv, line 5: non-numeric field '1' or 'zzz'"),
+        ("0,0\nx,y\n", "bad.csv, line 2: non-numeric field 'x' or 'y'"),
+        ("x,1\n0,0\n", "bad.csv, line 1: non-numeric field 'x' or '1'"),
+        ("0,0\n1,zzz\n2,1,5\n", "bad.csv, line 2: non-numeric field '1' or 'zzz'"),
+        ("", "bad.csv: no data rows"),
+        ("x,y\n# only a header\n", "bad.csv: no data rows"),
+        ("0,0\n0,0\n1,0\n", "bad.csv: successive points 0 and 1 coincide"),
+        ("0,0\n1,nan\n2,1\n", "bad.csv: non-finite coordinates at point 1"),
+        ("0,0\n1,0\n", "bad.csv: mesh needs at least 3 points, got 2"),
+    ])
+    def test_csv_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(meshio.MeshParseError) as info:
+            meshio.read_mesh_csv(path)
+        assert str(info.value) == message
+
     def test_json_roundtrip(self, tmp_path):
         mesh = gen.circle_mesh(8)
         path = tmp_path / "m.json"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,14 @@ import meshsig as ms
 from meshsig import congruence
 from meshsig import generators as gen
 from meshsig.congruence import MatchMode, Verdict
-from meshsig.errors import LengthMismatch, NoNonCollinearTriple, NotClosed, NotOrdinary
+from meshsig.errors import (
+    DegenerateArm,
+    DegenerateTriple,
+    LengthMismatch,
+    NoNonCollinearTriple,
+    NotClosed,
+    NotOrdinary,
+)
 from meshsig.geometry import orient
 from meshsig.signatures import signature_max_error
 
@@ -23,6 +31,22 @@ def convex_equal_step_mesh(seed, n=12):
         if k < n - 2:
             heading += turns[k]
     return ms.Mesh(np.array(pts))
+
+
+def pushed_diameter_pair():
+    """A radial outline and its copy with the diameter's endpoints pushed apart by 0.9 limit per coordinate.
+
+    The diameters differ by about 1.8 limit, but the identity stays within limit.
+    """
+    pts = radial_outline(np.random.default_rng(0), 300)
+    far = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+    i, j = np.unravel_index(far.argmax(), far.shape)
+    m = ms.Mesh(pts, closed=True)
+    push = 0.9 * congruence.DEFAULT_POINT_TOL * m.diameter * np.sign(pts[j] - pts[i])
+    moved = pts.copy()
+    moved[i] -= push
+    moved[j] += push
+    return m, ms.Mesh(moved, closed=True)
 
 
 class TestAlign:
@@ -58,16 +82,7 @@ class TestAlign:
         assert "diameter" in v.reason
 
     def test_diameter_reject_is_admissible(self):
-        # the diameter's endpoints pushed apart by 0.9 limit per coordinate: the identity stays within limit
-        pts = radial_outline(np.random.default_rng(0), 300)
-        far = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
-        i, j = np.unravel_index(far.argmax(), far.shape)
-        m = ms.Mesh(pts, closed=True)
-        push = 0.9 * congruence.DEFAULT_POINT_TOL * m.diameter * np.sign(pts[j] - pts[i])
-        moved = pts.copy()
-        moved[i] -= push
-        moved[j] += push
-        pushed = ms.Mesh(moved, closed=True)
+        m, pushed = pushed_diameter_pair()
         limit = congruence.DEFAULT_POINT_TOL * pushed.diameter
         assert pushed.diameter - m.diameter > 2.0 * limit
         for group in ms.Group:
@@ -123,7 +138,9 @@ def reference_align(m1, m2, group, mode=MatchMode.INDEX_ALIGNED, tol=congruence.
     n, P, scale = m1.n, m1.points, max(m1.diameter, m2.diameter)
     limit = tol * scale
     euclidean = group in (ms.Group.SE, ms.Group.E)
-    if euclidean and abs(m1.diameter - m2.diameter) > limit:
+    # a witness within limit per coordinate moves each point by at most sqrt(2) limit
+    rounding = 64 * math.ulp(1.0) * (max(float(np.abs(P).max()), float(np.abs(m2.points).max())) + scale)
+    if euclidean and abs(m1.diameter - m2.diameter) > 2 * math.sqrt(2) * limit + rounding:
         return ms.CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
     if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
         raise NotClosed("cyclic match modes require closed meshes")
@@ -217,6 +234,17 @@ class TestCyclicAlignEquivalence:
                         statuses.add(got[0])
         assert set(Verdict) - {Verdict.HYPOTHESES_NOT_MET} <= statuses
         assert NotClosed in statuses
+
+    def test_pair_in_the_diameter_band(self):
+        # diameters differ by more than limit and less than 2 sqrt(2) limit: both oracles find the identity
+        m, pushed = pushed_diameter_pair()
+        limit = congruence.DEFAULT_POINT_TOL * pushed.diameter
+        assert limit < pushed.diameter - m.diameter < 2.0 * math.sqrt(2) * limit
+        for group in ms.Group:
+            for mode in MatchMode:
+                got = align_outcome(ms.align, m, pushed, group, mode)
+                want = align_outcome(reference_align, m, pushed, group, mode)
+                assert got[:2] == want[:2] == (Verdict.CONGRUENT, "identity"), (group, mode)
 
     def test_all_collinear_raises_after_not_closed(self):
         line = ms.Mesh([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
@@ -573,6 +601,33 @@ class TestDecideEq4:
         pts[0] = pts[0] + np.array([0.11, -0.07])
         v = ms.decide_eq4(m, ms.Mesh(pts))
         assert v.status is Verdict.HYPOTHESES_NOT_MET
+
+    def test_end_angles_and_their_zero_arms(self):
+        # the end rules read the stored (3,3) triples; values and exceptions are signed_angle's
+        spec33 = ms.NeighborhoodSpec(3, 3)
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            m = gen.random_unequally_spaced_mesh(rng, int(rng.integers(8, 20)))
+            for i in (3, m.n - 4):
+                assert congruence._end_angle(m, i) == ms.signed_angle(m, i, spec33)
+        pts = gen.random_unequally_spaced_mesh(rng, 14).points
+        start, end = pts.copy(), pts.copy()
+        start[3] = start[0]
+        end[-1] = end[-4]
+        start, end = ms.Mesh(start), ms.Mesh(end)
+        p = {"angle_tol": 1e-9}
+        for m, i, checks in ((start, 3, (congruence._end_angles, congruence._obtuse_start)), (end, 10, (congruence._end_angles,))):
+            with pytest.raises(DegenerateArm, match=f"^zero-length angle arm at index {i}$"):
+                ms.signed_angle(m, i, spec33)
+            for check in checks:
+                with pytest.raises(DegenerateArm, match=f"^zero-length angle arm at index {i}$"):
+                    check(m, m, p)
+        assert congruence._obtuse_start(end, end, p) in (None, "starting signed 3-angle below pi/2")
+        # through the rule, p[0] == p[3] is met first by the (3,1) curvatures, p[n-1] == p[n-4] by the end angles
+        with pytest.raises(DegenerateTriple, match="^two stencil points coincide at index 3$"):
+            ms.decide_eq4(start, start)
+        with pytest.raises(DegenerateArm, match="^zero-length angle arm at index 10$"):
+            ms.decide_eq4(end, end)
 
     def test_too_short_open(self):
         m = gen.random_unequally_spaced_mesh(np.random.default_rng(39), 7)

@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import meshsig as ms
-from meshsig import generators as gen
+from meshsig import generators as gen, geometry
 from meshsig.errors import (
     CollinearPoints,
     DegenerateArm,
@@ -13,7 +14,15 @@ from meshsig.errors import (
     InvalidMesh,
     OutOfDomain,
 )
-from meshsig.geometry import GROUP_TOL, _pointset_diameter, edge_lengths, row_norms
+from meshsig.geometry import (
+    GROUP_TOL,
+    _hull_diameter,
+    _monotone_chain as monotone_chain,
+    _pointset_diameter,
+    edge_lengths,
+    orient,
+    row_norms,
+)
 
 
 class TestMesh:
@@ -51,14 +60,77 @@ class TestMesh:
 
 
 def dense_diameter(pts):
-    # the O(n^2) reference: every pairwise distance
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    # the O(n^2) reference: every pairwise distance, 256 rows at a time
+    pts = np.asarray(pts, dtype=float)
+    best = 0.0
+    for k in range(0, len(pts), 256):
+        diff = pts[k:k + 256, None, :] - pts[None, :, :]
+        best = max(best, float(np.sqrt((diff ** 2).sum(axis=2)).max()))
+    return best
+
+
+def calipers_diameter(pts):
+    """The Python monotone-chain hull and rotating calipers that Mesh() used before its array code.
+
+    Kept as the reference for sets too large for the dense form.
+    """
+    sorted_pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+
+    def half(points):
+        chain = []
+        for p in points:
+            while len(chain) >= 2 and orient(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = half(sorted_pts)[:-1] + half(reversed(sorted_pts))[:-1]
+    h = len(hull)
+
+    def dist2(a, b):
+        dx = a[0] - b[0]
+        dy = a[1] - b[1]
+        return dx * dx + dy * dy
+
+    if h < 3:
+        return math.sqrt(dist2(hull[0], hull[-1]))
+    best = 0.0
+    j = 1
+    for i in range(h):
+        a, b = hull[i], hull[(i + 1) % h]
+        while orient(a, b, hull[(j + 1) % h]) > orient(a, b, hull[j]):
+            j = (j + 1) % h
+        for k in (j - 1, j, (j + 1) % h):
+            best = max(best, dist2(a, hull[k]), dist2(b, hull[k]))
+    return math.sqrt(best)
 
 
 def regular_polygon(n, radius=1.0, phase=0.0):
     t = phase + 2.0 * np.pi * np.arange(n) / n
     return radius * np.column_stack([np.cos(t), np.sin(t)])
+
+
+def turning_walk(rng, n, step):
+    """Open polyline with smooth turns of either sign, as the se-outlines benchmark draws them."""
+    k = np.arange(n - 1)
+    turns = 0.02 * np.sin(2.0 * np.pi * k / rng.uniform(200, 600) + rng.uniform(0, 6.3))
+    heading = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(turns + rng.uniform(-0.01, 0.01, size=n - 1))
+    edges = np.reshape(step, (-1, 1)) * np.column_stack([np.cos(heading), np.sin(heading)])
+    return np.vstack([[0.0, 0.0], np.cumsum(edges, axis=0)]) + rng.uniform(-50, 50, size=2)
+
+
+def reflex_run(run=600, sides=64):
+    """A regular polygon and a convex run just inside one edge, ending in a drop onto the edge's far vertex.
+
+    The run lies outside the octagon of extreme points but is no part of the
+    hull, and each reflex-removal pass eats only a few points of its tail.
+    """
+    poly = regular_polygon(sides, 100.0, np.pi / sides)
+    k = int(0.69 * sides)  # an edge between the lowest and the lower-left extreme points
+    start, edge = poly[k], poly[k + 1] - poly[k]
+    s = np.arange(1, run + 1) / (run + 1)
+    inward = np.array([-edge[1], edge[0]])
+    return np.vstack([poly, start + s[:, None] * edge + (1e-3 * (s + s * s))[:, None] * inward])
 
 
 class TestMeshInput:
@@ -74,11 +146,13 @@ class TestMeshInput:
 
 
 class TestDiameter:
-    """The hull-and-calipers diameter equals the dense maximum bit for bit."""
+    """The diameter equals the dense maximum bit for bit, on both sides of DENSE_DIAMETER_MAX."""
 
     def check(self, pts):
         pts = np.asarray(pts, dtype=float)
-        assert _pointset_diameter(pts) == dense_diameter(pts)
+        want = dense_diameter(pts) if len(pts) <= 4000 else calipers_diameter(pts)
+        assert _pointset_diameter(pts) == want
+        assert _hull_diameter(pts) == want
 
     def test_random_clouds(self):
         rng = np.random.default_rng(11)
@@ -90,7 +164,7 @@ class TestDiameter:
     def test_regular_polygons_and_circles(self):
         # many exact or near ties between antipodal pairs
         rng = np.random.default_rng(12)
-        for n in list(range(3, 61)) + [64, 99, 100, 256, 1000, 1001, 1600]:
+        for n in list(range(3, 61)) + [64, 99, 100, 128, 129, 256, 1000, 1001, 1600]:
             self.check(regular_polygon(n))
             for _ in range(10 if n <= 60 else 1):
                 pts = regular_polygon(n, rng.uniform(0.1, 10.0), rng.uniform(0, 2 * np.pi))
@@ -111,10 +185,62 @@ class TestDiameter:
     def test_all_collinear_two_point_hull(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
-            t = rng.integers(-20, 20, size=int(rng.integers(3, 60)))
+            t = rng.integers(-20, 20, size=int(rng.integers(3, 300)))
             direction = rng.integers(-3, 4, size=2)
             self.check(np.outer(t, direction) + rng.integers(-5, 5, size=2))
         self.check([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+        self.check(np.tile([1.0, 2.0], (200, 1)))
+
+    def test_near_collinear_hull_vertices(self):
+        rng = np.random.default_rng(16)
+        for n in (5, 50, 129, 500, 3000):
+            t = np.sort(rng.uniform(-1.0, 1.0, n))
+            line = np.column_stack([t, 0.5 * t]) + rng.uniform(-10, 10, 2)
+            self.check(line)
+            # each point a few ulps off the line
+            self.check(line + rng.integers(-3, 4, size=line.shape) * np.spacing(np.abs(line)))
+            # a short arc of a huge circle: every point a hull vertex, all turns near 1e-9
+            phi = 1e-6 * t
+            self.check(1e6 * np.column_stack([np.cos(phi), np.sin(phi)]))
+
+    def test_non_successive_repeats(self):
+        # a closed figure-eight passes its crossing twice, and a loop traversed twice repeats every point
+        for n in (40, 128, 129, 1000):
+            t = 2.0 * np.pi * np.arange(n) / n
+            eight = np.column_stack([np.sin(t), np.sin(t) * np.cos(t)])
+            eight[n // 2] = eight[0]
+            self.check(eight)
+            self.check(np.vstack([regular_polygon(n // 2 + 3, 2.0)] * 2))
+
+    def test_convex_run_then_drop_and_spiral(self):
+        for n in (50, 129, 2000):
+            s = np.linspace(0.0, 1.0, n)
+            self.check(np.vstack([np.column_stack([s, s * s]), [[1.0 + 1e-3, -1.0]]]))
+            t = np.linspace(0.0, 6.0 * np.pi, n)
+            self.check(np.column_stack([t * np.cos(t), t * np.sin(t)]))
+
+    def test_turning_walks(self):
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            n = int(rng.integers(100, 2000))
+            self.check(turning_walk(rng, n, rng.uniform(0.05, 0.5)))
+            self.check(turning_walk(rng, n, rng.uniform(0.05, 0.5) * rng.uniform(0.6, 1.6, size=n - 1)))
+
+    def test_fallback_chain(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "_monotone_chain", lambda points: calls.append(len(points)) or monotone_chain(points))
+        pts = reflex_run()
+        self.check(pts)
+        assert calls and max(calls) > 100
+
+    @pytest.mark.parametrize("n", [100, 1000, 10000, 100000])
+    def test_fallback_not_entered_on_round_and_random_sets(self, n, monkeypatch):
+        monkeypatch.setattr(geometry, "_monotone_chain", lambda points: pytest.fail("fallback entered"))
+        rng = np.random.default_rng(n)
+        for pts in (regular_polygon(n), regular_polygon(n) * [2.0, 1.0], rng.normal(size=(n, 2))):
+            got = _hull_diameter(pts)
+            if n <= 10000:
+                assert got == (dense_diameter(pts) if n <= 1000 else calipers_diameter(pts))
 
     def test_mesh_uses_it(self):
         pts = regular_polygon(37, 3.0)
