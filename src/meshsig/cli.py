@@ -9,6 +9,7 @@ Mesh indices printed anywhere are 0-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -99,6 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use.
+
+    ``parse_args`` returns a fresh namespace and leaves the parser unchanged,
+    and the help formatter reads the terminal width when help is printed, so
+    one parser serves every ``main`` call.
+    """
+    return build_parser()
+
+
 def cmd_signature(args) -> int:
     scheme = Scheme.from_id(args.scheme)
     if args.group != scheme.group.value:
@@ -126,7 +138,7 @@ def cmd_signature(args) -> int:
     if args.out:
         meshio.write_signature_csv(sig, args.out, provenance=provenance)
     else:
-        sys.stdout.write("".join(line + "\n" for line in meshio.signature_lines(sig)))
+        sys.stdout.write("\n".join(meshio.signature_lines(sig)) + "\n")
     if args.plot:
         meshio.write_signature_svg(sig, args.plot)
     return EXIT_OK
@@ -210,9 +222,8 @@ def cmd_selfcheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

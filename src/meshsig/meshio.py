@@ -19,10 +19,6 @@ from .geometry import Mesh, NeighborhoodSpec
 from .signatures import Scheme, Signature
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def read_mesh(path, closed: bool | None = None) -> Mesh:
     """Load a mesh file, dispatching on its extension (.json or CSV-like)."""
     path = Path(path)
@@ -121,7 +117,8 @@ def read_mesh_json(path, closed: bool | None = None) -> Mesh:
 def write_mesh_csv(mesh: Mesh, path) -> None:
     path = Path(path)
     lines = [f"# label: {mesh.label}", f"# closed: {str(mesh.closed).lower()}", "x,y"]
-    lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in mesh.points]
+    x, y = mesh.points.T.tolist()
+    lines += ["%.17g,%.17g" % r for r in zip(x, y)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -138,10 +135,13 @@ SIGNATURE_HEADER = "index,kappa,kappa_s,scheme,m1,m2"
 
 
 def signature_lines(sig: Signature) -> list[str]:
-    """The header and one CSV row per signature point, each float at 17 significant digits."""
-    tail = f"{sig.scheme.label},{sig.spec.m1},{sig.spec.m2}"
+    """The header and one CSV row per signature point, each float at 17 significant digits.
+
+    ``"%.17g" % v`` and ``format(v, ".17g")`` give the same text for every double.
+    """
+    row = f"%d,%.17g,%.17g,{sig.scheme.label},{sig.spec.m1},{sig.spec.m2}"
     rows = zip(sig.indices.tolist(), sig.kappas.tolist(), sig.kappa_s.tolist())
-    return [SIGNATURE_HEADER] + [f"{i},{_fmt(k)},{_fmt(ks)},{tail}" for i, k, ks in rows]
+    return [SIGNATURE_HEADER] + [row % r for r in rows]
 
 
 def write_signature_csv(sig: Signature, path, provenance: dict | None = None) -> None:
@@ -151,10 +151,10 @@ def write_signature_csv(sig: Signature, path, provenance: dict | None = None) ->
 
 
 def read_signature_csv(path) -> Signature:
+    """Load a signature CSV; every row must name the scheme and stencil of the first row."""
     path = Path(path)
     rows = []
-    scheme = None
-    spec = None
+    tail = first_line = kind = None  # the first row's "scheme,m1,m2" fields, its line, (Scheme, spec)
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or line == SIGNATURE_HEADER:
@@ -164,13 +164,19 @@ def read_signature_csv(path) -> Signature:
             raise MeshParseError(f"{path.name}, line {lineno}: expected 6 fields")
         try:
             rows.append((int(fields[0]), float(fields[1]), float(fields[2])))
-            scheme = Scheme.from_id(int(fields[3].removeprefix("eq")))
-            spec = NeighborhoodSpec(int(fields[4]), int(fields[5]))
+            if fields[3:] != tail:
+                row_kind = (Scheme.from_id(int(fields[3].removeprefix("eq"))),
+                            NeighborhoodSpec(int(fields[4]), int(fields[5])))
         except ValueError as exc:
             raise MeshParseError(f"{path.name}, line {lineno}: {exc}") from exc
-    if scheme is None:
+        if kind is None:
+            tail, first_line, kind = fields[3:], lineno, row_kind
+        elif fields[3:] != tail and row_kind != kind:
+            raise MeshParseError(f"{path.name}, line {lineno}: scheme and stencil {','.join(fields[3:])} "
+                                 f"differ from {','.join(tail)} on line {first_line}")
+    if kind is None:
         raise MeshParseError(f"{path.name}: no signature rows")
-    return Signature(*zip(*rows), scheme, spec)
+    return Signature(*zip(*rows), *kind)
 
 
 def signature_svg(sig: Signature, width: int = 640, height: int = 480) -> str:

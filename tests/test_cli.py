@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import meshsig as ms
-from meshsig import generators as gen, meshio
+from meshsig import cli, generators as gen, meshio
 from meshsig.cli import main
 
 
@@ -103,6 +107,47 @@ class TestMeshIO:
         assert back.scheme is sig.scheme
         assert back.spec == sig.spec
         assert back.points == sig.points  # bit-for-bit at 17 significant digits
+
+    def test_signature_csv_mixed_schemes_rejected(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(f"{meshio.SIGNATURE_HEADER}\n0,1,0,eq2,1,1\n# note\n1,1,0,eq2,1,1\n2,1,0,eq3,2,1\n")
+        with pytest.raises(meshio.MeshParseError) as info:
+            meshio.read_signature_csv(path)
+        assert str(info.value) == "mixed.csv, line 5: scheme and stencil eq3,2,1 differ from eq2,1,1 on line 2"
+        path.write_text("0,1,0,eq2,1,1\n1,1,0,eq2,1,2\n")
+        with pytest.raises(meshio.MeshParseError, match="line 2: scheme and stencil eq2,1,2 differ"):
+            meshio.read_signature_csv(path)
+
+    def test_signature_csv_same_kind_spelled_differently(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("0,1,0,eq2,1,1\n1,1,0,eq2, 1,01\n")
+        sig = meshio.read_signature_csv(path)
+        assert sig.scheme is ms.Scheme.EQ2 and sig.spec == ms.NeighborhoodSpec(1, 1)
+        assert sig.indices.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("2,1,0,eq2,1", "expected 6 fields"),
+        ("x,1,0,eq2,1,1", "invalid literal for int() with base 10: 'x'"),
+        ("2,1.5.5,0,eq2,1,1", "could not convert string to float: '1.5.5'"),
+        ("2,1,0,eq9,1,1", "scheme must be 1..8, got 9"),
+        ("2,1,0,eqx,1,1", "invalid literal for int() with base 10: 'x'"),
+        ("2,1,0,eq2,0,1", "neighborhood offsets must be >= 1"),
+    ])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_signature_csv_bad_field_names_its_line(self, tmp_path, bad_row, message, k):
+        rows = [meshio.SIGNATURE_HEADER, "0,1,0,eq2,1,1", "1,1,0,eq2,1,1", "3,1,0,eq2,1,1"]
+        rows.insert(k - 1, bad_row)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(meshio.MeshParseError) as info:
+            meshio.read_signature_csv(path)
+        assert str(info.value) == f"bad.csv, line {k}: {message}"
+
+    def test_signature_csv_without_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(f"# scheme: eq2\n{meshio.SIGNATURE_HEADER}\n")
+        with pytest.raises(meshio.MeshParseError, match="empty.csv: no signature rows"):
+            meshio.read_signature_csv(path)
 
     def test_svg_deterministic(self, tmp_path):
         mesh = gen.circle_mesh(12)
@@ -315,3 +360,135 @@ class TestOtherCommands:
     def test_bad_flags_exit_two(self):
         assert main(["congruent"]) == 2
         assert main(["signature", "nope.csv", "--group", "se", "--scheme", "12"]) == 2
+
+    def test_entry_exits_with_the_code_of_main(self, tmp_path):
+        # `entry` is the console script's target; `python -m meshsig.cli` calls it in a fresh process
+        env = {**os.environ, "PYTHONPATH": str(Path(ms.__file__).parents[1])}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "meshsig.cli", *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True)
+
+        done = run("host", "--n", "7", "--count")
+        assert done.returncode == 0 and "count: 6 (totient 6)" in done.stdout
+        assert run("signature", "nope.csv", "--group", "se", "--scheme", "12").returncode == 2
+
+
+def reference_signature_text(sig, comments=()):
+    """A signature CSV as ``format(v, ".17g")`` wrote it, frozen as the byte reference of the writers."""
+    tail = f"{sig.scheme.label},{sig.spec.m1},{sig.spec.m2}"
+    rows = [f"{i},{format(k, '.17g')},{format(ks, '.17g')},{tail}"
+            for i, k, ks in zip(sig.indices.tolist(), sig.kappas.tolist(), sig.kappa_s.tolist())]
+    return "".join(line + "\n" for line in [*comments, meshio.SIGNATURE_HEADER, *rows])
+
+
+def reference_mesh_text(mesh):
+    rows = [f"{format(float(x), '.17g')},{format(float(y), '.17g')}" for x, y in mesh.points]
+    header = [f"# label: {mesh.label}", f"# closed: {str(mesh.closed).lower()}", "x,y"]
+    return "".join(line + "\n" for line in header + rows)
+
+
+def outline_1600():
+    """A closed 1600-point outline of unequal steps; its eq4 signature has one row per point."""
+    walk = gen.random_unequally_spaced_mesh(np.random.default_rng(62), 1600)
+    return ms.Mesh(walk.points, closed=True, label="outline")
+
+
+class TestWriterBytes:
+    EDGE_VALUES = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0, 1e16, 1e17, 123456789.0,
+                   1.5e-7, -3.25e-300, 2.0 ** -1074 * 3, 0.1, -1e-5]
+
+    def test_edge_values_in_a_signature(self, tmp_path):
+        values = self.EDGE_VALUES
+        sig = ms.Signature(range(len(values)), values, values[::-1], ms.Scheme.EQ3, ms.NeighborhoodSpec(2, 1))
+        path = tmp_path / "s.csv"
+        meshio.write_signature_csv(sig, path, provenance={"spacing-tol": 1e-6})
+        want = reference_signature_text(sig, ["# spacing-tol: 1e-06"])
+        assert path.read_bytes() == want.encode()
+        assert want.splitlines()[2:6] == [
+            "0,-0,-1.0000000000000001e-05,eq3,2,1",
+            "1,4.9406564584124654e-324,0.10000000000000001,eq3,2,1",
+            "2,1e+308,1.4821969375237396e-323,eq3,2,1",
+            "3,0.33333333333333331,-3.2499999999999999e-300,eq3,2,1",
+        ]
+
+    def test_edge_values_in_a_mesh(self, tmp_path):
+        values = [v for v in self.EDGE_VALUES if abs(v) < 1e150]  # the diameter of 1e308 overflows
+        mesh = ms.Mesh(np.column_stack([1e20 * np.arange(len(values)), values]), closed=False, label="edge")
+        path = tmp_path / "m.csv"
+        meshio.write_mesh_csv(mesh, path)
+        assert path.read_bytes() == reference_mesh_text(mesh).encode()
+        assert path.read_text().splitlines()[3:5] == ["0,-0", "1e+20,4.9406564584124654e-324"]
+
+    def test_1600_row_signature_file_and_stdout(self, tmp_path, capsys):
+        mesh = outline_1600()
+        sig = ms.se_signature(mesh, ms.Scheme.EQ4)
+        assert len(sig) == 1600
+        path = tmp_path / "s.csv"
+        meshio.write_signature_csv(sig, path)
+        assert path.read_bytes() == reference_signature_text(sig).encode()
+
+        src = tmp_path / "outline.csv"
+        meshio.write_mesh_csv(mesh, src)
+        assert src.read_bytes() == reference_mesh_text(mesh).encode()
+        capsys.readouterr()
+        assert main(["signature", str(src), "--group", "se", "--scheme", "4", "--closed"]) == 0
+        from_file = ms.se_signature(meshio.read_mesh_csv(src, closed=True), ms.Scheme.EQ4)
+        assert capsys.readouterr().out == reference_signature_text(from_file)
+
+
+class TestParserCache:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for n in (7, 8, 9):
+            assert main(["host", "--n", str(n), "--count"]) == 0
+        assert len(built) == 1
+
+    def test_closed_flag_does_not_leak(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        write_circle(path, n=12)
+        assert main(["signature", str(path), "--group", "se", "--scheme", "2", "--closed"]) == 0
+        closed = capsys.readouterr()
+        assert main(["signature", str(path), "--group", "se", "--scheme", "2"]) == 0
+        opened = capsys.readouterr()
+        assert len(closed.out.splitlines()) == 13 and closed.err == ""
+        assert len(opened.out.splitlines()) < 13 and "truncate" in opened.err
+
+    def test_out_flag_does_not_leak(self, tmp_path, capsys):
+        path, out = tmp_path / "c.csv", tmp_path / "s.csv"
+        write_circle(path)
+        assert main(["signature", str(path), "--group", "se", "--scheme", "2", "--closed", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        out.unlink()
+        assert main(["signature", str(path), "--group", "se", "--scheme", "2", "--closed"]) == 0
+        assert capsys.readouterr().out.startswith(meshio.SIGNATURE_HEADER + "\n")
+        assert not out.exists()
+
+    def test_parse_error_on_repeated_calls(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        write_circle(path)
+        bad = ["signature", str(path), "--group", "se", "--scheme", "12"]
+        assert main(bad) == 2
+        assert main(bad) == 2
+        assert main(["signature", str(path), "--group", "se"]) == 2
+        assert main(["signature", str(path), "--group", "se", "--scheme", "2", "--closed"]) == 0
+
+    def test_help_follows_columns_set_after_the_first_build(self, monkeypatch, capsys):
+        assert main(["host", "--n", "7", "--count"]) == 0
+        helps = {}
+        for columns in (50, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            capsys.readouterr()
+            assert main(["signature", "--help"]) == 0
+            helps[columns] = capsys.readouterr().out
+            fresh = cli.build_parser()._subparsers._group_actions[0].choices["signature"]
+            assert helps[columns] == fresh.format_help()
+        assert max(map(len, helps[50].splitlines())) < max(map(len, helps[120].splitlines()))
