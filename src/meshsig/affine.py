@@ -11,13 +11,14 @@ unchanged by coefficient rescaling and by unimodular maps.
 
 Each mesh's derived data holds one equiaffine block, built in one pass on
 first use and never changed afterwards; its arrays are read-only. Row i of
-the block belongs to the window centred at p[i]: its conic (every window
-fitted by one stacked SVD), S, F, the curvature, the centre, the window's
-four consecutive arc lengths, its fineness and its hyperbola gap bound. A
-degenerate window is recorded in the block and raises only when that
-window is read. The per-index functions (`conic_at`, `affine_curvature`,
-`has_fine_area`, ...) read the block, and `fit_conic`, `invariants` and
-`kappa_from_invariants` run the same kernels on a one-row stack.
+the block belongs to the window centred at p[i]: its conic (every window's
+signed 5x5 minors from one stacked determinant), S, F, the curvature, the
+centre, the window's four consecutive arc lengths, its fineness and its
+hyperbola gap bound. A degenerate window is recorded in the block and
+raises only when that window is read. Each scheme's SA-signature columns
+are an entry of their own. The per-index functions (`conic_at`,
+`affine_curvature`, `has_fine_area`, ...) read the block, and `fit_conic`,
+`invariants` and `kappa_from_invariants` run the same kernels on one row.
 
 Numerical contract: each kernel's docstring states a bound against the
 exact evaluation (rational arithmetic, roots and angles to 50 digits) of
@@ -52,6 +53,7 @@ from .geometry import (
     NeighborhoodSpec,
     Point2,
     SigDirection,
+    _frozen,
     derived,
     is_convex,
     is_equally_spaced,
@@ -66,6 +68,8 @@ from .signatures import Scheme, Signature, curvature_centers, denominator_offset
 PARABOLIC_TOL = 1e-10
 # |F| below this (unit-norm coefficients) marks a degenerate conic (line pair).
 ZERO_F_TOL = 1e-12
+# A five-point window's design has rank < 5 when sigma_5 <= RANK_TOL sigma_1.
+RANK_TOL = 1e-13
 # Residual bound for the five fitted points, at unit design-row scale.
 RESIDUAL_TOL = 1e-8
 
@@ -146,6 +150,9 @@ def _matrix3(coef: np.ndarray) -> np.ndarray:
 _PAIRS = np.array(list(combinations(range(5), 2))).T
 _TRIPLES = np.array(list(combinations(range(5), 3))).T
 _FIT_OFFSETS = np.arange(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
+# column j of the design is left out of minor j, whose sign in the null vector is (-1)^j
+_MINOR_COLUMNS = np.array([[k for k in range(6) if k != j] for j in range(6)])
+_MINOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
@@ -154,9 +161,16 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     Returns (coef, errors): coef is (w, 6), unit-norm and sign-normalized,
     NaN on the rows of degenerate windows, and errors maps each of those
     rows to its DegenerateConfiguration message: coinciding points first,
-    then a collinear triple, then rank < 5, then the residual. Each window
-    is fitted in its own centered, isotropically scaled frame by one
-    stacked SVD.
+    then a collinear triple, then rank < 5, then the residual.
+
+    Each window is fitted in its own centered, isotropically scaled frame,
+    where the conic is the null vector of the 5x6 design D: its signed 5x5
+    minors, from one stacked determinant, of norm m = sigma_1 ... sigma_5.
+    Rank < 5 means sigma_5 <= RANK_TOL sigma_1 in D's SVD. As m / |D|_F^5 <=
+    sigma_5 / sigma_1 <= sqrt(5) m^(1/5) / |D|_F, m > 2 RANK_TOL |D|_F^5
+    means full rank (half of that absorbs the rounding of the minors and of
+    the SVD, each under 100 eps) and sqrt(5) m^(1/5) <= RANK_TOL |D|_F rank
+    < 5; only windows in between take the SVD's verdict and null vector.
 
     Bound: each entry of a fitted row is within 2 eps sigma_1 / sigma_5 of
     the unit-norm, sign-normalized exact conic through the same five
@@ -186,12 +200,20 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     u = (p - centroid[:, None]) / spread[:, None, None]
     x, y = u[..., 0], u[..., 1]
     design = np.stack([x * x, 2.0 * x * y, y * y, 2.0 * x, 2.0 * y, np.ones_like(x)], axis=2)
-    _, sv, vt = np.linalg.svd(design)
+    null = _MINOR_SIGNS * np.linalg.det(design[:, :, _MINOR_COLUMNS].transpose(0, 2, 1, 3))
+    m, frob = row_norms(null), np.sqrt((design * design).sum(axis=(1, 2)))
+    deficient = np.sqrt(5.0) * m ** 0.2 <= RANK_TOL * frob
+    unsure = np.flatnonzero(~deficient & ~(m > 2.0 * RANK_TOL * frob ** 5))
+    if len(unsure):
+        _, sv, vt = np.linalg.svd(design[unsure])
+        deficient[unsure], null[unsure], m[unsure] = sv[:, 4] <= RANK_TOL * sv[:, 0], vt[:, -1], 1.0
+    with np.errstate(invalid="ignore"):  # 0 / 0 where every minor vanishes, a rank-deficient window
+        null = null / m[:, None]
     frame = np.zeros((len(ok), 3, 3))
     frame[:, 0, 0] = frame[:, 1, 1] = 1.0 / spread
     frame[:, :2, 2] = -centroid / spread[:, None]
     frame[:, 2, 2] = 1.0
-    mat = frame.transpose(0, 2, 1) @ _matrix3(vt[:, -1]) @ frame
+    mat = frame.transpose(0, 2, 1) @ _matrix3(null) @ frame
     vec = mat[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]]
     vec = vec / row_norms(vec)[:, None]
     big = np.abs(vec) > 1e-12
@@ -202,7 +224,7 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     residual = a * px * px + 2.0 * b * px * py + c * py * py + 2.0 * d * px + 2.0 * e * py + f0
     worst = np.abs(residual).max(axis=1)
     row_scale = np.maximum(absmax[ok] ** 2, 1.0)
-    for k in np.flatnonzero(sv[:, 4] <= 1e-13 * sv[:, 0]):
+    for k in np.flatnonzero(deficient):
         errors[int(ok[k])] = "conic through the five points is not unique (rank < 5)"
     for k in np.flatnonzero(worst > RESIDUAL_TOL * row_scale):
         errors.setdefault(int(ok[k]), f"conic fit residual {worst[k]:.3e} exceeds tolerance")
@@ -242,66 +264,59 @@ def _ellipse_areas(S: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _sectors(coef, S, F, center, win) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, sector) of the elliptic conics (S > PARABOLIC_TOL) of an (m, 6) stack.
+    """(rho, sector) of the rows of an (m, 6) stack; meaningful where S > 0.
 
     rho = sgn(A + C) (-F / S). Where rho > 0, sector is the shoelace area H
     of (center, window points) plus the segments r^2 / 2 (delta_j - sin
-    delta_j), r^2 = rho / sqrt(S), delta_j in [0, 2 pi) the angle from point
+    delta_j), r^2 = rho / sqrt(S), delta_j in [0, 2 pi] the angle from point
     j to j + 1, in H's direction, after the unimodular map of the ellipse
-    onto an equal-area circle. Bound, against exact evaluation: 4 eps (sum|h|
-    + sector) + sum_j r^2 / 2 ((1 - cos delta_j) t + 2 eps delta_j), sum|h|
-    the absolute shoelace products, t = 4 eps (cond(Q) + 4) the angle error,
-    Q = sgn(A + C) [[A, B], [B, C]]; an angle within t of 0 or 2 pi, or H
-    within 4 eps sum|h| of 0, may wrap.
+    onto an equal-area circle: e = point - center goes to L^T e, scaled, L =
+    [[sqrt qa, 0], [qb / sqrt qa, sqrt(S / qa)]] the Cholesky factor of Q =
+    sgn(A + C) [[A, B], [B, C]] = [[qa, qb], [qb, qc]]; det L = sqrt S > 0,
+    and the angle of L^T e is that of (qa e_x + qb e_y, sqrt(S) e_y). Bound, against
+    exact evaluation: 4 eps (sum|h| + sector) + sum_j r^2 / 2 ((1 - cos
+    delta_j) t + 2 eps delta_j), sum|h| the absolute shoelace products, t =
+    4 eps (cond(Q) + 4) the angle error (each angle is within 3 eps
+    (sqrt(cond(Q)) + 1)); an angle within t of 0 or 2 pi, or H within 4 eps
+    sum|h| of 0, may wrap. Elsewhere sector is NaN.
     """
-    a, b, c = coef[:, 0], coef[:, 1], coef[:, 2]
-    sgn = np.where(a + c > 0, 1.0, -1.0)
+    sgn = np.where(coef[:, 0] + coef[:, 2] > 0, 1.0, -1.0)
     rho = sgn * (-F / S)
-    sector = np.full(len(coef), np.nan)
-    e = np.flatnonzero(rho > 0.0)
-    if len(e) == 0:
-        return rho, sector
-    quad = sgn[e, None, None] * coef[e][:, [[0, 1], [1, 2]]]
-    evals, evecs = np.linalg.eigh(quad)
-    radius = np.sqrt(rho[e] / np.sqrt(S[e]))
-    scale = radius / np.sqrt(rho[e])
-    # a column swap keeps the circle map orientation-preserving
-    swap = np.linalg.det(evecs) < 0
-    evecs[swap], evals[swap] = evecs[swap][:, :, ::-1], evals[swap][:, ::-1]
-    mapped = (win[e] - center[e, None]) @ evecs
-    u = scale[:, None, None] * mapped * np.sqrt(evals)[:, None, :]
-    theta = np.arctan2(u[..., 1], u[..., 0])
-    polygon = np.concatenate([center[e, None], win[e]], axis=1)
+    e = win - center[:, None]
+    qa, qb = (sgn * coef[:, 0])[:, None], (sgn * coef[:, 1])[:, None]
+    theta = np.arctan2(np.sqrt(S)[:, None] * e[..., 1], qa * e[..., 0] + qb * e[..., 1])
+    polygon = np.concatenate([center[:, None], win], axis=1)
     px, py = polygon[..., 0], polygon[..., 1]
     sh = 0.5 * (px * np.roll(py, -1, axis=1) - py * np.roll(px, -1, axis=1)).sum(axis=1)
     step = np.diff(theta, axis=1)
-    delta = np.mod(np.where((sh >= 0)[:, None], step, -step), 2.0 * np.pi)
-    seg = (0.5 * radius * radius)[:, None] * (delta - np.sin(delta))
-    sector[e] = np.abs(sh) + seg.sum(axis=1)
-    return rho, sector
+    step = np.where((sh >= 0)[:, None], step, -step)
+    delta = np.where(step < 0.0, step + 2.0 * np.pi, step)  # np.mod(step, 2 pi), fast on NaN rows
+    seg = (0.5 * rho / np.sqrt(S))[:, None] * (delta - np.sin(delta))
+    return rho, np.where(rho > 0.0, np.abs(sh) + seg.sum(axis=1), np.nan)
 
 
-def _gap_bounds(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Branch-separation bounds 2*sqrt(-F / (lambda1^2 S)) of an (m, 6) stack.
+def _gap_bounds(coef: np.ndarray, S: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branch-separation bounds 2*sqrt(-F / (lambda1^2 S)) of an (m, 6) stack and its S and F.
 
     Returns (undefined, radicand, mu): undefined marks rows where the
     quotient divides by zero. The bound is evaluated in the coefficient
     scale where the larger-magnitude characteristic root lambda1 of
-    t^2 - (A+C) t + S = 0 (ties toward the larger value) has unit magnitude.
+    t^2 - (A+C) t + S = 0 (ties toward the larger value) has unit magnitude:
+    the radicand is -F / (|lambda1| S), from the given S and F.
 
     Bound, against -F / (|lambda1| (AC - B^2)) evaluated exactly for the same
     doubles: the radicand within a relative (3 eps sqrt(D) + 2 eps |A + C|) /
     |lambda1| + eps (70 P / |F| + 4 (|AC| + B^2) / |AC - B^2| + 4), P as in
     `_invariants`, where D = (A - C)^2 + 4 B^2 is the discriminant (A + C)^2 -
     4 S, formed without cancellation; mu within half of that plus 2 eps.
+    The terms are lambda1's error, F's and S's bounds, and two roundings.
     """
     tr, diff = coef[:, 0] + coef[:, 2], coef[:, 0] - coef[:, 2]
     root = np.sqrt(diff * diff + 4.0 * coef[:, 1] * coef[:, 1])
     r1, r2 = (tr + root) / 2.0, (tr - root) / 2.0
     lam = np.where(np.abs(r1) > np.abs(r2), r1, np.where(np.abs(r2) > np.abs(r1), r2, np.where(r2 > r1, r2, r1)))
-    su, fu = _invariants(coef * (1.0 / np.abs(lam))[:, None])
-    radicand = -fu / su
-    return (lam == 0.0) | (su == 0.0), radicand, 2.0 * np.sqrt(radicand)
+    radicand = -F / (np.abs(lam) * S)
+    return (lam == 0.0) | (S == 0.0), radicand, 2.0 * np.sqrt(radicand)
 
 
 class _Block:
@@ -309,7 +324,7 @@ class _Block:
 
     Rows without a window (the two ends of an open mesh) or with a
     degenerate fit hold NaN; `fit_errors` maps the degenerate rows to
-    fit_conic's message.
+    fit_conic's message. Every column is computed at full mesh length.
     """
 
     __slots__ = (
@@ -319,57 +334,35 @@ class _Block:
     )
 
     def __init__(self, mesh: Mesh):
-        n, tol = mesh.n, PARABOLIC_TOL
-        centers = np.arange(n) if mesh.closed else np.arange(FIT_HALF_WIDTH, n - FIT_HALF_WIDTH)
-        win = mesh.points[(centers[:, None] + _FIT_OFFSETS) % n]
-        coef, errors = _fit(win)
-        self.has_window = np.zeros(n, dtype=bool)
-        self.has_window[centers] = True
-        self.fit_errors = {int(centers[r]): msg for r, msg in errors.items()}
-        ok = np.ones(len(centers), dtype=bool)
-        ok[list(errors)] = False
-        rows, coef, win = centers[ok], coef[ok], win[ok]
-        self.fitted = np.zeros(n, dtype=bool)
-        self.fitted[rows] = True
-
-        def full(values, fill=np.nan):
-            out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
-            out[rows] = values
-            return out
-
+        n, tol, span = mesh.n, PARABOLIC_TOL, affine_fine_interior(mesh)
+        win = mesh.points[(np.arange(n)[:, None] + _FIT_OFFSETS) % n]
+        coef = np.full((n, 6), np.nan)
+        coef[span.start : span.stop], errors = _fit(win[span.start : span.stop])
+        self.fit_errors = {span.start + r: msg for r, msg in errors.items()}
+        self.has_window = (span.start <= np.arange(n)) & (np.arange(n) < span.stop)
+        self.fitted = self.has_window.copy()
+        self.fitted[list(self.fit_errors)] = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            S, F = _invariants(coef)
-            kappa = _kappa(S, F)
-            center = _centers(coef, S)
+            self.coef, (S, F) = coef, _invariants(coef)
+            self.S, self.F, self.kappa, self.center = S, F, _kappa(S, F), _centers(coef, S)
             a, b, d, e = coef[:, 0], coef[:, 1], coef[:, 3], coef[:, 4]
-            denom = a * e - b * d
-            norm = row_norms(coef)
-            self.coef, self.S, self.F, self.kappa, self.center = full(coef), full(S), full(F), full(kappa), full(center)
-            self.zero_f = full(np.abs(F) <= ZERO_F_TOL, False)
-            self.parabolic = full(~(np.abs(S) > tol), False)
-            self.zero_den = full((np.abs(a) <= 1e-12 * norm) | (np.abs(denom) <= 1e-12 * norm * norm), False)
-            self.para_scale = full(np.cbrt(a * a / denom))
-            self.para_ratio = full(b / a)
+            denom, norm = a * e - b * d, row_norms(coef)
+            self.zero_f = np.abs(F) <= ZERO_F_TOL
+            self.parabolic = self.fitted & ~(np.abs(S) > tol)
+            self.zero_den = (np.abs(a) <= 1e-12 * norm) | (np.abs(denom) <= 1e-12 * norm * norm)
+            self.para_scale, self.para_ratio = np.cbrt(a * a / denom), b / a
             self.kappa_ok = self.fitted & ~self.zero_f
             self.arc_ok = self.fitted & np.where(self.parabolic, ~self.zero_den, ~self.zero_f)
-            self.arcs = full(_arcs(self, rows, win[:, :-1], win[:, 1:]))
-
-            elliptic = self.kappa_ok[rows] & (kappa > tol) & (S > tol)
-            rho, sector = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-            if elliptic.any():
-                rho[elliptic], sector[elliptic] = _sectors(
-                    coef[elliptic], S[elliptic], F[elliptic], center[elliptic], win[elliptic]
-                )
-            self.rho, self.sector, self.area = full(rho), full(sector), full(_ellipse_areas(S, F))
+            self.arcs = _arcs(self, slice(None), win[:, :-1], win[:, 1:])
+            k = self.kappa
+            elliptic = self.kappa_ok & (k > tol) & (S > tol)
+            self.rho, self.sector = (np.where(elliptic, v, np.nan) for v in _sectors(coef, S, F, self.center, win))
+            self.area = _ellipse_areas(S, F)
             self.fine_area = self.area >= self.sector * (1.0 - 1e-9)
-            undefined, radicand, mu = _gap_bounds(coef)
-            gaps = np.sqrt((np.diff(win, axis=1) ** 2).sum(axis=2))
-            self.gap_undefined = full(undefined, False)
-            self.radicand, self.mu = full(radicand), full(mu)
-            self.position = full((gaps < mu[:, None]).all(axis=1), False)
+            self.gap_undefined, self.radicand, self.mu = _gap_bounds(coef, S, F)
+            self.position = (np.sqrt((np.diff(win, axis=1) ** 2).sum(axis=2)) < self.mu[:, None]).all(axis=1)
             # is_affine_fine's condition per window: fine-area where the curvature
             # is positive, fine-position (a non-real bound failing) where negative
-            k = self.kappa
             in_position = ~self.gap_undefined & (self.radicand >= 0.0) & self.position
             self.affine_fine = self.kappa_ok & np.where(
                 k > tol, (self.rho > 0.0) & self.fine_area, np.where(k < -tol, in_position, True)
@@ -379,11 +372,11 @@ class _Block:
                 getattr(self, name).setflags(write=False)
 
 
-def _arcs(blk: _Block, rows: np.ndarray, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
+def _arcs(blk: _Block, rows, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
     """Arc lengths from pk[r, j] to pl[r, j] on the conic of block row rows[r].
 
-    pk and pl are (m, k, 2). Nonzero-curvature conics use the center
-    parallelogram area; parabolic conics use the signed linear element.
+    rows is an index array or a slice; pk and pl are (m, k, 2). Nonzero-curvature
+    conics use the center parallelogram area; parabolic conics use the signed linear element.
     Values on rows whose arc length raises (see `_arc_row`) are meaningless.
 
     Bound, with d = pk - pl and e = pk - center: on a central conic within
@@ -664,16 +657,38 @@ def is_affine_fine(mesh: Mesh) -> bool:
 
 
 def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
-    """L[i] = arc length from p[i] to p[i+1], each from the conic at p[i]."""
-    if indices is None:
-        indices = mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
-    idx = np.array(list(indices), dtype=int)
+    """L[i] = arc length from p[i] to p[i+1], each from the conic at p[i]; by default the block's arcs[:, 2]."""
+    default = indices is None
+    idx = np.array(list(mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1) if default else indices), dtype=int)
     blk, n = _block(mesh), mesh.n
     rows = idx % n
     ok = blk.arc_ok[rows] & (mesh.closed | ((idx >= 0) & (idx < n)))
     _raise_first(idx[~ok], lambda i: affine_arc_length(mesh, i, i, mesh.resolve(i, 1)))
     pts = mesh.points
-    return _arcs(blk, rows, pts[rows, None], pts[(rows + 1) % n, None])[:, 0]
+    return blk.arcs[rows, 2] if default else _arcs(blk, rows, pts[rows, None], pts[(rows + 1) % n, None])[:, 0]
+
+
+def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[range, np.ndarray, np.ndarray]:
+    """(rows, curvatures at their `curvature_centers`, denominators); raises as `sa_signature` states."""
+    indices = scheme_rows(mesh, scheme, SA_SPEC)
+    if len(indices) == 0:
+        raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
+    blk, n, pts = _block(mesh), mesh.n, mesh.points
+    rows, centers = _span(indices), curvature_centers(scheme, indices) % n
+    arc_lo, arc_hi = denominator_offsets(scheme)
+    denom = _arcs(blk, rows, pts[(rows + arc_lo) % n, None], pts[(rows + arc_hi) % n, None])[:, 0]
+    # row k reads the curvatures at centers[k : k + reads]
+    reads, kappa_ok = 2 + int(scheme.centered), blk.kappa_ok[centers]
+    ok = blk.arc_ok[rows] & (np.abs(denom) > 1e-15)
+    for j in range(reads):
+        ok &= kappa_ok[j : j + len(rows)]
+    if not ok.all():
+        k = int(np.argmin(ok))
+        for j in centers[k : k + reads].tolist():
+            _kappa_row(mesh, j)
+        _arc_row(mesh, int(rows[k]))
+        raise DegenerateStencil(f"{scheme.label} arc length at index {rows[k]} vanishes")
+    return (indices, *_frozen(blk.kappa[centers], denom))
 
 
 def sa_signature(
@@ -691,7 +706,8 @@ def sa_signature(
 
     The first row whose stencil cannot be evaluated raises: what its first
     failing curvature center raises, else what its arc length raises, else
-    DegenerateStencil if that arc length vanishes.
+    DegenerateStencil if that arc length vanishes. The columns are built
+    once per mesh and scheme; the spacing check runs on every call.
     """
     if scheme.value <= 4:
         raise ValueError(f"{scheme} is a Euclidean scheme; use se_signature")
@@ -713,24 +729,7 @@ def sa_signature(
                 raise SchemeSpacingMismatch(
                     f"{scheme.label} requires equal arc lengths; arc {worst} deviates"
                 )
-    indices = scheme_rows(mesh, scheme, SA_SPEC)
-    if len(indices) == 0:
-        raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
-    blk, n, pts = _block(mesh), mesh.n, mesh.points
-    rows, centers = _span(indices), curvature_centers(scheme, indices) % n
-    arc_lo, arc_hi = denominator_offsets(scheme)
-    denom = _arcs(blk, rows, pts[(rows + arc_lo) % n, None], pts[(rows + arc_hi) % n, None])[:, 0]
-    # row k reads the curvatures at centers[k : k + reads]
-    reads = 2 + int(scheme.centered)
-    ok = np.lib.stride_tricks.sliding_window_view(blk.kappa_ok[centers], reads).all(axis=1)
-    ok &= blk.arc_ok[rows] & (np.abs(denom) > 1e-15)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        for j in centers[k : k + reads].tolist():
-            _kappa_row(mesh, j)
-        _arc_row(mesh, int(rows[k]))
-        raise DegenerateStencil(f"{scheme.label} arc length at index {rows[k]} vanishes")
-    sig = quotient_signature(scheme, SA_SPEC, indices, blk.kappa[centers], denom)
+    sig = quotient_signature(scheme, SA_SPEC, *derived(mesh, ("sa", scheme), _signature_columns, scheme))
     if scheme in (Scheme.EQ7, Scheme.EQ8):
         sig.meta["arc_length_extrapolation"] = (
             "long-span arc lengths evaluated with the conic fitted at the row's center point"

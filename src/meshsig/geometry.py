@@ -128,6 +128,13 @@ def orient_rows(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
 
 
+def _scale_exponent(pts: np.ndarray) -> int:
+    """0 when max|p| lies in [2^-500, 2^500], where squared differences neither overflow nor underflow;
+    else the exponent k with max|p| in [2^(k-1), 2^k), so that pts * 2^-k lies in (-1, 1)."""
+    big = float(np.abs(pts).max())
+    return 0 if big == 0.0 or 2.0 ** -500 <= big <= 2.0 ** 500 else math.frexp(big)[1]
+
+
 def _pointset_diameter(pts: np.ndarray) -> float:
     """Largest pairwise distance of the points, in O(n log n) time and O(n) memory.
 
@@ -275,12 +282,17 @@ class Mesh:
         if not np.isfinite(pts).all():
             bad = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0][0])
             raise InvalidMesh(f"non-finite coordinates at point {bad}")
-        diameter = _pointset_diameter(pts)
+        # far from 1, squares would overflow or underflow: measure the points scaled by 2^-k, exactly
+        k = _scale_exponent(pts)
+        scaled = np.ldexp(pts, -k) if k else pts
+        diameter = math.ldexp(_pointset_diameter(scaled), k)
         if diameter == 0.0:
             raise InvalidMesh("all points coincide")
-        edges = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        edges = np.linalg.norm(np.diff(scaled, axis=0), axis=1)
         if closed:
-            edges = np.append(edges, np.linalg.norm(pts[0] - pts[-1]))
+            edges = np.append(edges, np.linalg.norm(scaled[0] - scaled[-1]))
+        if k:
+            edges = np.ldexp(edges, k)
         too_close = np.nonzero(edges <= COLLINEARITY_REL_TOL * diameter)[0]
         if len(too_close):
             i = int(too_close[0])

@@ -767,3 +767,57 @@ class TestScalarEquivalence:
             got.append("".join(letter[ms.decide_affine(m1, m2, variant, sig_tol).status]
                                for variant in ("thm5.7", "thm5.8", "cor5.9") for sig_tol in (1e-6, 1e-2)))
         assert got == expected
+
+
+def frame_designs(windows):
+    """The 5x6 designs [x^2, 2xy, y^2, 2x, 2y, 1] of a (w, 5, 2) stack in _fit's centered, isotropically scaled frames."""
+    p = np.asarray(windows, dtype=float)
+    centroid = p.mean(axis=1)
+    spread = np.sqrt(((p - centroid[:, None]) ** 2).sum(axis=2).mean(axis=1))
+    u = (p - centroid[:, None]) / spread[:, None, None]
+    x, y = u[..., 0], u[..., 1]
+    return np.stack([x * x, 2.0 * x * y, y * y, 2.0 * x, 2.0 * y, np.ones_like(x)], axis=2)
+
+
+def count_svd_calls(monkeypatch):
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(len(a)) or svd(a, *args, **kwargs))
+    return calls
+
+
+class TestRankFilter:
+    """The minors fit's rank verdict is the SVD's sigma_5 <= RANK_TOL sigma_1; only windows between the
+    filter's two bounds pay for the SVD."""
+
+    def test_verdict_equals_svd_on_anisotropic_windows(self):
+        rng = np.random.default_rng(44)
+        windows = rng.normal(size=(20000, 5, 2)) * 10.0 ** rng.uniform(-6, 6, size=(20000, 1, 2))
+        _, errors = affine._fit(windows)
+        screened = {r for r, msg in errors.items() if "coincide" in msg or "collinear" in msg}
+        sv = np.linalg.svd(frame_designs(windows))[1]
+        want = set(np.flatnonzero(sv[:, 4] <= affine.RANK_TOL * sv[:, 0]).tolist()) - screened
+        assert {r for r, msg in errors.items() if "rank < 5" in msg} == want
+        assert want  # the stretch reaches rank-deficient windows
+
+    def test_rank_window_reaches_the_svd_only_between_the_bounds(self, monkeypatch):
+        design = frame_designs([RANK_WINDOW])[0]
+        sv = np.linalg.svd(design, compute_uv=False)
+        m, frob = np.prod(sv), np.sqrt((design * design).sum())
+        between = not (m > 2.0 * affine.RANK_TOL * frob ** 5 or np.sqrt(5.0) * m ** 0.2 <= affine.RANK_TOL * frob)
+        calls = count_svd_calls(monkeypatch)
+        with pytest.raises(DegenerateConfiguration, match="rank < 5"):
+            ms.fit_conic(RANK_WINDOW)
+        assert calls == ([1] if between else [])
+
+    def test_arcs_like_the_benchmarks_never_reach_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        meshes = []
+        for _ in range(60):
+            a, b = rng.uniform(0.8, 2.5), rng.uniform(0.6, 1.8)
+            t = rng.uniform(0.0, 2.0 * np.pi) + rng.uniform(0.09, 0.098) * np.arange(32)
+            src = np.column_stack([a * np.cos(t), b * np.sin(t)]) + rng.uniform(-3, 3, size=2)
+            meshes += [ms.Mesh(src), ms.Mesh(src @ unimodular(rng).T + rng.uniform(-5, 5, size=2))]
+        calls = count_svd_calls(monkeypatch)
+        for m in meshes:
+            assert affine._block(m).fitted[2:-2].all()
+        assert calls == []

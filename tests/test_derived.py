@@ -10,6 +10,7 @@ import meshsig as ms
 from meshsig import affine, congruence, euclidean, geometry
 from meshsig import generators as gen
 from meshsig.congruence import MatchMode
+from meshsig.errors import MeshTooShort, SchemeSpacingMismatch, ZeroF
 
 SPECS = [ms.NeighborhoodSpec(*s) for s in ((1, 1), (1, 2), (3, 1), (3, 3))]
 
@@ -170,3 +171,71 @@ def test_concurrent_first_uses_agree_with_serial_runs():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(r == expected for r in results)
+
+
+def uneven_arc():
+    """An open ellipse arc whose parameter steps differ by up to 1e-4: equally spaced at 1e-2, not at 1e-6."""
+    t = 0.3 + 0.2 * np.arange(14) * (1.0 + 1e-4 * np.sin(np.arange(14)))
+    return ms.Mesh(np.column_stack([2.0 * np.cos(t), np.sin(t)]))
+
+
+def flat_window_mesh():
+    """Convex, with a nearly flat first window whose cubic invariant falls under ZERO_F_TOL."""
+    t = np.array([0.2, 0.6, 1.0, 1.4, 1.8])
+    flat = np.column_stack([np.cos(t), 2.6e-6 * np.sin(t)])
+    bend = [[-0.8, -0.05], [-1.3, -0.4], [-1.5, -1.0], [-1.4, -1.7], [-1.0, -2.3]]
+    return ms.Mesh(np.vstack([flat, bend]) + [0.0, 0.5])
+
+
+class TestSignatureColumns:
+    """Each scheme's SA-signature columns are one derived entry; the spacing check stays per call."""
+
+    def test_built_once_per_mesh_and_scheme(self, monkeypatch):
+        calls = []
+        build, block = affine._signature_columns, affine._Block
+        monkeypatch.setattr(affine, "_signature_columns", lambda m, s: calls.append(s) or build(m, s))
+        monkeypatch.setattr(affine, "_Block", lambda m: calls.append("block") or block(m))
+        m1, m2 = (fresh(m) for m in arc_pair())
+        first = encode(ms.sa_signature(m1, ms.Scheme.EQ6))
+        assert calls == ["block", ms.Scheme.EQ6]
+        calls.clear()
+        assert encode(ms.sa_signature(m1, ms.Scheme.EQ6)) == first
+        assert calls == []
+        # the three equiaffine rules and a later signature of each mesh share one entry per mesh
+        for variant in ("thm5.7", "thm5.8", "cor5.9"):
+            ms.decide_affine(m1, m2, variant)
+        ms.sa_signature(m2, ms.Scheme.EQ6)
+        assert calls == ["block", ms.Scheme.EQ6]
+
+    def test_stored_columns_are_read_only(self):
+        m = fresh(arc_pair()[0])
+        for scheme in list(ms.Scheme)[4:]:
+            sig = ms.sa_signature(m, scheme)
+            rows, kappa, denom = m._derived[("sa", scheme)]
+            assert list(rows) == sig.indices.tolist()
+            for a in (kappa, denom):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+
+    def test_spacing_checked_on_every_call(self):
+        m = uneven_arc()
+        loose = encode(ms.sa_signature(m, ms.Scheme.EQ6, spacing_tol=1e-2))
+        with pytest.raises(SchemeSpacingMismatch, match="eq6 requires equal arc lengths"):
+            ms.sa_signature(m, ms.Scheme.EQ6)
+        with pytest.raises(SchemeSpacingMismatch, match="not equally spaced"):
+            ms.sa_signature(m, ms.Scheme.EQ6, spacing="euclidean", spacing_tol=1e-2)
+        assert encode(ms.sa_signature(m, ms.Scheme.EQ6, spacing_tol=1e-2)) == loose
+
+    @pytest.mark.parametrize("mesh, scheme, error", [
+        (flat_window_mesh(), ms.Scheme.EQ7, ZeroF),
+        (gen.ellipse_mesh(8, 2.0, 1.0, step=0.3, closed=False), ms.Scheme.EQ8, MeshTooShort),
+    ], ids=["row-fails", "no-rows"])
+    def test_a_raising_build_stores_nothing(self, mesh, scheme, error):
+        m = fresh(mesh)
+        with pytest.raises(error) as first:
+            ms.sa_signature(m, scheme)
+        assert ("sa", scheme) not in m._derived
+        with pytest.raises(error) as second:
+            ms.sa_signature(m, scheme)
+        assert str(second.value) == str(first.value)

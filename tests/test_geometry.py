@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,21 @@ class TestDiameter:
     def test_mesh_uses_it(self):
         pts = regular_polygon(37, 3.0)
         assert ms.Mesh(pts, closed=True).diameter == dense_diameter(pts)
+
+    @pytest.mark.parametrize("s", [1e160, 1e-170])
+    def test_far_from_unit_scale(self, s):
+        # unscaled, the squared differences overflow to inf (1e160) or underflow to 0 (1e-170)
+        rng = np.random.default_rng(18)
+        for pts in (np.array([[0.0, 0.0], [s, 0.0], [0.0, s]]), s * regular_polygon(200), s * rng.normal(size=(300, 2))):
+            k = math.frexp(float(np.abs(pts).max()))[1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                m = ms.Mesh(pts, closed=True)
+            assert m.diameter == math.ldexp(dense_diameter(np.ldexp(pts, -k)), k)
+            assert m.diameter == pytest.approx(s * dense_diameter(pts / s), rel=1e-15)
+            assert edge_lengths(m) == pytest.approx(s * np.hypot(*(np.roll(pts, -1, axis=0) - pts).T / s), rel=1e-15)
+        assert m.diameter != 0.0
+        assert ms.Mesh([[0, 0], [s, 0], [0, s]]).diameter == pytest.approx(math.sqrt(2.0) * s, rel=1e-15)
 
     def test_large_circle_memory_bounded(self):
         # the dense form would need about 6.4 GB for these 20 000 points
