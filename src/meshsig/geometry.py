@@ -128,10 +128,9 @@ def orient_rows(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
 
 
-def _scale_exponent(pts: np.ndarray) -> int:
-    """0 when max|p| lies in [2^-500, 2^500], where squared differences neither overflow nor underflow;
-    else the exponent k with max|p| in [2^(k-1), 2^k), so that pts * 2^-k lies in (-1, 1)."""
-    big = float(np.abs(pts).max())
+def _scale_exponent(big: float) -> int:
+    """0 when the largest coordinate magnitude lies in [2^-500, 2^500], where squared differences neither
+    overflow nor underflow; else the exponent k with big in [2^(k-1), 2^k), so that pts * 2^-k lies in (-1, 1)."""
     return 0 if big == 0.0 or 2.0 ** -500 <= big <= 2.0 ** 500 else math.frexp(big)[1]
 
 
@@ -279,11 +278,12 @@ class Mesh:
         pts = _as_points(points)
         if len(pts) < 3:
             raise InvalidMesh(f"mesh needs at least 3 points, got {len(pts)}")
-        if not np.isfinite(pts).all():
+        big = float(np.abs(pts).max())  # nan or inf where a coordinate is
+        if not math.isfinite(big):
             bad = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0][0])
             raise InvalidMesh(f"non-finite coordinates at point {bad}")
         # far from 1, squares would overflow or underflow: measure the points scaled by 2^-k, exactly
-        k = _scale_exponent(pts)
+        k = _scale_exponent(big)
         scaled = np.ldexp(pts, -k) if k else pts
         diameter = math.ldexp(_pointset_diameter(scaled), k)
         if diameter == 0.0:
