@@ -375,8 +375,9 @@ class _Block:
 def _arcs(blk: _Block, rows, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
     """Arc lengths from pk[r, j] to pl[r, j] on the conic of block row rows[r].
 
-    rows is an index array or a slice; pk and pl are (m, k, 2). Nonzero-curvature
-    conics use the center parallelogram area; parabolic conics use the signed linear element.
+    rows (an index array or a slice) picks the block rows; pk and pl are (m,
+    k, 2). Nonzero-curvature conics use the center parallelogram area;
+    parabolic conics use the signed linear element.
     Values on rows whose arc length raises (see `_arc_row`) are meaningless.
 
     Bound, with d = pk - pl and e = pk - center: on a central conic within

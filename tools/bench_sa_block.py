@@ -129,7 +129,7 @@ def run_workload(tree: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def quartiles(values: list) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": med, "q1": q1, "q3": q3}
 
 
@@ -173,7 +173,10 @@ def main() -> int:
         print(json.dumps(layers()))
         return 0
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    method = {"script": "tools/bench_sa_block.py", "argv": sys.argv[1:], "description": " ".join(__doc__.split())}
+    # name the checkouts by role and the output file by name, not by path
+    named = {str(args.parent): "PARENT", str(args.change): "CHANGE", str(args.out): args.out.name}
+    argv = [named.get(a, a) for a in sys.argv[1:]]
+    method = {"script": "tools/bench_sa_block.py", "argv": argv, "description": " ".join(__doc__.split())}
     result = {"method": method, "machine": machine(), "layers": {side: child_layers(tree) for side, tree in trees.items()},
               "end_to_end": {}, "traced_sa_arcs": {}}
     for workload in WORKLOADS:
