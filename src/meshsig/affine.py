@@ -15,10 +15,14 @@ the block belongs to the window centred at p[i]: its conic (every window's
 signed 5x5 minors from one stacked determinant), S, F, the curvature, the
 centre, the window's four consecutive arc lengths, its fineness and its
 hyperbola gap bound. A degenerate window is recorded in the block and
-raises only when that window is read. Each scheme's SA-signature columns
-are an entry of their own. The per-index functions (`conic_at`,
-`affine_curvature`, `has_fine_area`, ...) read the block, and `fit_conic`,
-`invariants` and `kappa_from_invariants` run the same kernels on one row.
+raises only when that window is read. `build_blocks` builds the missing
+blocks of several meshes in one pass over all their windows, as the
+equiaffine rules do for a pair; a mesh's block from such a pass is a
+read-only row slice of it, identical bit for bit to the mesh's own build.
+Each scheme's SA-signature columns are an entry of their own. The
+per-index functions (`conic_at`, `affine_curvature`, `has_fine_area`, ...)
+read the block, and `fit_conic`, `invariants` and `kappa_from_invariants`
+run the same kernels on one row.
 
 Numerical contract: each kernel's docstring states a bound against the
 exact evaluation (rational arithmetic, roots and angles to 50 digits) of
@@ -55,6 +59,7 @@ from .geometry import (
     SigDirection,
     _frozen,
     derived,
+    derived_jointly,
     is_convex,
     is_equally_spaced,
     is_ordinary,
@@ -320,11 +325,15 @@ def _gap_bounds(coef: np.ndarray, S: np.ndarray, F: np.ndarray) -> tuple[np.ndar
 
 
 class _Block:
-    """The equiaffine arrays of one mesh; row i belongs to the window centered at p[i].
+    """The equiaffine arrays of a stack of five-point windows, one row per window.
 
-    Rows without a window (the two ends of an open mesh) or with a
-    degenerate fit hold NaN; `fit_errors` maps the degenerate rows to
-    fit_conic's message. Every column is computed at full mesh length.
+    Built from a (N, 5, 2) window stack and its has-window mask, drawn from
+    one or more meshes: a mesh's block is its rows of the stack (`rows`),
+    row i belonging to the window centered at p[i]. Rows without a window
+    (the two ends of an open mesh) or with a degenerate fit hold NaN;
+    `fit_errors` maps the degenerate rows to fit_conic's message. Every
+    kernel works row by row, so a mesh's rows of a stack over several meshes
+    equal its own one-mesh build bit for bit.
     """
 
     __slots__ = (
@@ -333,14 +342,13 @@ class _Block:
         "rho", "sector", "area", "fine_area", "gap_undefined", "radicand", "mu", "position", "affine_fine",
     )
 
-    def __init__(self, mesh: Mesh):
-        n, tol, span = mesh.n, PARABOLIC_TOL, affine_fine_interior(mesh)
-        win = mesh.points[(np.arange(n)[:, None] + _FIT_OFFSETS) % n]
-        coef = np.full((n, 6), np.nan)
-        coef[span.start : span.stop], errors = _fit(win[span.start : span.stop])
-        self.fit_errors = {span.start + r: msg for r, msg in errors.items()}
-        self.has_window = (span.start <= np.arange(n)) & (np.arange(n) < span.stop)
-        self.fitted = self.has_window.copy()
+    def __init__(self, win: np.ndarray, has_window: np.ndarray):
+        tol, rows = PARABOLIC_TOL, np.flatnonzero(has_window)
+        coef = np.full((len(win), 6), np.nan)
+        coef[rows], errors = _fit(win[rows])
+        self.fit_errors = {int(rows[r]): msg for r, msg in errors.items()}
+        self.has_window = has_window
+        self.fitted = has_window.copy()
         self.fitted[list(self.fit_errors)] = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.coef, (S, F) = coef, _invariants(coef)
@@ -371,6 +379,15 @@ class _Block:
             if name != "fit_errors":
                 getattr(self, name).setflags(write=False)
 
+    def rows(self, start: int, stop: int) -> "_Block":
+        """Rows start..stop - 1 as a block of their own: read-only views, fit_errors keyed from start."""
+        part = object.__new__(type(self))
+        for name in self.__slots__:
+            if name != "fit_errors":
+                setattr(part, name, getattr(self, name)[start:stop])
+        part.fit_errors = {r - start: msg for r, msg in self.fit_errors.items() if start <= r < stop}
+        return part
+
 
 def _arcs(blk: _Block, rows, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
     """Arc lengths from pk[r, j] to pl[r, j] on the conic of block row rows[r].
@@ -394,9 +411,31 @@ def _arcs(blk: _Block, rows, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
         return np.where(blk.parabolic[rows, None], linear, np.abs(blk.kappa[rows, None] * cross))
 
 
+def _build_blocks(meshes: list[Mesh]) -> list[_Block]:
+    """Each mesh's block, as its rows of one `_Block` over all the meshes' windows.
+
+    Row start + i of the stack holds the window centered at p[i], wrapped
+    mod n, of the mesh whose rows begin at start.
+    """
+    starts = np.cumsum([0] + [m.n for m in meshes]).tolist()
+    centers = [np.arange(m.n) for m in meshes]
+    spans = [affine_fine_interior(m) for m in meshes]
+    has_window = np.concatenate([(s.start <= c) & (c < s.stop) for s, c in zip(spans, centers)])
+    # the (N, 5) index array is a temporary, freed before the block is built
+    windows = np.concatenate([m.points for m in meshes])[
+        np.concatenate([start + (c[:, None] + _FIT_OFFSETS) % m.n for m, c, start in zip(meshes, centers, starts)])]
+    stack = _Block(windows, has_window)
+    return [stack.rows(start, start + m.n) for m, start in zip(meshes, starts)]
+
+
+def build_blocks(*meshes: Mesh) -> list[_Block]:
+    """The meshes' equiaffine blocks, entries of their derived data; the missing ones are built in one pass."""
+    return derived_jointly(meshes, "affine", _build_blocks)
+
+
 def _block(mesh: Mesh) -> _Block:
-    """The mesh's equiaffine block, an entry of its derived data built on first use."""
-    return derived(mesh, "affine", _Block)
+    """The mesh's equiaffine block: `build_blocks` of one mesh."""
+    return build_blocks(mesh)[0]
 
 
 def _fit_window(mesh: Mesh, i: int) -> np.ndarray:

@@ -430,6 +430,11 @@ def _se_signatures(scheme: Scheme, spec: NeighborhoodSpec = SPEC11):
     return _signatures(lambda m: se_signature(m, scheme, spec), too_short_holds=True)
 
 
+def _affine_fine(m1, m2, p):
+    affine.build_blocks(m1, m2)  # both blocks in one pass, though the first mesh may decide alone
+    return None if affine.is_affine_fine(m1) and affine.is_affine_fine(m2) else "a mesh is not affine-fine"
+
+
 def _nonzero_curvature(m1, m2, p):
     interior = affine.affine_fine_interior(m1)
     zeros = [np.abs(affine.interior_curvatures(m)) <= affine.PARABOLIC_TOL for m in (m1, m2)]
@@ -440,6 +445,7 @@ def _nonzero_curvature(m1, m2, p):
 
 
 def _zero_curvature_areas(m1, m2, p):
+    affine.build_blocks(m1, m2)
     interior = affine.affine_fine_interior(m1)
     za, zb = (np.abs(affine.interior_curvatures(m)) <= affine.PARABOLIC_TOL for m in (m1, m2))
     t1, t2 = (np.abs(orient_rows(*neighbor_triples(m, interior))) / 2.0 for m in (m1, m2))
@@ -510,7 +516,6 @@ _THREE_STEP = (
     _se_signatures(Scheme.EQ4, SPEC33),
 )
 _SA_PRECONDITIONS = (_check_counts, _ordinary_convex)
-_AFFINE_FINE = _both(lambda m, p: affine.is_affine_fine(m), "a mesh is not affine-fine")
 _AFFINE_TAIL = (_arc_length_sets, _signatures(lambda m: affine.sa_signature(m, Scheme.EQ6), too_short_holds=False))
 
 RULES = {
@@ -558,8 +563,8 @@ RULES = {
         *_THREE_STEP,
         _Choice("endpoint_rule", {"equal-end-angles": (_end_angles,), "obtuse-start": (_obtuse_start,)}),
     )),
-    "thm5.7": Rule(Group.SA, _SA_PRECONDITIONS, (_AFFINE_FINE, _nonzero_curvature, *_AFFINE_TAIL)),
-    "thm5.8": Rule(Group.SA, _SA_PRECONDITIONS, (_AFFINE_FINE, _zero_curvature_areas, *_AFFINE_TAIL)),
+    "thm5.7": Rule(Group.SA, _SA_PRECONDITIONS, (_affine_fine, _nonzero_curvature, *_AFFINE_TAIL)),
+    "thm5.8": Rule(Group.SA, _SA_PRECONDITIONS, (_affine_fine, _zero_curvature_areas, *_AFFINE_TAIL)),
     "cor5.9": Rule(Group.SA, _SA_PRECONDITIONS, (
         _both(lambda m, p: is_fine(m, _band(p)), _NOT_FINE), _zero_curvature_areas, *_AFFINE_TAIL,
     )),

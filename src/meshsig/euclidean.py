@@ -66,19 +66,34 @@ def curvature_of_triple(p, q, r) -> float:
     return float(_checked(*_curvatures(*np.asarray([p, q, r], dtype=float)[:, None]))[0])
 
 
-def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
-    """Curvature at p[i] from its (m1, m2)-neighborhood."""
-    return curvature_of_triple(mesh.p(i, -spec.m1), mesh.p(i), mesh.p(i, spec.m2))
-
-
 def _interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(*_curvatures(*neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)))
+
+
+def _stored(mesh: Mesh, spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa, degenerate) at every center of ``mesh.interior(m1, m2)``, built once per mesh and stencil."""
+    return derived(mesh, ("curvature", spec.m1, spec.m2), _interior_curvatures, spec)
+
+
+def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
+    """Curvature at p[i] from its (m1, m2)-neighborhood, read from the mesh's stored stencil curvatures.
+
+    Raises IndexOutOfRange when the neighborhood reaches past an open
+    mesh's ends and DegenerateTriple when two of its points coincide.
+    """
+    mesh.resolve(i, -spec.m1), mesh.resolve(i, spec.m2)  # IndexOutOfRange past an open mesh's ends
+    i = mesh.resolve(i)
+    kappa, degenerate = _stored(mesh, spec)
+    row = i - mesh.interior(spec.m1, spec.m2).start
+    if degenerate[row]:
+        raise DegenerateTriple(f"two stencil points coincide at index {i}")
+    return float(kappa[row])
 
 
 def _stencil_curvatures(mesh: Mesh, centers: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
     # kappa at the given centers, raising at the first degenerate stencil; closed meshes wrap,
     # open ones must hold the stencils
-    kappa, degenerate = derived(mesh, ("curvature", spec.m1, spec.m2), _interior_curvatures, spec)
+    kappa, degenerate = _stored(mesh, spec)
     rows = centers % mesh.n - mesh.interior(spec.m1, spec.m2).start
     if degenerate[rows].any():
         raise DegenerateTriple(f"two stencil points coincide at index {centers[degenerate[rows].argmax()] % mesh.n}")
@@ -94,7 +109,7 @@ def interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> np.ndarr
     DegenerateTriple when any stencil has two coinciding points. Built once
     per mesh and stencil.
     """
-    kappa, degenerate = derived(mesh, ("curvature", spec.m1, spec.m2), _interior_curvatures, spec)
+    kappa, degenerate = _stored(mesh, spec)
     if degenerate.any():
         raise DegenerateTriple(f"two stencil points coincide at index {mesh.interior(spec.m1, spec.m2)[degenerate.argmax()]}")
     return kappa

@@ -358,12 +358,29 @@ def derived(mesh: Mesh, key, build, *args):
     tolerance, so a mesh stores a bounded number of entries. Entries are
     never changed once stored and their arrays are read-only. Concurrent
     first uses may each build the entry; ``setdefault`` keeps one of the
-    identical builds. A build that raises stores nothing.
+    identical builds. A build that raises stores nothing. An entry may also
+    come from a build over several meshes (:func:`derived_jointly`), which
+    is identical to the mesh's own build.
     """
     value = mesh._derived.get(key)
     if value is None:
         value = mesh._derived.setdefault(key, build(mesh, *args))
     return value
+
+
+def derived_jointly(meshes, key, build) -> list:
+    """Each mesh's derived value under ``key``; the missing ones come from one ``build(missing)`` call.
+
+    ``build`` takes a list of distinct meshes and returns one value per mesh,
+    each equal to what that mesh's own one-mesh build gives, so an entry may
+    come from a build over several meshes. Each is stored with
+    :func:`derived`'s ``setdefault`` rule.
+    """
+    missing = list({id(m): m for m in meshes if key not in m._derived}.values())
+    if missing:
+        for mesh, value in zip(missing, build(missing)):
+            mesh._derived.setdefault(key, value)
+    return [m._derived[key] for m in meshes]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -11,6 +11,7 @@ from meshsig import affine, congruence, euclidean, geometry
 from meshsig import generators as gen
 from meshsig.congruence import MatchMode
 from meshsig.errors import MeshTooShort, SchemeSpacingMismatch, ZeroF
+from test_affine import EQUIVALENCE_MESHES, unimodular
 
 SPECS = [ms.NeighborhoodSpec(*s) for s in ((1, 1), (1, 2), (3, 1), (3, 3))]
 
@@ -143,10 +144,23 @@ class TestContract:
         assert set(m1._derived) == keys
 
 
+def sa_outcomes(m1, m2):
+    return [outcome(ms.decide_affine, m1, m2, variant) for variant in ("thm5.7", "thm5.8", "cor5.9")]
+
+
 def test_concurrent_first_uses_agree_with_serial_runs():
-    """Eight threads (more than the cores) race on the first uses of the same meshes' entries."""
+    """Eight threads (more than the cores) race on the first uses of the same meshes' entries.
+
+    The equiaffine rules also run on the overlapping pairs (a, b) and (b, c),
+    half of the threads in each order, so b's block may come from either
+    pair's joint build.
+    """
+    a, b = arc_pair()
+    c = ms.Mesh(ms.random_motion(ms.Group.SA, 5).apply(a.points))
     expected = [every_outcome(*(fresh(m) for m in pair)) for pair in PAIRS]
+    expected += [sa_outcomes(fresh(a), fresh(b)), sa_outcomes(fresh(b), fresh(c))]
     shared = [tuple(fresh(m) for m in pair) for pair in PAIRS]
+    a, b, c = (fresh(m) for m in (a, b, c))
     threads_n = 8
     start = threading.Barrier(threads_n)
     results, errors = [None] * threads_n, []
@@ -154,7 +168,9 @@ def test_concurrent_first_uses_agree_with_serial_runs():
     def work(k):
         try:
             start.wait(timeout=30)
-            results[k] = [every_outcome(*pair) for pair in shared]
+            first, second = ((a, b), (b, c)) if k % 2 else ((b, c), (a, b))
+            done = {first: sa_outcomes(*first), second: sa_outcomes(*second)}
+            results[k] = [every_outcome(*pair) for pair in shared] + [done[a, b], done[b, c]]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -171,6 +187,7 @@ def test_concurrent_first_uses_agree_with_serial_runs():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(r == expected for r in results)
+    assert [block_bits(affine._block(m)) for m in (a, b, c)] == [block_bits(affine._block(fresh(m))) for m in (a, b, c)]
 
 
 def uneven_arc():
@@ -194,7 +211,7 @@ class TestSignatureColumns:
         calls = []
         build, block = affine._signature_columns, affine._Block
         monkeypatch.setattr(affine, "_signature_columns", lambda m, s: calls.append(s) or build(m, s))
-        monkeypatch.setattr(affine, "_Block", lambda m: calls.append("block") or block(m))
+        monkeypatch.setattr(affine, "_Block", lambda win, has_window: calls.append("block") or block(win, has_window))
         m1, m2 = (fresh(m) for m in arc_pair())
         first = encode(ms.sa_signature(m1, ms.Scheme.EQ6))
         assert calls == ["block", ms.Scheme.EQ6]
@@ -239,3 +256,93 @@ class TestSignatureColumns:
         with pytest.raises(error) as second:
             ms.sa_signature(m, scheme)
         assert str(second.value) == str(first.value)
+
+
+def joint_corpus():
+    """The affine equivalence corpus plus larger seeded meshes, open and closed, of 20 to 400 points.
+
+    Between them, their windows coincide, hold a collinear triple, have rank
+    < 5, fail the residual check, take the SVD fallback, and fit ellipses,
+    hyperbolas and parabolas.
+    """
+    rng = np.random.default_rng(61)
+    out = list(EQUIVALENCE_MESHES)
+    for k in range(12):
+        closed, n = k % 2 == 1, int(rng.integers(20, 401))
+        s = np.linspace(-1.0, 1.0, n, endpoint=not closed)
+        kind = k % 6 // 2
+        if kind == 0:
+            t = np.pi * s if closed else rng.uniform(0.0, 2.0 * np.pi) + rng.uniform(0.5, 1.0) * np.pi * s
+            pts = np.column_stack([rng.uniform(0.5, 3.0) * np.cos(t), rng.uniform(0.5, 3.0) * np.sin(t)])
+        elif kind == 1:
+            pts = np.column_stack([np.cosh(2.0 * s), np.sinh(2.0 * s)])
+        else:
+            pts = np.column_stack([s, s * s])
+        if k % 4 == 3:
+            pts = pts + rng.normal(scale=1e-6, size=pts.shape)
+        out.append(ms.Mesh(pts @ unimodular(rng).T + rng.uniform(-5.0, 5.0, size=2), closed=closed))
+    for k in range(4):
+        # strongly anisotropic clouds: collinear and rank < 5 windows, and windows between the rank filter's bounds
+        cloud = rng.normal(size=(300, 2)) * [1e5, 1e-6] * 10.0 ** rng.uniform(-1.0, 1.0, size=(300, 1))
+        out.append(ms.Mesh(cloud, closed=k % 2 == 1))
+        # every fifth point off a line, with 3e-11 noise: windows of four nearly collinear points,
+        # whose fit residual can fail
+        comb = np.where(np.arange(41) % 5 == 0, 0.3, 0.0) + 3e-11 * rng.normal(size=41)
+        out.append(ms.Mesh(np.column_stack([np.linspace(-1.0, 1.0, 41), comb])))
+    return out
+
+
+def block_bits(blk):
+    return [encode(getattr(blk, name)) for name in blk.__slots__ if name != "fit_errors"] + [blk.fit_errors]
+
+
+class TestJointBlocks:
+    """A block built together with other meshes' blocks equals the mesh's own build bit for bit."""
+
+    def test_joint_equals_solo(self):
+        corpus = joint_corpus()
+        solo = [block_bits(affine._block(fresh(m))) for m in corpus]
+        rng = np.random.default_rng(62)
+        order, k = rng.permutation(len(corpus)).tolist(), 0
+        while k < len(order):
+            group = order[k : k + int(rng.integers(2, 6))]
+            k += len(group)
+            meshes = [fresh(corpus[j]) for j in group]
+            affine._block(meshes[-1])  # a mesh that already has its block keeps it
+            for j, m, blk in zip(group, meshes, affine.build_blocks(*meshes, meshes[0])):
+                assert block_bits(blk) == solo[j], f"corpus mesh {j}"
+                assert m._derived["affine"] is blk
+
+    def test_corpus_reaches_every_kind_of_row(self, monkeypatch):
+        svd_rows, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svd_rows.append(len(a)) or svd(a, *args, **kw))
+        blocks = affine.build_blocks(*(fresh(m) for m in joint_corpus()))
+        assert svd_rows
+        tails = {msg.split(" ")[-1] for blk in blocks for msg in blk.fit_errors.values()}
+        assert tails == {"coincide", "collinear", "5)", "tolerance"}
+        assert all(np.isnan(blk.coef[~blk.fitted]).all() for blk in blocks)  # no window, or a degenerate one
+        tol = affine.PARABOLIC_TOL
+        kinds = [(blk.parabolic, blk.kappa_ok & (blk.kappa > tol), blk.kappa_ok & (blk.kappa < -tol)) for blk in blocks]
+        assert all(any(row[j].any() for row in kinds) for j in range(3))
+
+    def test_the_same_mesh_twice_gets_one_block(self):
+        m = fresh(arc_pair()[0])
+        first, second = affine.build_blocks(m, m)
+        assert first is second is affine._block(m)
+
+    @pytest.mark.parametrize("variant", ["thm5.7", "thm5.8", "cor5.9"])
+    def test_each_sa_rule_fits_a_fresh_pair_once(self, monkeypatch, variant):
+        calls, fit = [], affine._fit
+        monkeypatch.setattr(affine, "_fit", lambda pts: calls.append(len(pts)) or fit(pts))
+        m1, m2 = (fresh(m) for m in arc_pair())
+        assert ms.decide_affine(m1, m2, variant).congruent
+        assert calls == [(m1.n - 4) + (m2.n - 4)]
+
+    def test_a_pair_that_is_not_fine_builds_no_block(self, monkeypatch):
+        calls, fit = [], affine._fit
+        monkeypatch.setattr(affine, "_fit", lambda pts: calls.append(len(pts)) or fit(pts))
+        m1 = gen.ellipse_mesh(6, 2.0, 1.0, step=1.1, closed=False)
+        m2 = ms.Mesh(ms.random_motion(ms.Group.SA, 4).apply(m1.points))
+        assert ms.decide_affine(m1, m2, "cor5.9").reason == congruence._NOT_FINE
+        assert calls == []
+        assert "affine" not in m1._derived and "affine" not in m2._derived

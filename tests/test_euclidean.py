@@ -8,6 +8,7 @@ from meshsig import generators as gen
 from meshsig.errors import (
     DegenerateStencil,
     DegenerateTriple,
+    IndexOutOfRange,
     MeshTooShort,
     NotOrdinary,
     SchemeSpacingMismatch,
@@ -165,6 +166,17 @@ class TestCurvatureKernel:
             interior_curvatures(m, ms.NeighborhoodSpec(2, 1))
         with pytest.raises(DegenerateTriple, match="two stencil points coincide"):
             ms.curvature_of_triple((1, 1), (1, 1), (0, 0))
+
+    def test_per_index_reads_raise_like_the_triple(self):
+        m = ms.Mesh([(0, 0), (1, 0), (0, 1)] * 2, closed=True)
+        with pytest.raises(DegenerateTriple, match="^two stencil points coincide at index 0$"):
+            ms.euclidean_curvature(m, 0, ms.NeighborhoodSpec(2, 1))
+        assert ms.euclidean_curvature(m, 7) == ms.euclidean_curvature(m, 1)
+        m = ms.Mesh(gen.circle_mesh(12, radius=2.0).points[:8])
+        for i, spec in ((0, SPECS[0]), (7, SPECS[0]), (-1, SPECS[0]), (1, SPECS[1]), (5, SPECS[2])):
+            with pytest.raises(IndexOutOfRange):
+                ms.euclidean_curvature(m, i, spec)
+        assert ms.euclidean_curvature(m, 3, ms.NeighborhoodSpec(3, 1)) == pytest.approx(0.5, rel=1e-12)
 
     def test_needle_accuracy_bound(self):
         """Relative error <= eps * (a + b + c) / (b + c - a), against 50-digit arithmetic."""

@@ -6,13 +6,18 @@
 DIR is the root of a checkout (its `src/` and `perfbench/`). Each side's
 layers are timed in a fresh process that imports that side's `src/`:
 
-- the block build, `affine._Block(mesh)`, on the closed `ellipse_mesh(n, 2, 1)`
-  for n in 10^2..10^5 and on one 32-point open arc shaped like sa-arcs';
-  the minimum over repeats, unscaled, and the tracemalloc peak of one build.
-  A size where every window is rejected is recorded as failed, with the
-  first window's message, never dropped;
+- the block build, `affine._block(mesh)` on a mesh whose "affine" entry has
+  been cleared, on the closed `ellipse_mesh(n, 2, 1)` for n in 10^2..10^5
+  and on one 32-point open arc shaped like sa-arcs'; the minimum over
+  repeats, unscaled, and the tracemalloc peak of one build. A size where
+  every window is rejected is recorded as failed, with the first window's
+  message, never dropped;
 - the fit, sector and gap-bound kernels, each called on the arrays the
-  block hands it.
+  block hands it;
+- the pair layer: the blocks of two such 32-point arcs built one at a time
+  and, where the checkout has `affine.build_blocks`, jointly in one pass.
+
+`--layers` prints the layers of the meshsig on sys.path as one JSON line.
 
 Every process also times the benchmark's calibration pass (a dense
 256 x 256 distance pass), so that figures from different moments can be
@@ -82,6 +87,23 @@ def kernel_calls(affine, blk, win):
     return {"fit": lambda: affine._fit(windows), "sectors": sectors, "gap_bounds": gaps}
 
 
+def cleared(*meshes):
+    """The meshes, with their stored equiaffine blocks dropped, so that the next read builds them anew."""
+    for mesh in meshes:
+        mesh._derived.pop("affine", None)
+    return meshes
+
+
+def pair_layer(affine, gen) -> dict:
+    """Two sa-arcs-shaped 32-point arcs: their blocks one at a time, and jointly where the checkout can."""
+    arcs = (gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False),
+            gen.ellipse_mesh(32, 2.1, 0.8, t0=2.0, step=0.09, closed=False))
+    joint = getattr(affine, "build_blocks", None)
+    return {"meshes": "open ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094) and ellipse_mesh(32, 2.1, 0.8, t0=2.0, step=0.09)",
+            "one_at_a_time_ms": best_of(lambda: [affine._block(m) for m in cleared(*arcs)], 200),
+            "joint_ms": None if joint is None else best_of(lambda: joint(*cleared(*arcs)), 200)}
+
+
 def layers() -> dict:
     """Block and kernel times of the meshsig on sys.path (run in a child process)."""
     import numpy as np
@@ -94,9 +116,9 @@ def layers() -> dict:
     for name, mesh, repeats in meshes:
         n = mesh.n
         with np.errstate(all="ignore"):
-            entry = {"mesh": name, "n": n, "block_ms": best_of(lambda: affine._Block(mesh), repeats)}
+            entry = {"mesh": name, "n": n, "block_ms": best_of(lambda: affine._block(*cleared(mesh)), repeats)}
             tracemalloc.start()
-            blk = affine._Block(mesh)
+            blk = affine._block(*cleared(mesh))
             entry["block_tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
             tracemalloc.stop()
             win = mesh.points[(np.arange(n)[:, None] + affine._FIT_OFFSETS) % n]
@@ -107,6 +129,7 @@ def layers() -> dict:
             first = min(blk.fit_errors)
             entry["failed"] = f"every window rejected; window {first}: {blk.fit_errors[first]}"
         out["sizes"].append(entry)
+    out["pair"] = pair_layer(affine, gen)
     out["calibration_ms_after"] = calibration_ms()
     return out
 
@@ -167,7 +190,7 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--first-seed", type=int, default=1101)
     ap.add_argument("--out", type=Path, default=Path("BENCH_sa_block.json"))
-    ap.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--layers", action="store_true", help="print the layers of the meshsig on sys.path as one JSON line")
     args = ap.parse_args()
     if args.layers:
         print(json.dumps(layers()))
