@@ -81,8 +81,8 @@ def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> 
     Raises IndexOutOfRange when the neighborhood reaches past an open
     mesh's ends and DegenerateTriple when two of its points coincide.
     """
-    mesh.resolve(i, -spec.m1), mesh.resolve(i, spec.m2)  # IndexOutOfRange past an open mesh's ends
-    i = mesh.resolve(i)
+    # IndexOutOfRange past an open mesh's ends, at the first of the triple's points that lies there
+    _, i, _ = [mesh.resolve(i, k) for k in (-spec.m1, 0, spec.m2)]
     kappa, degenerate = _stored(mesh, spec)
     row = i - mesh.interior(spec.m1, spec.m2).start
     if degenerate[row]:
