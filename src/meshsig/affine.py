@@ -18,7 +18,7 @@ hyperbola gap bound. A degenerate window is recorded in the block and
 raises only when that window is read. `build_blocks` builds the missing
 blocks of several meshes in one pass over all their windows, as the
 equiaffine rules do for a pair; a mesh's block from such a pass is a
-read-only row slice of it, identical bit for bit to the mesh's own build.
+read-only copy of its rows, identical bit for bit to the mesh's own build.
 Each scheme's SA-signature columns are an entry of their own. The
 per-index functions (`conic_at`, `affine_curvature`, `has_fine_area`, ...)
 read the block, and `fit_conic`, `invariants` and `kappa_from_invariants`
@@ -380,11 +380,17 @@ class _Block:
                 getattr(self, name).setflags(write=False)
 
     def rows(self, start: int, stop: int) -> "_Block":
-        """Rows start..stop - 1 as a block of their own: read-only views, fit_errors keyed from start."""
+        """Rows start..stop - 1 as a block of their own, fit_errors keyed from start.
+
+        All rows are the block itself. Fewer are read-only copies, so that a
+        mesh's block never keeps the other meshes' rows of a joint build alive.
+        """
+        if start == 0 and stop == len(self.coef):
+            return self
         part = object.__new__(type(self))
         for name in self.__slots__:
             if name != "fit_errors":
-                setattr(part, name, getattr(self, name)[start:stop])
+                setattr(part, name, _frozen(getattr(self, name)[start:stop].copy())[0])
         part.fit_errors = {r - start: msg for r, msg in self.fit_errors.items() if start <= r < stop}
         return part
 

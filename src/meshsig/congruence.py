@@ -4,11 +4,16 @@ The alignment oracle fits one least-squares witness per correspondence (the
 Procrustes rotation or reflection for SE/E, the linear fit scaled to
 |det| = 1 for SA/Abar) and verifies it pointwise. Cyclic modes get every
 shift's least residual at once from FFT cross-covariances, O(n log n), and
-verify only the shifts whose residual could pass. Each decision rule is a
-row of RULES: its group, its preconditions and its ordered hypothesis
-checks. One engine evaluates any row; when all hypotheses hold it defers to
-the oracle, so a Congruent verdict always carries a verified witness motion.
-NotCongruent only ever comes from the oracle itself.
+verify only the shifts whose residual could pass. What the oracle needs of
+one mesh alone is an entry of the mesh's derived data, built once and read
+by every alignment the mesh takes part in: the frame (centroid, centred
+points, Gram entries and sum of squares), under SA/Abar the inverse of
+the first mesh's Gram matrix, and in cyclic modes the forward FFT spectrum
+of the centred points. Each decision rule is a row of RULES: its group, its
+preconditions and its ordered hypothesis checks. One engine evaluates any
+row; when all hypotheses hold it defers to the oracle, so a Congruent
+verdict always carries a verified witness motion. NotCongruent only ever
+comes from the oracle itself.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,13 +43,16 @@ from .geometry import (
     GroupElement,
     Mesh,
     NeighborhoodSpec,
+    _frozen,
     angle,
     angle_types,
+    derived,
     edge_lengths,
     is_convex,
     is_equally_spaced,
     is_fine,
     is_ordinary,
+    max_abs_coordinate,
     neighbor_triples,
     orient_rows,
     row_norms,
@@ -88,8 +97,43 @@ class CongruenceVerdict:
         return f"CongruenceVerdict({self.status.value}{extra})"
 
 
-def _witness_maps(Pc: np.ndarray, Qc: np.ndarray, group: Group) -> tuple[list[np.ndarray], str]:
-    """Least-squares linear parts taking the centred points Pc[k] to Qc[k], in trial order.
+class _Frame(NamedTuple):
+    """What the alignment oracle reads of one mesh alone, as read-only arrays and floats."""
+
+    mean: np.ndarray     # the centroid P.sum(axis=0) / n
+    centred: np.ndarray  # P - mean
+    gram: np.ndarray     # centred.T @ centred
+    g00: float           # the entries of gram
+    g01: float
+    g11: float
+    sumsq: float         # float((centred * centred).sum())
+
+
+def _build_frame(mesh: Mesh) -> _Frame:
+    mean = mesh.points.sum(axis=0) / mesh.n
+    centred = mesh.points - mean
+    gram = centred.T @ centred
+    (g00, g01), (_, g11) = gram.tolist()
+    return _Frame(*_frozen(mean, centred, gram), g00, g01, g11, float((centred * centred).sum()))
+
+
+def _frame(mesh: Mesh) -> _Frame:
+    """The mesh's alignment frame, built once."""
+    return derived(mesh, "frame", _build_frame)
+
+
+def _spectrum(mesh: Mesh) -> np.ndarray:
+    """``np.fft.rfft`` of the centred coordinates, a read-only (2, n // 2 + 1) array, built once."""
+    return derived(mesh, "spectrum", lambda m: _frozen(np.fft.rfft(_frame(m).centred.T))[0])
+
+
+def _gram_inverse(mesh: Mesh) -> np.ndarray:
+    """``np.linalg.inv`` of the frame's Gram matrix, read-only, built once; only SA/Abar fits read it."""
+    return derived(mesh, "gram_inverse", lambda m: _frozen(np.linalg.inv(_frame(m).gram))[0])
+
+
+def _witness_maps(m1: Mesh, Qc: np.ndarray, group: Group) -> tuple[list[np.ndarray], str]:
+    """Least-squares linear parts taking m1's centred points Pc[k] to Qc[k], in trial order.
 
     SE/E: the Procrustes rotation (Kabsch), then for E the Procrustes
     reflection; with H = Pcᵀ Qc they maximise tr(A H) by taking (1, 0) along
@@ -97,7 +141,7 @@ def _witness_maps(Pc: np.ndarray, Qc: np.ndarray, group: Group) -> tuple[list[np
     general-linear fit Hᵀ G⁻¹ (G = Pcᵀ Pc) scaled to |det| = 1 (Umeyama);
     SA rejects det <= 0. No map comes with a reason.
     """
-    H = Pc.T @ Qc
+    H = _frame(m1).centred.T @ Qc
     (h00, h01), (h10, h11) = H.tolist()
     if group in (Group.SE, Group.E):
         maps = []
@@ -106,37 +150,38 @@ def _witness_maps(Pc: np.ndarray, Qc: np.ndarray, group: Group) -> tuple[list[np
             c, s = (c / norm, s / norm) if norm else (1.0, 0.0)
             maps.append(np.array([[c, -det * s], [s, det * c]]))
         return maps, ""
-    linear = H.T @ np.linalg.inv(Pc.T @ Pc)
+    linear = H.T @ _gram_inverse(m1)
     det = float(np.linalg.det(linear))
     if group is Group.SA and det <= 0:
         return [], f"recovered map reverses orientation (det {det:.3g})"
     return ([linear / math.sqrt(abs(det))], "") if det else ([], "recovered map is singular")
 
 
-def _shift_scan(Pc: np.ndarray, Qc: np.ndarray, group: Group, reversal: bool, limit: float):
+def _shift_scan(m1: Mesh, m2: Mesh, group: Group, reversal: bool, limit: float):
     """(residual, bound, admitted) of every cyclic correspondence, in O(n log n) time and O(n) memory.
 
     residual[s, 0] belongs to the shift σ(k) = k + s, residual[s, 1] (with
     ``reversal``) to σ(k) = s - k: the least sum over k of
     |A pc_k + t - qc_σ(k)|² over the group's linear maps A (all of GL for
-    SA/Abar, a lower bound on the unimodular fit) and translations t. It
-    comes in closed form from the cross-covariances H_s, all found at once
-    by FFT cross-correlation (forward) or convolution (reversed). With
-    pp = |Pc|², qq = |Qc|², G = Pcᵀ Pc and κ = tr(G)²/det G (1 for SE/E),
-    each residual is within bound = 8 eps (pp + qq) (√(nκ) log2(2n) + nκ)
-    of its exact value on the same centred doubles: the FFT's normwise
-    error eps·O(log n) (Higham, ASNA §24.1) taken entrywise, through the
-    closed form. A witness within limit per coordinate leaves a residual of
-    at most 2n limit², so ``admitted``, the flat indices of residual within
-    2n limit² + bound, holds every correspondence that could verify, up to
-    the rounding of the centring and of the deviation check itself.
+    SA/Abar, a lower bound on the unimodular fit) and translations t, where
+    pc and qc are the centred points of m1's and m2's frames. It comes in
+    closed form from the cross-covariances H_s, all found at once by FFT
+    cross-correlation (forward) or convolution (reversed) of the meshes'
+    stored spectra. With pp = |Pc|², qq = |Qc|², G = Pcᵀ Pc and
+    κ = tr(G)²/det G (1 for SE/E), each residual is within
+    bound = 8 eps (pp + qq) (√(nκ) log2(2n) + nκ) of its exact value on the
+    same centred doubles: the FFT's normwise error eps·O(log n) (Higham,
+    ASNA §24.1) taken entrywise, through the closed form. A witness within
+    limit per coordinate leaves a residual of at most 2n limit², so
+    ``admitted``, the flat indices of residual within 2n limit² + bound,
+    holds every correspondence that could verify, up to the rounding of the
+    centring and of the deviation check itself.
     """
-    n = len(Pc)
-    fp, fq = np.fft.rfft(Pc.T), np.fft.rfft(Qc.T)
+    n, p, fp, fq = m1.n, _frame(m1), _spectrum(m1), _spectrum(m2)
     spectra = [fp.conj()[:, None] * fq] + ([fp[:, None] * fq] if reversal else [])
     h00, h01, h10, h11 = np.fft.irfft(np.stack(spectra, axis=-1), n, axis=-2).reshape(4, n, -1)
-    (g00, g01), (_, g11) = (Pc.T @ Pc).tolist()
-    pp, qq = g00 + g11, float((Qc * Qc).sum())
+    g00, g01, g11 = p.g00, p.g01, p.g11
+    pp, qq = g00 + g11, _frame(m2).sumsq
     if group in (Group.SE, Group.E):
         fit = np.hypot(h00 + h11, h01 - h10)
         if group is Group.E:
@@ -165,13 +210,16 @@ def align(
     (``_shift_scan``) and verify only the admitted ones, in the order
     identity, reversed shift+0, shift+1, reversed shift+1, ...; when none is
     admitted, the least-residual shift is verified to report its deviation.
-    Under SA/Abar, NoNonCollinearTriple is raised when G = Pcᵀ Pc is
-    singular: det G <= n eps tr(G)², the rounding of its entries. Under
-    SE/E, meshes whose diameters differ by more than 2√2 limit + 64 eps
+    The arguments are checked first, in this order: equal point counts,
+    cusp-free meshes, closed meshes for the cyclic modes. Then, under SE/E,
+    meshes whose diameters differ by more than 2√2 limit + 64 eps
     (M + scale) are rejected at once, M the largest coordinate magnitude: a
     witness within limit per coordinate moves each point by at most √2
     limit, and 64 eps (M + scale) covers the rounding of the diameters and
-    of the deviation check.
+    of the deviation check. Under SA/Abar, NoNonCollinearTriple is raised
+    when G = Pcᵀ Pc is singular: det G <= n eps tr(G)², the rounding of its
+    entries. The meshes' frames and spectra are built only after these
+    checks, once per mesh.
 
     Parameters
     ----------
@@ -195,30 +243,27 @@ def align(
         raise LengthMismatch(f"point counts differ: {m1.n} vs {m2.n}")
     if not is_ordinary(m1) or not is_ordinary(m2):
         raise NotOrdinary("alignment requires cusp-free meshes")
+    if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
+        raise NotClosed("cyclic match modes require closed meshes")
     n, P, Q, scale = m1.n, m1.points, m2.points, max(m1.diameter, m2.diameter)
     limit = tol * scale
     if group in (Group.SE, Group.E):
-        rounding = 64 * math.ulp(1.0) * (max(float(np.abs(P).max()), float(np.abs(Q).max())) + scale)
+        rounding = 64 * math.ulp(1.0) * (max(max_abs_coordinate(m1), max_abs_coordinate(m2)) + scale)
         if abs(m1.diameter - m2.diameter) > 2 * math.sqrt(2) * limit + rounding:
             return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
-    if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
-        raise NotClosed("cyclic match modes require closed meshes")
-    p_mean, q_mean = P.sum(axis=0) / n, Q.sum(axis=0) / n
-    Pc, Qc = P - p_mean, Q - q_mean
-    if group in (Group.SA, Group.ABAR):
-        (g00, g01), (_, g11) = (Pc.T @ Pc).tolist()
-        if g00 * g11 - g01 * g01 <= n * math.ulp(1.0) * (g00 + g11) ** 2:
-            raise NoNonCollinearTriple("mesh points are collinear")
+    p, q = _frame(m1), _frame(m2)
+    if group in (Group.SA, Group.ABAR) and p.g00 * p.g11 - p.g01 * p.g01 <= n * math.ulp(1.0) * (p.g00 + p.g11) ** 2:
+        raise NoNonCollinearTriple("mesh points are collinear")
     order, width, base = [0], 1, np.arange(n)
     if mode is not MatchMode.INDEX_ALIGNED:
-        residual, _, order = _shift_scan(Pc, Qc, group, mode is MatchMode.CYCLIC_REVERSAL, limit)
+        residual, _, order = _shift_scan(m1, m2, group, mode is MatchMode.CYCLIC_REVERSAL, limit)
         order, width = order if len(order) else [residual.argmin()], residual.shape[1]
     for shift, rev in (divmod(int(j), width) for j in order):
         tag = f"reversed shift+{shift}" if rev else f"shift+{shift}" if shift else "identity"
         idx = (shift - base) % n if rev else (base + shift) % n if shift else slice(None)
-        maps, why = _witness_maps(Pc, Qc[idx], group)
+        maps, why = _witness_maps(m1, q.centred[idx], group)
         for linear in maps:
-            translation = q_mean - linear @ p_mean
+            translation = q.mean - linear @ p.mean
             deviation = float(np.abs(P @ linear.T + translation - Q[idx]).max())
             if deviation <= limit:
                 return CongruenceVerdict(Verdict.CONGRUENT, witness=GroupElement(linear, translation, group),

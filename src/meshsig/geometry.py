@@ -266,10 +266,13 @@ class Mesh:
 
     Everything computed from the points alone, or from the points and one
     stencil, is kept in one store of derived data (see :func:`derived`):
-    the edge lengths, the ordinary and convex flags, each stencil's signs,
-    vertex angles, zero-arm flags and Euclidean curvatures, and the
-    equiaffine block. An entry is built on first use and never changed;
-    its arrays are read-only.
+    the edge lengths and the largest coordinate magnitude (both kept from
+    construction), the ordinary and convex flags, each stencil's signs,
+    vertex angles, zero-arm flags and Euclidean curvatures, the equiaffine
+    block, and the alignment oracle's entries: the frame (centroid, centred
+    points, their Gram matrix and sum of squares), the inverse of that Gram
+    matrix, and the forward FFT spectrum of the centred points. An entry is
+    built on first use and never changed; its arrays are read-only.
     """
 
     __slots__ = ("_points", "closed", "label", "_diameter", "_derived")
@@ -303,7 +306,7 @@ class Mesh:
         self.closed = bool(closed)
         self.label = label
         self._diameter = diameter
-        self._derived = {"edges": edges}
+        self._derived = {"edges": edges, "max_abs": big}
 
     @property
     def points(self) -> np.ndarray:
@@ -392,6 +395,11 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def edge_lengths(mesh: Mesh) -> np.ndarray:
     """Consecutive edge lengths, including the wrap edge of a closed mesh, as a read-only array."""
     return mesh._derived["edges"]
+
+
+def max_abs_coordinate(mesh: Mesh) -> float:
+    """The largest coordinate magnitude ``float(np.abs(mesh.points).max())``, kept from construction."""
+    return mesh._derived["max_abs"]
 
 
 class GroupElement:

@@ -118,8 +118,12 @@ class TestAlign:
         m = gen.random_ordinary_mesh(np.random.default_rng(24), 8)
         from meshsig.errors import NotClosed
 
-        with pytest.raises(NotClosed):
-            ms.align(m, m, ms.Group.SE, MatchMode.CYCLIC)
+        # closedness is checked before the diameters are compared, and before any frame is built
+        for other in (m, ms.Mesh(2.0 * m.points)):
+            for group in ms.Group:
+                with pytest.raises(NotClosed):
+                    ms.align(m, other, group, MatchMode.CYCLIC)
+                assert "frame" not in m._derived and "frame" not in other._derived
 
 
 def reference_align(m1, m2, group, mode=MatchMode.INDEX_ALIGNED, tol=congruence.DEFAULT_POINT_TOL):
@@ -135,6 +139,8 @@ def reference_align(m1, m2, group, mode=MatchMode.INDEX_ALIGNED, tol=congruence.
         raise LengthMismatch("point counts differ")
     if not ms.is_ordinary(m1) or not ms.is_ordinary(m2):
         raise NotOrdinary("alignment requires cusp-free meshes")
+    if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
+        raise NotClosed("cyclic match modes require closed meshes")
     n, P, scale = m1.n, m1.points, max(m1.diameter, m2.diameter)
     limit = tol * scale
     euclidean = group in (ms.Group.SE, ms.Group.E)
@@ -142,8 +148,6 @@ def reference_align(m1, m2, group, mode=MatchMode.INDEX_ALIGNED, tol=congruence.
     rounding = 64 * math.ulp(1.0) * (max(float(np.abs(P).max()), float(np.abs(m2.points).max())) + scale)
     if euclidean and abs(m1.diameter - m2.diameter) > 2 * math.sqrt(2) * limit + rounding:
         return ms.CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
-    if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
-        raise NotClosed("cyclic match modes require closed meshes")
     if not euclidean:
         band = 1e-9 * (float(np.ptp(P, axis=0).max()) or 1.0) ** 2
         picks = [i for i in range(n - 2) if abs(orient(P[i], P[i + 1], P[i + 2])) > band]
@@ -319,8 +323,9 @@ class TestLeastSquaresOracle:
             P = rng.normal(size=(n, 2)) * [1.0, rng.uniform(0.01, 1.0)] + rng.uniform(-100.0, 100.0, size=2)
             for Q in (rng.normal(size=(n, 2)), P[(np.arange(n) + 5) % n] @ rng.normal(size=(2, 2))):
                 Pc, Qc = P - P.mean(axis=0), Q - Q.mean(axis=0)
+                mp, mq = ms.Mesh(P, closed=True), ms.Mesh(Q, closed=True)
                 for group in ms.Group:
-                    residual, bound, _ = congruence._shift_scan(Pc, Qc, group, True, 0.0)
+                    residual, bound, _ = congruence._shift_scan(mp, mq, group, True, 0.0)
                     base = np.arange(n)
                     for s in range(n):
                         for rev, idx in enumerate(((base + s) % n, (s - base) % n)):
@@ -331,15 +336,14 @@ class TestLeastSquaresOracle:
         rng = np.random.default_rng(n + 1)
         pts, other = radial_outline(rng, n), radial_outline(rng, n)
         m = ms.Mesh(pts, closed=True)
-        Pc = m.points - m.points.mean(axis=0)
         for group, _, reverse in CYCLIC_CASES:
             image, true_index = cyclic_image(rng, pts, group, reverse)
             # every point moved by 0.9 limit per coordinate: residual near 1.6 n limit², still admitted
             edge = image + 0.9e-6 * m.diameter * rng.choice([-1.0, 1.0], size=image.shape)
             for Q, expected in ((image, [true_index]), (edge, [true_index]), (other, [])):
-                Qc = Q - Q.mean(axis=0)
-                limit = congruence.DEFAULT_POINT_TOL * max(m.diameter, ms.Mesh(Q, closed=True).diameter)
-                admitted = congruence._shift_scan(Pc, Qc, group, True, limit)[2]
+                mq = ms.Mesh(Q, closed=True)
+                limit = congruence.DEFAULT_POINT_TOL * max(m.diameter, mq.diameter)
+                admitted = congruence._shift_scan(m, mq, group, True, limit)[2]
                 assert admitted.tolist() == expected, (group, reverse)
 
     def test_cyclic_scan_memory_is_linear(self):

@@ -1,5 +1,6 @@
 """The per-mesh store of derived data: read-only, built once, and safe under concurrent first use."""
 
+import gc
 import sys
 import threading
 
@@ -12,6 +13,7 @@ from meshsig import generators as gen
 from meshsig.congruence import MatchMode
 from meshsig.errors import MeshTooShort, SchemeSpacingMismatch, ZeroF
 from test_affine import EQUIVALENCE_MESHES, unimodular
+from test_congruence import CYCLIC_CASES, cyclic_image, pushed_diameter_pair, radial_outline
 
 SPECS = [ms.NeighborhoodSpec(*s) for s in ((1, 1), (1, 2), (3, 1), (3, 3))]
 
@@ -148,19 +150,40 @@ def sa_outcomes(m1, m2):
     return [outcome(ms.decide_affine, m1, m2, variant) for variant in ("thm5.7", "thm5.8", "cor5.9")]
 
 
+def cyclic_outcomes(m1, m2):
+    return [outcome(ms.align, m1, m2, group, mode) for group in ms.Group for mode in list(MatchMode)[1:]]
+
+
+def outline_triple():
+    """A closed radial outline, its rolled SE image, and a reversed, rolled SA image of that."""
+    rng = np.random.default_rng(73)
+    x = radial_outline(rng, 60)
+    y = np.roll(ms.random_motion(ms.Group.SE, 6).apply(x), 17, axis=0)
+    z = np.roll(ms.random_motion(ms.Group.SA, 7).apply(y)[::-1], 5, axis=0)
+    return tuple(ms.Mesh(pts, closed=True) for pts in (x, y, z))
+
+
+def oracle_bits(m):
+    return [encode(congruence._frame(m)), encode(congruence._spectrum(m)), encode(congruence._gram_inverse(m))]
+
+
 def test_concurrent_first_uses_agree_with_serial_runs():
     """Eight threads (more than the cores) race on the first uses of the same meshes' entries.
 
     The equiaffine rules also run on the overlapping pairs (a, b) and (b, c),
     half of the threads in each order, so b's block may come from either
-    pair's joint build.
+    pair's joint build. Cyclic align runs under every group on the
+    overlapping closed pairs (x, y) and (y, z) in the same way, so y's
+    frame and spectrum may come from a call where y is either mesh.
     """
     a, b = arc_pair()
     c = ms.Mesh(ms.random_motion(ms.Group.SA, 5).apply(a.points))
+    x, y, z = outline_triple()
     expected = [every_outcome(*(fresh(m) for m in pair)) for pair in PAIRS]
     expected += [sa_outcomes(fresh(a), fresh(b)), sa_outcomes(fresh(b), fresh(c))]
+    expected += [cyclic_outcomes(fresh(x), fresh(y)), cyclic_outcomes(fresh(y), fresh(z))]
     shared = [tuple(fresh(m) for m in pair) for pair in PAIRS]
-    a, b, c = (fresh(m) for m in (a, b, c))
+    a, b, c, x, y, z = (fresh(m) for m in (a, b, c, x, y, z))
     threads_n = 8
     start = threading.Barrier(threads_n)
     results, errors = [None] * threads_n, []
@@ -170,7 +193,9 @@ def test_concurrent_first_uses_agree_with_serial_runs():
             start.wait(timeout=30)
             first, second = ((a, b), (b, c)) if k % 2 else ((b, c), (a, b))
             done = {first: sa_outcomes(*first), second: sa_outcomes(*second)}
-            results[k] = [every_outcome(*pair) for pair in shared] + [done[a, b], done[b, c]]
+            first, second = ((x, y), (y, z)) if k % 2 else ((y, z), (x, y))
+            done.update({first: cyclic_outcomes(*first), second: cyclic_outcomes(*second)})
+            results[k] = [every_outcome(*pair) for pair in shared] + [done[p] for p in ((a, b), (b, c), (x, y), (y, z))]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -188,6 +213,77 @@ def test_concurrent_first_uses_agree_with_serial_runs():
     assert errors == []
     assert all(r == expected for r in results)
     assert [block_bits(affine._block(m)) for m in (a, b, c)] == [block_bits(affine._block(fresh(m))) for m in (a, b, c)]
+    assert [oracle_bits(m) for m in (x, y, z)] == [oracle_bits(fresh(m)) for m in (x, y, z)]
+
+
+def frame_corpus():
+    """Pairs shaped like the tests/test_congruence.py corpora.
+
+    Random closed outlines (some with collinear leading triples, some with
+    noisy images), open and closed, onto rolled images under each group;
+    a radial outline onto its cyclic images and onto an unrelated outline;
+    the pair in the diameter band; and an all-collinear mesh.
+    """
+    rng = np.random.default_rng(71)
+    pairs = [pushed_diameter_pair()]
+    for k in range(16):
+        n = int(rng.integers(5, 40))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        pts = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.7, 1.3, size=(n, 1))
+        if k % 4 == 0:
+            pts[:4] = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+        image = ms.random_motion(list(ms.Group)[k % 4], rng).apply(pts)[(np.arange(n) + int(rng.integers(0, n))) % n]
+        if k % 3 == 1:
+            image = image + rng.normal(scale=1e-4, size=image.shape)
+        for closed in (True, False):
+            try:
+                pairs.append((ms.Mesh(pts, closed=closed), ms.Mesh(image, closed=closed)))
+            except ms.MeshSigError:
+                continue
+    pts = radial_outline(rng, 300)
+    for group, _, reverse in CYCLIC_CASES:
+        pairs.append((ms.Mesh(pts, closed=True), ms.Mesh(cyclic_image(rng, pts, group, reverse)[0], closed=True)))
+    pairs.append((ms.Mesh(pts, closed=True), ms.Mesh(radial_outline(rng, 300), closed=True)))
+    line = ms.Mesh([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
+    return pairs + [(line, line)]
+
+
+class TestAlignFrames:
+    """The oracle's frame, inverse Gram matrix and spectrum: built once per mesh, the same bits fresh or stored."""
+
+    def test_stored_entries_give_the_same_bits(self):
+        cases = [(group, mode) for group in ms.Group for mode in MatchMode]
+        for pair in frame_corpus():
+            first = [outcome(ms.align, *(fresh(m) for m in pair), group, mode) for group, mode in cases]
+            m1, m2 = (fresh(m) for m in pair)
+            for group, mode in cases:  # both meshes' entries, from calls in either order
+                outcome(ms.align, m1, m2, group, mode)
+                outcome(ms.align, m2, m1, group, mode)
+            assert [outcome(ms.align, m1, m2, group, mode) for group, mode in cases] == first
+
+    def test_built_once_per_mesh_across_a_cyclic_match_operation(self, monkeypatch):
+        """One outline against its four images and an unrelated outline of its diameter, as cyclic-match runs it."""
+        rng = np.random.default_rng(72)
+        pts = radial_outline(rng, 300)
+        m, other = ms.Mesh(pts, closed=True), ms.Mesh(radial_outline(rng, 300), closed=True)
+        unrelated = ms.Mesh(other.points * (m.diameter / other.diameter), closed=True)
+        images = [(ms.Mesh(cyclic_image(rng, pts, group, reverse)[0], closed=True), group, mode)
+                  for group, mode, reverse in CYCLIC_CASES]
+        calls, rfft, inv, build = [], np.fft.rfft, np.linalg.inv, congruence._build_frame
+        monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: calls.append("rfft") or rfft(a, *args, **kw))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inv(a))
+        monkeypatch.setattr(congruence, "_build_frame", lambda mesh: calls.append("frame") or build(mesh))
+
+        def operation():
+            found = [ms.align(m, image, group, mode) for image, group, mode in images]
+            return found + [ms.align(m, unrelated, group, mode) for _, group, mode in images]
+
+        verdicts = [v.congruent for v in operation()]
+        assert verdicts == [True] * 4 + [False] * 4
+        assert sorted(calls) == ["frame"] * 6 + ["inv"] + ["rfft"] * 6  # the inverse of m's Gram matrix only
+        calls.clear()
+        assert [v.congruent for v in operation()] == verdicts
+        assert calls == []
 
 
 def uneven_arc():
@@ -324,6 +420,16 @@ class TestJointBlocks:
         tol = affine.PARABOLIC_TOL
         kinds = [(blk.parabolic, blk.kappa_ok & (blk.kappa > tol), blk.kappa_ok & (blk.kappa < -tol)) for blk in blocks]
         assert all(any(row[j].any() for row in kinds) for j in range(3))
+
+    def test_a_joint_block_keeps_none_of_the_other_meshes_rows(self):
+        a, b = fresh(gen.ellipse_mesh(1000, 2.0, 1.0)), fresh(arc_pair()[0])
+        blk = affine.build_blocks(a, b)[1]
+        del a
+        gc.collect()
+        for name in blk.__slots__:
+            if name != "fit_errors":
+                array = getattr(blk, name)
+                assert array.base is None and len(array) == b.n, name
 
     def test_the_same_mesh_twice_gets_one_block(self):
         m = fresh(arc_pair()[0])

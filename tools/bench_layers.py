@@ -1,21 +1,29 @@
-"""Compare the equiaffine block of two meshsig checkouts, layer by layer and end to end.
+"""Compare two meshsig checkouts, layer by layer and end to end.
 
-    python tools/bench_sa_block.py --parent DIR --change DIR [--pairs 10] [--other-pairs 4]
-                                   [--seconds 20] [--first-seed 1101] [--out BENCH_sa_block.json]
+    python tools/bench_layers.py --parent DIR --change DIR --claimed WORKLOAD [--pairs 10]
+                                 [--other-pairs 4] [--seconds 20] [--first-seed 1101]
+                                 [--out BENCH_<label>.json]
 
 DIR is the root of a checkout (its `src/` and `perfbench/`). Each side's
 layers are timed in a fresh process that imports that side's `src/`:
 
-- the block build, `affine._block(mesh)` on a mesh whose "affine" entry has
-  been cleared, on the closed `ellipse_mesh(n, 2, 1)` for n in 10^2..10^5
-  and on one 32-point open arc shaped like sa-arcs'; the minimum over
-  repeats, unscaled, and the tracemalloc peak of one build. A size where
-  every window is rejected is recorded as failed, with the first window's
-  message, never dropped;
+- L1, the equiaffine block: `affine._block(mesh)` on a mesh whose "affine"
+  entry has been cleared, on the closed `ellipse_mesh(n, 2, 1)` for n in
+  10^2..10^5 and on one 32-point open arc shaped like sa-arcs'; the
+  minimum over repeats, unscaled, and the tracemalloc peak of one build. A
+  size where every window is rejected is recorded as failed, with the
+  first window's message, never dropped;
 - the fit, sector and gap-bound kernels, each called on the arrays the
   block hands it;
-- the pair layer: the blocks of two such 32-point arcs built one at a time
-  and, where the checkout has `affine.build_blocks`, jointly in one pass.
+- the block pair: the blocks of two such 32-point arcs built one at a time
+  and, where the checkout has `affine.build_blocks`, jointly in one pass;
+- L3, the cyclic alignment oracle: `align` of a closed radial outline of n
+  points (n in 10^2..10^5) onto its image under each group, started at
+  another index (and reversed under E and Abar, with CYCLIC_REVERSAL),
+  at first use (every derived entry built after `Mesh()` cleared from
+  both meshes) and at reuse (the entries kept from the call before); the
+  minimum over repeats, unscaled, and the tracemalloc peak of one first
+  use.
 
 `--layers` prints the layers of the meshsig on sys.path as one JSON line.
 
@@ -23,9 +31,10 @@ Every process also times the benchmark's calibration pass (a dense
 256 x 256 distance pass), so that figures from different moments can be
 compared. End to end, `perfbench/run.py` runs each workload in both
 checkouts in alternating order (the parent first on even pairs), with
-seeds first_seed, first_seed + 1, ...; sa-arcs gets `--pairs` pairs, the
-other workloads `--other-pairs`. One traced sa-arcs run per side records
-the per-layer figures. The result is one JSON file.
+seeds first_seed, first_seed + 1, ...; the claimed workload gets `--pairs`
+pairs, the other workloads `--other-pairs`. One traced run of the claimed
+workload per side records the per-layer figures. The result is one JSON
+file.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from pathlib import Path
 
 SIZES = (100, 1000, 10000, 100000)
 REPEATS = {100: 50, 1000: 20, 10000: 5, 100000: 2}
-WORKLOADS = ("sa-arcs", "se-outlines", "se-rules", "cyclic-match")
+WORKLOADS = ("se-outlines", "sa-arcs", "se-rules", "cyclic-match")
 BETTER = {"points_per_s": "higher", "op_p50_ms": "lower", "op_p90_ms": "lower",
           "peak_rss_mb": "lower", "setup_s": "lower"}
 
@@ -104,8 +113,53 @@ def pair_layer(affine, gen) -> dict:
             "joint_ms": None if joint is None else best_of(lambda: joint(*cleared(*arcs)), 200)}
 
 
+def radial_outline(rng, n: int):
+    """A closed star-shaped outline with no symmetry: random low harmonics of the radius."""
+    import numpy as np
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    r = 1.0 + sum(rng.uniform(-0.08, 0.08) * np.cos(k * t + rng.uniform(0.0, 2.0 * np.pi)) for k in range(2, 6))
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+def align_layer() -> list:
+    """Cyclic `align` of closed radial outlines onto their images, at first use and at reuse."""
+    import numpy as np
+    import meshsig as ms
+
+    cases = ((ms.Group.SE, ms.MatchMode.CYCLIC), (ms.Group.E, ms.MatchMode.CYCLIC_REVERSAL),
+             (ms.Group.SA, ms.MatchMode.CYCLIC), (ms.Group.ABAR, ms.MatchMode.CYCLIC_REVERSAL))
+    out = []
+    for n in SIZES:
+        rng = np.random.default_rng(n)
+        pts = radial_outline(rng, n)
+        for group, mode in cases:
+            linear = ms.random_motion(group, rng).linear
+            start = n // 3
+            order = (start - np.arange(n)) % n if mode is ms.MatchMode.CYCLIC_REVERSAL else (np.arange(n) + start) % n
+            m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh((pts @ linear.T)[order], closed=True)
+            built = {id(m): set(m._derived) for m in (m1, m2)}
+
+            def first_use():
+                for m in (m1, m2):
+                    for key in set(m._derived) - built[id(m)]:
+                        del m._derived[key]
+                return ms.align(m1, m2, group, mode)
+
+            entry = {"n": n, "group": group.value, "mode": mode.value,
+                     "first_use_ms": best_of(first_use, REPEATS[n])}
+            verdict = ms.align(m1, m2, group, mode)
+            entry["reuse_ms"] = best_of(lambda: ms.align(m1, m2, group, mode), REPEATS[n])
+            tracemalloc.start()
+            first_use()
+            entry["first_use_tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            tracemalloc.stop()
+            entry["congruent"], entry["correspondence"] = verdict.congruent, verdict.correspondence
+            out.append(entry)
+    return out
+
+
 def layers() -> dict:
-    """Block and kernel times of the meshsig on sys.path (run in a child process)."""
+    """Block, kernel and cyclic-alignment times of the meshsig on sys.path (run in a child process)."""
     import numpy as np
     from meshsig import affine
     from meshsig import generators as gen
@@ -130,6 +184,7 @@ def layers() -> dict:
             entry["failed"] = f"every window rejected; window {first}: {blk.fit_errors[first]}"
         out["sizes"].append(entry)
     out["pair"] = pair_layer(affine, gen)
+    out["cyclic_align"] = align_layer()
     out["calibration_ms_after"] = calibration_ms()
     return out
 
@@ -185,26 +240,29 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path)
+    ap.add_argument("--claimed", choices=WORKLOADS, help="the workload whose gain is claimed")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--other-pairs", type=int, default=4)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--first-seed", type=int, default=1101)
-    ap.add_argument("--out", type=Path, default=Path("BENCH_sa_block.json"))
+    ap.add_argument("--out", type=Path)
     ap.add_argument("--layers", action="store_true", help="print the layers of the meshsig on sys.path as one JSON line")
     args = ap.parse_args()
     if args.layers:
         print(json.dumps(layers()))
         return 0
+    if not (args.parent and args.change and args.claimed and args.out):
+        ap.error("--parent, --change, --claimed and --out are required unless --layers is given")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     # name the checkouts by role and the output file by name, not by path
     named = {str(args.parent): "PARENT", str(args.change): "CHANGE", str(args.out): args.out.name}
     argv = [named.get(a, a) for a in sys.argv[1:]]
-    method = {"script": "tools/bench_sa_block.py", "argv": argv, "description": " ".join(__doc__.split())}
+    method = {"script": "tools/bench_layers.py", "argv": argv, "description": " ".join(__doc__.split())}
     result = {"method": method, "machine": machine(), "layers": {side: child_layers(tree) for side, tree in trees.items()},
-              "end_to_end": {}, "traced_sa_arcs": {}}
+              "claimed": args.claimed, "end_to_end": {}, "traced": {}}
     for workload in WORKLOADS:
         pairs = []
-        for k in range(args.pairs if workload == "sa-arcs" else args.other_pairs):
+        for k in range(args.pairs if workload == args.claimed else args.other_pairs):
             seed, pair = args.first_seed + k, {}
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 pair[side] = run_workload(trees[side], workload, seed, args.seconds, 0)
@@ -212,7 +270,7 @@ def main() -> int:
             print(workload, seed, {s: round(r["metrics"]["points_per_s"]) for s, r in pair.items()}, file=sys.stderr)
         result["end_to_end"][workload] = {"runs": pairs, "summary": summarize(pairs)}
     for side, tree in trees.items():
-        result["traced_sa_arcs"][side] = run_workload(tree, "sa-arcs", args.first_seed, args.seconds, 1)
+        result["traced"][side] = run_workload(tree, args.claimed, args.first_seed, args.seconds, 1)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
