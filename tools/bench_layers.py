@@ -133,15 +133,14 @@ def align_layer() -> list:
         rng = np.random.default_rng(n)
         pts = radial_outline(rng, n)
         for group, mode in cases:
-            linear = ms.random_motion(group, rng).linear
-            start = n // 3
+            linear, start = ms.random_motion(group, rng).linear, n // 3
             order = (start - np.arange(n)) % n if mode is ms.MatchMode.CYCLIC_REVERSAL else (np.arange(n) + start) % n
             m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh((pts @ linear.T)[order], closed=True)
-            built = {id(m): set(m._derived) for m in (m1, m2)}
+            from_construction = set(m1._derived)
 
             def first_use():
                 for m in (m1, m2):
-                    for key in set(m._derived) - built[id(m)]:
+                    for key in set(m._derived) - from_construction:
                         del m._derived[key]
                 return ms.align(m1, m2, group, mode)
 
