@@ -615,8 +615,11 @@ def interior_arc_length_sets(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 def sd_affine(mesh: Mesh, i: int) -> SigDirection:
     """Traversal orientation of the two-neighborhood on its fitted conic.
 
-    All four consecutive turns must share a sign; a zero or mixed-sign turn
-    means the window is not in convex position.
+    The three turns of the window, at p[i-1], p[i] and p[i+1], must share a
+    sign. A turn counts as zero when its orient is at most
+    ``1e-12 * diameter**2`` in magnitude (a band of this function's own,
+    apart from ``COLLINEARITY_REL_TOL``); a zero or mixed-sign turn means
+    the window is not in convex position and raises DegenerateConfiguration.
     """
     window = _fit_window(mesh, i)
     scale = mesh.diameter
@@ -703,15 +706,17 @@ def is_affine_fine(mesh: Mesh) -> bool:
 
 
 def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
-    """L[i] = arc length from p[i] to p[i+1], each from the conic at p[i]; by default the block's arcs[:, 2]."""
-    default = indices is None
-    idx = np.array(list(mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1) if default else indices), dtype=int)
+    """L[i] = arc length from p[i] to p[i+1], each from the conic at p[i]: the block's arcs[i, 2].
+
+    By default i runs over ``mesh.interior(2, 3)``.
+    """
+    default = mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
+    idx = np.array(list(default if indices is None else indices), dtype=int)
     blk, n = _block(mesh), mesh.n
     rows = idx % n
     ok = blk.arc_ok[rows] & (mesh.closed | ((idx >= 0) & (idx < n)))
     _raise_first(idx[~ok], lambda i: affine_arc_length(mesh, i, i, mesh.resolve(i, 1)))
-    pts = mesh.points
-    return blk.arcs[rows, 2] if default else _arcs(blk, rows, pts[rows, None], pts[(rows + 1) % n, None])[:, 0]
+    return blk.arcs[rows, 2]
 
 
 def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[range, np.ndarray, np.ndarray]:

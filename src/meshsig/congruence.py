@@ -34,7 +34,7 @@ from .errors import (
     NotConvex,
     NotOrdinary,
 )
-from .euclidean import chord, interior_curvatures, se_signature
+from .euclidean import chord, chords, interior_curvatures, se_signature
 from .geometry import (
     RIGHT_ANGLE_TOL,
     SPEC11,
@@ -55,7 +55,6 @@ from .geometry import (
     max_abs_coordinate,
     neighbor_triples,
     orient_rows,
-    row_norms,
     triple_angles,
 )
 from .signatures import SIGNATURE_REL_TOL, Scheme, signature_max_error
@@ -313,12 +312,6 @@ def _signed_angles(mesh: Mesh, spec: NeighborhoodSpec) -> np.ndarray:
     return sign * theta
 
 
-def _chords(mesh: Mesh, lo: int, hi: int, centers: range) -> np.ndarray:
-    """chord(mesh, i + lo, i + hi) at each center."""
-    c, pts = np.arange(centers.start, centers.stop), mesh.points
-    return row_norms(pts[(c + lo) % mesh.n] - pts[(c + hi) % mesh.n])
-
-
 # Preconditions, called as (m1, m2), and hypothesis checks, called as
 # (m1, m2, p) with the rule parameters p. A check over every index finds the
 # first failing one from arrays and raises there what the per-index
@@ -557,7 +550,7 @@ def _first_failure(checks, m1, m2, p) -> str | None:
 
 _THREE_STEP = (
     _angle_types(SPEC33, signed=True),
-    _equal(lambda m: _chords(m, -3, 0, m.interior(3, 0)), "sig_tol", "3-step chord sequences"),
+    _equal(lambda m: chords(m, -3, 0, m.interior(3, 0)), "sig_tol", "3-step chord sequences"),
     _se_signatures(Scheme.EQ4, SPEC33),
 )
 _SA_PRECONDITIONS = (_check_counts, _ordinary_convex)
@@ -593,7 +586,7 @@ RULES = {
     )),
     "thm4.25": Rule(Group.SE, (_check_counts,), (
         _ORDINARY,
-        _equal(lambda m: _chords(m, -1, 1, m.interior()), "sig_tol", "centered chord sequences"),
+        _equal(lambda m: chords(m, -1, 1, m.interior()), "sig_tol", "centered chord sequences"),
         _angle_types(SPEC12, signed=True),
         _open_at_least(4, "the closing-chord condition needs at least 4 points"),
         _se_signatures(Scheme.EQ3, SPEC12),

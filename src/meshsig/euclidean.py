@@ -24,6 +24,7 @@ from .geometry import (
     is_ordinary,
     neighbor_triples,
     row_norms,
+    stencil_row,
 )
 from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
 
@@ -70,9 +71,19 @@ def _interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec) -> tuple[np.ndarray
     return _frozen(*_curvatures(*neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)))
 
 
-def _stored(mesh: Mesh, spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(kappa, degenerate) at every center of ``mesh.interior(m1, m2)``, built once per mesh and stencil."""
-    return derived(mesh, ("curvature", spec.m1, spec.m2), _interior_curvatures, spec)
+def _curvatures_at(mesh: Mesh, spec: NeighborhoodSpec, rows=slice(None)) -> np.ndarray:
+    """The stored curvatures at rows (an index array or a slice) of ``mesh.interior(m1, m2)``.
+
+    The (kappa, degenerate) arrays are built once per mesh and stencil.
+    Raises DegenerateTriple at the first of the rows whose stencil has two
+    coinciding points.
+    """
+    kappa, degenerate = derived(mesh, ("curvature", spec.m1, spec.m2), _interior_curvatures, spec)
+    bad = np.flatnonzero(degenerate[rows])
+    if len(bad):
+        i = np.arange(len(kappa))[rows][bad[0]] + mesh.interior(spec.m1, spec.m2).start
+        raise DegenerateTriple(f"two stencil points coincide at index {i}")
+    return kappa[rows]
 
 
 def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
@@ -81,23 +92,7 @@ def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> 
     Raises IndexOutOfRange when the neighborhood reaches past an open
     mesh's ends and DegenerateTriple when two of its points coincide.
     """
-    # IndexOutOfRange past an open mesh's ends, at the first of the triple's points that lies there
-    _, i, _ = [mesh.resolve(i, k) for k in (-spec.m1, 0, spec.m2)]
-    kappa, degenerate = _stored(mesh, spec)
-    row = i - mesh.interior(spec.m1, spec.m2).start
-    if degenerate[row]:
-        raise DegenerateTriple(f"two stencil points coincide at index {i}")
-    return float(kappa[row])
-
-
-def _stencil_curvatures(mesh: Mesh, centers: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
-    # kappa at the given centers, raising at the first degenerate stencil; closed meshes wrap,
-    # open ones must hold the stencils
-    kappa, degenerate = _stored(mesh, spec)
-    rows = centers % mesh.n - mesh.interior(spec.m1, spec.m2).start
-    if degenerate[rows].any():
-        raise DegenerateTriple(f"two stencil points coincide at index {centers[degenerate[rows].argmax()] % mesh.n}")
-    return kappa[rows]
+    return float(_curvatures_at(mesh, spec, [stencil_row(mesh, i, spec)])[0])
 
 
 def interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> np.ndarray:
@@ -109,15 +104,18 @@ def interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> np.ndarr
     DegenerateTriple when any stencil has two coinciding points. Built once
     per mesh and stencil.
     """
-    kappa, degenerate = _stored(mesh, spec)
-    if degenerate.any():
-        raise DegenerateTriple(f"two stencil points coincide at index {mesh.interior(spec.m1, spec.m2)[degenerate.argmax()]}")
-    return kappa
+    return _curvatures_at(mesh, spec)
 
 
 def chord(mesh: Mesh, i: int, j: int) -> float:
     """Euclidean distance between mesh points i and j."""
     return float(np.linalg.norm(mesh.p(i) - mesh.p(j)))
+
+
+def chords(mesh: Mesh, lo: int, hi: int, centers: range) -> np.ndarray:
+    """chord(mesh, i + lo, i + hi) at each center, wrapped mod n."""
+    c, pts = np.arange(centers.start, centers.stop), mesh.points
+    return row_norms(pts[(c + lo) % mesh.n] - pts[(c + hi) % mesh.n])
 
 
 def se_signature(
@@ -163,13 +161,12 @@ def se_signature(
     indices = scheme_rows(mesh, scheme, spec)
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
-    kappa = _stencil_curvatures(mesh, curvature_centers(scheme, indices), spec)
-    rows = np.arange(indices.start, indices.stop)
+    centers = curvature_centers(scheme, indices) % mesh.n
+    kappa = _curvatures_at(mesh, spec, centers - mesh.interior(spec.m1, spec.m2).start)
     lo_c, hi_c = denominator_offsets(scheme)
-    pts = mesh.points
-    denom = row_norms(pts[(rows + hi_c) % mesh.n] - pts[(rows + lo_c) % mesh.n])
+    denom = chords(mesh, lo_c, hi_c, indices)
     bad = np.flatnonzero(denom <= STENCIL_REL_TOL * mesh.diameter)
     if len(bad):
-        i = int(rows[bad[0]])
+        i = indices[bad[0]]
         raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
     return quotient_signature(scheme, spec, indices, kappa, denom)

@@ -73,20 +73,6 @@ def random_ordinary_mesh(rng, n: int = 10) -> Mesh:
     return random_unequally_spaced_mesh(rng, n)
 
 
-def random_convex_mesh(rng, n: int = 12) -> Mesh:
-    """Open convex mesh: one turning sign, random steps."""
-    rng = np.random.default_rng(rng)
-    steps = rng.uniform(0.6, 1.6, size=n - 1)
-    turns = rng.uniform(0.2, 0.55, size=n - 2)
-    heading = rng.uniform(0.0, 2.0 * np.pi)
-    pts = [np.zeros(2)]
-    for k in range(n - 1):
-        pts.append(pts[-1] + steps[k] * np.array([np.cos(heading), np.sin(heading)]))
-        if k < n - 2:
-            heading += turns[k]
-    return Mesh(np.array(pts), label="random-convex")
-
-
 def random_closed_mesh(rng, n: int = 12) -> Mesh:
     """Closed ordinary mesh: radial jitter around a circle."""
     rng = np.random.default_rng(rng)

@@ -95,11 +95,6 @@ class NeighborhoodSpec:
 SPEC11 = NeighborhoodSpec(1, 1)
 
 
-def cross2(u: np.ndarray, v: np.ndarray) -> float:
-    """z-component of the 2d cross product u x v."""
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
 def orient(p, q, r) -> float:
     """Twice the signed area of triangle (p, q, r); positive for ccw."""
     return float((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
@@ -272,7 +267,11 @@ class Mesh:
     block, and the alignment oracle's entries: the frame (centroid, centred
     points, their Gram matrix and sum of squares), the inverse of that Gram
     matrix, and the forward FFT spectrum of the centred points. An entry is
-    built on first use and never changed; its arrays are read-only.
+    built on first use and never changed; its arrays are read-only. The
+    per-index Euclidean functions (signature sign and direction, angle,
+    signed angle and its type, curvature) are views of the stencil arrays:
+    their first call on a mesh and stencil builds the array in O(n), and
+    later calls read one row in O(1).
     """
 
     __slots__ = ("_points", "closed", "label", "_diameter", "_derived")
@@ -511,8 +510,14 @@ def random_motion(group: Group, seed) -> GroupElement:
     return GroupElement(linear, translation, group)
 
 
-def _triple(mesh: Mesh, i: int, spec: NeighborhoodSpec):
-    return mesh.p(i, -spec.m1), mesh.p(i), mesh.p(i, spec.m2)
+def stencil_row(mesh: Mesh, i: int, spec: NeighborhoodSpec) -> int:
+    """Row of center i in the per-center arrays over ``mesh.interior(m1, m2)``.
+
+    Resolves p[i-m1], p[i] and p[i+m2] in that order, so IndexOutOfRange
+    names the first of them that lies past an open mesh's ends.
+    """
+    _, i, _ = [mesh.resolve(i, k) for k in (-spec.m1, 0, spec.m2)]
+    return i - mesh.interior(spec.m1, spec.m2).start
 
 
 def signature_sign(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> int:
@@ -520,12 +525,10 @@ def signature_sign(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> int:
 
     +1 means the triple (p[i-m1], p[i], p[i+m2]) is in counterclockwise
     order. The collinearity band scales with the squared mesh diameter.
+    Read from the mesh's stored stencil triples (:func:`triple_angles`).
     """
-    prev_pt, mid, nxt = _triple(mesh, i, spec)
-    c = cross2(nxt - mid, prev_pt - mid)
-    if abs(c) <= COLLINEARITY_REL_TOL * mesh.diameter ** 2:
-        return 0
-    return 1 if c > 0 else -1
+    row = stencil_row(mesh, i, spec)
+    return int(triple_angles(mesh, spec).sign[row])
 
 
 def signature_direction(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> SigDirection:
@@ -539,14 +542,16 @@ def signature_direction(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> 
 
 
 def angle(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
-    """Unsigned vertex angle at p[i] between the arms of its (m1, m2)-triple."""
-    prev_pt, mid, nxt = _triple(mesh, i, spec)
-    u = prev_pt - mid
-    v = nxt - mid
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    """Unsigned vertex angle at p[i] between the arms of its (m1, m2)-triple.
+
+    Read from the mesh's stored stencil triples (:func:`triple_angles`);
+    raises DegenerateArm when an arm has zero length.
+    """
+    row = stencil_row(mesh, i, spec)
+    angles = triple_angles(mesh, spec)
+    if angles.zero_arm[row]:
         raise DegenerateArm(f"zero-length angle arm at index {i}")
-    return float(np.arctan2(abs(cross2(u, v)), float(u @ v)))
+    return float(angles.theta[row])
 
 
 def signed_angle(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
@@ -557,14 +562,12 @@ def signed_angle(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
 def angle_type(theta: float, tol: float = RIGHT_ANGLE_TOL) -> AngleType:
     """Classify an angle in (0, pi) as acute, right or obtuse.
 
-    Right means within ``tol`` radians of pi/2.
+    Right means within ``tol`` radians of pi/2 (:func:`angle_types`).
     """
-    if not 0.0 < theta < np.pi:
+    kind = int(angle_types(theta, tol))
+    if not kind:
         raise OutOfDomain(f"angle {theta!r} outside (0, pi)")
-    half = np.pi / 2.0
-    if abs(theta - half) <= tol:
-        return AngleType.RIGHT
-    return AngleType.ACUTE if theta < half else AngleType.OBTUSE
+    return list(AngleType)[kind - 1]
 
 
 def signed_angle_type(
@@ -620,7 +623,7 @@ class StencilAngles(NamedTuple):
 def _stencil_angles(mesh: Mesh, spec: NeighborhoodSpec) -> StencilAngles:
     prev, mid, nxt = neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)
     u, v = prev - mid, nxt - mid
-    # orient(mid, nxt, prev) is signature_sign's cross product and, negated exactly, angle's
+    # orient(mid, nxt, prev) is (nxt - mid) x (prev - mid): its sign is the triple's, its magnitude the angle's
     cross = orient_rows(mid, nxt, prev)
     sign = np.where(np.abs(cross) <= COLLINEARITY_REL_TOL * mesh.diameter ** 2, 0, np.where(cross > 0, 1, -1))
     zero_arm = (row_norms(u) == 0.0) | (row_norms(v) == 0.0)
@@ -630,9 +633,12 @@ def _stencil_angles(mesh: Mesh, spec: NeighborhoodSpec) -> StencilAngles:
 def triple_angles(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> StencilAngles:
     """(sign, theta, zero_arm) of the (m1, m2)-triples at every center of ``mesh.interior(m1, m2)``.
 
-    sign equals :func:`signature_sign` and theta equals :func:`angle` bit for
-    bit, except on the triples that zero_arm marks: there an arm has zero
-    length and angle raises DegenerateArm. Built once per mesh and stencil.
+    Built once per mesh and stencil, in O(n) on first use. The per-index
+    functions :func:`signature_sign`, :func:`signature_direction`,
+    :func:`angle`, :func:`signed_angle` and :func:`signed_angle_type` each
+    read one row of it, so after that first use they take O(1). theta is 0
+    on the triples that zero_arm marks: there an arm has zero length and
+    angle raises DegenerateArm.
     """
     return derived(mesh, ("angles", spec.m1, spec.m2), _stencil_angles, spec)
 

@@ -90,6 +90,15 @@ def every_outcome(m1, m2):
     return rule_outcomes(m1, m2) + mesh_outcomes(m1) + mesh_outcomes(m2) + align_outcomes(m1, m2)
 
 
+PER_INDEX = (ms.signature_sign, ms.signature_direction, ms.angle, ms.signed_angle, ms.signed_angle_type,
+             ms.euclidean_curvature)
+
+
+def per_index_outcomes(m):
+    """Every per-index Euclidean function at every index under every stencil of SPECS."""
+    return [outcome(f, m, i, spec) for spec in SPECS for f in PER_INDEX for i in range(m.n)]
+
+
 def stored_arrays(m):
     every_outcome(m, m)
     arrays = [v for entry in m._derived.values() for v in (entry if isinstance(entry, tuple) else (entry,))
@@ -136,6 +145,13 @@ class TestContract:
         assert calls == []
 
     def test_store_stays_bounded(self):
+        stencil_entries = {(kind, spec.m1, spec.m2) for kind in ("angles", "curvature") for spec in SPECS}
+        for pair in PAIRS:
+            m = fresh(pair[0])
+            from_construction = set(m._derived)
+            first = per_index_outcomes(m)
+            assert set(m._derived) == from_construction | stencil_entries
+            assert per_index_outcomes(m) == first
         m1, m2 = (fresh(m) for m in PAIRS[1])
         every_outcome(m1, m2)
         keys = set(m1._derived)

@@ -463,27 +463,38 @@ class TestPredicates:
         np.testing.assert_allclose(e1, e0, rtol=1e-9)
 
 
+def scalar_triple(mesh, i):
+    """Frozen per-index reference on the raw points, in plain floats: the sign and vertex angle of the (1,1)-triple.
+
+    Its arms are edges, which Mesh() never lets be zero.
+    """
+    (px, py), (cx, cy), (nx, ny) = (mesh.points[mesh.resolve(i, k)].tolist() for k in (-1, 0, 1))
+    ux, uy, vx, vy = px - cx, py - cy, nx - cx, ny - cy
+    cross = vx * uy - vy * ux  # (p[i+1] - p[i]) x (p[i-1] - p[i])
+    sign = 0 if abs(cross) <= ms.geometry.COLLINEARITY_REL_TOL * mesh.diameter ** 2 else (1 if cross > 0 else -1)
+    return sign, math.atan2(abs(cross), ux * vx + uy * vy)
+
+
 def scalar_is_convex(mesh):
-    # frozen scalar reference: one signature_sign / angle call per index
-    signs = [ms.signature_sign(mesh, i) for i in mesh.interior()]
+    triples = [scalar_triple(mesh, i) for i in mesh.interior()]
+    signs = [sign for sign, _ in triples]
     if any(s == 0 for s in signs):
         return False
     if len(set(signs)) > 1:
         return False
     if mesh.closed:
-        turning = sum(s * (np.pi - ms.angle(mesh, i)) for i, s in zip(mesh.interior(), signs))
-        if abs(abs(turning) - 2.0 * np.pi) > 1e-6:
+        turning = sum(sign * (math.pi - theta) for sign, theta in triples)
+        if abs(abs(turning) - 2.0 * math.pi) > 1e-6:
             return False
     return True
 
 
 def scalar_is_fine(mesh, tol=ms.geometry.RIGHT_ANGLE_TOL):
-    # frozen scalar reference
+    # every angle in (0, pi), outside the right-angle band and above pi/2
+    half = math.pi / 2.0
     for i in mesh.interior():
-        try:
-            if ms.angle_type(ms.angle(mesh, i), tol) is not ms.AngleType.OBTUSE:
-                return False
-        except OutOfDomain:
+        theta = scalar_triple(mesh, i)[1]
+        if not 0.0 < theta < math.pi or abs(theta - half) <= tol or theta < half:
             return False
     return True
 

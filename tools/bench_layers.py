@@ -17,6 +17,12 @@ layers are timed in a fresh process that imports that side's `src/`:
   block hands it;
 - the block pair: the blocks of two such 32-point arcs built one at a time
   and, where the checkout has `affine.build_blocks`, jointly in one pass;
+- L2, the per-index Euclidean functions, through public functions only:
+  on the closed `ellipse_mesh(n, 2, 1)` with every derived entry built
+  after `Mesh()` cleared, one `signed_angle` call (n in 10^2..10^5),
+  `signed_angle` at every index (n up to 10^4), and `se_signature(EQ2)`
+  at first use (with `spacing_tol=1`, which the ellipse's unequal edges
+  need); the minimum over repeats, unscaled;
 - L3, the cyclic alignment oracle: `align` of a closed radial outline of n
   points (n in 10^2..10^5) onto its image under each group, started at
   another index (and reversed under E and Abar, with CYCLIC_REVERSAL),
@@ -113,6 +119,31 @@ def pair_layer(affine, gen) -> dict:
             "joint_ms": None if joint is None else best_of(lambda: joint(*cleared(*arcs)), 200)}
 
 
+def per_index_layer() -> list:
+    """Per-index functions and se_signature on closed ellipses whose derived entries are cleared before each call."""
+    import meshsig as ms
+    from meshsig import generators as gen
+
+    out = []
+    for n in SIZES:
+        mesh = gen.ellipse_mesh(n, 2.0, 1.0)
+        from_construction = set(mesh._derived)
+
+        def first_use():
+            for key in set(mesh._derived) - from_construction:
+                del mesh._derived[key]
+            return mesh
+
+        entry = {"n": n, "one_signed_angle_ms": best_of(lambda: ms.signed_angle(first_use(), n // 3), REPEATS[n])}
+        if n <= 10000:
+            entry["every_signed_angle_ms"] = best_of(
+                lambda: [ms.signed_angle(m, i) for m in (first_use(),) for i in range(n)], REPEATS[n])
+        entry["se_signature_eq2_ms"] = best_of(
+            lambda: ms.se_signature(first_use(), ms.Scheme.EQ2, spacing_tol=1.0), REPEATS[n])
+        out.append(entry)
+    return out
+
+
 def radial_outline(rng, n: int):
     """A closed star-shaped outline with no symmetry: random low harmonics of the radius."""
     import numpy as np
@@ -158,7 +189,7 @@ def align_layer() -> list:
 
 
 def layers() -> dict:
-    """Block, kernel and cyclic-alignment times of the meshsig on sys.path (run in a child process)."""
+    """Block, kernel, per-index and cyclic-alignment times of the meshsig on sys.path (run in a child process)."""
     import numpy as np
     from meshsig import affine
     from meshsig import generators as gen
@@ -183,6 +214,7 @@ def layers() -> dict:
             entry["failed"] = f"every window rejected; window {first}: {blk.fit_errors[first]}"
         out["sizes"].append(entry)
     out["pair"] = pair_layer(affine, gen)
+    out["per_index"] = per_index_layer()
     out["cyclic_align"] = align_layer()
     out["calibration_ms_after"] = calibration_ms()
     return out
