@@ -32,6 +32,7 @@ windows raises what its first failing index raises, as one window would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -58,11 +59,13 @@ from .geometry import (
     Point2,
     SigDirection,
     _frozen,
+    _scale_exponent,
     derived,
     derived_jointly,
     is_convex,
     is_equally_spaced,
     is_ordinary,
+    max_abs_coordinate,
     orient,
     orient_rows,
     row_norms,
@@ -290,9 +293,10 @@ def _sectors(coef, S, F, center, win) -> tuple[np.ndarray, np.ndarray]:
     e = win - center[:, None]
     qa, qb = (sgn * coef[:, 0])[:, None], (sgn * coef[:, 1])[:, None]
     theta = np.arctan2(np.sqrt(S)[:, None] * e[..., 1], qa * e[..., 0] + qb * e[..., 1])
-    polygon = np.concatenate([center[:, None], win], axis=1)
-    px, py = polygon[..., 0], polygon[..., 1]
-    sh = 0.5 * (px * np.roll(py, -1, axis=1) - py * np.roll(px, -1, axis=1)).sum(axis=1)
+    # the polygon (center, window points), closed by repeating its center
+    ring = np.concatenate([center[:, None], win, center[:, None]], axis=1)
+    px, py = ring[..., 0], ring[..., 1]
+    sh = 0.5 * (px[:, :-1] * py[:, 1:] - py[:, :-1] * px[:, 1:]).sum(axis=1)
     step = np.diff(theta, axis=1)
     step = np.where((sh >= 0)[:, None], step, -step)
     delta = np.where(step < 0.0, step + 2.0 * np.pi, step)  # np.mod(step, 2 pi), fast on NaN rows
@@ -621,8 +625,9 @@ def sd_affine(mesh: Mesh, i: int) -> SigDirection:
     apart from ``COLLINEARITY_REL_TOL``); a zero or mixed-sign turn means
     the window is not in convex position and raises DegenerateConfiguration.
     """
-    window = _fit_window(mesh, i)
-    scale = mesh.diameter
+    # far from 1, squares would overflow or underflow: scale by 2^-k, as Mesh() measures the points
+    k = _scale_exponent(max_abs_coordinate(mesh))
+    window, scale = np.ldexp(_fit_window(mesh, i), -k), math.ldexp(mesh.diameter, -k)
     signs = set()
     for j in range(3):
         o = orient(window[j], window[j + 1], window[j + 2])

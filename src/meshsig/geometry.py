@@ -160,7 +160,8 @@ def _hull_diameter(pts: np.ndarray) -> float:
     if h < 3:
         dx, dy = x[0] - x[-1], y[0] - y[-1]
         return math.sqrt(dx * dx + dy * dy)
-    nx, ny = np.roll(x, -1), np.roll(y, -1)
+    # each vertex's successor, the first vertex following the last
+    nx, ny = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
     theta = np.arctan2(ny - y, nx - x)
     # the edge angles rise by turns in (0, pi) and fall once, by more than pi, where they wrap
     theta[1:] += 2.0 * np.pi * np.cumsum(np.diff(theta) < -np.pi / 2.0)
@@ -188,7 +189,9 @@ def _outside_octagon(pts: np.ndarray) -> np.ndarray:
     ext = np.array([x.argmax(), s.argmax(), y.argmax(), t.argmin(), x.argmin(), s.argmin(), y.argmin(), t.argmax()])
     a = pts[ext]
     inside = np.ones(len(pts), dtype=bool)
-    for (ax, ay), (ex, ey) in zip(a.tolist(), (np.roll(a, -1, axis=0) - a).tolist()):
+    corners = a.tolist()
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        ex, ey = bx - ax, by - ay
         if ex or ey:  # an edge of coinciding extreme points bounds nothing
             inside &= ex * (y - ay) - ey * (x - ax) > 0
     inside[ext] = False  # keeps one of a set of coinciding points
@@ -406,14 +409,15 @@ class GroupElement:
 
     The linear part is validated against the group invariant on construction
     (orthogonality for SE/E, unit |determinant| for SA/ABAR, within
-    ``GROUP_TOL``).
+    ``GROUP_TOL``). Validation, :attr:`det` and :meth:`inverse` work on the
+    four entries a, b, c, d of linear = [[a, b], [c, d]] as Python floats.
     """
 
     __slots__ = ("linear", "translation", "group")
 
     def __init__(self, linear, translation, group: Group):
-        lin = np.asarray(linear, dtype=float).reshape(2, 2).copy()
-        tr = np.asarray(translation, dtype=float).reshape(2).copy()
+        lin = np.array(linear, dtype=float).reshape(2, 2)
+        tr = np.array(translation, dtype=float).reshape(2)
         self.linear = lin
         self.translation = tr
         self.group = group
@@ -421,25 +425,30 @@ class GroupElement:
         lin.setflags(write=False)
         tr.setflags(write=False)
 
+    def _entries(self) -> tuple[float, float, float, float, float]:
+        # a, b, c, d of the linear part and its determinant
+        (a, b), (c, d) = self.linear.tolist()
+        return a, b, c, d, a * d - b * c
+
     def check(self) -> None:
-        lin = self.linear
-        if not (np.isfinite(lin).all() and np.isfinite(self.translation).all()):
+        a, b, c, d, det = self._entries()
+        if not all(map(math.isfinite, (a, b, c, d, *self.translation.tolist()))):
             raise InvalidGroupElement("non-finite motion entries")
-        det = float(np.linalg.det(lin))
+        # written as "not <=" so that a det left nan by overflowing products is rejected too
         if self.group in (Group.SE, Group.E):
-            ortho = np.abs(lin.T @ lin - np.eye(2)).max()
-            if ortho > GROUP_TOL:
+            # the largest entry of linear.T @ linear - I
+            ortho = max(abs(a * a + c * c - 1.0), abs(a * b + c * d), abs(b * b + d * d - 1.0))
+            if not ortho <= GROUP_TOL:
                 raise InvalidGroupElement(f"linear part not orthogonal (defect {ortho:.3e})")
-            if self.group is Group.SE and abs(det - 1.0) > GROUP_TOL:
+            if self.group is Group.SE and not abs(det - 1.0) <= GROUP_TOL:
                 raise InvalidGroupElement(f"SE element must have det +1, got {det!r}")
-            if self.group is Group.E and abs(abs(det) - 1.0) > GROUP_TOL:
+            if self.group is Group.E and not abs(abs(det) - 1.0) <= GROUP_TOL:
                 raise InvalidGroupElement(f"E element must have det +-1, got {det!r}")
         elif self.group is Group.SA:
-            if abs(det - 1.0) > GROUP_TOL:
+            if not abs(det - 1.0) <= GROUP_TOL:
                 raise InvalidGroupElement(f"SA element must have det +1, got {det!r}")
-        else:
-            if abs(abs(det) - 1.0) > GROUP_TOL:
-                raise InvalidGroupElement(f"Abar element must have det +-1, got {det!r}")
+        elif not abs(abs(det) - 1.0) <= GROUP_TOL:
+            raise InvalidGroupElement(f"Abar element must have det +-1, got {det!r}")
 
     @classmethod
     def identity(cls, group: Group = Group.SE) -> "GroupElement":
@@ -452,19 +461,33 @@ class GroupElement:
 
     @property
     def det(self) -> float:
-        return float(np.linalg.det(self.linear))
+        """a d - b c of linear = [[a, b], [c, d]], in double arithmetic.
+
+        Within eps (1 + eps) (|a d| + |b c|) of the exact determinant of the
+        same doubles (eps = 2^-52), where neither product overflows or
+        underflows.
+        """
+        return self._entries()[4]
 
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.linear.T + self.translation
 
     def inverse(self) -> "GroupElement":
+        """The inverse motion; under SE/E its linear part is linear.T, exactly.
+
+        Under SA/Abar the linear part is [[d, -b], [-c, a]] / det with
+        :attr:`det`: each entry within a relative 2 eps (k + 1) of the exact
+        inverse of the same doubles, k = (|a d| + |b c|) / |a d - b c|, when
+        2 eps k < 1/2; each translation coordinate within 2 eps (k + 2)
+        (|i0 t0| + |i1 t1|) of the exact one, i the exact inverse's row and t
+        the translation.
+        """
         if self.group in (Group.SE, Group.E):
             inv = self.linear.T
         else:
-            a, b = self.linear[0]
-            c, d = self.linear[1]
-            inv = np.array([[d, -b], [-c, a]]) / self.det
+            a, b, c, d, det = self._entries()
+            inv = np.array([[d / det, -b / det], [-c / det, a / det]])
         return GroupElement(inv, -inv @ self.translation, self.group)
 
     def __repr__(self) -> str:
@@ -587,13 +610,16 @@ def is_equally_spaced(mesh: Mesh, rel_tol: float = SPACING_REL_TOL) -> bool:
     return float(edges.max() - edges.min()) <= rel_tol * float(edges.max())
 
 
-def _ordinary(mesh: Mesh) -> bool:
+def _cusp_spans(mesh: Mesh) -> np.ndarray:
+    """p[i+1] - p[i-1] at every center of ``mesh.interior()``; a closed mesh's wrap-around comes from slices."""
     pts = mesh.points
     if mesh.closed:
-        spans = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    else:
-        spans = pts[2:] - pts[:-2]
-    return not (row_norms(spans) <= COLLINEARITY_REL_TOL * mesh.diameter).any()
+        pts = np.concatenate([pts[-1:], pts, pts[:1]])
+    return pts[2:] - pts[:-2]
+
+
+def _ordinary(mesh: Mesh) -> bool:
+    return not (row_norms(_cusp_spans(mesh)) <= COLLINEARITY_REL_TOL * mesh.diameter).any()
 
 
 def is_ordinary(mesh: Mesh) -> bool:
@@ -622,10 +648,15 @@ class StencilAngles(NamedTuple):
 
 def _stencil_angles(mesh: Mesh, spec: NeighborhoodSpec) -> StencilAngles:
     prev, mid, nxt = neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)
+    # far from 1, squares would overflow or underflow: evaluate on the points scaled by 2^-k, as Mesh() measures them
+    k = _scale_exponent(max_abs_coordinate(mesh))
+    if k:
+        prev, mid, nxt = (np.ldexp(a, -k) for a in (prev, mid, nxt))
     u, v = prev - mid, nxt - mid
     # orient(mid, nxt, prev) is (nxt - mid) x (prev - mid): its sign is the triple's, its magnitude the angle's
     cross = orient_rows(mid, nxt, prev)
-    sign = np.where(np.abs(cross) <= COLLINEARITY_REL_TOL * mesh.diameter ** 2, 0, np.where(cross > 0, 1, -1))
+    band = COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -k) ** 2
+    sign = np.where(np.abs(cross) <= band, 0, np.where(cross > 0, 1, -1))
     zero_arm = (row_norms(u) == 0.0) | (row_norms(v) == 0.0)
     return StencilAngles(*_frozen(sign, _vertex_angles(cross, u, v), zero_arm))
 

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact
 import meshsig as ms
 from meshsig import generators as gen, geometry
 from meshsig.errors import (
@@ -17,6 +19,7 @@ from meshsig.errors import (
 )
 from meshsig.geometry import (
     GROUP_TOL,
+    _cusp_spans,
     _hull_diameter,
     _monotone_chain as monotone_chain,
     _pointset_diameter,
@@ -53,6 +56,16 @@ class TestMesh:
         m = gen.circle_mesh(6)
         assert m.resolve(5, 1) == 0
         assert m.resolve(0, -1) == 5
+
+    def test_cusp_spans_match_roll_reference(self):
+        rng = np.random.default_rng(41)
+        point_sets = [gen.circle_mesh(n).points for n in (3, 4, 5, 300)]
+        point_sets += [rng.normal(size=(int(rng.integers(3, 60)), 2)) * 10.0 ** rng.uniform(-3, 3) for _ in range(40)]
+        for pts in point_sets:
+            closed = ms.Mesh(pts, closed=True)
+            reference = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+            assert _cusp_spans(closed).tobytes() == reference.tobytes()
+            assert _cusp_spans(ms.Mesh(pts)).tobytes() == (pts[2:] - pts[:-2]).tobytes()
 
     def test_cusp_mesh_constructs_but_not_ordinary(self):
         m = ms.Mesh([(0, 0), (1, 0), (0, 0.0000000001 * 0 + 0)])  # p2 == p0
@@ -324,6 +337,65 @@ class TestMotions:
         dets = {np.sign(ms.random_motion(ms.Group.E, seed).det) for seed in range(1000)}
         assert dets == {1.0, -1.0}
 
+    def test_det_within_bound(self):
+        # det is the arithmetic on the entries alone, so it is checked on matrices no group admits as well
+        rng = np.random.default_rng(43)
+        matrices = [rng.normal(size=(2, 2)) for _ in range(200)]
+        # near-singular: rank one plus 1e-9
+        matrices += [np.outer(*rng.normal(size=(2, 2))) + 1e-9 * rng.normal(size=(2, 2)) for _ in range(100)]
+        matrices += [[[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]], [[3.0, 1.0 / 3.0], [1.0, 1.0 / 9.0]]]
+        matrices += [rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-150, 150, size=(2, 2)) for _ in range(100)]
+        matrices += [ms.random_motion(group, seed).linear for group in ms.Group for seed in range(50)]
+        for linear in matrices:
+            g = object.__new__(ms.GroupElement)
+            g.linear = np.array(linear, dtype=float)
+            a, b, c, d = (Fraction(v) for v in g.linear.ravel().tolist())
+            bound = Fraction(exact.EPS) * (1 + Fraction(exact.EPS)) * (abs(a * d) + abs(b * c))
+            assert abs(Fraction(g.det) - (a * d - b * c)) <= bound
+
+    def test_inverse_within_bound(self):
+        elements = [ms.random_motion(group, seed) for group in (ms.Group.SA, ms.Group.ABAR) for seed in range(100)]
+        elements += [ms.GroupElement([[1.0, 1e150], [0.0, 1.0]], (3.0, -1e140), ms.Group.SA),
+                     ms.GroupElement([[1e150, 1e150], [0.0, 1e-150]], (1e-3, 7.0), ms.Group.SA),
+                     ms.GroupElement([[1e7, 1e7 + 1.0], [1e7 - 1.0, 1e7]], (0.5, 0.25), ms.Group.ABAR)]
+        eps = Fraction(exact.EPS)
+        for g in elements:
+            a, b, c, d = (Fraction(v) for v in g.linear.ravel().tolist())
+            t = [Fraction(v) for v in g.translation.tolist()]
+            det = a * d - b * c
+            k = (abs(a * d) + abs(b * c)) / abs(det)
+            expected = [[d / det, -b / det], [-c / det, a / det]]
+            inv = g.inverse()
+            for row, got_row, got_t, exact_t in zip(expected, inv.linear.tolist(), inv.translation.tolist(),
+                                                    (-(r[0] * t[0] + r[1] * t[1]) for r in expected)):
+                for x, got in zip(row, got_row):
+                    assert abs(Fraction(got) - x) <= 2 * eps * (k + 1) * abs(x)
+                assert abs(Fraction(got_t) - exact_t) <= 2 * eps * (k + 2) * (abs(row[0] * t[0]) + abs(row[1] * t[1]))
+
+    def test_check_accepts_every_random_motion(self):
+        for group in ms.Group:
+            for seed in range(500):
+                g = ms.random_motion(group, seed)
+                ms.GroupElement(g.linear, g.translation, group).check()
+                g.inverse().check()
+
+    @pytest.mark.parametrize("linear, translation, group", [
+        ([[1.0, np.nan], [0.0, 1.0]], (0.0, 0.0), ms.Group.SA),
+        (np.eye(2), (np.inf, 0.0), ms.Group.SE),
+        ([[1.0, 1e-9], [0.0, 1.0]], (0.0, 0.0), ms.Group.SE),
+        ([[0.0, 1.0], [1.0, 0.0]], (0.0, 0.0), ms.Group.SE),
+        ([[1.0, 0.0], [0.0, -1.0]], (0.0, 0.0), ms.Group.SA),
+        ([[2.0, 0.0], [0.0, 2.0]], (0.0, 0.0), ms.Group.ABAR),
+        ([[1.0, 0.0], [0.0, 1.0 + 1e-9]], (0.0, 0.0), ms.Group.E),
+        # a d and b c overflow: the determinant is no number, which no group admits
+        ([[1e200, 1e200], [1e200, 1e200]], (0.0, 0.0), ms.Group.SA),
+        ([[1e200, 1e200], [1e200, 1e200]], (0.0, 0.0), ms.Group.ABAR),
+        ([[1e200, 1e200], [-1e200, 1e200]], (0.0, 0.0), ms.Group.E),
+    ])
+    def test_check_rejects(self, linear, translation, group):
+        with pytest.raises(InvalidGroupElement):
+            ms.GroupElement(linear, translation, group)
+
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(5)
         for group in ms.Group:
@@ -560,6 +632,30 @@ class TestArrayPredicates:
             m = ms.Mesh([(1.0, 0.0), (0.0, 0.0), (np.cos(theta), np.sin(theta))])
             assert ms.is_fine(m) is fine
             assert scalar_is_fine(m) is fine
+
+
+class TestFarFromUnitScale:
+    """Signs, angles and turns on meshes whose squared coordinates would overflow or underflow."""
+
+    SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)])
+
+    @pytest.mark.parametrize("s", [1e170, 1e-170])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_square(self, s, closed):
+        unit, far = ms.Mesh(self.SQUARE, closed=closed), ms.Mesh(s * self.SQUARE, closed=closed)
+        for i in unit.interior():
+            assert ms.signature_sign(far, i) == ms.signature_sign(unit, i)
+            assert ms.angle(far, i) == pytest.approx(ms.angle(unit, i), rel=1e-15)
+        assert ms.is_convex(far) == ms.is_convex(unit)
+        assert ms.is_fine(far) == ms.is_fine(unit)
+        assert ms.sd_affine(far, 2) is ms.sd_affine(unit, 2)
+
+    @pytest.mark.parametrize("s", [1e170, 2.0 ** 600, 1e-170])
+    def test_ellipse(self, s):
+        unit = gen.ellipse_mesh(40, 2.0, 1.0)
+        far = ms.Mesh(s * unit.points, closed=True)
+        assert ms.is_convex(far) and ms.is_fine(far)
+        assert [ms.sd_affine(far, i) for i in range(40)] == [ms.sd_affine(unit, i) for i in range(40)]
 
 
 class TestCircumcircle:

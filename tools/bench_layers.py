@@ -7,6 +7,10 @@
 DIR is the root of a checkout (its `src/` and `perfbench/`). Each side's
 layers are timed in a fresh process that imports that side's `src/`:
 
+- L0, mesh construction, through public functions only: `Mesh()` on the
+  points of the closed `ellipse_mesh(n, 2, 1)` and `is_ordinary` at first
+  use (every derived entry built after `Mesh()` cleared), n in
+  10^2..10^5; the minimum over repeats, unscaled;
 - L1, the equiaffine block: `affine._block(mesh)` on a mesh whose "affine"
   entry has been cleared, on the closed `ellipse_mesh(n, 2, 1)` for n in
   10^2..10^5 and on one 32-point open arc shaped like sa-arcs'; the
@@ -23,11 +27,12 @@ layers are timed in a fresh process that imports that side's `src/`:
   `signed_angle` at every index (n up to 10^4), and `se_signature(EQ2)`
   at first use (with `spacing_tol=1`, which the ellipse's unequal edges
   need); the minimum over repeats, unscaled;
-- L3, the cyclic alignment oracle: `align` of a closed radial outline of n
+- L3, the alignment oracle: `align` of a closed radial outline of n
   points (n in 10^2..10^5) onto its image under each group, started at
   another index (and reversed under E and Abar, with CYCLIC_REVERSAL),
-  at first use (every derived entry built after `Mesh()` cleared from
-  both meshes) and at reuse (the entries kept from the call before); the
+  and index-aligned onto its SE image, as the decision rules call it; at
+  first use (every derived entry built after `Mesh()` cleared from both
+  meshes) and at reuse (the entries kept from the call before); the
   minimum over repeats, unscaled, and the tracemalloc peak of one first
   use.
 
@@ -119,6 +124,32 @@ def pair_layer(affine, gen) -> dict:
             "joint_ms": None if joint is None else best_of(lambda: joint(*cleared(*arcs)), 200)}
 
 
+def first_use(*meshes):
+    """A function that drops from the meshes every derived entry built after `Mesh()` and returns the first mesh."""
+    from_construction = [set(m._derived) for m in meshes]
+
+    def clear():
+        for mesh, keep in zip(meshes, from_construction):
+            for key in set(mesh._derived) - keep:
+                del mesh._derived[key]
+        return meshes[0]
+    return clear
+
+
+def mesh_layer() -> list:
+    """`Mesh()` on a closed ellipse's points, and `is_ordinary` on the mesh with its derived entries cleared."""
+    import meshsig as ms
+    from meshsig import generators as gen
+
+    out = []
+    for n in SIZES:
+        pts = gen.ellipse_mesh(n, 2.0, 1.0).points
+        fresh = first_use(ms.Mesh(pts, closed=True))
+        out.append({"n": n, "mesh_ms": best_of(lambda: ms.Mesh(pts, closed=True), REPEATS[n]),
+                    "is_ordinary_first_use_ms": best_of(lambda: ms.is_ordinary(fresh()), REPEATS[n])})
+    return out
+
+
 def per_index_layer() -> list:
     """Per-index functions and se_signature on closed ellipses whose derived entries are cleared before each call."""
     import meshsig as ms
@@ -126,20 +157,13 @@ def per_index_layer() -> list:
 
     out = []
     for n in SIZES:
-        mesh = gen.ellipse_mesh(n, 2.0, 1.0)
-        from_construction = set(mesh._derived)
-
-        def first_use():
-            for key in set(mesh._derived) - from_construction:
-                del mesh._derived[key]
-            return mesh
-
-        entry = {"n": n, "one_signed_angle_ms": best_of(lambda: ms.signed_angle(first_use(), n // 3), REPEATS[n])}
+        fresh = first_use(gen.ellipse_mesh(n, 2.0, 1.0))
+        entry = {"n": n, "one_signed_angle_ms": best_of(lambda: ms.signed_angle(fresh(), n // 3), REPEATS[n])}
         if n <= 10000:
             entry["every_signed_angle_ms"] = best_of(
-                lambda: [ms.signed_angle(m, i) for m in (first_use(),) for i in range(n)], REPEATS[n])
+                lambda: [ms.signed_angle(m, i) for m in (fresh(),) for i in range(n)], REPEATS[n])
         entry["se_signature_eq2_ms"] = best_of(
-            lambda: ms.se_signature(first_use(), ms.Scheme.EQ2, spacing_tol=1.0), REPEATS[n])
+            lambda: ms.se_signature(fresh(), ms.Scheme.EQ2, spacing_tol=1.0), REPEATS[n])
         out.append(entry)
     return out
 
@@ -153,34 +177,28 @@ def radial_outline(rng, n: int):
 
 
 def align_layer() -> list:
-    """Cyclic `align` of closed radial outlines onto their images, at first use and at reuse."""
+    """`align` of closed radial outlines onto their images, cyclic and index-aligned, at first use and at reuse."""
     import numpy as np
     import meshsig as ms
 
     cases = ((ms.Group.SE, ms.MatchMode.CYCLIC), (ms.Group.E, ms.MatchMode.CYCLIC_REVERSAL),
-             (ms.Group.SA, ms.MatchMode.CYCLIC), (ms.Group.ABAR, ms.MatchMode.CYCLIC_REVERSAL))
+             (ms.Group.SA, ms.MatchMode.CYCLIC), (ms.Group.ABAR, ms.MatchMode.CYCLIC_REVERSAL),
+             (ms.Group.SE, ms.MatchMode.INDEX_ALIGNED))
     out = []
     for n in SIZES:
         rng = np.random.default_rng(n)
         pts = radial_outline(rng, n)
         for group, mode in cases:
-            linear, start = ms.random_motion(group, rng).linear, n // 3
+            linear, start = ms.random_motion(group, rng).linear, 0 if mode is ms.MatchMode.INDEX_ALIGNED else n // 3
             order = (start - np.arange(n)) % n if mode is ms.MatchMode.CYCLIC_REVERSAL else (np.arange(n) + start) % n
             m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh((pts @ linear.T)[order], closed=True)
-            from_construction = set(m1._derived)
-
-            def first_use():
-                for m in (m1, m2):
-                    for key in set(m._derived) - from_construction:
-                        del m._derived[key]
-                return ms.align(m1, m2, group, mode)
-
+            fresh = first_use(m1, m2)
             entry = {"n": n, "group": group.value, "mode": mode.value,
-                     "first_use_ms": best_of(first_use, REPEATS[n])}
+                     "first_use_ms": best_of(lambda: ms.align(fresh(), m2, group, mode), REPEATS[n])}
             verdict = ms.align(m1, m2, group, mode)
             entry["reuse_ms"] = best_of(lambda: ms.align(m1, m2, group, mode), REPEATS[n])
             tracemalloc.start()
-            first_use()
+            ms.align(fresh(), m2, group, mode)
             entry["first_use_tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
             tracemalloc.stop()
             entry["congruent"], entry["correspondence"] = verdict.congruent, verdict.correspondence
@@ -189,14 +207,14 @@ def align_layer() -> list:
 
 
 def layers() -> dict:
-    """Block, kernel, per-index and cyclic-alignment times of the meshsig on sys.path (run in a child process)."""
+    """Mesh, block, kernel, per-index and alignment times of the meshsig on sys.path (run in a child process)."""
     import numpy as np
     from meshsig import affine
     from meshsig import generators as gen
 
     meshes = [(f"ellipse_mesh({n}, 2, 1)", gen.ellipse_mesh(n, 2.0, 1.0), REPEATS[n]) for n in SIZES]
     meshes.append(("sa-arcs-shaped open arc, n=32", gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False), 200))
-    out = {"calibration_ms": calibration_ms(), "sizes": []}
+    out = {"calibration_ms": calibration_ms(), "mesh": mesh_layer(), "sizes": []}
     for name, mesh, repeats in meshes:
         n = mesh.n
         with np.errstate(all="ignore"):
