@@ -59,16 +59,15 @@ from .geometry import (
     Point2,
     SigDirection,
     _frozen,
-    _scale_exponent,
     derived,
     derived_jointly,
     is_convex,
     is_equally_spaced,
     is_ordinary,
-    max_abs_coordinate,
     orient,
     orient_rows,
     row_norms,
+    working_points,
 )
 from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
 
@@ -449,7 +448,9 @@ def _block(mesh: Mesh) -> _Block:
 
 
 def _fit_window(mesh: Mesh, i: int) -> np.ndarray:
-    return np.array([mesh.p(i, off) for off in range(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)])
+    """The five working points 2^-k p centred on p[i]."""
+    rows = [mesh.resolve(i, off) for off in range(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)]
+    return working_points(mesh).points[rows]
 
 
 def _row(mesh: Mesh, i: int) -> tuple[_Block, int]:
@@ -624,10 +625,10 @@ def sd_affine(mesh: Mesh, i: int) -> SigDirection:
     ``1e-12 * diameter**2`` in magnitude (a band of this function's own,
     apart from ``COLLINEARITY_REL_TOL``); a zero or mixed-sign turn means
     the window is not in convex position and raises DegenerateConfiguration.
+    The turns are taken on the working points 2^-k p against the band of
+    the working diameter 2^-k diameter, so no square overflows or underflows.
     """
-    # far from 1, squares would overflow or underflow: scale by 2^-k, as Mesh() measures the points
-    k = _scale_exponent(max_abs_coordinate(mesh))
-    window, scale = np.ldexp(_fit_window(mesh, i), -k), math.ldexp(mesh.diameter, -k)
+    window, scale = _fit_window(mesh, i), math.ldexp(mesh.diameter, -working_points(mesh).k)
     signs = set()
     for j in range(3):
         o = orient(window[j], window[j + 1], window[j + 2])

@@ -9,11 +9,12 @@ one mesh alone is an entry of the mesh's derived data, built once and read
 by every alignment the mesh takes part in: the frame (centroid, centred
 points, Gram entries and sum of squares), under SA/Abar the inverse of
 the first mesh's Gram matrix, and in cyclic modes the forward FFT spectrum
-of the centred points. Each decision rule is a row of RULES: its group, its
-preconditions and its ordered hypothesis checks. One engine evaluates any
-row; when all hypotheses hold it defers to the oracle, so a Congruent
-verdict always carries a verified witness motion. NotCongruent only ever
-comes from the oracle itself.
+of the centred points, all in the mesh's working units (``align``). Each
+decision rule is a row of RULES: its group, its preconditions and its
+ordered hypothesis checks. One engine evaluates any row; when all
+hypotheses hold it defers to the oracle, so a Congruent verdict always
+carries a verified witness motion. NotCongruent only ever comes from the
+oracle itself.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .geometry import (
     Mesh,
     NeighborhoodSpec,
     _frozen,
+    _in_units,
+    _ldexp,
     angle,
     angle_types,
     derived,
@@ -52,10 +55,10 @@ from .geometry import (
     is_equally_spaced,
     is_fine,
     is_ordinary,
-    max_abs_coordinate,
     neighbor_triples,
     orient_rows,
     triple_angles,
+    working_points,
 )
 from .signatures import SIGNATURE_REL_TOL, Scheme, signature_max_error
 
@@ -97,7 +100,11 @@ class CongruenceVerdict:
 
 
 class _Frame(NamedTuple):
-    """What the alignment oracle reads of one mesh alone, as read-only arrays and floats."""
+    """What the alignment oracle reads of one mesh alone, as read-only arrays and floats.
+
+    P is the mesh's working points 2^-k p (:func:`geometry.working_points`),
+    so every entry is in working units.
+    """
 
     mean: np.ndarray     # the centroid P.sum(axis=0) / n
     centred: np.ndarray  # P - mean
@@ -109,8 +116,9 @@ class _Frame(NamedTuple):
 
 
 def _build_frame(mesh: Mesh) -> _Frame:
-    mean = mesh.points.sum(axis=0) / mesh.n
-    centred = mesh.points - mean
+    P = working_points(mesh).points
+    mean = P.sum(axis=0) / mesh.n
+    centred = P - mean
     gram = centred.T @ centred
     (g00, g01), (_, g11) = gram.tolist()
     return _Frame(*_frozen(mean, centred, gram), g00, g01, g11, float((centred * centred).sum()))
@@ -210,13 +218,21 @@ def align(
     identity, reversed shift+0, shift+1, reversed shift+1, ...; when none is
     admitted, the least-residual shift is verified to report its deviation.
     The arguments are checked first, in this order: equal point counts,
-    cusp-free meshes, closed meshes for the cyclic modes. Then, under SE/E,
-    meshes whose diameters differ by more than 2√2 limit + 64 eps
-    (M + scale) are rejected at once, M the largest coordinate magnitude: a
-    witness within limit per coordinate moves each point by at most √2
-    limit, and 64 eps (M + scale) covers the rounding of the diameters and
-    of the deviation check. Under SA/Abar, NoNonCollinearTriple is raised
-    when G = Pcᵀ Pc is singular: det G <= n eps tr(G)², the rounding of its
+    cusp-free meshes, closed meshes for the cyclic modes.
+
+    Everything is compared in the pair's working units 2^K, K = max(k1, k2)
+    of the meshes' working exponents (:func:`geometry.working_points`):
+    each mesh's stored frame and spectrum are in its own units, and only
+    when k1 != k2 are those of the mesh of lower exponent rebuilt for the
+    call from its points scaled by 2^-K, and not stored. The witness's
+    translation, the maximum deviation and the numbers of the reason are
+    scaled back to input units. Under SE/E, meshes whose diameters differ
+    by more than 2√2 limit + 64 eps (M + scale) are rejected at once, M the
+    largest working coordinate magnitude: a witness within limit per
+    coordinate moves each point by at most √2 limit, and 64 eps (M + scale)
+    covers the rounding of the diameters and of the deviation check. Under
+    SA/Abar, NoNonCollinearTriple is raised when the first mesh's own
+    G = Pcᵀ Pc is singular: det G <= n eps tr(G)², the rounding of its
     entries. The meshes' frames and spectra are built only after these
     checks, once per mesh.
 
@@ -244,15 +260,20 @@ def align(
         raise NotOrdinary("alignment requires cusp-free meshes")
     if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
         raise NotClosed("cyclic match modes require closed meshes")
-    n, P, Q, scale = m1.n, m1.points, m2.points, max(m1.diameter, m2.diameter)
-    limit = tol * scale
+    (k1, _, big1), (k2, _, big2) = working_points(m1), working_points(m2)
+    n, K = m1.n, max(k1, k2)  # the pair's working units are 2^K
+    d1, d2 = math.ldexp(m1.diameter, -K), math.ldexp(m2.diameter, -K)
+    limit = tol * max(d1, d2)
     if group in (Group.SE, Group.E):
-        rounding = 64 * math.ulp(1.0) * (max(max_abs_coordinate(m1), max_abs_coordinate(m2)) + scale)
-        if abs(m1.diameter - m2.diameter) > 2 * math.sqrt(2) * limit + rounding:
+        rounding = 64 * math.ulp(1.0) * (max(math.ldexp(big1, k1 - K), math.ldexp(big2, k2 - K)) + max(d1, d2))
+        if abs(d1 - d2) > 2 * math.sqrt(2) * limit + rounding:
             return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
-    p, q = _frame(m1), _frame(m2)
+    p = _frame(m1)
     if group in (Group.SA, Group.ABAR) and p.g00 * p.g11 - p.g01 * p.g01 <= n * math.ulp(1.0) * (p.g00 + p.g11) ** 2:
         raise NoNonCollinearTriple("mesh points are collinear")
+    # a mesh of lower exponent is read in the pair's units, for this call only
+    m1, m2 = _in_units(m1, K), _in_units(m2, K)
+    p, q, P, Q = _frame(m1), _frame(m2), working_points(m1).points, working_points(m2).points
     order, width, base = [0], 1, np.arange(n)
     if mode is not MatchMode.INDEX_ALIGNED:
         residual, _, order = _shift_scan(m1, m2, group, mode is MatchMode.CYCLIC_REVERSAL, limit)
@@ -264,10 +285,11 @@ def align(
         for linear in maps:
             translation = q.mean - linear @ p.mean
             deviation = float(np.abs(P @ linear.T + translation - Q[idx]).max())
-            if deviation <= limit:
-                return CongruenceVerdict(Verdict.CONGRUENT, witness=GroupElement(linear, translation, group),
-                                         max_deviation=deviation, correspondence=tag)
-            why = f"max deviation {deviation:.3e} over {limit:.3e}"
+            if deviation <= limit:  # translation and deviation back in input units
+                witness = GroupElement(linear, _ldexp(translation, K), group)
+                return CongruenceVerdict(Verdict.CONGRUENT, witness=witness, max_deviation=math.ldexp(deviation, K),
+                                         correspondence=tag)
+            why = f"max deviation {math.ldexp(deviation, K):.3e} over {math.ldexp(limit, K):.3e}"
         reason = f"{why} ({tag})"
     return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason=reason)
 
@@ -486,7 +508,8 @@ def _zero_curvature_areas(m1, m2, p):
     affine.build_blocks(m1, m2)
     interior = affine.affine_fine_interior(m1)
     za, zb = (np.abs(affine.interior_curvatures(m)) <= affine.PARABOLIC_TOL for m in (m1, m2))
-    t1, t2 = (np.abs(orient_rows(*neighbor_triples(m, interior))) / 2.0 for m in (m1, m2))
+    t1, t2 = (_ldexp(np.abs(orient_rows(*neighbor_triples(m, interior))) / 2.0, 2 * working_points(m).k)
+              for m in (m1, m2))
     scale = np.maximum(np.maximum(t1, t2), 1e-300)
     bad = np.flatnonzero((za != zb) | (za & (np.abs(t1 - t2) > p["sig_tol"] * scale)))
     if not len(bad):

@@ -18,6 +18,8 @@ from .geometry import (
     Mesh,
     NeighborhoodSpec,
     _frozen,
+    _ldexp,
+    _working,
     derived,
     edge_lengths,
     is_equally_spaced,
@@ -25,6 +27,7 @@ from .geometry import (
     neighbor_triples,
     row_norms,
     stencil_row,
+    working_points,
 )
 from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
 
@@ -51,24 +54,25 @@ def _curvatures(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray
     return kappa, degenerate
 
 
-def _checked(kappa: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
-    if degenerate.any():
-        raise DegenerateTriple("two stencil points coincide")
-    return kappa
-
-
 def curvature_of_triple(p, q, r) -> float:
     """Reciprocal circumradius of three points; 0 for collinear triples.
 
     Relative error about eps * (a + b + c) / (b + c - a) for sides
-    a >= b >= c, so nearly straight triples lose accuracy. Raises
-    DegenerateTriple when two of the points coincide.
+    a >= b >= c, so nearly straight triples lose accuracy. Computed on the
+    triple's working points 2^-k p, as :func:`geometry.circumcircle` is, and
+    scaled back by 2^-k. Raises DegenerateTriple when two of the points
+    coincide.
     """
-    return float(_checked(*_curvatures(*np.asarray([p, q, r], dtype=float)[:, None]))[0])
+    k, tri, _ = _working(np.array([p, q, r], dtype=float))
+    kappa, degenerate = _curvatures(*tri[:, None])
+    if degenerate[0]:
+        raise DegenerateTriple("two stencil points coincide")
+    return float(_ldexp(kappa, -k)[0])
 
 
 def _interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    return _frozen(*_curvatures(*neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)))
+    kappa, degenerate = _curvatures(*neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec))
+    return _frozen(_ldexp(kappa, -working_points(mesh).k), degenerate)
 
 
 def _curvatures_at(mesh: Mesh, spec: NeighborhoodSpec, rows=slice(None)) -> np.ndarray:
@@ -108,14 +112,15 @@ def interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> np.ndarr
 
 
 def chord(mesh: Mesh, i: int, j: int) -> float:
-    """Euclidean distance between mesh points i and j."""
-    return float(np.linalg.norm(mesh.p(i) - mesh.p(j)))
+    """Euclidean distance between mesh points i and j: one center of :func:`chords`."""
+    return float(chords(mesh, mesh.resolve(i), mesh.resolve(j), range(1))[0])
 
 
 def chords(mesh: Mesh, lo: int, hi: int, centers: range) -> np.ndarray:
-    """chord(mesh, i + lo, i + hi) at each center, wrapped mod n."""
-    c, pts = np.arange(centers.start, centers.stop), mesh.points
-    return row_norms(pts[(c + lo) % mesh.n] - pts[(c + hi) % mesh.n])
+    """chord(mesh, i + lo, i + hi) at each center, wrapped mod n; measured on the working points, scaled back."""
+    k, pts, _ = working_points(mesh)
+    p, q = (pts.take(np.arange(centers.start + off, centers.stop + off), axis=0, mode="wrap") for off in (lo, hi))
+    return _ldexp(row_norms(p - q), k)
 
 
 def se_signature(

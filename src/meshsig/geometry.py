@@ -7,6 +7,7 @@ exists.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -124,9 +125,38 @@ def orient_rows(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _scale_exponent(big: float) -> int:
-    """0 when the largest coordinate magnitude lies in [2^-500, 2^500], where squared differences neither
-    overflow nor underflow; else the exponent k with big in [2^(k-1), 2^k), so that pts * 2^-k lies in (-1, 1)."""
-    return 0 if big == 0.0 or 2.0 ** -500 <= big <= 2.0 ** 500 else math.frexp(big)[1]
+    """The exponent k of a point set's working frame 2^-k p, from its largest coordinate magnitude ``big``.
+
+    k = 0 while big lies in [2^-64, 2^64], and when it is 0. That window
+    keeps the highest-degree products that the kernels and the alignment
+    oracle form normal doubles for n <= 10^6 points: the shift scan's g h^2
+    terms are of degree 6 in the centred coordinates (each at most 2 big)
+    times n^3, at most 2^60 (2^65)^6 = 2^450 at the top, and a degree-6
+    product of magnitudes down to 2^-64 is at least 2^-384 at the bottom.
+    Outside the window, k puts the largest magnitude into [1, 2): big lies
+    in [2^k, 2^(k+1)).
+    """
+    return 0 if big == 0.0 or 2.0 ** -64 <= big <= 2.0 ** 64 else math.frexp(big)[1] - 1
+
+
+class Working(NamedTuple):
+    """A point set in its working frame: the points scaled by 2^-k, exactly (:func:`_scale_exponent`)."""
+
+    k: int
+    points: np.ndarray  # 2^-k p; p itself when k = 0
+    big: float          # the largest coordinate magnitude of points
+
+
+def _working(pts: np.ndarray) -> Working:
+    """The (m, 2) points in their working frame; big is nan or inf where a coordinate is."""
+    big = float(np.abs(pts).max())
+    k = _scale_exponent(big)
+    return Working(k, np.ldexp(pts, -k) if k else pts, math.ldexp(big, -k))
+
+
+def _ldexp(values: np.ndarray, k: int) -> np.ndarray:
+    """values * 2^k, exactly where the results are normal; values itself when k = 0, with no array work."""
+    return np.ldexp(values, k) if k else values
 
 
 def _pointset_diameter(pts: np.ndarray) -> float:
@@ -264,17 +294,23 @@ class Mesh:
 
     Everything computed from the points alone, or from the points and one
     stencil, is kept in one store of derived data (see :func:`derived`):
-    the edge lengths and the largest coordinate magnitude (both kept from
-    construction), the ordinary and convex flags, each stencil's signs,
-    vertex angles, zero-arm flags and Euclidean curvatures, the equiaffine
-    block, and the alignment oracle's entries: the frame (centroid, centred
-    points, their Gram matrix and sum of squares), the inverse of that Gram
-    matrix, and the forward FFT spectrum of the centred points. An entry is
-    built on first use and never changed; its arrays are read-only. The
-    per-index Euclidean functions (signature sign and direction, angle,
-    signed angle and its type, curvature) are views of the stencil arrays:
-    their first call on a mesh and stencil builds the array in O(n), and
-    later calls read one row in O(1).
+    the edge lengths and the working points 2^-k p (both kept from
+    construction; see :func:`working_points`), the ordinary and convex
+    flags, each stencil's signs, vertex angles, zero-arm flags and Euclidean
+    curvatures, the equiaffine block, and the alignment oracle's entries:
+    the frame (centroid, centred points, their Gram matrix and sum of
+    squares), the inverse of that Gram matrix, and the forward FFT spectrum
+    of the centred points. An entry is built on first use and never
+    changed; its arrays are read-only. The per-index Euclidean functions
+    (signature sign and direction, angle, signed angle and its type,
+    curvature) are views of the stencil arrays: their first call on a mesh
+    and stencil builds the array in O(n), and later calls read one row in
+    O(1).
+
+    The Euclidean kernels, the ordinary flag and the alignment oracle work
+    on the working points and scale lengths and curvatures back by 2^k, so
+    they are exactly equivariant under dilations by powers of two wherever
+    their results are normal doubles (README, "Scale").
     """
 
     __slots__ = ("_points", "closed", "label", "_diameter", "_derived")
@@ -283,32 +319,28 @@ class Mesh:
         pts = _as_points(points)
         if len(pts) < 3:
             raise InvalidMesh(f"mesh needs at least 3 points, got {len(pts)}")
-        big = float(np.abs(pts).max())  # nan or inf where a coordinate is
+        # far from 1, squares would overflow or underflow: every kernel reads the working points 2^-k p
+        k, scaled, big = work = _working(pts)
         if not math.isfinite(big):
             bad = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0][0])
             raise InvalidMesh(f"non-finite coordinates at point {bad}")
-        # far from 1, squares would overflow or underflow: measure the points scaled by 2^-k, exactly
-        k = _scale_exponent(big)
-        scaled = np.ldexp(pts, -k) if k else pts
         diameter = math.ldexp(_pointset_diameter(scaled), k)
         if diameter == 0.0:
             raise InvalidMesh("all points coincide")
         edges = np.linalg.norm(np.diff(scaled, axis=0), axis=1)
         if closed:
             edges = np.append(edges, np.linalg.norm(scaled[0] - scaled[-1]))
-        if k:
-            edges = np.ldexp(edges, k)
+        edges = _ldexp(edges, k)
         too_close = np.nonzero(edges <= COLLINEARITY_REL_TOL * diameter)[0]
         if len(too_close):
             i = int(too_close[0])
             raise InvalidMesh(f"successive points {i} and {(i + 1) % len(pts)} coincide")
-        pts.setflags(write=False)
-        edges.setflags(write=False)
+        _frozen(pts, scaled, edges)
         self._points = pts
         self.closed = bool(closed)
         self.label = label
         self._diameter = diameter
-        self._derived = {"edges": edges, "max_abs": big}
+        self._derived = {"edges": edges, "working": work}
 
     @property
     def points(self) -> np.ndarray:
@@ -365,7 +397,9 @@ def derived(mesh: Mesh, key, build, *args):
     first uses may each build the entry; ``setdefault`` keeps one of the
     identical builds. A build that raises stores nothing. An entry may also
     come from a build over several meshes (:func:`derived_jointly`), which
-    is identical to the mesh's own build.
+    is identical to the mesh's own build. Two entries are stored by
+    ``Mesh()`` itself: "edges" (:func:`edge_lengths`) and "working"
+    (:func:`working_points`).
     """
     value = mesh._derived.get(key)
     if value is None:
@@ -399,9 +433,24 @@ def edge_lengths(mesh: Mesh) -> np.ndarray:
     return mesh._derived["edges"]
 
 
-def max_abs_coordinate(mesh: Mesh) -> float:
-    """The largest coordinate magnitude ``float(np.abs(mesh.points).max())``, kept from construction."""
-    return mesh._derived["max_abs"]
+def working_points(mesh: Mesh) -> Working:
+    """The mesh's points in its working frame, kept from construction: (k, 2^-k p, their largest magnitude)."""
+    return mesh._derived["working"]
+
+
+def _in_units(mesh: Mesh, k: int) -> Mesh:
+    """The mesh if its working exponent is k; else a view of it whose working points are 2^-k p.
+
+    The view serves one computation with a mesh of exponent k. It shares the
+    mesh's points, flags and diameter; its derived store holds only its
+    working points, so nothing built from the view is stored on the mesh.
+    """
+    own = working_points(mesh)
+    if own.k == k:
+        return mesh
+    view = copy.copy(mesh)  # the same points, flags and diameter, until its store is replaced
+    view._derived = {"working": Working(k, np.ldexp(own.points, own.k - k), math.ldexp(own.big, own.k - k))}
+    return view
 
 
 class GroupElement:
@@ -611,15 +660,17 @@ def is_equally_spaced(mesh: Mesh, rel_tol: float = SPACING_REL_TOL) -> bool:
 
 
 def _cusp_spans(mesh: Mesh) -> np.ndarray:
-    """p[i+1] - p[i-1] at every center of ``mesh.interior()``; a closed mesh's wrap-around comes from slices."""
-    pts = mesh.points
+    """p[i+1] - p[i-1] of the working points at every center of ``mesh.interior()``; a closed mesh's wrap-around
+    comes from slices."""
+    pts = working_points(mesh).points
     if mesh.closed:
         pts = np.concatenate([pts[-1:], pts, pts[:1]])
     return pts[2:] - pts[:-2]
 
 
 def _ordinary(mesh: Mesh) -> bool:
-    return not (row_norms(_cusp_spans(mesh)) <= COLLINEARITY_REL_TOL * mesh.diameter).any()
+    band = COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -working_points(mesh).k)
+    return not (row_norms(_cusp_spans(mesh)) <= band).any()
 
 
 def is_ordinary(mesh: Mesh) -> bool:
@@ -628,8 +679,8 @@ def is_ordinary(mesh: Mesh) -> bool:
 
 
 def neighbor_triples(mesh: Mesh, centers: range, spec: NeighborhoodSpec = SPEC11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p[i-m1], p[i], p[i+m2]) for every center i of a range, as three (k, 2) arrays."""
-    c, pts, n = np.arange(centers.start, centers.stop), mesh.points, mesh.n
+    """(p[i-m1], p[i], p[i+m2]) of the working points 2^-k p at every center i of a range, as three (m, 2) arrays."""
+    c, pts, n = np.arange(centers.start, centers.stop), working_points(mesh).points, mesh.n
     return pts[(c - spec.m1) % n], pts[c], pts[(c + spec.m2) % n]
 
 
@@ -648,14 +699,10 @@ class StencilAngles(NamedTuple):
 
 def _stencil_angles(mesh: Mesh, spec: NeighborhoodSpec) -> StencilAngles:
     prev, mid, nxt = neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)
-    # far from 1, squares would overflow or underflow: evaluate on the points scaled by 2^-k, as Mesh() measures them
-    k = _scale_exponent(max_abs_coordinate(mesh))
-    if k:
-        prev, mid, nxt = (np.ldexp(a, -k) for a in (prev, mid, nxt))
     u, v = prev - mid, nxt - mid
     # orient(mid, nxt, prev) is (nxt - mid) x (prev - mid): its sign is the triple's, its magnitude the angle's
     cross = orient_rows(mid, nxt, prev)
-    band = COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -k) ** 2
+    band = COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -working_points(mesh).k) ** 2
     sign = np.where(np.abs(cross) <= band, 0, np.where(cross > 0, 1, -1))
     zero_arm = (row_norms(u) == 0.0) | (row_norms(v) == 0.0)
     return StencilAngles(*_frozen(sign, _vertex_angles(cross, u, v), zero_arm))
@@ -710,9 +757,12 @@ def circumcircle(p, q, r) -> tuple[Point2, float]:
     """Center and radius of the unique circle through three points.
 
     Perpendicular-bisector intersection, solved in coordinates relative to p
-    for stability. Raises CollinearPoints when the triple is degenerate.
+    for stability, on the triple's working points 2^-k p (:func:`_working`),
+    so that the center and radius are exactly equivariant under dilations by
+    powers of two. Raises CollinearPoints when the triple is degenerate.
     """
-    (px, py), (qx, qy), (rx, ry) = ((float(x), float(y)) for x, y in (p, q, r))
+    k, tri, _ = _working(np.array([p, q, r], dtype=float))
+    (px, py), (qx, qy), (rx, ry) = tri.tolist()
     ux, uy = qx - px, qy - py
     vx, vy = rx - px, ry - py
     uu = ux * ux + uy * uy
@@ -724,4 +774,4 @@ def circumcircle(p, q, r) -> tuple[Point2, float]:
     cx = (vy * uu - uy * vv) / d
     cy = (ux * vv - vx * uu) / d
     radius = (math.hypot(cx, cy) + math.hypot(cx - ux, cy - uy) + math.hypot(cx - vx, cy - vy)) / 3.0
-    return Point2(px + cx, py + cy), radius
+    return Point2(math.ldexp(px + cx, k), math.ldexp(py + cy, k)), math.ldexp(radius, k)

@@ -34,7 +34,14 @@ layers are timed in a fresh process that imports that side's `src/`:
   first use (every derived entry built after `Mesh()` cleared from both
   meshes) and at reuse (the entries kept from the call before); the
   minimum over repeats, unscaled, and the tracemalloc peak of one first
-  use.
+  use;
+- L0 and L3 off the unit scale: `Mesh()` on the points of the closed
+  `ellipse_mesh(n, 2, 1)` scaled by 2^600, and cyclic SE `align` of that
+  mesh onto its SE image started at another index, at first use and at
+  reuse (n in 10^2..10^5). Both meshes have a working exponent k != 0;
+  at n = 10^2, 10^3 and 10^5 the two exponents differ, so these rows time
+  the per-call rescaling of one mesh. The minimum over repeats, unscaled;
+  an `align` that raises is recorded as failed, with its message.
 
 `--layers` prints the layers of the meshsig on sys.path as one JSON line.
 
@@ -206,6 +213,33 @@ def align_layer() -> list:
     return out
 
 
+def far_layer() -> list:
+    """`Mesh()` and cyclic SE `align` on the closed ellipse scaled by 2^600, at first use and at reuse."""
+    import numpy as np
+    import meshsig as ms
+    from meshsig import generators as gen
+
+    out = []
+    for n in SIZES:
+        unit = gen.ellipse_mesh(n, 2.0, 1.0).points
+        image = np.roll(ms.random_motion(ms.Group.SE, n).apply(unit), -(n // 3), axis=0)
+        pts = np.ldexp(unit, 600)
+        m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh(np.ldexp(image, 600), closed=True)
+        fresh = first_use(m1, m2)
+        entry = {"n": n, "mesh_ms": best_of(lambda: ms.Mesh(pts, closed=True), REPEATS[n])}
+        try:
+            verdict = ms.align(fresh(), m2, ms.Group.SE, ms.MatchMode.CYCLIC)
+        except (ArithmeticError, ms.MeshSigError) as exc:  # an oracle on unscaled coordinates overflows here
+            entry["failed"] = f"{type(exc).__name__}: {exc}"
+        else:
+            entry["align_first_use_ms"] = best_of(
+                lambda: ms.align(fresh(), m2, ms.Group.SE, ms.MatchMode.CYCLIC), REPEATS[n])
+            entry["align_reuse_ms"] = best_of(lambda: ms.align(m1, m2, ms.Group.SE, ms.MatchMode.CYCLIC), REPEATS[n])
+            entry["congruent"], entry["correspondence"] = verdict.congruent, verdict.correspondence
+        out.append(entry)
+    return out
+
+
 def layers() -> dict:
     """Mesh, block, kernel, per-index and alignment times of the meshsig on sys.path (run in a child process)."""
     import numpy as np
@@ -234,6 +268,7 @@ def layers() -> dict:
     out["pair"] = pair_layer(affine, gen)
     out["per_index"] = per_index_layer()
     out["cyclic_align"] = align_layer()
+    out["far_from_unit_scale"] = far_layer()
     out["calibration_ms_after"] = calibration_ms()
     return out
 
