@@ -10,19 +10,23 @@ determinant of [[A,B,D],[B,C,E],[D,E,F0]]. The curvature S / cbrt(F)^2 is
 unchanged by coefficient rescaling and by unimodular maps.
 
 Each mesh's derived data holds one equiaffine block, built in one pass on
-first use and never changed afterwards; its arrays are read-only. Row i of
-the block belongs to the window centred at p[i]: its conic (every window's
-signed 5x5 minors from one stacked determinant), S, F, the curvature, the
-centre, the window's four consecutive arc lengths, its fineness and its
-hyperbola gap bound. A degenerate window is recorded in the block and
-raises only when that window is read. `build_blocks` builds the missing
-blocks of several meshes in one pass over all their windows, as the
-equiaffine rules do for a pair; a mesh's block from such a pass is a
-read-only copy of its rows, identical bit for bit to the mesh's own build.
-Each scheme's SA-signature columns are an entry of their own. The
-per-index functions (`conic_at`, `affine_curvature`, `has_fine_area`, ...)
-read the block, and `fit_conic`, `invariants` and `kappa_from_invariants`
-run the same kernels on one row.
+first use and never changed afterwards. The block is two read-only tables,
+one float and one bool, with one row per point: row i belongs to the
+window centred at p[i] and holds its conic (every window's signed 5x5
+minors from one stacked determinant), S, F, the curvature, the centre,
+the window's four consecutive arc lengths, its fineness and its hyperbola
+gap bound, plus the flags that say which of them may be read. Each column
+reads by name through one name-to-column map. A degenerate window is
+recorded in the block and raises only when that window is read, through
+one helper (`_row`) shared by every per-index and array function.
+`build_blocks` builds the missing blocks of several meshes in one pass
+over all their windows, as the equiaffine rules do for a pair; a mesh's
+block from such a pass is a read-only copy of its rows of the two tables,
+identical bit for bit to the mesh's own build. Each scheme's SA-signature
+columns are an entry of their own. The per-index functions (`conic_at`,
+`affine_curvature`, `has_fine_area`, ...) read the block, and
+`fit_conic`, `invariants` and `kappa_from_invariants` run the same
+kernels on one row.
 
 Numerical contract: each kernel's docstring states a bound against the
 exact evaluation (rational arithmetic, roots and angles to 50 digits) of
@@ -327,75 +331,92 @@ def _gap_bounds(coef: np.ndarray, S: np.ndarray, F: np.ndarray) -> tuple[np.ndar
     return (lam == 0.0) | (S == 0.0), radicand, 2.0 * np.sqrt(radicand)
 
 
+# The block's float table, column by column (name, width), and its bool table, one column per flag.
+_FLOATS = (("coef", 6), ("S", 1), ("F", 1), ("kappa", 1), ("center", 2), ("para_scale", 1), ("para_ratio", 1),
+           ("arcs", 4), ("rho", 1), ("sector", 1), ("area", 1), ("radicand", 1), ("mu", 1))
+_FLAGS = ("has_window", "fitted", "zero_f", "parabolic", "zero_den", "kappa_ok", "arc_ok", "fine_area",
+          "gap_undefined", "position", "affine_fine")
+_STARTS = np.cumsum([0] + [width for _, width in _FLOATS]).tolist()
+# name -> (table, column): an index for a one-wide column, a slice for coef, center and arcs
+_COLUMNS = {**{name: ("values", start if width == 1 else slice(start, start + width))
+               for (name, width), start in zip(_FLOATS, _STARTS)},
+            **{name: ("flags", j) for j, name in enumerate(_FLAGS)}}
+
+
 class _Block:
     """The equiaffine arrays of a stack of five-point windows, one row per window.
 
     Built from a (N, 5, 2) window stack and its has-window mask, drawn from
     one or more meshes: a mesh's block is its rows of the stack (`rows`),
-    row i belonging to the window centered at p[i]. Rows without a window
-    (the two ends of an open mesh) or with a degenerate fit hold NaN;
-    `fit_errors` maps the degenerate rows to fit_conic's message. Every
-    kernel works row by row, so a mesh's rows of a stack over several meshes
-    equal its own one-mesh build bit for bit.
+    row i belonging to the window centered at p[i]. Two read-only tables
+    hold every column: ``values``, (N, 22) float64, and ``flags``, (N, 11)
+    bool, laid out by ``_COLUMNS``; each column also reads by its name
+    (``blk.kappa``, ``blk.coef``, ``blk.arc_ok``, ...) as a view of its
+    table. Rows without a window (the two ends of an open mesh) or with a
+    degenerate fit hold NaN; `fit_errors` maps the degenerate rows to
+    fit_conic's message. A row's failures are raised only when it is read,
+    by `_row`. Every kernel works row by row, so a mesh's rows of a stack
+    over several meshes equal its own one-mesh build bit for bit.
     """
 
-    __slots__ = (
-        "has_window", "fit_errors", "fitted", "coef", "S", "F", "kappa", "zero_f", "center",
-        "parabolic", "zero_den", "para_scale", "para_ratio", "kappa_ok", "arc_ok", "arcs",
-        "rho", "sector", "area", "fine_area", "gap_undefined", "radicand", "mu", "position", "affine_fine",
-    )
+    __slots__ = ("values", "flags", "fit_errors")
 
     def __init__(self, win: np.ndarray, has_window: np.ndarray):
         tol, rows = PARABOLIC_TOL, np.flatnonzero(has_window)
+        self.values, self.flags = np.full((len(win), _STARTS[-1]), np.nan), np.zeros((len(win), len(_FLAGS)), bool)
         coef = np.full((len(win), 6), np.nan)
         coef[rows], errors = _fit(win[rows])
         self.fit_errors = {int(rows[r]): msg for r, msg in errors.items()}
-        self.has_window = has_window
-        self.fitted = has_window.copy()
-        self.fitted[list(self.fit_errors)] = False
+        fitted = has_window.copy()
+        fitted[list(self.fit_errors)] = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.coef, (S, F) = coef, _invariants(coef)
-            self.S, self.F, self.kappa, self.center = S, F, _kappa(S, F), _centers(coef, S)
+            S, F = _invariants(coef)
+            kappa, center = _kappa(S, F), _centers(coef, S)
             a, b, d, e = coef[:, 0], coef[:, 1], coef[:, 3], coef[:, 4]
             denom, norm = a * e - b * d, row_norms(coef)
-            self.zero_f = np.abs(F) <= ZERO_F_TOL
-            self.parabolic = self.fitted & ~(np.abs(S) > tol)
-            self.zero_den = (np.abs(a) <= 1e-12 * norm) | (np.abs(denom) <= 1e-12 * norm * norm)
-            self.para_scale, self.para_ratio = np.cbrt(a * a / denom), b / a
-            self.kappa_ok = self.fitted & ~self.zero_f
-            self.arc_ok = self.fitted & np.where(self.parabolic, ~self.zero_den, ~self.zero_f)
-            self.arcs = _arcs(self, slice(None), win[:, :-1], win[:, 1:])
-            k = self.kappa
-            elliptic = self.kappa_ok & (k > tol) & (S > tol)
-            self.rho, self.sector = (np.where(elliptic, v, np.nan) for v in _sectors(coef, S, F, self.center, win))
-            self.area = _ellipse_areas(S, F)
-            self.fine_area = self.area >= self.sector * (1.0 - 1e-9)
-            self.gap_undefined, self.radicand, self.mu = _gap_bounds(coef, S, F)
-            self.position = (np.sqrt((np.diff(win, axis=1) ** 2).sum(axis=2)) < self.mu[:, None]).all(axis=1)
+            zero_f, parabolic = np.abs(F) <= ZERO_F_TOL, fitted & ~(np.abs(S) > tol)
+            zero_den = (np.abs(a) <= 1e-12 * norm) | (np.abs(denom) <= 1e-12 * norm * norm)
+            kappa_ok = fitted & ~zero_f
+            self._fill(coef=coef, S=S, F=F, kappa=kappa, center=center, para_scale=np.cbrt(a * a / denom),
+                       para_ratio=b / a, has_window=has_window, fitted=fitted, zero_f=zero_f, parabolic=parabolic,
+                       zero_den=zero_den, kappa_ok=kappa_ok,
+                       arc_ok=fitted & np.where(parabolic, ~zero_den, ~zero_f))
+            elliptic = kappa_ok & (kappa > tol) & (S > tol)
+            rho, sector = (np.where(elliptic, v, np.nan) for v in _sectors(coef, S, F, center, win))
+            area = _ellipse_areas(S, F)
+            gap_undefined, radicand, mu = _gap_bounds(coef, S, F)
+            position = (np.sqrt((np.diff(win, axis=1) ** 2).sum(axis=2)) < mu[:, None]).all(axis=1)
             # is_affine_fine's condition per window: fine-area where the curvature
             # is positive, fine-position (a non-real bound failing) where negative
-            in_position = ~self.gap_undefined & (self.radicand >= 0.0) & self.position
-            self.affine_fine = self.kappa_ok & np.where(
-                k > tol, (self.rho > 0.0) & self.fine_area, np.where(k < -tol, in_position, True)
-            )
-        for name in self.__slots__:
-            if name != "fit_errors":
-                getattr(self, name).setflags(write=False)
+            fine_area, in_position = area >= sector * (1.0 - 1e-9), ~gap_undefined & (radicand >= 0.0) & position
+            self._fill(arcs=_arcs(self, slice(None), win[:, :-1], win[:, 1:]), rho=rho, sector=sector, area=area,
+                       fine_area=fine_area, gap_undefined=gap_undefined, radicand=radicand, mu=mu, position=position,
+                       affine_fine=kappa_ok & np.where(kappa > tol, (rho > 0.0) & fine_area,
+                                                       np.where(kappa < -tol, in_position, True)))
+        _frozen(self.values, self.flags)
+
+    def _fill(self, **columns: np.ndarray) -> None:
+        for name, column in columns.items():
+            table, col = _COLUMNS[name]
+            getattr(self, table)[:, col] = column
 
     def rows(self, start: int, stop: int) -> "_Block":
         """Rows start..stop - 1 as a block of their own, fit_errors keyed from start.
 
-        All rows are the block itself. Fewer are read-only copies, so that a
-        mesh's block never keeps the other meshes' rows of a joint build alive.
+        All rows are the block itself. Fewer are read-only copies of the two
+        tables, so that a mesh's block never keeps the other meshes' rows of
+        a joint build alive.
         """
-        if start == 0 and stop == len(self.coef):
+        if start == 0 and stop == len(self.values):
             return self
         part = object.__new__(type(self))
-        for name in self.__slots__:
-            if name != "fit_errors":
-                setattr(part, name, _frozen(getattr(self, name)[start:stop].copy())[0])
+        part.values, part.flags = _frozen(self.values[start:stop].copy(), self.flags[start:stop].copy())
         part.fit_errors = {r - start: msg for r, msg in self.fit_errors.items() if start <= r < stop}
         return part
+
+
+for _name, (_table, _col) in _COLUMNS.items():
+    setattr(_Block, _name, property(lambda blk, table=_table, col=_col: getattr(blk, table)[:, col]))
 
 
 def _arcs(blk: _Block, rows, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
@@ -404,7 +425,7 @@ def _arcs(blk: _Block, rows, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
     rows (an index array or a slice) picks the block rows; pk and pl are (m,
     k, 2). Nonzero-curvature conics use the center parallelogram area;
     parabolic conics use the signed linear element.
-    Values on rows whose arc length raises (see `_arc_row`) are meaningless.
+    Values on rows whose arc length raises (`_row` with read="arc") are meaningless.
 
     Bound, with d = pk - pl and e = pk - center: on a central conic within
     3 eps |kappa| (|d_x e_y| + |d_y e_x|) of |kappa (d x e)| for the row's
@@ -453,45 +474,26 @@ def _fit_window(mesh: Mesh, i: int) -> np.ndarray:
     return working_points(mesh).points[rows]
 
 
-def _row(mesh: Mesh, i: int) -> tuple[_Block, int]:
-    """Block and row of the conic at p[i]; raises what fitting that window raises."""
+def _row(mesh: Mesh, i: int, read: str = "") -> tuple[_Block, int]:
+    """Block and row of the window at p[i], raising what reading that row raises.
+
+    In this order: IndexOutOfRange for a window reaching past an end, the
+    fit's DegenerateConfiguration, and then, for ``read="kappa"``, ZeroF;
+    for ``read="arc"``, ZeroDenominator on a parabolic row and ZeroF on any
+    other. Every function of this module that reads a row raises through here.
+    """
     i = mesh.resolve(i)
     blk = _block(mesh)
     if not blk.has_window[i]:
         _fit_window(mesh, i)  # the window reaches past an end: IndexOutOfRange
     if i in blk.fit_errors:
         raise DegenerateConfiguration(f"window at index {i}: {blk.fit_errors[i]}")
+    if read == "arc" and blk.parabolic[i]:
+        if blk.zero_den[i]:
+            raise ZeroDenominator(f"parabolic arc length at index {i}: A or AE - BD vanishes")
+    elif read and blk.zero_f[i]:
+        raise ZeroF(f"cubic invariant {float(blk.F[i])!r} at index {i} too small: degenerate conic")
     return blk, i
-
-
-def _zero_f(blk: _Block, i: int) -> ZeroF:
-    return ZeroF(f"cubic invariant {float(blk.F[i])!r} at index {i} too small: degenerate conic")
-
-
-def _kappa_row(mesh: Mesh, i: int) -> tuple[_Block, int]:
-    blk, i = _row(mesh, i)
-    if blk.zero_f[i]:
-        raise _zero_f(blk, i)
-    return blk, i
-
-
-def _arc_row(mesh: Mesh, i: int) -> tuple[_Block, int]:
-    blk, i = _row(mesh, i)
-    if blk.parabolic[i] and blk.zero_den[i]:
-        raise ZeroDenominator(f"parabolic arc length at index {i}: A or AE - BD vanishes")
-    if not blk.parabolic[i] and blk.zero_f[i]:
-        raise _zero_f(blk, i)
-    return blk, i
-
-
-def _span(r: range) -> np.ndarray:
-    return np.arange(r.start, r.stop)
-
-
-def _raise_first(bad: np.ndarray, view) -> None:
-    """Evaluate the per-index view at the first bad index, where it raises."""
-    if len(bad):
-        view(int(bad[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +550,7 @@ def conic_at(mesh: Mesh, i: int) -> ConicCoeffs:
 
 def affine_curvature(mesh: Mesh, i: int) -> float:
     """Equiaffine curvature at p[i] from its two-neighborhood conic."""
-    blk, i = _kappa_row(mesh, i)
+    blk, i = _row(mesh, i, "kappa")
     return float(blk.kappa[i])
 
 
@@ -561,9 +563,11 @@ def interior_curvatures(mesh: Mesh) -> np.ndarray:
     first failing center raises.
     """
     blk, interior = _block(mesh), affine_fine_interior(mesh)
-    rows = _span(interior)
-    _raise_first(rows[~blk.kappa_ok[rows]], lambda i: _kappa_row(mesh, i))
-    return blk.kappa[interior.start : interior.stop]
+    rows = slice(interior.start, interior.stop)
+    bad = np.flatnonzero(~blk.kappa_ok[rows])
+    if len(bad):
+        _row(mesh, interior[bad[0]], "kappa")
+    return blk.kappa[rows]
 
 
 def conic_center(c: ConicCoeffs, tol: float = PARABOLIC_TOL) -> Point2:
@@ -595,13 +599,13 @@ def affine_arc_length(mesh: Mesh, at: int, k: int, l: int) -> float:
     _check_arc_offset(mesh, at, k)
     _check_arc_offset(mesh, at, l)
     pk, pl = mesh.p(k), mesh.p(l)
-    blk, at = _arc_row(mesh, at)
+    blk, at = _row(mesh, at, "arc")
     return float(_arcs(blk, np.array([at]), pk[None, None], pl[None, None])[0, 0])
 
 
 def arc_length_set(mesh: Mesh, i: int) -> ArcLengthSet:
     """The four consecutive arc lengths of the two-neighborhood of p[i]."""
-    blk, i = _arc_row(mesh, i)
+    blk, i = _row(mesh, i, "arc")
     return ArcLengthSet(at=i, values=tuple(blk.arcs[i].tolist()))
 
 
@@ -650,7 +654,7 @@ def ellipse_area(c: ConicCoeffs) -> float:
 
 def has_fine_area(mesh: Mesh, i: int) -> bool:
     """Ellipse-side fineness: the fitted ellipse's area covers the sector its window sweeps (`_sectors`)."""
-    blk, i = _kappa_row(mesh, i)
+    blk, i = _row(mesh, i, "kappa")
     kappa = float(blk.kappa[i])
     if kappa <= PARABOLIC_TOL:
         raise WrongCurvatureSign(f"fine-area needs positive curvature, got {kappa!r}")
@@ -698,12 +702,12 @@ def is_affine_fine(mesh: Mesh) -> bool:
     Parabolic points (curvature within the parabolic band) carry no
     condition. A non-real gap bound counts as not fine.
     """
-    blk, rows = _block(mesh), _span(affine_fine_interior(mesh))
-    bad = rows[~blk.affine_fine[rows]]
+    blk, interior = _block(mesh), affine_fine_interior(mesh)
+    bad = np.flatnonzero(~blk.affine_fine[interior.start : interior.stop])
     if not len(bad):
         return True
     # the first flagged window is not fine, or its condition raises
-    i = int(bad[0])
+    i = interior[bad[0]]
     try:
         (in_fine_position if blk.kappa[i] < -PARABOLIC_TOL else has_fine_area)(mesh, i)
     except NonRealMu:
@@ -721,7 +725,10 @@ def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
     blk, n = _block(mesh), mesh.n
     rows = idx % n
     ok = blk.arc_ok[rows] & (mesh.closed | ((idx >= 0) & (idx < n)))
-    _raise_first(idx[~ok], lambda i: affine_arc_length(mesh, i, i, mesh.resolve(i, 1)))
+    if not ok.all():
+        i = int(idx[np.argmin(ok)])
+        mesh.resolve(i, 1)  # the arc's far end first, as affine_arc_length(mesh, i, i, i + 1) reads it
+        _row(mesh, i, "arc")
     return blk.arcs[rows, 2]
 
 
@@ -731,7 +738,7 @@ def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[range, np.ndarray, n
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
     blk, n, pts = _block(mesh), mesh.n, mesh.points
-    rows, centers = _span(indices), curvature_centers(scheme, indices) % n
+    rows, centers = np.arange(indices.start, indices.stop), curvature_centers(scheme, indices) % n
     arc_lo, arc_hi = denominator_offsets(scheme)
     denom = _arcs(blk, rows, pts[(rows + arc_lo) % n, None], pts[(rows + arc_hi) % n, None])[:, 0]
     # row k reads the curvatures at centers[k : k + reads]
@@ -742,8 +749,8 @@ def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[range, np.ndarray, n
     if not ok.all():
         k = int(np.argmin(ok))
         for j in centers[k : k + reads].tolist():
-            _kappa_row(mesh, j)
-        _arc_row(mesh, int(rows[k]))
+            _row(mesh, j, "kappa")
+        _row(mesh, int(rows[k]), "arc")
         raise DegenerateStencil(f"{scheme.label} arc length at index {rows[k]} vanishes")
     return (indices, *_frozen(blk.kappa[centers], denom))
 

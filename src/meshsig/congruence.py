@@ -45,7 +45,6 @@ from .geometry import (
     Mesh,
     NeighborhoodSpec,
     _frozen,
-    _in_units,
     _ldexp,
     angle,
     angle_types,
@@ -124,23 +123,35 @@ def _build_frame(mesh: Mesh) -> _Frame:
     return _Frame(*_frozen(mean, centred, gram), g00, g01, g11, float((centred * centred).sum()))
 
 
-def _frame(mesh: Mesh) -> _Frame:
-    """The mesh's alignment frame, built once."""
-    return derived(mesh, "frame", _build_frame)
+def _rescale_exponent(mesh: Mesh, K: int | None) -> int:
+    """j such that 2^j turns the mesh's working units 2^k into the units 2^K (0 without K)."""
+    return 0 if K is None else working_points(mesh).k - K
 
 
-def _spectrum(mesh: Mesh) -> np.ndarray:
-    """``np.fft.rfft`` of the centred coordinates, a read-only (2, n // 2 + 1) array, built once."""
-    return derived(mesh, "spectrum", lambda m: _frozen(np.fft.rfft(_frame(m).centred.T))[0])
+def _frame(mesh: Mesh, K: int | None = None) -> _Frame:
+    """The mesh's alignment frame, built once; with K, in units 2^K, scaled exactly from the stored one."""
+    f, j = derived(mesh, "frame", _build_frame), _rescale_exponent(mesh, K)
+    if not j:
+        return f
+    return _Frame(np.ldexp(f.mean, j), np.ldexp(f.centred, j), np.ldexp(f.gram, 2 * j),
+                  *(math.ldexp(v, 2 * j) for v in (f.g00, f.g01, f.g11, f.sumsq)))
 
 
-def _gram_inverse(mesh: Mesh) -> np.ndarray:
-    """``np.linalg.inv`` of the frame's Gram matrix, read-only, built once; only SA/Abar fits read it."""
-    return derived(mesh, "gram_inverse", lambda m: _frozen(np.linalg.inv(_frame(m).gram))[0])
+def _spectrum(mesh: Mesh, K: int | None = None) -> np.ndarray:
+    """``np.fft.rfft`` of the centred coordinates, a read-only (2, n // 2 + 1) array, built once; K as `_frame`."""
+    s = derived(mesh, "spectrum", lambda m: _frozen(np.fft.rfft(_frame(m).centred.T))[0])
+    j = _rescale_exponent(mesh, K)
+    return np.ldexp(np.ascontiguousarray(s).view(float), j).view(complex) if j else s
 
 
-def _witness_maps(m1: Mesh, Qc: np.ndarray, group: Group) -> tuple[list[np.ndarray], str]:
-    """Least-squares linear parts taking m1's centred points Pc[k] to Qc[k], in trial order.
+def _gram_inverse(mesh: Mesh, K: int | None = None) -> np.ndarray:
+    """``np.linalg.inv`` of the frame's Gram matrix, read-only, built once; only SA/Abar fits read it. K as `_frame`."""
+    g = derived(mesh, "gram_inverse", lambda m: _frozen(np.linalg.inv(_frame(m).gram))[0])
+    return _ldexp(g, -2 * _rescale_exponent(mesh, K))
+
+
+def _witness_maps(m1: Mesh, Qc: np.ndarray, group: Group, K: int) -> tuple[list[np.ndarray], str]:
+    """Least-squares linear parts taking m1's centred points Pc[k] to Qc[k], both in units 2^K, in trial order.
 
     SE/E: the Procrustes rotation (Kabsch), then for E the Procrustes
     reflection; with H = Pcᵀ Qc they maximise tr(A H) by taking (1, 0) along
@@ -148,7 +159,7 @@ def _witness_maps(m1: Mesh, Qc: np.ndarray, group: Group) -> tuple[list[np.ndarr
     general-linear fit Hᵀ G⁻¹ (G = Pcᵀ Pc) scaled to |det| = 1 (Umeyama);
     SA rejects det <= 0. No map comes with a reason.
     """
-    H = _frame(m1).centred.T @ Qc
+    H = _frame(m1, K).centred.T @ Qc
     (h00, h01), (h10, h11) = H.tolist()
     if group in (Group.SE, Group.E):
         maps = []
@@ -157,7 +168,7 @@ def _witness_maps(m1: Mesh, Qc: np.ndarray, group: Group) -> tuple[list[np.ndarr
             c, s = (c / norm, s / norm) if norm else (1.0, 0.0)
             maps.append(np.array([[c, -det * s], [s, det * c]]))
         return maps, ""
-    linear = H.T @ _gram_inverse(m1)
+    linear = H.T @ _gram_inverse(m1, K)
     det = float(np.linalg.det(linear))
     if group is Group.SA and det <= 0:
         return [], f"recovered map reverses orientation (det {det:.3g})"
@@ -171,11 +182,11 @@ def _shift_scan(m1: Mesh, m2: Mesh, group: Group, reversal: bool, limit: float):
     ``reversal``) to σ(k) = s - k: the least sum over k of
     |A pc_k + t - qc_σ(k)|² over the group's linear maps A (all of GL for
     SA/Abar, a lower bound on the unimodular fit) and translations t, where
-    pc and qc are the centred points of m1's and m2's frames. It comes in
-    closed form from the cross-covariances H_s, all found at once by FFT
-    cross-correlation (forward) or convolution (reversed) of the meshes'
-    stored spectra. With pp = |Pc|², qq = |Qc|², G = Pcᵀ Pc and
-    κ = tr(G)²/det G (1 for SE/E), each residual is within
+    pc and qc are the centred points of m1's and m2's frames, in the pair's
+    units (``align``). It comes in closed form from the cross-covariances
+    H_s, all found at once by FFT cross-correlation (forward) or
+    convolution (reversed) of the meshes' stored spectra. With pp = |Pc|²,
+    qq = |Qc|², G = Pcᵀ Pc and κ = tr(G)²/det G (1 for SE/E), each residual is within
     bound = 8 eps (pp + qq) (√(nκ) log2(2n) + nκ) of its exact value on the
     same centred doubles: the FFT's normwise error eps·O(log n) (Higham,
     ASNA §24.1) taken entrywise, through the closed form. A witness within
@@ -184,11 +195,12 @@ def _shift_scan(m1: Mesh, m2: Mesh, group: Group, reversal: bool, limit: float):
     holds every correspondence that could verify, up to the rounding of the
     centring and of the deviation check itself.
     """
-    n, p, fp, fq = m1.n, _frame(m1), _spectrum(m1), _spectrum(m2)
+    K = max(working_points(m1).k, working_points(m2).k)
+    n, p, fp, fq = m1.n, _frame(m1, K), _spectrum(m1, K), _spectrum(m2, K)
     spectra = [fp.conj()[:, None] * fq] + ([fp[:, None] * fq] if reversal else [])
     h00, h01, h10, h11 = np.fft.irfft(np.stack(spectra, axis=-1), n, axis=-2).reshape(4, n, -1)
     g00, g01, g11 = p.g00, p.g01, p.g11
-    pp, qq = g00 + g11, _frame(m2).sumsq
+    pp, qq = g00 + g11, _frame(m2, K).sumsq
     if group in (Group.SE, Group.E):
         fit = np.hypot(h00 + h11, h01 - h10)
         if group is Group.E:
@@ -222,9 +234,9 @@ def align(
 
     Everything is compared in the pair's working units 2^K, K = max(k1, k2)
     of the meshes' working exponents (:func:`geometry.working_points`):
-    each mesh's stored frame and spectrum are in its own units, and only
-    when k1 != k2 are those of the mesh of lower exponent rebuilt for the
-    call from its points scaled by 2^-K, and not stored. The witness's
+    each mesh's stored frame, spectrum and Gram inverse are in its own
+    units, and when k1 != k2 those of the mesh of lower exponent are scaled
+    for the call by the exact power of two, not rebuilt. The witness's
     translation, the maximum deviation and the numbers of the reason are
     scaled back to input units. Under SE/E, meshes whose diameters differ
     by more than 2√2 limit + 64 eps (M + scale) are rejected at once, M the
@@ -272,8 +284,8 @@ def align(
     if group in (Group.SA, Group.ABAR) and p.g00 * p.g11 - p.g01 * p.g01 <= n * math.ulp(1.0) * (p.g00 + p.g11) ** 2:
         raise NoNonCollinearTriple("mesh points are collinear")
     # a mesh of lower exponent is read in the pair's units, for this call only
-    m1, m2 = _in_units(m1, K), _in_units(m2, K)
-    p, q, P, Q = _frame(m1), _frame(m2), working_points(m1).points, working_points(m2).points
+    p, q = _frame(m1, K), _frame(m2, K)
+    P, Q = _ldexp(working_points(m1).points, k1 - K), _ldexp(working_points(m2).points, k2 - K)
     order, width, base = [0], 1, np.arange(n)
     if mode is not MatchMode.INDEX_ALIGNED:
         residual, _, order = _shift_scan(m1, m2, group, mode is MatchMode.CYCLIC_REVERSAL, limit)
@@ -281,7 +293,7 @@ def align(
     for shift, rev in (divmod(int(j), width) for j in order):
         tag = f"reversed shift+{shift}" if rev else f"shift+{shift}" if shift else "identity"
         idx = (shift - base) % n if rev else (base + shift) % n if shift else slice(None)
-        maps, why = _witness_maps(m1, q.centred[idx], group)
+        maps, why = _witness_maps(m1, q.centred[idx], group, K)
         for linear in maps:
             translation = q.mean - linear @ p.mean
             deviation = float(np.abs(P @ linear.T + translation - Q[idx]).max())
@@ -316,7 +328,7 @@ def _values_differ(v1, v2, tol, what: str) -> str | None:
         return None
     scale = max(float(np.abs(v1).max()), float(np.abs(v2).max()), 1e-300)
     err = float(np.abs(v1 - v2).max())
-    if err > tol * scale:
+    if not err <= tol * scale:  # "not <=", so that an inf or nan difference differs
         return f"{what} differ (max relative error {err / scale:.3e} at index {int(np.abs(v1 - v2).argmax())})"
     return None
 
@@ -481,7 +493,7 @@ def _signatures(signature, too_short_holds: bool):
                 return None
             raise
         err = signature_max_error(s1, s2)
-        return f"{s1.scheme.label} signatures differ (max relative error {err:.3e})" if err > p["sig_tol"] else None
+        return None if err <= p["sig_tol"] else f"{s1.scheme.label} signatures differ (max relative error {err:.3e})"
 
     return check
 
@@ -511,7 +523,7 @@ def _zero_curvature_areas(m1, m2, p):
     t1, t2 = (_ldexp(np.abs(orient_rows(*neighbor_triples(m, interior))) / 2.0, 2 * working_points(m).k)
               for m in (m1, m2))
     scale = np.maximum(np.maximum(t1, t2), 1e-300)
-    bad = np.flatnonzero((za != zb) | (za & (np.abs(t1 - t2) > p["sig_tol"] * scale)))
+    bad = np.flatnonzero((za != zb) | (za & ~(np.abs(t1 - t2) <= p["sig_tol"] * scale)))
     if not len(bad):
         return None
     k = int(bad[0])
@@ -524,7 +536,7 @@ def _arc_length_sets(m1, m2, p):
     interior, sig_tol = affine.affine_fine_interior(m1), p["sig_tol"]
     (a1, ok1), (a2, ok2) = affine.interior_arc_length_sets(m1), affine.interior_arc_length_sets(m2)
     scale = np.maximum(np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)), 1e-300)
-    differ = np.abs(a1 - a2).max(axis=1) > sig_tol * scale
+    differ = ~(np.abs(a1 - a2).max(axis=1) <= sig_tol * scale)
     bad = np.flatnonzero(~(ok1 & ok2) | differ)
     if not len(bad):
         return None

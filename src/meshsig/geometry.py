@@ -7,7 +7,6 @@ exists.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -436,21 +435,6 @@ def edge_lengths(mesh: Mesh) -> np.ndarray:
 def working_points(mesh: Mesh) -> Working:
     """The mesh's points in its working frame, kept from construction: (k, 2^-k p, their largest magnitude)."""
     return mesh._derived["working"]
-
-
-def _in_units(mesh: Mesh, k: int) -> Mesh:
-    """The mesh if its working exponent is k; else a view of it whose working points are 2^-k p.
-
-    The view serves one computation with a mesh of exponent k. It shares the
-    mesh's points, flags and diameter; its derived store holds only its
-    working points, so nothing built from the view is stored on the mesh.
-    """
-    own = working_points(mesh)
-    if own.k == k:
-        return mesh
-    view = copy.copy(mesh)  # the same points, flags and diameter, until its store is replaced
-    view._derived = {"working": Working(k, np.ldexp(own.points, own.k - k), math.ldexp(own.big, own.k - k))}
-    return view
 
 
 class GroupElement:

@@ -301,6 +301,23 @@ class TestAlignFrames:
         assert [v.congruent for v in operation()] == verdicts
         assert calls == []
 
+    def test_a_mixed_exponent_pair_builds_nothing_after_its_first_alignment(self, monkeypatch):
+        """The mesh of lower working exponent reads its stored entries scaled into the pair's units."""
+        pts = gen.ellipse_mesh(64, 2.0, 1.0).points
+        m1, m2 = (ms.Mesh(np.ldexp(p, 600), closed=True) for p in (pts, ms.random_motion(ms.Group.SE, 2).apply(pts)))
+        assert (geometry.working_points(m1).k, geometry.working_points(m2).k) == (601, 603)
+        calls, rfft, inv, build = [], np.fft.rfft, np.linalg.inv, congruence._build_frame
+        monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: calls.append("rfft") or rfft(a, *args, **kw))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inv(a))
+        monkeypatch.setattr(congruence, "_build_frame", lambda mesh: calls.append("frame") or build(mesh))
+        cases = [(g, mode) for g in (ms.Group.SE, ms.Group.SA) for mode in (MatchMode.INDEX_ALIGNED, MatchMode.CYCLIC)]
+        first = [encode(ms.align(m1, m2, g, mode)) for g, mode in cases]
+        assert all(v[0] is ms.Verdict.CONGRUENT for v in first)
+        assert sorted(calls) == ["frame"] * 2 + ["inv"] + ["rfft"] * 2
+        calls.clear()
+        assert [encode(ms.align(m1, m2, g, mode)) for g, mode in cases] == first
+        assert calls == []
+
 
 def uneven_arc():
     """An open ellipse arc whose parameter steps differ by up to 1e-4: equally spaced at 1e-2, not at 1e-6."""

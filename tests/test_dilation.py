@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import meshsig as ms
+from meshsig import congruence
 from meshsig import generators as gen
 from meshsig.errors import MeshSigError
 from meshsig.euclidean import chords, interior_curvatures
@@ -257,6 +258,18 @@ class TestScalesThatFailedBefore:
         assert far.congruent and unit.congruent
         assert far.max_deviation == math.ldexp(unit.max_deviation, j)
         assert far.witness.translation.tobytes() == np.ldexp(unit.witness.translation, j).tobytes()
+
+    def test_an_overflowed_signature_column_differs(self):
+        # at 2^-600, kappa_s (weight -2) overflows to inf and inf - inf is nan: a difference, never agreement
+        rng = np.random.default_rng(3)
+        walks = [gen.random_equally_spaced_mesh(rng, 12) for _ in range(2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            unit, far = ([ms.se_signature(dilated(m, j), ms.Scheme.EQ1) for m in walks] for j in (0, -600))
+            assert ms.signature_max_error(*unit) == pytest.approx(1.0958, abs=1e-4)
+            assert math.isnan(ms.signature_max_error(*far)) and not ms.signatures_close(*far)
+            assert congruence._values_differ([1.0, np.inf], [1.0, np.inf], 1e-6, "x") is not None
+        assert congruence._values_differ([1.0, np.nan], [1.0, 2.0], 1e-6, "x") == (
+            "x differ (max relative error nan at index 1)")
 
     @pytest.mark.parametrize("s", [1e170, 1e-170])
     def test_three_point_functions(self, s):
