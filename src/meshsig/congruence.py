@@ -1,20 +1,19 @@
 """Congruence oracles and signature-based decision procedures.
 
-The alignment oracle fits one least-squares witness per correspondence (the
-Procrustes rotation or reflection for SE/E, the linear fit scaled to
+The alignment oracle fits one least-squares witness per correspondence
+(the Procrustes rotation or reflection for SE/E, the linear fit scaled to
 |det| = 1 for SA/Abar) and verifies it pointwise. Cyclic modes get every
 shift's least residual at once from FFT cross-covariances, O(n log n), and
 verify only the shifts whose residual could pass. What the oracle needs of
 one mesh alone is an entry of the mesh's derived data, built once and read
-by every alignment the mesh takes part in: the frame (centroid, centred
-points, Gram entries and sum of squares), under SA/Abar the inverse of
-the first mesh's Gram matrix, and in cyclic modes the forward FFT spectrum
-of the centred points, all in the mesh's working units (``align``). Each
-decision rule is a row of RULES: its group, its preconditions and its
-ordered hypothesis checks. One engine evaluates any row; when all
-hypotheses hold it defers to the oracle, so a Congruent verdict always
-carries a verified witness motion. NotCongruent only ever comes from the
-oracle itself.
+by every alignment the mesh takes part in: the frame (the centroid and the
+Gram entries and sum of squares of the centred points, six scalars) and in
+cyclic modes the forward FFT spectrum of the centred points, both in the
+mesh's working units (``align``). Each decision rule is a row of RULES:
+its group, its preconditions and its ordered hypothesis checks. One engine
+evaluates any row; when all hypotheses hold it defers to the oracle, so a
+Congruent verdict always carries a verified witness motion. NotCongruent
+only ever comes from the oracle itself.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .geometry import (
     triple_angles,
     working_points,
 )
-from .signatures import SIGNATURE_REL_TOL, Scheme, signature_max_error
+from .signatures import SIGNATURE_REL_TOL, Scheme, abs_difference, signature_max_error
 
 DEFAULT_POINT_TOL = 1e-6
 DEFAULT_ANGLE_TOL = 1e-9
@@ -99,67 +98,45 @@ class CongruenceVerdict:
 
 
 class _Frame(NamedTuple):
-    """What the alignment oracle reads of one mesh alone, as read-only arrays and floats.
+    """What the oracle keeps of one mesh alone, in its working units 2^k: a read-only 2-vector and four floats."""
 
-    P is the mesh's working points 2^-k p (:func:`geometry.working_points`),
-    so every entry is in working units.
-    """
-
-    mean: np.ndarray     # the centroid P.sum(axis=0) / n
-    centred: np.ndarray  # P - mean
-    gram: np.ndarray     # centred.T @ centred
-    g00: float           # the entries of gram
+    mean: np.ndarray  # the centroid P.sum(axis=0) / n of the working points P
+    g00: float        # the entries of G = Pcᵀ Pc, Pc = P - mean
     g01: float
     g11: float
-    sumsq: float         # float((centred * centred).sum())
+    sumsq: float      # float((Pc * Pc).sum())
 
 
 def _build_frame(mesh: Mesh) -> _Frame:
     P = working_points(mesh).points
     mean = P.sum(axis=0) / mesh.n
     centred = P - mean
-    gram = centred.T @ centred
-    (g00, g01), (_, g11) = gram.tolist()
-    return _Frame(*_frozen(mean, centred, gram), g00, g01, g11, float((centred * centred).sum()))
+    (g00, g01), (_, g11) = (centred.T @ centred).tolist()
+    return _Frame(*_frozen(mean), g00, g01, g11, float((centred * centred).sum()))
 
 
-def _rescale_exponent(mesh: Mesh, K: int | None) -> int:
-    """j such that 2^j turns the mesh's working units 2^k into the units 2^K (0 without K)."""
-    return 0 if K is None else working_points(mesh).k - K
+def _frame(mesh: Mesh) -> _Frame:
+    """The mesh's alignment frame, built once."""
+    return derived(mesh, "frame", _build_frame)
 
 
-def _frame(mesh: Mesh, K: int | None = None) -> _Frame:
-    """The mesh's alignment frame, built once; with K, in units 2^K, scaled exactly from the stored one."""
-    f, j = derived(mesh, "frame", _build_frame), _rescale_exponent(mesh, K)
-    if not j:
-        return f
-    return _Frame(np.ldexp(f.mean, j), np.ldexp(f.centred, j), np.ldexp(f.gram, 2 * j),
-                  *(math.ldexp(v, 2 * j) for v in (f.g00, f.g01, f.g11, f.sumsq)))
+def _spectrum(mesh: Mesh) -> np.ndarray:
+    """``np.fft.rfft`` of the centred coordinates, a read-only (2, n // 2 + 1) array in working units, built once."""
+    return derived(mesh, "spectrum", lambda m: _frozen(np.fft.rfft((working_points(m).points - _frame(m).mean).T))[0])
 
 
-def _spectrum(mesh: Mesh, K: int | None = None) -> np.ndarray:
-    """``np.fft.rfft`` of the centred coordinates, a read-only (2, n // 2 + 1) array, built once; K as `_frame`."""
-    s = derived(mesh, "spectrum", lambda m: _frozen(np.fft.rfft(_frame(m).centred.T))[0])
-    j = _rescale_exponent(mesh, K)
-    return np.ldexp(np.ascontiguousarray(s).view(float), j).view(complex) if j else s
-
-
-def _gram_inverse(mesh: Mesh, K: int | None = None) -> np.ndarray:
-    """``np.linalg.inv`` of the frame's Gram matrix, read-only, built once; only SA/Abar fits read it. K as `_frame`."""
-    g = derived(mesh, "gram_inverse", lambda m: _frozen(np.linalg.inv(_frame(m).gram))[0])
-    return _ldexp(g, -2 * _rescale_exponent(mesh, K))
-
-
-def _witness_maps(m1: Mesh, Qc: np.ndarray, group: Group, K: int) -> tuple[list[np.ndarray], str]:
-    """Least-squares linear parts taking m1's centred points Pc[k] to Qc[k], both in units 2^K, in trial order.
+def _witness_maps(H: np.ndarray, p: _Frame, group: Group, j: int) -> tuple[list[np.ndarray], str]:
+    """Least-squares linear parts taking centred points Pc[k] (frame p) to Qc[k], in trial order, from H = Pcᵀ Qc.
 
     SE/E: the Procrustes rotation (Kabsch), then for E the Procrustes
-    reflection; with H = Pcᵀ Qc they maximise tr(A H) by taking (1, 0) along
+    reflection; they maximise tr(A H) by taking (1, 0) along
     (h00 + h11, h01 - h10), resp. (h00 - h11, h01 + h10). SA/Abar: the
-    general-linear fit Hᵀ G⁻¹ (G = Pcᵀ Pc) scaled to |det| = 1 (Umeyama);
-    SA rejects det <= 0. No map comes with a reason.
+    general-linear fit Hᵀ G⁻¹ (G = Pcᵀ Pc) scaled to |det| = 1 (Umeyama),
+    as M = Hᵀ adj(G) brought into [1, 2) by a power of two, over √|det M|.
+    No map changes when Pc or Qc is scaled by a power of two. SA rejects
+    det <= 0, giving the general-linear fit's det in input units for Pc and
+    Qc in units 2^k1 and 2^k2, j = k2 - k1. No map comes with a reason.
     """
-    H = _frame(m1, K).centred.T @ Qc
     (h00, h01), (h10, h11) = H.tolist()
     if group in (Group.SE, Group.E):
         maps = []
@@ -168,11 +145,16 @@ def _witness_maps(m1: Mesh, Qc: np.ndarray, group: Group, K: int) -> tuple[list[
             c, s = (c / norm, s / norm) if norm else (1.0, 0.0)
             maps.append(np.array([[c, -det * s], [s, det * c]]))
         return maps, ""
-    linear = H.T @ _gram_inverse(m1, K)
-    det = float(np.linalg.det(linear))
+    g00, g01, g11 = p.g00, p.g01, p.g11
+    M = (h00 * g11 - h10 * g01, h10 * g00 - h00 * g01, h01 * g11 - h11 * g01, h11 * g00 - h01 * g01)
+    e = math.frexp(max(map(abs, M)))[1]
+    a, b, c, d = (math.ldexp(v, 1 - e) for v in M)
+    det = a * d - b * c
     if group is Group.SA and det <= 0:
+        with np.errstate(over="ignore"):  # beyond the doubles when the meshes' scales are far apart
+            det = float(np.ldexp(det / (g00 * g11 - g01 * g01) ** 2, 2 * (e - 1 + j)))
         return [], f"recovered map reverses orientation (det {det:.3g})"
-    return ([linear / math.sqrt(abs(det))], "") if det else ([], "recovered map is singular")
+    return ([np.array([[a, b], [c, d]]) / math.sqrt(abs(det))], "") if det else ([], "recovered map is singular")
 
 
 def _shift_scan(m1: Mesh, m2: Mesh, group: Group, reversal: bool, limit: float):
@@ -182,34 +164,37 @@ def _shift_scan(m1: Mesh, m2: Mesh, group: Group, reversal: bool, limit: float):
     ``reversal``) to σ(k) = s - k: the least sum over k of
     |A pc_k + t - qc_σ(k)|² over the group's linear maps A (all of GL for
     SA/Abar, a lower bound on the unimodular fit) and translations t, where
-    pc and qc are the centred points of m1's and m2's frames, in the pair's
-    units (``align``). It comes in closed form from the cross-covariances
-    H_s, all found at once by FFT cross-correlation (forward) or
-    convolution (reversed) of the meshes' stored spectra. With pp = |Pc|²,
-    qq = |Qc|², G = Pcᵀ Pc and κ = tr(G)²/det G (1 for SE/E), each residual is within
-    bound = 8 eps (pp + qq) (√(nκ) log2(2n) + nκ) of its exact value on the
-    same centred doubles: the FFT's normwise error eps·O(log n) (Higham,
-    ASNA §24.1) taken entrywise, through the closed form. A witness within
-    limit per coordinate leaves a residual of at most 2n limit², so
-    ``admitted``, the flat indices of residual within 2n limit² + bound,
-    holds every correspondence that could verify, up to the rounding of the
-    centring and of the deviation check itself.
+    pc and qc are the centred points of m1 and m2, in the pair's units
+    (``align``). It comes in closed form from the cross-covariances H_s,
+    all found at once by FFT cross-correlation (forward) or convolution
+    (reversed) of the meshes' stored spectra, and scaled from the meshes'
+    own units into the pair's. Under SA/Abar the least residual does not
+    change when pc is scaled, so it is taken with m1's own G. With
+    pp = |Pc|², qq = |Qc|², G = Pcᵀ Pc and κ = tr(G)²/det G (1 for SE/E),
+    each residual is within bound = 8 eps (pp + qq) (√(nκ) log2(2n) + nκ)
+    of its exact value on the same centred doubles: the FFT's normwise
+    error eps·O(log n) (Higham, ASNA §24.1) taken entrywise, through the
+    closed form. A witness within limit per coordinate leaves a residual of
+    at most 2n limit², so ``admitted``, the flat indices of residual within
+    2n limit² + bound, holds every correspondence that could verify, up to
+    the rounding of the centring and of the deviation check itself.
     """
-    K = max(working_points(m1).k, working_points(m2).k)
-    n, p, fp, fq = m1.n, _frame(m1, K), _spectrum(m1, K), _spectrum(m2, K)
+    k1, k2 = working_points(m1).k, working_points(m2).k
+    K, n, (_, g00, g01, g11, _), fp, fq = max(k1, k2), m1.n, _frame(m1), _spectrum(m1), _spectrum(m2)
     spectra = [fp.conj()[:, None] * fq] + ([fp[:, None] * fq] if reversal else [])
-    h00, h01, h10, h11 = np.fft.irfft(np.stack(spectra, axis=-1), n, axis=-2).reshape(4, n, -1)
-    g00, g01, g11 = p.g00, p.g01, p.g11
-    pp, qq = g00 + g11, _frame(m2, K).sumsq
+    h = np.fft.irfft(np.stack(spectra, axis=-1), n, axis=-2)  # in units 2^(k1 + k2)
+    pp, qq = math.ldexp(g00 + g11, 2 * (k1 - K)), math.ldexp(_frame(m2).sumsq, 2 * (k2 - K))
     if group in (Group.SE, Group.E):
+        h00, h01, h10, h11 = _ldexp(h, k1 + k2 - 2 * K).reshape(4, n, -1)
         fit = np.hypot(h00 + h11, h01 - h10)
         if group is Group.E:
             fit = np.maximum(fit, np.hypot(h00 - h11, h01 + h10))
         residual, kappa = pp + qq - 2.0 * fit, 1.0
     else:
+        h00, h01, h10, h11 = h.reshape(4, n, -1)
         det = g00 * g11 - g01 * g01
         fit = g11 * (h00 * h00 + h01 * h01) - 2.0 * g01 * (h00 * h10 + h01 * h11) + g00 * (h10 * h10 + h11 * h11)
-        residual, kappa = qq - fit / det, pp * pp / det
+        residual, kappa = qq - _ldexp(fit / det, 2 * (k2 - K)), (g00 + g11) ** 2 / det
     bound = 8.0 * math.ulp(1.0) * (pp + qq) * (math.sqrt(n * kappa) * math.log2(2 * n) + n * kappa)
     return residual, bound, np.flatnonzero(residual.ravel() <= 2 * n * limit ** 2 + bound)
 
@@ -233,20 +218,20 @@ def align(
     cusp-free meshes, closed meshes for the cyclic modes.
 
     Everything is compared in the pair's working units 2^K, K = max(k1, k2)
-    of the meshes' working exponents (:func:`geometry.working_points`):
-    each mesh's stored frame, spectrum and Gram inverse are in its own
-    units, and when k1 != k2 those of the mesh of lower exponent are scaled
-    for the call by the exact power of two, not rebuilt. The witness's
+    of the meshes' working exponents (:func:`geometry.working_points`). The
+    fits read each mesh's stored frame and spectrum, and its centred points
+    formed once per call, in its own units; only frame scalars and the
+    arrays compared at the end are scaled to 2^K, exactly. The witness's
     translation, the maximum deviation and the numbers of the reason are
-    scaled back to input units. Under SE/E, meshes whose diameters differ
-    by more than 2√2 limit + 64 eps (M + scale) are rejected at once, M the
+    scaled back to input units. Under SE/E, meshes whose diameters differ by
+    more than 2√2 limit + 64 eps (M + scale) are rejected at once, M the
     largest working coordinate magnitude: a witness within limit per
     coordinate moves each point by at most √2 limit, and 64 eps (M + scale)
     covers the rounding of the diameters and of the deviation check. Under
-    SA/Abar, NoNonCollinearTriple is raised when the first mesh's own
-    G = Pcᵀ Pc is singular: det G <= n eps tr(G)², the rounding of its
-    entries. The meshes' frames and spectra are built only after these
-    checks, once per mesh.
+    SA/Abar, NoNonCollinearTriple is raised when the first mesh's G = Pcᵀ Pc
+    is singular: det G <= n eps tr(G)², the rounding of its entries. The
+    meshes' frames and spectra are built only after these checks, once per
+    mesh.
 
     Parameters
     ----------
@@ -272,7 +257,7 @@ def align(
         raise NotOrdinary("alignment requires cusp-free meshes")
     if mode is not MatchMode.INDEX_ALIGNED and not (m1.closed and m2.closed):
         raise NotClosed("cyclic match modes require closed meshes")
-    (k1, _, big1), (k2, _, big2) = working_points(m1), working_points(m2)
+    (k1, P1, big1), (k2, P2, big2) = working_points(m1), working_points(m2)
     n, K = m1.n, max(k1, k2)  # the pair's working units are 2^K
     d1, d2 = math.ldexp(m1.diameter, -K), math.ldexp(m2.diameter, -K)
     limit = tol * max(d1, d2)
@@ -280,12 +265,12 @@ def align(
         rounding = 64 * math.ulp(1.0) * (max(math.ldexp(big1, k1 - K), math.ldexp(big2, k2 - K)) + max(d1, d2))
         if abs(d1 - d2) > 2 * math.sqrt(2) * limit + rounding:
             return CongruenceVerdict(Verdict.NOT_CONGRUENT, reason="diameters differ")
-    p = _frame(m1)
+    p, q = _frame(m1), _frame(m2)
     if group in (Group.SA, Group.ABAR) and p.g00 * p.g11 - p.g01 * p.g01 <= n * math.ulp(1.0) * (p.g00 + p.g11) ** 2:
         raise NoNonCollinearTriple("mesh points are collinear")
-    # a mesh of lower exponent is read in the pair's units, for this call only
-    p, q = _frame(m1, K), _frame(m2, K)
-    P, Q = _ldexp(working_points(m1).points, k1 - K), _ldexp(working_points(m2).points, k2 - K)
+    Pc, Qc = P1 - p.mean, P2 - q.mean  # each in its own units
+    P, Q = _ldexp(P1, k1 - K), _ldexp(P2, k2 - K)
+    mean1, mean2 = _ldexp(p.mean, k1 - K), _ldexp(q.mean, k2 - K)
     order, width, base = [0], 1, np.arange(n)
     if mode is not MatchMode.INDEX_ALIGNED:
         residual, _, order = _shift_scan(m1, m2, group, mode is MatchMode.CYCLIC_REVERSAL, limit)
@@ -293,9 +278,9 @@ def align(
     for shift, rev in (divmod(int(j), width) for j in order):
         tag = f"reversed shift+{shift}" if rev else f"shift+{shift}" if shift else "identity"
         idx = (shift - base) % n if rev else (base + shift) % n if shift else slice(None)
-        maps, why = _witness_maps(m1, q.centred[idx], group, K)
+        maps, why = _witness_maps(Pc.T @ Qc[idx], p, group, k2 - k1)
         for linear in maps:
-            translation = q.mean - linear @ p.mean
+            translation = mean2 - linear @ mean1
             deviation = float(np.abs(P @ linear.T + translation - Q[idx]).max())
             if deviation <= limit:  # translation and deviation back in input units
                 witness = GroupElement(linear, _ldexp(translation, K), group)
@@ -327,9 +312,10 @@ def _values_differ(v1, v2, tol, what: str) -> str | None:
     if len(v1) == 0:
         return None
     scale = max(float(np.abs(v1).max()), float(np.abs(v2).max()), 1e-300)
-    err = float(np.abs(v1 - v2).max())
+    diff = abs_difference(v1, v2)
+    err = float(diff.max())
     if not err <= tol * scale:  # "not <=", so that an inf or nan difference differs
-        return f"{what} differ (max relative error {err / scale:.3e} at index {int(np.abs(v1 - v2).argmax())})"
+        return f"{what} differ (max relative error {err / scale:.3e} at index {int(diff.argmax())})"
     return None
 
 
@@ -523,7 +509,7 @@ def _zero_curvature_areas(m1, m2, p):
     t1, t2 = (_ldexp(np.abs(orient_rows(*neighbor_triples(m, interior))) / 2.0, 2 * working_points(m).k)
               for m in (m1, m2))
     scale = np.maximum(np.maximum(t1, t2), 1e-300)
-    bad = np.flatnonzero((za != zb) | (za & ~(np.abs(t1 - t2) <= p["sig_tol"] * scale)))
+    bad = np.flatnonzero((za != zb) | (za & ~(abs_difference(t1, t2) <= p["sig_tol"] * scale)))
     if not len(bad):
         return None
     k = int(bad[0])
@@ -536,7 +522,7 @@ def _arc_length_sets(m1, m2, p):
     interior, sig_tol = affine.affine_fine_interior(m1), p["sig_tol"]
     (a1, ok1), (a2, ok2) = affine.interior_arc_length_sets(m1), affine.interior_arc_length_sets(m2)
     scale = np.maximum(np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)), 1e-300)
-    differ = ~(np.abs(a1 - a2).max(axis=1) <= sig_tol * scale)
+    differ = ~(abs_difference(a1, a2).max(axis=1) <= sig_tol * scale)
     bad = np.flatnonzero(~(ok1 & ok2) | differ)
     if not len(bad):
         return None

@@ -292,19 +292,18 @@ class Mesh:
     and frozen; the caller's array is left as it was.
 
     Everything computed from the points alone, or from the points and one
-    stencil, is kept in one store of derived data (see :func:`derived`):
-    the edge lengths and the working points 2^-k p (both kept from
-    construction; see :func:`working_points`), the ordinary and convex
-    flags, each stencil's signs, vertex angles, zero-arm flags and Euclidean
-    curvatures, the equiaffine block, and the alignment oracle's entries:
-    the frame (centroid, centred points, their Gram matrix and sum of
-    squares), the inverse of that Gram matrix, and the forward FFT spectrum
-    of the centred points. An entry is built on first use and never
-    changed; its arrays are read-only. The per-index Euclidean functions
-    (signature sign and direction, angle, signed angle and its type,
-    curvature) are views of the stencil arrays: their first call on a mesh
-    and stencil builds the array in O(n), and later calls read one row in
-    O(1).
+    stencil, is kept in one store of derived data (see :func:`derived`): the
+    edge lengths and the working points 2^-k p (both kept from construction;
+    see :func:`working_points`), the ordinary and convex flags, each
+    stencil's signs, vertex angles, zero-arm flags and Euclidean curvatures,
+    the equiaffine block, and the alignment oracle's entries: the frame (the
+    centroid and the Gram entries and sum of squares of the centred points)
+    and the forward FFT spectrum of the centred points. An entry is built on
+    first use and never changed; its arrays are read-only. The per-index
+    Euclidean functions (signature sign and direction, angle, signed angle
+    and its type, curvature) are views of the stencil arrays: their first
+    call on a mesh and stencil builds the array in O(n), and later calls
+    read one row in O(1).
 
     The Euclidean kernels, the ordinary flag and the alignment oracle work
     on the working points and scale lengths and curvatures back by 2^k, so

@@ -150,6 +150,12 @@ COLUMN_FLOOR_FRACTION = 1e-2
 ZERO_SIGNATURE_ATOL = 1e-9
 
 
+def abs_difference(u, v) -> np.ndarray:
+    """|u - v| elementwise; inf - inf gives nan, without numpy's invalid-value warning."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(np.subtract(u, v))
+
+
 def signature_max_error(a: Signature, b: Signature) -> float:
     """Componentwise max relative error over aligned indices.
 
@@ -168,7 +174,8 @@ def signature_max_error(a: Signature, b: Signature) -> float:
     if overall <= ZERO_SIGNATURE_ATOL:
         return 0.0
     floor = COLUMN_FLOOR_FRACTION * overall
-    errors = [float(np.abs(u - v).max()) / max(float(np.abs(u).max()), float(np.abs(v).max()), floor) for u, v in cols]
+    errors = [float(abs_difference(u, v).max()) / max(float(np.abs(u).max()), float(np.abs(v).max()), floor)
+              for u, v in cols]
     return float(np.max(errors))  # np.max, unlike Python's max, keeps a nan
 
 

@@ -180,7 +180,7 @@ def outline_triple():
 
 
 def oracle_bits(m):
-    return [encode(congruence._frame(m)), encode(congruence._spectrum(m)), encode(congruence._gram_inverse(m))]
+    return [encode(congruence._frame(m)), encode(congruence._spectrum(m))]
 
 
 def test_concurrent_first_uses_agree_with_serial_runs():
@@ -265,7 +265,7 @@ def frame_corpus():
 
 
 class TestAlignFrames:
-    """The oracle's frame, inverse Gram matrix and spectrum: built once per mesh, the same bits fresh or stored."""
+    """The oracle's frame and spectrum: built once per mesh, the same bits fresh or stored."""
 
     def test_stored_entries_give_the_same_bits(self):
         cases = [(group, mode) for group in ms.Group for mode in MatchMode]
@@ -285,9 +285,8 @@ class TestAlignFrames:
         unrelated = ms.Mesh(other.points * (m.diameter / other.diameter), closed=True)
         images = [(ms.Mesh(cyclic_image(rng, pts, group, reverse)[0], closed=True), group, mode)
                   for group, mode, reverse in CYCLIC_CASES]
-        calls, rfft, inv, build = [], np.fft.rfft, np.linalg.inv, congruence._build_frame
+        calls, rfft, build = [], np.fft.rfft, congruence._build_frame
         monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: calls.append("rfft") or rfft(a, *args, **kw))
-        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inv(a))
         monkeypatch.setattr(congruence, "_build_frame", lambda mesh: calls.append("frame") or build(mesh))
 
         def operation():
@@ -296,24 +295,33 @@ class TestAlignFrames:
 
         verdicts = [v.congruent for v in operation()]
         assert verdicts == [True] * 4 + [False] * 4
-        assert sorted(calls) == ["frame"] * 6 + ["inv"] + ["rfft"] * 6  # the inverse of m's Gram matrix only
+        assert sorted(calls) == ["frame"] * 6 + ["rfft"] * 6
         calls.clear()
         assert [v.congruent for v in operation()] == verdicts
         assert calls == []
 
+    def test_a_mesh_keeps_scalars_and_the_spectrum_only(self):
+        """An SA alignment stores no Gram inverse, and no frame field grows with n."""
+        rng = np.random.default_rng(74)
+        pts = radial_outline(rng, 300)
+        m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh(ms.random_motion(ms.Group.SA, rng).apply(pts), closed=True)
+        assert ms.align(m1, m2, ms.Group.SA, MatchMode.CYCLIC).congruent
+        for m in (m1, m2):
+            assert {"frame", "spectrum"} <= set(m._derived) and "gram_inverse" not in m._derived
+            assert all(np.size(field) <= 2 for field in congruence._frame(m))
+
     def test_a_mixed_exponent_pair_builds_nothing_after_its_first_alignment(self, monkeypatch):
-        """The mesh of lower working exponent reads its stored entries scaled into the pair's units."""
+        """Each mesh's entries stay in its own units; the pair's units scale only scalars and compared arrays."""
         pts = gen.ellipse_mesh(64, 2.0, 1.0).points
         m1, m2 = (ms.Mesh(np.ldexp(p, 600), closed=True) for p in (pts, ms.random_motion(ms.Group.SE, 2).apply(pts)))
         assert (geometry.working_points(m1).k, geometry.working_points(m2).k) == (601, 603)
-        calls, rfft, inv, build = [], np.fft.rfft, np.linalg.inv, congruence._build_frame
+        calls, rfft, build = [], np.fft.rfft, congruence._build_frame
         monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: calls.append("rfft") or rfft(a, *args, **kw))
-        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inv(a))
         monkeypatch.setattr(congruence, "_build_frame", lambda mesh: calls.append("frame") or build(mesh))
         cases = [(g, mode) for g in (ms.Group.SE, ms.Group.SA) for mode in (MatchMode.INDEX_ALIGNED, MatchMode.CYCLIC)]
         first = [encode(ms.align(m1, m2, g, mode)) for g, mode in cases]
         assert all(v[0] is ms.Verdict.CONGRUENT for v in first)
-        assert sorted(calls) == ["frame"] * 2 + ["inv"] + ["rfft"] * 2
+        assert sorted(calls) == ["frame"] * 2 + ["rfft"] * 2
         calls.clear()
         assert [encode(ms.align(m1, m2, g, mode)) for g, mode in cases] == first
         assert calls == []

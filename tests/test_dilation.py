@@ -263,13 +263,28 @@ class TestScalesThatFailedBefore:
         # at 2^-600, kappa_s (weight -2) overflows to inf and inf - inf is nan: a difference, never agreement
         rng = np.random.default_rng(3)
         walks = [gen.random_equally_spaced_mesh(rng, 12) for _ in range(2)]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             unit, far = ([ms.se_signature(dilated(m, j), ms.Scheme.EQ1) for m in walks] for j in (0, -600))
-            assert ms.signature_max_error(*unit) == pytest.approx(1.0958, abs=1e-4)
-            assert math.isnan(ms.signature_max_error(*far)) and not ms.signatures_close(*far)
-            assert congruence._values_differ([1.0, np.inf], [1.0, np.inf], 1e-6, "x") is not None
+        # the comparisons themselves run with warnings as errors
+        assert ms.signature_max_error(*unit) == pytest.approx(1.0958, abs=1e-4)
+        assert math.isnan(ms.signature_max_error(*far)) and not ms.signatures_close(*far)
+        assert congruence._values_differ([1.0, np.inf], [1.0, np.inf], 1e-6, "x") is not None
         assert congruence._values_differ([1.0, np.nan], [1.0, 2.0], 1e-6, "x") == (
             "x differ (max relative error nan at index 1)")
+
+    @pytest.mark.parametrize("j", [600, 1000])
+    @pytest.mark.parametrize("group", [ms.Group.SA, ms.Group.ABAR])
+    def test_equiaffine_oracle_across_far_apart_scales(self, j, group):
+        # the areas differ by 2^(2j), so no unimodular map fits; the reason carries a finite deviation
+        far = dilated(self.ELLIPSE, j)
+        for m1, m2 in ((self.ELLIPSE, far), (far, self.ELLIPSE)):
+            for mode in MODES:
+                v = outcome(ms.align, m1, m2, group, mode)
+                assert v.status is ms.Verdict.NOT_CONGRUENT
+                if group is ms.Group.SA and mode is ms.MatchMode.CYCLIC_REVERSAL:
+                    continue  # its last trial is a reversed correspondence, which SA rejects by orientation
+                deviation, limit = map(float, re.fullmatch(r"max deviation (\S+) over (\S+) \(.*\)", v.reason).groups())
+                assert math.isfinite(deviation) and deviation > limit
 
     @pytest.mark.parametrize("s", [1e170, 1e-170])
     def test_three_point_functions(self, s):

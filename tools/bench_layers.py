@@ -20,7 +20,7 @@ layers are timed in a fresh process that imports that side's `src/`:
 - the fit, sector and gap-bound kernels, each called on the arrays the
   block hands it;
 - the block pair: the blocks of two such 32-point arcs built one at a time
-  and, where the checkout has `affine.build_blocks`, jointly in one pass;
+  and jointly in one pass (`affine.build_blocks`);
 - L2, the per-index Euclidean functions, through public functions only:
   on the closed `ellipse_mesh(n, 2, 1)` with every derived entry built
   after `Mesh()` cleared, one `signed_angle` call (n in 10^2..10^5),
@@ -36,12 +36,14 @@ layers are timed in a fresh process that imports that side's `src/`:
   minimum over repeats, unscaled, and the tracemalloc peak of one first
   use;
 - L0 and L3 off the unit scale: `Mesh()` on the points of the closed
-  `ellipse_mesh(n, 2, 1)` scaled by 2^600, and cyclic SE `align` of that
-  mesh onto its SE image started at another index, at first use and at
-  reuse (n in 10^2..10^5). Both meshes have a working exponent k != 0;
-  at n = 10^2, 10^3 and 10^5 the two exponents differ, so these rows time
-  the per-call rescaling of one mesh. The minimum over repeats, unscaled;
-  an `align` that raises is recorded as failed, with its message.
+  `ellipse_mesh(n, 2, 1)` scaled by 2^600, and cyclic SE and SA `align`
+  of that mesh onto its SE and SA images started at another index, at
+  first use and at reuse (n in 10^2..10^5). Both meshes have a working
+  exponent k != 0, and each row records the two; where they differ
+  (SE at n = 10^2, 10^3 and 10^5, SA at n = 10^2, 10^4 and 10^5), the row
+  times the pair-unit scaling of one mesh's scalars and of the compared
+  arrays. The minimum over repeats, unscaled; an `align` that raises is
+  recorded as failed, with its message.
 
 `--layers` prints the layers of the meshsig on sys.path as one JSON line.
 
@@ -58,7 +60,6 @@ file.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -101,17 +102,8 @@ def kernel_calls(affine, blk, win):
     import numpy as np
     windows = win if blk.has_window.all() else win[2:-2]
     coef, S, F, center = (np.array(a) for a in (blk.coef, blk.S, blk.F, blk.center))
-    if len(inspect.signature(affine._gap_bounds).parameters) == 3:
-        sectors = lambda: affine._sectors(coef, S, F, center, win)
-        gaps = lambda: affine._gap_bounds(coef, S, F)
-    else:  # the stacked-SVD block: sectors on the elliptic rows only, gap bounds from the coefficients
-        tol = affine.PARABOLIC_TOL
-        with np.errstate(invalid="ignore"):
-            ell = np.flatnonzero(blk.kappa_ok & (blk.kappa > tol) & (S > tol))
-        sectors = lambda: affine._sectors(coef[ell], S[ell], F[ell], center[ell], win[ell])
-        fitted = np.flatnonzero(blk.fitted)
-        gaps = lambda: affine._gap_bounds(coef[fitted])
-    return {"fit": lambda: affine._fit(windows), "sectors": sectors, "gap_bounds": gaps}
+    return {"fit": lambda: affine._fit(windows), "sectors": lambda: affine._sectors(coef, S, F, center, win),
+            "gap_bounds": lambda: affine._gap_bounds(coef, S, F)}
 
 
 def cleared(*meshes):
@@ -122,13 +114,12 @@ def cleared(*meshes):
 
 
 def pair_layer(affine, gen) -> dict:
-    """Two sa-arcs-shaped 32-point arcs: their blocks one at a time, and jointly where the checkout can."""
+    """Two sa-arcs-shaped 32-point arcs: their blocks one at a time, and jointly in one pass."""
     arcs = (gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False),
             gen.ellipse_mesh(32, 2.1, 0.8, t0=2.0, step=0.09, closed=False))
-    joint = getattr(affine, "build_blocks", None)
     return {"meshes": "open ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094) and ellipse_mesh(32, 2.1, 0.8, t0=2.0, step=0.09)",
             "one_at_a_time_ms": best_of(lambda: [affine._block(m) for m in cleared(*arcs)], 200),
-            "joint_ms": None if joint is None else best_of(lambda: joint(*cleared(*arcs)), 200)}
+            "joint_ms": best_of(lambda: affine.build_blocks(*cleared(*arcs)), 200)}
 
 
 def first_use(*meshes):
@@ -214,28 +205,31 @@ def align_layer() -> list:
 
 
 def far_layer() -> list:
-    """`Mesh()` and cyclic SE `align` on the closed ellipse scaled by 2^600, at first use and at reuse."""
+    """`Mesh()` on the closed ellipse scaled by 2^600, and cyclic SE and SA `align` of it onto its images."""
     import numpy as np
     import meshsig as ms
     from meshsig import generators as gen
+    from meshsig.geometry import working_points
 
     out = []
     for n in SIZES:
         unit = gen.ellipse_mesh(n, 2.0, 1.0).points
-        image = np.roll(ms.random_motion(ms.Group.SE, n).apply(unit), -(n // 3), axis=0)
         pts = np.ldexp(unit, 600)
-        m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh(np.ldexp(image, 600), closed=True)
-        fresh = first_use(m1, m2)
-        entry = {"n": n, "mesh_ms": best_of(lambda: ms.Mesh(pts, closed=True), REPEATS[n])}
-        try:
-            verdict = ms.align(fresh(), m2, ms.Group.SE, ms.MatchMode.CYCLIC)
-        except (ArithmeticError, ms.MeshSigError) as exc:  # an oracle on unscaled coordinates overflows here
-            entry["failed"] = f"{type(exc).__name__}: {exc}"
-        else:
-            entry["align_first_use_ms"] = best_of(
-                lambda: ms.align(fresh(), m2, ms.Group.SE, ms.MatchMode.CYCLIC), REPEATS[n])
-            entry["align_reuse_ms"] = best_of(lambda: ms.align(m1, m2, ms.Group.SE, ms.MatchMode.CYCLIC), REPEATS[n])
-            entry["congruent"], entry["correspondence"] = verdict.congruent, verdict.correspondence
+        entry = {"n": n, "mesh_ms": best_of(lambda: ms.Mesh(pts, closed=True), REPEATS[n]), "cyclic_align": []}
+        for group in (ms.Group.SE, ms.Group.SA):
+            image = np.roll(ms.random_motion(group, n).apply(unit), -(n // 3), axis=0)
+            m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh(np.ldexp(image, 600), closed=True)
+            fresh = first_use(m1, m2)
+            row = {"group": group.value, "exponents": [working_points(m).k for m in (m1, m2)]}
+            try:
+                verdict = ms.align(fresh(), m2, group, ms.MatchMode.CYCLIC)
+            except (ArithmeticError, ms.MeshSigError) as exc:  # an oracle on unscaled coordinates overflows here
+                row["failed"] = f"{type(exc).__name__}: {exc}"
+            else:
+                row["first_use_ms"] = best_of(lambda: ms.align(fresh(), m2, group, ms.MatchMode.CYCLIC), REPEATS[n])
+                row["reuse_ms"] = best_of(lambda: ms.align(m1, m2, group, ms.MatchMode.CYCLIC), REPEATS[n])
+                row["congruent"], row["correspondence"] = verdict.congruent, verdict.correspondence
+            entry["cyclic_align"].append(row)
         out.append(entry)
     return out
 
