@@ -68,7 +68,6 @@ from .geometry import (
     is_convex,
     is_equally_spaced,
     is_ordinary,
-    orient,
     orient_rows,
     row_norms,
     working_points,
@@ -633,15 +632,12 @@ def sd_affine(mesh: Mesh, i: int) -> SigDirection:
     the working diameter 2^-k diameter, so no square overflows or underflows.
     """
     window, scale = _fit_window(mesh, i), math.ldexp(mesh.diameter, -working_points(mesh).k)
-    signs = set()
-    for j in range(3):
-        o = orient(window[j], window[j + 1], window[j + 2])
-        if abs(o) <= 1e-12 * scale ** 2:
-            raise DegenerateConfiguration(f"collinear turn in the two-neighborhood of {i}")
-        signs.add(1 if o > 0 else -1)
-    if len(signs) > 1:
+    turns = orient_rows(window[:-2], window[1:-1], window[2:])
+    if (np.abs(turns) <= 1e-12 * scale ** 2).any():
+        raise DegenerateConfiguration(f"collinear turn in the two-neighborhood of {i}")
+    if not ((turns > 0).all() or (turns < 0).all()):
         raise DegenerateConfiguration(f"two-neighborhood of {i} is not in convex position")
-    return SigDirection.SD if signs.pop() > 0 else SigDirection.NOT_SD
+    return SigDirection.SD if turns[0] > 0 else SigDirection.NOT_SD
 
 
 def ellipse_area(c: ConicCoeffs) -> float:

@@ -45,7 +45,6 @@ from .geometry import (
     NeighborhoodSpec,
     _frozen,
     _ldexp,
-    angle,
     angle_types,
     derived,
     edge_lengths,
@@ -55,7 +54,9 @@ from .geometry import (
     is_ordinary,
     neighbor_triples,
     orient_rows,
-    triple_angles,
+    signed_angle,
+    stencil_row,
+    stencil_table,
     working_points,
 )
 from .signatures import SIGNATURE_REL_TOL, Scheme, abs_difference, signature_max_error
@@ -328,8 +329,8 @@ def _first_event(*events: np.ndarray) -> tuple[int, int] | None:
 
 def _signed_angles(mesh: Mesh, spec: NeighborhoodSpec) -> np.ndarray:
     """signed_angle at every center of the spec's interior, whose arms the rules reading it never let be zero."""
-    sign, theta, _ = triple_angles(mesh, spec)
-    return sign * theta
+    table = stencil_table(mesh, spec)
+    return table.sign * table.theta
 
 
 # Preconditions, called as (m1, m2), and hypothesis checks, called as
@@ -377,7 +378,7 @@ def _equal(values, tol: str, what: str):
 
 def _same_directions(m1, m2, p):
     centers = m1.interior()
-    s1, s2 = (triple_angles(m).sign for m in (m1, m2))
+    s1, s2 = (stencil_table(m).sign for m in (m1, m2))
     hit = _first_event((s1 == 0) | (s2 == 0), s1 != s2)
     if hit is None:
         return None
@@ -387,27 +388,26 @@ def _same_directions(m1, m2, p):
 
 def _angle_types(spec: NeighborhoodSpec, signed: bool):
     """Equal angle types (with equal signature signs when signed) of the spec's triples at every center."""
+    what = "signed angle type" if signed else "angle type"
 
     def types(mesh, band):
-        sign, theta, zero_arm = triple_angles(mesh, spec)
-        kind = angle_types(theta, band)  # 0 where undefined
-        return (sign * kind if signed else kind), zero_arm
+        table = stencil_table(mesh, spec)
+        kind = np.where(table.zero_arm, 0, angle_types(table.theta, band))  # 0 where undefined or an arm is zero
+        return table.sign * kind if signed else kind
 
     def check(m1, m2, p):
-        centers = m1.interior(spec.m1, spec.m2)
-        (t1, z1), (t2, z2) = (types(m, _band(p)) for m in (m1, m2))
-        hit = _first_event(z1, t1 == 0, z2, t2 == 0, t1 != t2)
-        if hit is None:
+        t1, t2 = (types(m, _band(p)) for m in (m1, m2))
+        bad = np.flatnonzero((t1 == 0) | (t2 == 0) | (t1 != t2))
+        if not len(bad):
             return None
-        (k, event), what = hit, "signed angle type" if signed else "angle type"
-        if event in (0, 2):
-            angle((m1, m2)[event // 2], centers[k], spec)  # raises DegenerateArm
-        if event < 4:
-            return f"{what} undefined at index {centers[k]}"
+        i = m1.interior(spec.m1, spec.m2)[bad[0]]
+        for m, t in ((m1, t1), (m2, t2)):
+            if not t[stencil_row(m, i, spec, "angle")[1]]:  # DegenerateArm where an arm is zero
+                return f"{what} undefined at index {i}"
         if signed:
-            return f"signed angle types differ at index {centers[k]}"
-        a1, a2 = (list(AngleType)[t[k] - 1].value for t in (t1, t2))
-        return f"angle types differ at index {centers[k]} ({a1} vs {a2})"
+            return f"signed angle types differ at index {i}"
+        a1, a2 = (list(AngleType)[t[bad[0]] - 1].value for t in (t1, t2))
+        return f"angle types differ at index {i} ({a1} vs {a2})"
 
     return check
 
@@ -439,23 +439,15 @@ def _closing_chord(m1, m2, p):
     return f"closing (1,2)-span chords |p[{n - 4}] - p[{n - 1}]| differ"
 
 
-def _end_angle(mesh: Mesh, i: int) -> float:
-    """signed_angle(mesh, i, SPEC33) at index 3 or n - 4 of an open mesh, read from the stored (3,3) triples."""
-    sign, theta, zero_arm = triple_angles(mesh, SPEC33)
-    if zero_arm[i - 3]:
-        angle(mesh, i, SPEC33)  # raises DegenerateArm
-    return float(sign[i - 3] * theta[i - 3])
-
-
 def _end_angles(m1, m2, p):
     if m1.closed:
         return None
-    e1, e2 = ([_end_angle(m, i) for i in (3, m.n - 4)] for m in (m1, m2))
+    e1, e2 = ([signed_angle(m, i, SPEC33) for i in (3, m.n - 4)] for m in (m1, m2))
     return _values_differ(e1, e2, p["angle_tol"], "end signed 3-angles")
 
 
 def _obtuse_start(m1, m2, p):
-    if m1.closed or all(_end_angle(m, 3) >= np.pi / 2.0 for m in (m1, m2)):
+    if m1.closed or all(signed_angle(m, 3, SPEC33) >= np.pi / 2.0 for m in (m1, m2)):
         return None
     return "starting signed 3-angle below pi/2"
 

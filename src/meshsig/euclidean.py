@@ -5,7 +5,8 @@ the three rounded pairwise distances a >= b >= c with Kahan's sorted-operand
 product formula for the area. The product itself is stable, but the sides
 carry rounding of order eps * a into b + c - a, so on nearly straight
 triples the curvature's relative error grows to about
-eps * (a + b + c) / (b + c - a).
+eps * (a + b + c) / (b + c - a). A mesh's curvatures are the kappa column of
+its stencil table (:func:`geometry.stencil_table`), read via ``stencil_row``.
 """
 
 from __future__ import annotations
@@ -17,41 +18,21 @@ from .geometry import (
     SPEC11,
     Mesh,
     NeighborhoodSpec,
-    _frozen,
+    _curvatures,
     _ldexp,
     _working,
-    derived,
     edge_lengths,
     is_equally_spaced,
     is_ordinary,
-    neighbor_triples,
     row_norms,
     stencil_row,
+    stencil_table,
     working_points,
 )
 from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
 
 # Denominator chords smaller than this fraction of the diameter abort the quotient.
 STENCIL_REL_TOL = 1e-12
-
-
-def _curvatures(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reciprocal circumradii of the triples (p[k], q[k], r[k]) of three (k, 2) arrays.
-
-    Returns (kappa, degenerate): kappa is 0 for collinear triples, and
-    degenerate marks triples with two coinciding points, whose kappa is
-    meaningless. Per triple, the sides are sorted a >= b >= c and kappa is
-    sqrt(t) / (a*b*c) with Kahan's product t = 16 * area**2; its relative
-    error is about eps * (a + b + c) / (b + c - a).
-    """
-    d = np.concatenate([q - p, r - q, r - p])
-    a, b, c = np.sort(row_norms(d).reshape(3, -1), axis=0)[::-1]
-    degenerate = c <= 1e-15 * a
-    t = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-    kappa = np.zeros_like(t)
-    bent = t > 0.0
-    kappa[bent] = np.sqrt(t[bent]) / (a[bent] * b[bent] * c[bent])
-    return kappa, degenerate
 
 
 def curvature_of_triple(p, q, r) -> float:
@@ -64,51 +45,36 @@ def curvature_of_triple(p, q, r) -> float:
     coincide.
     """
     k, tri, _ = _working(np.array([p, q, r], dtype=float))
-    kappa, degenerate = _curvatures(*tri[:, None])
+    kappa, degenerate, _ = _curvatures(*tri[:, None])
     if degenerate[0]:
         raise DegenerateTriple("two stencil points coincide")
     return float(_ldexp(kappa, -k)[0])
 
 
-def _interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    kappa, degenerate = _curvatures(*neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec))
-    return _frozen(_ldexp(kappa, -working_points(mesh).k), degenerate)
-
-
-def _curvatures_at(mesh: Mesh, spec: NeighborhoodSpec, rows=slice(None)) -> np.ndarray:
-    """The stored curvatures at rows (an index array or a slice) of ``mesh.interior(m1, m2)``.
-
-    The (kappa, degenerate) arrays are built once per mesh and stencil.
-    Raises DegenerateTriple at the first of the rows whose stencil has two
-    coinciding points.
-    """
-    kappa, degenerate = derived(mesh, ("curvature", spec.m1, spec.m2), _interior_curvatures, spec)
-    bad = np.flatnonzero(degenerate[rows])
-    if len(bad):
-        i = np.arange(len(kappa))[rows][bad[0]] + mesh.interior(spec.m1, spec.m2).start
-        raise DegenerateTriple(f"two stencil points coincide at index {i}")
-    return kappa[rows]
-
-
 def euclidean_curvature(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
-    """Curvature at p[i] from its (m1, m2)-neighborhood, read from the mesh's stored stencil curvatures.
+    """Curvature at p[i] from its (m1, m2)-neighborhood, read from the mesh's stencil table.
 
     Raises IndexOutOfRange when the neighborhood reaches past an open
-    mesh's ends and DegenerateTriple when two of its points coincide.
+    mesh's ends and DegenerateTriple when two of its points coincide
+    (:func:`geometry.stencil_row`).
     """
-    return float(_curvatures_at(mesh, spec, [stencil_row(mesh, i, spec)])[0])
+    table, row = stencil_row(mesh, i, spec, "kappa")
+    return float(table.kappa[row])
 
 
 def interior_curvatures(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> np.ndarray:
-    """Curvature at every center of ``mesh.interior(m1, m2)``, as one read-only array.
+    """Curvature at every center of ``mesh.interior(m1, m2)``, as one read-only array: the stencil table's column.
 
     Each value is :func:`euclidean_curvature`'s at its center, within
     eps * (a + b + c) / (b + c - a) (relative) of the exact reciprocal
     circumradius of the same doubles, for sides a >= b >= c. Raises
-    DegenerateTriple when any stencil has two coinciding points. Built once
-    per mesh and stencil.
+    DegenerateTriple at the first center whose stencil has two coinciding
+    points.
     """
-    return _curvatures_at(mesh, spec)
+    table = stencil_table(mesh, spec)
+    if table.degenerate.any():
+        stencil_row(mesh, mesh.interior(spec.m1, spec.m2)[int(table.degenerate.argmax())], spec, "kappa")
+    return table.kappa
 
 
 def chord(mesh: Mesh, i: int, j: int) -> float:
@@ -167,7 +133,11 @@ def se_signature(
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
     centers = curvature_centers(scheme, indices) % mesh.n
-    kappa = _curvatures_at(mesh, spec, centers - mesh.interior(spec.m1, spec.m2).start)
+    table, rows = stencil_table(mesh, spec), centers - mesh.interior(spec.m1, spec.m2).start
+    degenerate = table.degenerate[rows]
+    if degenerate.any():
+        stencil_row(mesh, int(centers[degenerate.argmax()]), spec, "kappa")
+    kappa = table.kappa[rows]
     lo_c, hi_c = denominator_offsets(scheme)
     denom = chords(mesh, lo_c, hi_c, indices)
     bad = np.flatnonzero(denom <= STENCIL_REL_TOL * mesh.diameter)

@@ -3,6 +3,12 @@
 All indices are 0-based. Closed meshes wrap neighbor indices mod n; open
 meshes restrict every operation to indices where the needed neighborhood
 exists.
+
+Each (m1, m2) stencil of a mesh has one table (:func:`stencil_table`) of
+the sign, vertex angle and curvature of each triple (p[i-m1], p[i], p[i+m2])
+and two flags, zero_arm and degenerate (two points coincide), both needed:
+(a, b, a) is degenerate with nonzero arms. Its readers raise through
+:func:`stencil_row`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 from .errors import (
     CollinearPoints,
     DegenerateArm,
+    DegenerateTriple,
     IndexOutOfRange,
     InvalidGroupElement,
     InvalidMesh,
@@ -294,16 +301,16 @@ class Mesh:
     Everything computed from the points alone, or from the points and one
     stencil, is kept in one store of derived data (see :func:`derived`): the
     edge lengths and the working points 2^-k p (both kept from construction;
-    see :func:`working_points`), the ordinary and convex flags, each
-    stencil's signs, vertex angles, zero-arm flags and Euclidean curvatures,
-    the equiaffine block, and the alignment oracle's entries: the frame (the
-    centroid and the Gram entries and sum of squares of the centred points)
-    and the forward FFT spectrum of the centred points. An entry is built on
-    first use and never changed; its arrays are read-only. The per-index
-    Euclidean functions (signature sign and direction, angle, signed angle
-    and its type, curvature) are views of the stencil arrays: their first
-    call on a mesh and stencil builds the array in O(n), and later calls
-    read one row in O(1).
+    see :func:`working_points`), the ordinary and convex flags, one table
+    per stencil (:func:`stencil_table`), the equiaffine block, and the
+    alignment oracle's entries: the frame (the centroid and the Gram entries
+    and sum of squares of the centred points) and the forward FFT spectrum
+    of the centred points. An entry is built on first use and never changed;
+    its arrays are read-only. The per-index Euclidean functions (signature
+    sign and direction, angle, signed angle and its type, curvature) each
+    read one row of the stencil table through :func:`stencil_row`: their
+    first call on a mesh and stencil builds the table in O(n), and later
+    calls read one row in O(1).
 
     The Euclidean kernels, the ordinary flag and the alignment oracle work
     on the working points and scale lengths and curvatures back by 2^k, so
@@ -565,14 +572,23 @@ def random_motion(group: Group, seed) -> GroupElement:
     return GroupElement(linear, translation, group)
 
 
-def stencil_row(mesh: Mesh, i: int, spec: NeighborhoodSpec) -> int:
-    """Row of center i in the per-center arrays over ``mesh.interior(m1, m2)``.
+def stencil_row(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11, read: str = "") -> tuple[Stencil, int]:
+    """The mesh's stencil table (:func:`stencil_table`) and the row of center i, raising what reading that row raises.
 
-    Resolves p[i-m1], p[i] and p[i+m2] in that order, so IndexOutOfRange
-    names the first of them that lies past an open mesh's ends.
+    In this order: IndexOutOfRange, naming the first of p[i-m1], p[i] and
+    p[i+m2] that lies past an open mesh's ends; then, for ``read="angle"``,
+    DegenerateArm where an arm has zero length, and for ``read="kappa"``,
+    DegenerateTriple where two of the points coincide. Every per-index
+    Euclidean function reads its row through here, and every reader of a
+    whole column raises here, at its first failing center.
     """
-    _, i, _ = [mesh.resolve(i, k) for k in (-spec.m1, 0, spec.m2)]
-    return i - mesh.interior(spec.m1, spec.m2).start
+    _, c, _ = [mesh.resolve(i, k) for k in (-spec.m1, 0, spec.m2)]
+    table, row = stencil_table(mesh, spec), c - mesh.interior(spec.m1, spec.m2).start
+    if read == "angle" and table.zero_arm[row]:
+        raise DegenerateArm(f"zero-length angle arm at index {i}")
+    if read == "kappa" and table.degenerate[row]:
+        raise DegenerateTriple(f"two stencil points coincide at index {c}")
+    return table, row
 
 
 def signature_sign(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> int:
@@ -580,10 +596,10 @@ def signature_sign(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> int:
 
     +1 means the triple (p[i-m1], p[i], p[i+m2]) is in counterclockwise
     order. The collinearity band scales with the squared mesh diameter.
-    Read from the mesh's stored stencil triples (:func:`triple_angles`).
+    Read from the mesh's stencil table (:func:`stencil_row`).
     """
-    row = stencil_row(mesh, i, spec)
-    return int(triple_angles(mesh, spec).sign[row])
+    table, row = stencil_row(mesh, i, spec)
+    return int(table.sign[row])
 
 
 def signature_direction(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> SigDirection:
@@ -599,14 +615,11 @@ def signature_direction(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> 
 def angle(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
     """Unsigned vertex angle at p[i] between the arms of its (m1, m2)-triple.
 
-    Read from the mesh's stored stencil triples (:func:`triple_angles`);
-    raises DegenerateArm when an arm has zero length.
+    Read from the mesh's stencil table (:func:`stencil_row`); raises
+    DegenerateArm when an arm has zero length.
     """
-    row = stencil_row(mesh, i, spec)
-    angles = triple_angles(mesh, spec)
-    if angles.zero_arm[row]:
-        raise DegenerateArm(f"zero-length angle arm at index {i}")
-    return float(angles.theta[row])
+    table, row = stencil_row(mesh, i, spec, "angle")
+    return float(table.theta[row])
 
 
 def signed_angle(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11) -> float:
@@ -662,46 +675,65 @@ def is_ordinary(mesh: Mesh) -> bool:
 
 
 def neighbor_triples(mesh: Mesh, centers: range, spec: NeighborhoodSpec = SPEC11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p[i-m1], p[i], p[i+m2]) of the working points 2^-k p at every center i of a range, as three (m, 2) arrays."""
-    c, pts, n = np.arange(centers.start, centers.stop), working_points(mesh).points, mesh.n
-    return pts[(c - spec.m1) % n], pts[c], pts[(c + spec.m2) % n]
+    """(p[i-m1], p[i], p[i+m2]) of the working points 2^-k p at every center i of a range in [0, n), as three (m, 2) arrays."""
+    pts, lo, hi = working_points(mesh).points, centers.start, centers.stop
+    prev, nxt = (pts.take(np.arange(lo + off, hi + off), axis=0, mode="wrap") for off in (-spec.m1, spec.m2))
+    return prev, pts[lo:hi], nxt
 
 
-def _vertex_angles(cross: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # angle() of each triple with arms u, v and cross product u x v up to sign; 0 where an arm has zero length
-    return np.arctan2(np.abs(cross), (u[:, None, :] @ v[:, :, None]).ravel())
+def _curvatures(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reciprocal circumradii of the triples (p[k], q[k], r[k]) of three (k, 2) arrays.
+
+    Returns (kappa, degenerate, sides): kappa is 0 for collinear triples,
+    degenerate marks triples with two coinciding points, whose kappa is
+    meaningless, and sides is the (3, k) array of the side lengths |q - p|,
+    |r - q| and |r - p|. Per triple, the sides are sorted a >= b >= c and
+    kappa is sqrt(t) / (a*b*c) with Kahan's product t = 16 * area**2; its
+    relative error is about eps * (a + b + c) / (b + c - a).
+    """
+    sides = row_norms(np.concatenate([q - p, r - q, r - p])).reshape(3, -1)
+    # a sorting network: the sides in descending order, as np.sort orders them
+    lo, hi = np.minimum(sides[0], sides[1]), np.maximum(sides[0], sides[1])
+    a, inner = np.maximum(hi, sides[2]), np.minimum(hi, sides[2])
+    b, c = np.maximum(lo, inner), np.minimum(lo, inner)
+    degenerate = c <= 1e-15 * a
+    t = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    kappa = np.zeros_like(t)
+    bent = t > 0.0
+    kappa[bent] = np.sqrt(t[bent]) / (a[bent] * b[bent] * c[bent])
+    return kappa, degenerate, sides
 
 
-class StencilAngles(NamedTuple):
+class Stencil(NamedTuple):
     """Per center of ``mesh.interior(m1, m2)``: the data of its (m1, m2)-triple, as read-only arrays."""
 
-    sign: np.ndarray      # signature_sign
-    theta: np.ndarray     # angle, 0 where zero_arm holds
-    zero_arm: np.ndarray  # an arm has zero length, so angle raises DegenerateArm
+    sign: np.ndarray        # signature_sign
+    theta: np.ndarray       # angle; meaningless where zero_arm holds
+    zero_arm: np.ndarray    # an arm has zero length, so angle raises DegenerateArm
+    kappa: np.ndarray       # euclidean_curvature; meaningless where degenerate holds
+    degenerate: np.ndarray  # two of the points coincide, so euclidean_curvature raises DegenerateTriple
 
 
-def _stencil_angles(mesh: Mesh, spec: NeighborhoodSpec) -> StencilAngles:
+def _stencil(mesh: Mesh, spec: NeighborhoodSpec) -> Stencil:
     prev, mid, nxt = neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)
+    kappa, degenerate, (back, ahead, _) = _curvatures(prev, mid, nxt)
     u, v = prev - mid, nxt - mid
-    # orient(mid, nxt, prev) is (nxt - mid) x (prev - mid): its sign is the triple's, its magnitude the angle's
-    cross = orient_rows(mid, nxt, prev)
-    band = COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -working_points(mesh).k) ** 2
+    # v x u, as orient(mid, nxt, prev) rounds it: its sign is the triple's, its magnitude the angle's
+    cross = v[:, 0] * u[:, 1] - v[:, 1] * u[:, 0]
+    k = working_points(mesh).k
+    band = COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -k) ** 2
     sign = np.where(np.abs(cross) <= band, 0, np.where(cross > 0, 1, -1))
-    zero_arm = (row_norms(u) == 0.0) | (row_norms(v) == 0.0)
-    return StencilAngles(*_frozen(sign, _vertex_angles(cross, u, v), zero_arm))
+    theta = np.arctan2(np.abs(cross), (u[:, None, :] @ v[:, :, None]).ravel())
+    return Stencil(*_frozen(sign, theta, (back == 0.0) | (ahead == 0.0), _ldexp(kappa, -k), degenerate))
 
 
-def triple_angles(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> StencilAngles:
-    """(sign, theta, zero_arm) of the (m1, m2)-triples at every center of ``mesh.interior(m1, m2)``.
+def stencil_table(mesh: Mesh, spec: NeighborhoodSpec = SPEC11) -> Stencil:
+    """The table of the (m1, m2)-triples, a row per center of ``mesh.interior(m1, m2)``; rows read via :func:`stencil_row`.
 
-    Built once per mesh and stencil, in O(n) on first use. The per-index
-    functions :func:`signature_sign`, :func:`signature_direction`,
-    :func:`angle`, :func:`signed_angle` and :func:`signed_angle_type` each
-    read one row of it, so after that first use they take O(1). theta is 0
-    on the triples that zero_arm marks: there an arm has zero length and
-    angle raises DegenerateArm.
+    One derived entry per mesh and stencil, built in O(n) on first use from
+    one gather of the triples' working points; kappa is in input units.
     """
-    return derived(mesh, ("angles", spec.m1, spec.m2), _stencil_angles, spec)
+    return derived(mesh, ("stencil", spec.m1, spec.m2), _stencil, spec)
 
 
 def angle_types(theta: np.ndarray, tol: float = RIGHT_ANGLE_TOL) -> np.ndarray:
@@ -712,7 +744,7 @@ def angle_types(theta: np.ndarray, tol: float = RIGHT_ANGLE_TOL) -> np.ndarray:
 
 
 def _convex(mesh: Mesh) -> bool:
-    signs, theta, _ = triple_angles(mesh)
+    signs, theta = stencil_table(mesh)[:2]
     if (signs == 0).any() or (signs != signs[0]).any():
         return False
     if mesh.closed:
@@ -733,7 +765,7 @@ def is_convex(mesh: Mesh) -> bool:
 
 def is_fine(mesh: Mesh, tol: float = RIGHT_ANGLE_TOL) -> bool:
     """True when every interior vertex angle is obtuse."""
-    return bool((angle_types(triple_angles(mesh).theta, tol) == 3).all())
+    return bool((angle_types(stencil_table(mesh).theta, tol) == 3).all())
 
 
 def circumcircle(p, q, r) -> tuple[Point2, float]:

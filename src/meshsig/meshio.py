@@ -106,9 +106,11 @@ def read_mesh_json(path, closed: bool | None = None) -> Mesh:
     for k, entry in enumerate(points):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise MeshParseError(f"{path.name}: points[{k}] is not an [x, y] pair")
-    mesh_closed = doc.get("closed", False) if closed is None else closed
+    mesh_closed = doc.get("closed", False)
+    if not isinstance(mesh_closed, bool):
+        raise MeshParseError(f'{path.name}: "closed" must be true or false, got {json.dumps(mesh_closed)}')
     try:
-        return Mesh(np.array(points, dtype=float), closed=bool(mesh_closed),
+        return Mesh(np.array(points, dtype=float), closed=mesh_closed if closed is None else bool(closed),
                     label=str(doc.get("label", path.stem)))
     except Exception as exc:
         raise MeshParseError(f"{path.name}: {exc}") from exc

@@ -235,7 +235,11 @@ class TestSdAffine:
 
     def test_degenerate_window(self):
         m = ms.Mesh([(0, 0), (1, 0.5), (2, 0), (3, 0.5), (4, 0)])  # zig-zag
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(DegenerateConfiguration, match="^two-neighborhood of 2 is not in convex position$"):
+            ms.sd_affine(m, 2)
+        # a left turn, a right turn and then a collinear one: the collinear turn is reported
+        m = ms.Mesh([(0, 0), (1, 0), (2, 1), (3, 1), (4, 1)])
+        with pytest.raises(DegenerateConfiguration, match="^collinear turn in the two-neighborhood of 2$"):
             ms.sd_affine(m, 2)
 
 

@@ -97,6 +97,15 @@ class TestMeshIO:
         path.write_text('{"points": [[0,0],[1],[2,1]]}')
         with pytest.raises(meshio.MeshParseError, match=r"points\[1\]"):
             meshio.read_mesh_json(path)
+        # "closed" is a JSON boolean: a string, number or null is no flag
+        for closed in ('"false"', "0", "1", "null"):
+            path.write_text('{"points": [[0,0],[1,0],[2,1]], "closed": %s}' % closed)
+            with pytest.raises(meshio.MeshParseError, match=f'^bad.json: "closed" must be true or false, got {closed}$'):
+                meshio.read_mesh_json(path)
+            assert main(["signature", str(path), "--group", "se", "--scheme", "3"]) == 2
+        path.write_text('{"points": [[0,0],[1,0],[2,1]], "closed": false}')
+        assert not meshio.read_mesh_json(path).closed
+        assert meshio.read_mesh_json(path, closed=True).closed
 
     def test_signature_csv_bit_roundtrip(self, tmp_path):
         mesh = gen.random_equally_spaced_mesh(np.random.default_rng(54), 12)

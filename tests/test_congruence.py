@@ -607,19 +607,20 @@ class TestDecideEq4:
         assert v.status is Verdict.HYPOTHESES_NOT_MET
 
     def test_end_angles_and_their_zero_arms(self):
-        # the end rules read the stored (3,3) triples; values and exceptions are signed_angle's
+        # the end rules read signed_angle of the (3,3) stencil; values and exceptions are its own
         spec33 = ms.NeighborhoodSpec(3, 3)
         rng = np.random.default_rng(40)
+        p = {"angle_tol": 1e-9}
         for _ in range(20):
             m = gen.random_unequally_spaced_mesh(rng, int(rng.integers(8, 20)))
-            for i in (3, m.n - 4):
-                assert congruence._end_angle(m, i) == ms.signed_angle(m, i, spec33)
+            obtuse = ms.signed_angle(m, 3, spec33) >= np.pi / 2.0
+            assert congruence._obtuse_start(m, m, p) == (None if obtuse else "starting signed 3-angle below pi/2")
+            assert congruence._end_angles(m, m, p) is None
         pts = gen.random_unequally_spaced_mesh(rng, 14).points
         start, end = pts.copy(), pts.copy()
         start[3] = start[0]
         end[-1] = end[-4]
         start, end = ms.Mesh(start), ms.Mesh(end)
-        p = {"angle_tol": 1e-9}
         for m, i, checks in ((start, 3, (congruence._end_angles, congruence._obtuse_start)), (end, 10, (congruence._end_angles,))):
             with pytest.raises(DegenerateArm, match=f"^zero-length angle arm at index {i}$"):
                 ms.signed_angle(m, i, spec33)

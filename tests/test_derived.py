@@ -75,7 +75,7 @@ def mesh_outcomes(m):
                                     affine.interior_arc_length_sets)]
     out += [outcome(ms.is_fine, m, 0.3), outcome(ms.is_equally_spaced, m, 1e-2)]
     for spec in SPECS:
-        out += [outcome(geometry.triple_angles, m, spec), outcome(euclidean.interior_curvatures, m, spec)]
+        out += [outcome(geometry.stencil_table, m, spec), outcome(euclidean.interior_curvatures, m, spec)]
         out += [outcome(ms.se_signature, m, scheme, spec) for scheme in list(ms.Scheme)[:4]]
     out += [outcome(ms.sa_signature, m, scheme) for scheme in list(ms.Scheme)[4:]]
     return out
@@ -113,7 +113,7 @@ class TestContract:
         m = fresh(pair[0])
         handed_out = [geometry.edge_lengths(m), affine.interior_curvatures(m), *affine.interior_arc_length_sets(m)]
         for spec in SPECS:
-            handed_out += [*geometry.triple_angles(m, spec), euclidean.interior_curvatures(m, spec)]
+            handed_out += [*geometry.stencil_table(m, spec), euclidean.interior_curvatures(m, spec)]
         for a in handed_out + stored_arrays(m):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -135,17 +135,19 @@ class TestContract:
                 return kernel(*args)
             return wrapper
 
-        monkeypatch.setattr(euclidean, "_curvatures", counted(euclidean._curvatures))
-        monkeypatch.setattr(geometry, "_vertex_angles", counted(geometry._vertex_angles))
+        monkeypatch.setattr(geometry, "_stencil", counted(geometry._stencil))
+        monkeypatch.setattr(geometry, "_curvatures", counted(geometry._curvatures))
         pairs = [tuple(fresh(m) for m in pair) for pair in PAIRS]
         first = [rule_outcomes(*pair) for pair in pairs]
-        assert set(calls) == {"_curvatures", "_vertex_angles"}
+        # each table is one build and one curvature kernel call, over one gather of its triples
+        assert calls and set(calls) == {"_stencil", "_curvatures"}
+        assert calls.count("_stencil") == calls.count("_curvatures")
         calls.clear()
         assert [rule_outcomes(*pair) for pair in pairs] == first
         assert calls == []
 
     def test_store_stays_bounded(self):
-        stencil_entries = {(kind, spec.m1, spec.m2) for kind in ("angles", "curvature") for spec in SPECS}
+        stencil_entries = {("stencil", spec.m1, spec.m2) for spec in SPECS}
         for pair in PAIRS:
             m = fresh(pair[0])
             from_construction = set(m._derived)

@@ -83,6 +83,29 @@ SE_SCHEMES = (ms.Scheme.EQ1, ms.Scheme.EQ2, ms.Scheme.EQ3, ms.Scheme.EQ4)
 SPECS = (ms.NeighborhoodSpec(1, 1), ms.NeighborhoodSpec(2, 1), ms.NeighborhoodSpec(1, 3))
 
 
+# every reader of the stencil table, as (mesh, i, spec) -> value
+READERS = {
+    "signature_sign": ms.signature_sign,
+    "signature_direction": ms.signature_direction,
+    "angle": ms.angle,
+    "signed_angle": ms.signed_angle,
+    "signed_angle_type": ms.signed_angle_type,
+    "euclidean_curvature": ms.euclidean_curvature,
+    "interior_curvatures": lambda m, i, spec: interior_curvatures(m, spec),
+    "se_signature": lambda m, i, spec: ms.se_signature(m, ms.Scheme.EQ3, spec),
+    "is_convex": lambda m, i, spec: ms.is_convex(m),
+    "is_fine": lambda m, i, spec: ms.is_fine(m),
+}
+
+
+def read(name, m, i, spec):
+    """The reader's value, or the class of what it raises."""
+    try:
+        return READERS[name](m, i, spec)
+    except ms.MeshSigError as exc:
+        return type(exc)
+
+
 class TestCurvature:
     def test_unit_circle_triples(self):
         rng = np.random.default_rng(1)
@@ -168,15 +191,40 @@ class TestCurvatureKernel:
             ms.curvature_of_triple((1, 1), (1, 1), (0, 0))
 
     def test_per_index_reads_raise_like_the_triple(self):
-        m = ms.Mesh([(0, 0), (1, 0), (0, 1)] * 2, closed=True)
+        doubled = ms.Mesh([(0, 0), (1, 0), (0, 1)] * 2, closed=True)
         with pytest.raises(DegenerateTriple, match="^two stencil points coincide at index 0$"):
-            ms.euclidean_curvature(m, 0, ms.NeighborhoodSpec(2, 1))
-        assert ms.euclidean_curvature(m, 7) == ms.euclidean_curvature(m, 1)
+            ms.euclidean_curvature(doubled, 0, ms.NeighborhoodSpec(2, 1))
+        assert ms.euclidean_curvature(doubled, 7) == ms.euclidean_curvature(doubled, 1)
         m = ms.Mesh(gen.circle_mesh(12, radius=2.0).points[:8])
         for i, spec in ((0, SPECS[0]), (7, SPECS[0]), (-1, SPECS[0]), (1, SPECS[1]), (5, SPECS[2])):
             with pytest.raises(IndexOutOfRange):
                 ms.euclidean_curvature(m, i, spec)
         assert ms.euclidean_curvature(m, 3, ms.NeighborhoodSpec(3, 1)) == pytest.approx(0.5, rel=1e-12)
+        # every reader of the stencil table on the doubled triangle; both flags of the table stay,
+        # since a triple can be degenerate with arms of nonzero length
+        m = doubled
+        # (2,1) at 0: p[-2] and p[1] coincide, but both arms are (1, 0), so the angle is 0
+        expected = {"signature_sign": 0, "signature_direction": ms.SigDirection.UNDEFINED, "angle": 0.0,
+                    "signed_angle": 0.0, "signed_angle_type": ms.errors.OutOfDomain,
+                    "euclidean_curvature": DegenerateTriple, "interior_curvatures": DegenerateTriple,
+                    "se_signature": DegenerateTriple, "is_convex": False, "is_fine": False}
+        assert {name: read(name, m, 0, ms.NeighborhoodSpec(2, 1)) for name in READERS} == expected
+        table = ms.geometry.stencil_table(m, ms.NeighborhoodSpec(2, 1))
+        assert table.degenerate.all() and not table.zero_arm.any()
+        # (3,3): p[i-3], p[i] and p[i+3] coincide, so both arms are zero too
+        expected.update(angle=ms.errors.DegenerateArm, signed_angle=ms.errors.DegenerateArm,
+                        signed_angle_type=ms.errors.DegenerateArm)
+        assert {name: read(name, m, 0, ms.NeighborhoodSpec(3, 3)) for name in READERS} == expected
+        with pytest.raises(ms.errors.DegenerateArm, match="^zero-length angle arm at index 8$"):
+            ms.angle(m, 8, ms.NeighborhoodSpec(3, 3))
+        with pytest.raises(DegenerateTriple, match="^two stencil points coincide at index 2$"):
+            ms.euclidean_curvature(m, 8, ms.NeighborhoodSpec(3, 3))
+        # an open mesh's ends: IndexOutOfRange before either flag
+        m = ms.Mesh([(0, 0), (1, 0), (0, 1)] * 2)
+        per_index = list(READERS)[:6]
+        for spec in (ms.NeighborhoodSpec(2, 1), ms.NeighborhoodSpec(3, 3)):
+            for i in (-1, 0, m.n - 1, m.n):
+                assert {read(name, m, i, spec) for name in per_index} == {IndexOutOfRange}
 
     def test_needle_accuracy_bound(self):
         """Relative error <= eps * (a + b + c) / (b + c - a), against 50-digit arithmetic."""

@@ -24,7 +24,8 @@ layers are timed in a fresh process that imports that side's `src/`:
 - L2, the per-index Euclidean functions, through public functions only:
   on the closed `ellipse_mesh(n, 2, 1)` with every derived entry built
   after `Mesh()` cleared, one `signed_angle` call (n in 10^2..10^5),
-  `signed_angle` at every index (n up to 10^4), and `se_signature(EQ2)`
+  `signed_angle` and `euclidean_curvature` at every index (n up to 10^4),
+  the two kinds of reader of the stencil table, and `se_signature(EQ2)`
   at first use (with `spacing_tol=1`, which the ellipse's unequal edges
   need); the minimum over repeats, unscaled;
 - L3, the alignment oracle: `align` of a closed radial outline of n
@@ -160,6 +161,8 @@ def per_index_layer() -> list:
         if n <= 10000:
             entry["every_signed_angle_ms"] = best_of(
                 lambda: [ms.signed_angle(m, i) for m in (fresh(),) for i in range(n)], REPEATS[n])
+            entry["every_euclidean_curvature_ms"] = best_of(
+                lambda: [ms.euclidean_curvature(m, i) for m in (fresh(),) for i in range(n)], REPEATS[n])
         entry["se_signature_eq2_ms"] = best_of(
             lambda: ms.se_signature(fresh(), ms.Scheme.EQ2, spacing_tol=1.0), REPEATS[n])
         out.append(entry)
