@@ -384,7 +384,7 @@ class _Block:
             rho, sector = (np.where(elliptic, v, np.nan) for v in _sectors(coef, S, F, center, win))
             area = _ellipse_areas(S, F)
             gap_undefined, radicand, mu = _gap_bounds(coef, S, F)
-            position = (np.sqrt((np.diff(win, axis=1) ** 2).sum(axis=2)) < mu[:, None]).all(axis=1)
+            position = (row_norms(np.diff(win, axis=1).reshape(-1, 2)).reshape(len(win), -1) < mu[:, None]).all(axis=1)
             # is_affine_fine's condition per window: fine-area where the curvature
             # is positive, fine-position (a non-real bound failing) where negative
             fine_area, in_position = area >= sector * (1.0 - 1e-9), ~gap_undefined & (radicand >= 0.0) & position

@@ -7,9 +7,9 @@ shift's least residual at once from FFT cross-covariances, O(n log n), and
 verify only the shifts whose residual could pass. What the oracle needs of
 one mesh alone is an entry of the mesh's derived data, built once and read
 by every alignment the mesh takes part in: the frame (the centroid and the
-Gram entries and sum of squares of the centred points, six scalars) and in
-cyclic modes the forward FFT spectrum of the centred points, both in the
-mesh's working units (``align``). Each decision rule is a row of RULES:
+Gram entries of the centred points, five scalars) and in cyclic modes the
+forward FFT spectrum of the centred points, both in the mesh's working
+units (``align``). Each decision rule is a row of RULES:
 its group, its preconditions and its ordered hypothesis checks. One engine
 evaluates any row; when all hypotheses hold it defers to the oracle, so a
 Congruent verdict always carries a verified witness motion. NotCongruent
@@ -99,13 +99,12 @@ class CongruenceVerdict:
 
 
 class _Frame(NamedTuple):
-    """What the oracle keeps of one mesh alone, in its working units 2^k: a read-only 2-vector and four floats."""
+    """What the oracle keeps of one mesh alone, in its working units 2^k: a read-only 2-vector and three floats."""
 
     mean: np.ndarray  # the centroid P.sum(axis=0) / n of the working points P
     g00: float        # the entries of G = Pcᵀ Pc, Pc = P - mean
     g01: float
     g11: float
-    sumsq: float      # float((Pc * Pc).sum())
 
 
 def _build_frame(mesh: Mesh) -> _Frame:
@@ -113,7 +112,7 @@ def _build_frame(mesh: Mesh) -> _Frame:
     mean = P.sum(axis=0) / mesh.n
     centred = P - mean
     (g00, g01), (_, g11) = (centred.T @ centred).tolist()
-    return _Frame(*_frozen(mean), g00, g01, g11, float((centred * centred).sum()))
+    return _Frame(*_frozen(mean), g00, g01, g11)
 
 
 def _frame(mesh: Mesh) -> _Frame:
@@ -170,21 +169,22 @@ def _shift_scan(m1: Mesh, m2: Mesh, group: Group, reversal: bool, limit: float):
     all found at once by FFT cross-correlation (forward) or convolution
     (reversed) of the meshes' stored spectra, and scaled from the meshes'
     own units into the pair's. Under SA/Abar the least residual does not
-    change when pc is scaled, so it is taken with m1's own G. With
-    pp = |Pc|², qq = |Qc|², G = Pcᵀ Pc and κ = tr(G)²/det G (1 for SE/E),
-    each residual is within bound = 8 eps (pp + qq) (√(nκ) log2(2n) + nκ)
-    of its exact value on the same centred doubles: the FFT's normwise
-    error eps·O(log n) (Higham, ASNA §24.1) taken entrywise, through the
-    closed form. A witness within limit per coordinate leaves a residual of
-    at most 2n limit², so ``admitted``, the flat indices of residual within
+    change when pc is scaled, so it is taken with m1's own G. With the
+    Gram traces pp = |Pc|² and qq = |Qc|², G = Pcᵀ Pc and
+    κ = tr(G)²/det G (1 for SE/E), each residual is within
+    bound = 8 eps (pp + qq) (√(nκ) log2(2n) + nκ) of its exact value on
+    the same centred doubles: the FFT's normwise error eps·O(log n)
+    (Higham, ASNA §24.1) taken entrywise, through the closed form. A
+    witness within limit per coordinate leaves a residual of at most
+    2n limit², so ``admitted``, the flat indices of residual within
     2n limit² + bound, holds every correspondence that could verify, up to
     the rounding of the centring and of the deviation check itself.
     """
     k1, k2 = working_points(m1).k, working_points(m2).k
-    K, n, (_, g00, g01, g11, _), fp, fq = max(k1, k2), m1.n, _frame(m1), _spectrum(m1), _spectrum(m2)
+    K, n, (_, g00, g01, g11), q, fp, fq = max(k1, k2), m1.n, _frame(m1), _frame(m2), _spectrum(m1), _spectrum(m2)
     spectra = [fp.conj()[:, None] * fq] + ([fp[:, None] * fq] if reversal else [])
     h = np.fft.irfft(np.stack(spectra, axis=-1), n, axis=-2)  # in units 2^(k1 + k2)
-    pp, qq = math.ldexp(g00 + g11, 2 * (k1 - K)), math.ldexp(_frame(m2).sumsq, 2 * (k2 - K))
+    pp, qq = math.ldexp(g00 + g11, 2 * (k1 - K)), math.ldexp(q.g00 + q.g11, 2 * (k2 - K))
     if group in (Group.SE, Group.E):
         h00, h01, h10, h11 = _ldexp(h, k1 + k2 - 2 * K).reshape(4, n, -1)
         fit = np.hypot(h00 + h11, h01 - h10)
@@ -453,9 +453,8 @@ def _obtuse_start(m1, m2, p):
 
 
 def _step3_complete(m1, m2, p):
-    from .host import traverse  # host builds on this module
-
-    if traverse(m1.n, 3).complete:
+    # the step-3 walk round n points is complete exactly when gcd(3, n) = 1 (host.traverse)
+    if m1.n % 3:
         return None
     return f"step-3 traversal incomplete: n = {m1.n} is divisible by 3"
 

@@ -7,6 +7,8 @@ carry rounding of order eps * a into b + c - a, so on nearly straight
 triples the curvature's relative error grows to about
 eps * (a + b + c) / (b + c - a). A mesh's curvatures are the kappa column of
 its stencil table (:func:`geometry.stencil_table`), read via ``stencil_row``.
+The chords, every quotient's denominators, come from the geometry length
+kernel that gives the edge lengths (``geometry._lengths``).
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from .geometry import (
     NeighborhoodSpec,
     _curvatures,
     _ldexp,
+    _lengths,
     _working,
     edge_lengths,
     is_equally_spaced,
     is_ordinary,
-    row_norms,
     stencil_row,
     stencil_table,
     working_points,
@@ -83,10 +85,9 @@ def chord(mesh: Mesh, i: int, j: int) -> float:
 
 
 def chords(mesh: Mesh, lo: int, hi: int, centers: range) -> np.ndarray:
-    """chord(mesh, i + lo, i + hi) at each center, wrapped mod n; measured on the working points, scaled back."""
+    """chord(mesh, i + lo, i + hi) at each center, wrapped mod n: the length kernel on the working points, scaled back."""
     k, pts, _ = working_points(mesh)
-    p, q = (pts.take(np.arange(centers.start + off, centers.stop + off), axis=0, mode="wrap") for off in (lo, hi))
-    return _ldexp(row_norms(p - q), k)
+    return _ldexp(_lengths(pts, lo, hi, centers), k)
 
 
 def se_signature(

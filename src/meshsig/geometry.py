@@ -125,6 +125,12 @@ def row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
 
+def _lengths(pts: np.ndarray, lo: int, hi: int, centers: range) -> np.ndarray:
+    """|pts[i + lo] - pts[i + hi]| at each center i of a range, wrapped mod len(pts): every edge, cusp span and chord."""
+    p, q = (pts.take(np.arange(centers.start + off, centers.stop + off), axis=0, mode="wrap") for off in (lo, hi))
+    return row_norms(p - q)
+
+
 def orient_rows(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """:func:`orient` of the triples (p[k], q[k], r[k]) of three (k, 2) arrays, bit for bit."""
     return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
@@ -170,7 +176,9 @@ def _pointset_diameter(pts: np.ndarray) -> float:
 
     Equal bit for bit to the dense ``sqrt(((pts[:, None] - pts[None]) ** 2).sum(2)).max()``,
     which it computes for at most ``DENSE_DIAMETER_MAX`` points; above that
-    it takes :func:`_hull_diameter`.
+    it takes :func:`_hull_diameter`. It is the one length that :func:`_lengths`
+    does not measure: a maximum over all pairs, not a distance at fixed
+    index offsets, defined by the dense form that the hull route matches.
     """
     if len(pts) > DENSE_DIAMETER_MAX:
         return _hull_diameter(pts)
@@ -304,18 +312,20 @@ class Mesh:
     see :func:`working_points`), the ordinary and convex flags, one table
     per stencil (:func:`stencil_table`), the equiaffine block, and the
     alignment oracle's entries: the frame (the centroid and the Gram entries
-    and sum of squares of the centred points) and the forward FFT spectrum
-    of the centred points. An entry is built on first use and never changed;
-    its arrays are read-only. The per-index Euclidean functions (signature
-    sign and direction, angle, signed angle and its type, curvature) each
-    read one row of the stencil table through :func:`stencil_row`: their
-    first call on a mesh and stencil builds the table in O(n), and later
-    calls read one row in O(1).
+    of the centred points) and their forward FFT spectrum. An entry is
+    built on first use and never changed; its arrays are read-only. The
+    per-index Euclidean functions (signature sign and direction, angle,
+    signed angle and its type, curvature) each read one row of the stencil
+    table through :func:`stencil_row`: their first call on a mesh and
+    stencil builds the table in O(n), and later calls read one row in O(1).
 
     The Euclidean kernels, the ordinary flag and the alignment oracle work
     on the working points and scale lengths and curvatures back by 2^k, so
     they are exactly equivariant under dilations by powers of two wherever
-    their results are normal doubles (README, "Scale").
+    their results are normal doubles (README, "Scale"). Edge lengths, cusp
+    spans and chords come from one kernel, :func:`_lengths`, so an edge
+    length is the chord between its ends bit for bit; the diameter is the
+    one length it does not measure (:func:`_pointset_diameter`).
     """
 
     __slots__ = ("_points", "closed", "label", "_diameter", "_derived")
@@ -332,10 +342,7 @@ class Mesh:
         diameter = math.ldexp(_pointset_diameter(scaled), k)
         if diameter == 0.0:
             raise InvalidMesh("all points coincide")
-        edges = np.linalg.norm(np.diff(scaled, axis=0), axis=1)
-        if closed:
-            edges = np.append(edges, np.linalg.norm(scaled[0] - scaled[-1]))
-        edges = _ldexp(edges, k)
+        edges = _ldexp(_lengths(scaled, 0, 1, range(len(pts) if closed else len(pts) - 1)), k)
         too_close = np.nonzero(edges <= COLLINEARITY_REL_TOL * diameter)[0]
         if len(too_close):
             i = int(too_close[0])
@@ -578,14 +585,15 @@ def stencil_row(mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11, read: str =
     In this order: IndexOutOfRange, naming the first of p[i-m1], p[i] and
     p[i+m2] that lies past an open mesh's ends; then, for ``read="angle"``,
     DegenerateArm where an arm has zero length, and for ``read="kappa"``,
-    DegenerateTriple where two of the points coincide. Every per-index
+    DegenerateTriple where two of the points coincide, both naming the
+    resolved center (i mod n on a closed mesh). Every per-index
     Euclidean function reads its row through here, and every reader of a
     whole column raises here, at its first failing center.
     """
     _, c, _ = [mesh.resolve(i, k) for k in (-spec.m1, 0, spec.m2)]
     table, row = stencil_table(mesh, spec), c - mesh.interior(spec.m1, spec.m2).start
     if read == "angle" and table.zero_arm[row]:
-        raise DegenerateArm(f"zero-length angle arm at index {i}")
+        raise DegenerateArm(f"zero-length angle arm at index {c}")
     if read == "kappa" and table.degenerate[row]:
         raise DegenerateTriple(f"two stencil points coincide at index {c}")
     return table, row
@@ -641,11 +649,11 @@ def angle_type(theta: float, tol: float = RIGHT_ANGLE_TOL) -> AngleType:
 def signed_angle_type(
     mesh: Mesh, i: int, spec: NeighborhoodSpec = SPEC11, tol: float = RIGHT_ANGLE_TOL
 ) -> SignedAngleType:
-    """Classification of |signed angle| with the signature sign kept as a flag."""
+    """Classification of |signed angle| with the signature sign kept as a flag; errors name the resolved center."""
     ss = signature_sign(mesh, i, spec)
     theta = angle(mesh, i, spec)
     if ss == 0:
-        raise OutOfDomain(f"signed angle undefined on collinear triple at index {i}")
+        raise OutOfDomain(f"signed angle undefined on collinear triple at index {mesh.resolve(i)}")
     return SignedAngleType(ss, angle_type(theta, tol))
 
 
@@ -655,18 +663,9 @@ def is_equally_spaced(mesh: Mesh, rel_tol: float = SPACING_REL_TOL) -> bool:
     return float(edges.max() - edges.min()) <= rel_tol * float(edges.max())
 
 
-def _cusp_spans(mesh: Mesh) -> np.ndarray:
-    """p[i+1] - p[i-1] of the working points at every center of ``mesh.interior()``; a closed mesh's wrap-around
-    comes from slices."""
-    pts = working_points(mesh).points
-    if mesh.closed:
-        pts = np.concatenate([pts[-1:], pts, pts[:1]])
-    return pts[2:] - pts[:-2]
-
-
 def _ordinary(mesh: Mesh) -> bool:
-    band = COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -working_points(mesh).k)
-    return not (row_norms(_cusp_spans(mesh)) <= band).any()
+    k, pts, _ = working_points(mesh)  # a cusp span |p[i+1] - p[i-1]| within the band
+    return not (_lengths(pts, -1, 1, mesh.interior()) <= COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -k)).any()
 
 
 def is_ordinary(mesh: Mesh) -> bool:

@@ -311,6 +311,7 @@ class TestAlignFrames:
         for m in (m1, m2):
             assert {"frame", "spectrum"} <= set(m._derived) and "gram_inverse" not in m._derived
             assert all(np.size(field) <= 2 for field in congruence._frame(m))
+        assert congruence._Frame._fields == ("mean", "g00", "g01", "g11")
 
     def test_a_mixed_exponent_pair_builds_nothing_after_its_first_alignment(self, monkeypatch):
         """Each mesh's entries stay in its own units; the pair's units scale only scalars and compared arrays."""

@@ -215,7 +215,7 @@ class TestCurvatureKernel:
         expected.update(angle=ms.errors.DegenerateArm, signed_angle=ms.errors.DegenerateArm,
                         signed_angle_type=ms.errors.DegenerateArm)
         assert {name: read(name, m, 0, ms.NeighborhoodSpec(3, 3)) for name in READERS} == expected
-        with pytest.raises(ms.errors.DegenerateArm, match="^zero-length angle arm at index 8$"):
+        with pytest.raises(ms.errors.DegenerateArm, match="^zero-length angle arm at index 2$"):
             ms.angle(m, 8, ms.NeighborhoodSpec(3, 3))
         with pytest.raises(DegenerateTriple, match="^two stencil points coincide at index 2$"):
             ms.euclidean_curvature(m, 8, ms.NeighborhoodSpec(3, 3))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import pytest
 import exact
 import meshsig as ms
 from meshsig import generators as gen, geometry
+from meshsig.euclidean import chords
 from meshsig.errors import (
     CollinearPoints,
     DegenerateArm,
@@ -19,7 +21,6 @@ from meshsig.errors import (
 )
 from meshsig.geometry import (
     GROUP_TOL,
-    _cusp_spans,
     _hull_diameter,
     _monotone_chain as monotone_chain,
     _pointset_diameter,
@@ -58,14 +59,17 @@ class TestMesh:
         assert m.resolve(0, -1) == 5
 
     def test_cusp_spans_match_roll_reference(self):
+        """Cusp spans and edge lengths are chords of the one length kernel, bit for bit, at every scale."""
         rng = np.random.default_rng(41)
         point_sets = [gen.circle_mesh(n).points for n in (3, 4, 5, 300)]
         point_sets += [rng.normal(size=(int(rng.integers(3, 60)), 2)) * 10.0 ** rng.uniform(-3, 3) for _ in range(40)]
-        for pts in point_sets:
-            closed = ms.Mesh(pts, closed=True)
-            reference = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-            assert _cusp_spans(closed).tobytes() == reference.tobytes()
-            assert _cusp_spans(ms.Mesh(pts)).tobytes() == (pts[2:] - pts[:-2]).tobytes()
+        for pts, j, closed in itertools.product(point_sets, (0, 600, -600), (True, False)):
+            m = ms.Mesh(np.ldexp(pts, j), closed=closed)
+            # the reference squares the unscaled spans, which stay normal doubles, and scales by 2^j exactly
+            spans = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0) if closed else pts[2:] - pts[:-2]
+            assert chords(m, -1, 1, m.interior()).tobytes() == np.ldexp(row_norms(spans), j).tobytes()
+            edges = edge_lengths(m)
+            assert edges.tobytes() == chords(m, 0, 1, range(len(edges))).tobytes()
 
     def test_cusp_mesh_constructs_but_not_ordinary(self):
         m = ms.Mesh([(0, 0), (1, 0), (0, 0.0000000001 * 0 + 0)])  # p2 == p0

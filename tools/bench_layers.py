@@ -11,12 +11,12 @@ layers are timed in a fresh process that imports that side's `src/`:
   points of the closed `ellipse_mesh(n, 2, 1)` and `is_ordinary` at first
   use (every derived entry built after `Mesh()` cleared), n in
   10^2..10^5; the minimum over repeats, unscaled;
-- L1, the equiaffine block: `affine._block(mesh)` on a mesh whose "affine"
-  entry has been cleared, on the closed `ellipse_mesh(n, 2, 1)` for n in
-  10^2..10^5 and on one 32-point open arc shaped like sa-arcs'; the
-  minimum over repeats, unscaled, and the tracemalloc peak of one build. A
-  size where every window is rejected is recorded as failed, with the
-  first window's message, never dropped;
+- L1, the equiaffine block: `affine._block(mesh)` at first use (every
+  derived entry built after `Mesh()` cleared), on the closed
+  `ellipse_mesh(n, 2, 1)` for n in 10^2..10^5 and on one 32-point open
+  arc shaped like sa-arcs'; the minimum over repeats, unscaled, and the
+  tracemalloc peak of one build. A size where every window is rejected is
+  recorded as failed, with the first window's message, never dropped;
 - the fit, sector and gap-bound kernels, each called on the arrays the
   block hands it;
 - the block pair: the blocks of two such 32-point arcs built one at a time
@@ -107,20 +107,14 @@ def kernel_calls(affine, blk, win):
             "gap_bounds": lambda: affine._gap_bounds(coef, S, F)}
 
 
-def cleared(*meshes):
-    """The meshes, with their stored equiaffine blocks dropped, so that the next read builds them anew."""
-    for mesh in meshes:
-        mesh._derived.pop("affine", None)
-    return meshes
-
-
 def pair_layer(affine, gen) -> dict:
     """Two sa-arcs-shaped 32-point arcs: their blocks one at a time, and jointly in one pass."""
     arcs = (gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False),
             gen.ellipse_mesh(32, 2.1, 0.8, t0=2.0, step=0.09, closed=False))
+    fresh = first_use(*arcs)  # clears both arcs before the second is read
     return {"meshes": "open ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094) and ellipse_mesh(32, 2.1, 0.8, t0=2.0, step=0.09)",
-            "one_at_a_time_ms": best_of(lambda: [affine._block(m) for m in cleared(*arcs)], 200),
-            "joint_ms": best_of(lambda: affine.build_blocks(*cleared(*arcs)), 200)}
+            "one_at_a_time_ms": best_of(lambda: [affine._block(m) for m in (fresh(), arcs[1])], 200),
+            "joint_ms": best_of(lambda: affine.build_blocks(fresh(), arcs[1]), 200)}
 
 
 def first_use(*meshes):
@@ -248,10 +242,11 @@ def layers() -> dict:
     out = {"calibration_ms": calibration_ms(), "mesh": mesh_layer(), "sizes": []}
     for name, mesh, repeats in meshes:
         n = mesh.n
+        fresh = first_use(mesh)
         with np.errstate(all="ignore"):
-            entry = {"mesh": name, "n": n, "block_ms": best_of(lambda: affine._block(*cleared(mesh)), repeats)}
+            entry = {"mesh": name, "n": n, "block_ms": best_of(lambda: affine._block(fresh()), repeats)}
             tracemalloc.start()
-            blk = affine._block(*cleared(mesh))
+            blk = affine._block(fresh())
             entry["block_tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
             tracemalloc.stop()
             win = mesh.points[(np.arange(n)[:, None] + affine._FIT_OFFSETS) % n]
