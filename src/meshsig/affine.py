@@ -728,8 +728,8 @@ def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
     return blk.arcs[rows, 2]
 
 
-def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[range, np.ndarray, np.ndarray]:
-    """(rows, curvatures at their `curvature_centers`, denominators); raises as `sa_signature` states."""
+def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The signature's read-only (indices, kappas, kappa_s) columns; raises as `sa_signature` states."""
     indices = scheme_rows(mesh, scheme, SA_SPEC)
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
@@ -748,7 +748,7 @@ def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[range, np.ndarray, n
             _row(mesh, j, "kappa")
         _row(mesh, int(rows[k]), "arc")
         raise DegenerateStencil(f"{scheme.label} arc length at index {rows[k]} vanishes")
-    return (indices, *_frozen(blk.kappa[centers], denom))
+    return quotient_signature(scheme, indices, blk.kappa[centers], denom)
 
 
 def sa_signature(
@@ -763,11 +763,15 @@ def sa_signature(
     (`spacing="euclidean"` switches to Euclidean edge lengths). EQ7/EQ8
     measure their long arc lengths with the conic fitted at the row's
     center point; the signature metadata flags that extrapolation.
+    SchemeSpacingMismatch names the first arc shorter than the longest by
+    more than `spacing_tol` of it.
 
     The first row whose stencil cannot be evaluated raises: what its first
     failing curvature center raises, else what its arc length raises, else
     DegenerateStencil if that arc length vanishes. The columns are built
-    once per mesh and scheme; the spacing check runs on every call.
+    once per mesh and scheme, as the derived entry ``("sa", scheme)``, and
+    a build that raises stores nothing; the ordinary, convex and spacing
+    checks run on every call.
     """
     if scheme.value <= 4:
         raise ValueError(f"{scheme} is a Euclidean scheme; use se_signature")
@@ -783,13 +787,14 @@ def sa_signature(
             arcs = consecutive_arc_lengths(mesh)
             if len(arcs) == 0:
                 raise MeshTooShort(f"no arc lengths computable on a {mesh.n}-point mesh")
-            spread = float(np.abs(arcs).max() - np.abs(arcs).min())
-            if spread > spacing_tol * float(np.abs(arcs).max()):
-                worst = int(np.argmax(np.abs(np.abs(arcs) - np.abs(arcs).mean())))
+            lengths = np.abs(arcs)
+            longest = lengths.max()
+            if float(longest - lengths.min()) > spacing_tol * float(longest):
+                first = int(np.argmax(longest - lengths > spacing_tol * longest))
                 raise SchemeSpacingMismatch(
-                    f"{scheme.label} requires equal arc lengths; arc {worst} deviates"
+                    f"{scheme.label} requires equal arc lengths; arc {first} deviates"
                 )
-    sig = quotient_signature(scheme, SA_SPEC, *derived(mesh, ("sa", scheme), _signature_columns, scheme))
+    sig = Signature._of(derived(mesh, ("sa", scheme), _signature_columns, scheme), scheme, SA_SPEC)
     if scheme in (Scheme.EQ7, Scheme.EQ8):
         sig.meta["arc_length_extrapolation"] = (
             "long-span arc lengths evaluated with the conic fitted at the row's center point"

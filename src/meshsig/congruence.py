@@ -308,12 +308,12 @@ def _finish_with_oracle(
 
 
 def _values_differ(v1, v2, tol, what: str) -> str | None:
-    v1 = np.asarray(v1, float)
-    v2 = np.asarray(v2, float)
-    if len(v1) == 0:
+    v = np.array([v1, v2], float)
+    if v.shape[1] == 0:
         return None
-    scale = max(float(np.abs(v1).max()), float(np.abs(v2).max()), 1e-300)
-    diff = abs_difference(v1, v2)
+    with np.errstate(invalid="ignore"):  # inf - inf gives nan
+        scale = max(float(np.abs(v).max()), 1e-300)
+        diff = np.abs(v[0] - v[1])
     err = float(diff.max())
     if not err <= tol * scale:  # "not <=", so that an inf or nan difference differs
         return f"{what} differ (max relative error {err / scale:.3e} at index {int(diff.argmax())})"

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateStencil, DegenerateTriple, MeshTooShort, NotOrdinary, SchemeSpacingMismatch
 from .geometry import (
+    SPACING_REL_TOL,
     SPEC11,
     Mesh,
     NeighborhoodSpec,
@@ -24,6 +25,7 @@ from .geometry import (
     _ldexp,
     _lengths,
     _working,
+    derived,
     edge_lengths,
     is_equally_spaced,
     is_ordinary,
@@ -90,6 +92,25 @@ def chords(mesh: Mesh, lo: int, hi: int, centers: range) -> np.ndarray:
     return _ldexp(_lengths(pts, lo, hi, centers), k)
 
 
+def _signature_columns(mesh: Mesh, scheme: Scheme, spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The signature's read-only (indices, kappas, kappa_s) columns; raises as `se_signature` states."""
+    indices = scheme_rows(mesh, scheme, spec)
+    if len(indices) == 0:
+        raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
+    centers = curvature_centers(scheme, indices) % mesh.n
+    table, rows = stencil_table(mesh, spec), centers - mesh.interior(spec.m1, spec.m2).start
+    degenerate = table.degenerate[rows]
+    if degenerate.any():
+        stencil_row(mesh, int(centers[degenerate.argmax()]), spec, "kappa")
+    lo_c, hi_c = denominator_offsets(scheme)
+    denom = chords(mesh, lo_c, hi_c, indices)
+    bad = np.flatnonzero(denom <= STENCIL_REL_TOL * mesh.diameter)
+    if len(bad):
+        i = indices[bad[0]]
+        raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
+    return quotient_signature(scheme, indices, table.kappa[rows], denom)
+
+
 def se_signature(
     mesh: Mesh,
     scheme: Scheme,
@@ -110,6 +131,8 @@ def se_signature(
         Stencil for the per-point curvature.
     spacing_tol : float, optional
         Equal-spacing tolerance for EQ1/EQ2; library default when omitted.
+        SchemeSpacingMismatch names the first edge shorter than the longest
+        by more than this fraction of it.
 
     Returns
     -------
@@ -117,32 +140,23 @@ def se_signature(
         One (kappa, kappa_s) row per valid center index. DegenerateTriple is
         raised when any stencil read has two coinciding points, else
         DegenerateStencil at the first row whose denominator chord vanishes.
+
+    The columns are built once per mesh, scheme and stencil, as the derived
+    entry ``("se", scheme, m1, m2)``, and a build that raises stores
+    nothing; the ordinary and spacing checks run on every call.
     """
     if scheme.value > 4:
         raise ValueError(f"{scheme} is an equiaffine scheme; use sa_signature")
     if not is_ordinary(mesh):
         raise NotOrdinary("signature of a mesh with a cusp")
     if scheme.needs_equal_spacing:
-        ok = is_equally_spaced(mesh) if spacing_tol is None else is_equally_spaced(mesh, spacing_tol)
-        if not ok:
+        tol = SPACING_REL_TOL if spacing_tol is None else spacing_tol
+        if not is_equally_spaced(mesh, tol):
             edges = edge_lengths(mesh)
-            worst = int(np.argmax(np.abs(edges - edges.mean())))
+            longest = edges.max()
+            first = int(np.argmax(longest - edges > tol * longest))
             raise SchemeSpacingMismatch(
-                f"{scheme.label} requires an equally spaced mesh; edge {worst} deviates"
+                f"{scheme.label} requires an equally spaced mesh; edge {first} deviates"
             )
-    indices = scheme_rows(mesh, scheme, spec)
-    if len(indices) == 0:
-        raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
-    centers = curvature_centers(scheme, indices) % mesh.n
-    table, rows = stencil_table(mesh, spec), centers - mesh.interior(spec.m1, spec.m2).start
-    degenerate = table.degenerate[rows]
-    if degenerate.any():
-        stencil_row(mesh, int(centers[degenerate.argmax()]), spec, "kappa")
-    kappa = table.kappa[rows]
-    lo_c, hi_c = denominator_offsets(scheme)
-    denom = chords(mesh, lo_c, hi_c, indices)
-    bad = np.flatnonzero(denom <= STENCIL_REL_TOL * mesh.diameter)
-    if len(bad):
-        i = indices[bad[0]]
-        raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
-    return quotient_signature(scheme, spec, indices, kappa, denom)
+    columns = derived(mesh, ("se", scheme, spec.m1, spec.m2), _signature_columns, scheme, spec)
+    return Signature._of(columns, scheme, spec)

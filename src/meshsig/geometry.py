@@ -126,9 +126,15 @@ def row_norms(d: np.ndarray) -> np.ndarray:
 
 
 def _lengths(pts: np.ndarray, lo: int, hi: int, centers: range) -> np.ndarray:
-    """|pts[i + lo] - pts[i + hi]| at each center i of a range, wrapped mod len(pts): every edge, cusp span and chord."""
-    p, q = (pts.take(np.arange(centers.start + off, centers.stop + off), axis=0, mode="wrap") for off in (lo, hi))
-    return row_norms(p - q)
+    """|pts[i + lo] - pts[i + hi]| at each center i of a range, wrapped mod len(pts): every edge, cusp span and chord.
+
+    Both ends are slices of the rows the range reaches: a view of the
+    points where no index wraps, else one wrapped copy of them.
+    """
+    base, m = min(lo, hi), len(centers)
+    first, last = centers.start + base, centers.stop + max(lo, hi)
+    reach = pts[first:last] if 0 <= first and last <= len(pts) else pts.take(np.arange(first, last), axis=0, mode="wrap")
+    return row_norms(reach[lo - base : lo - base + m] - reach[hi - base : hi - base + m])
 
 
 def orient_rows(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -307,12 +313,14 @@ class Mesh:
     and frozen; the caller's array is left as it was.
 
     Everything computed from the points alone, or from the points and one
-    stencil, is kept in one store of derived data (see :func:`derived`): the
-    edge lengths and the working points 2^-k p (both kept from construction;
-    see :func:`working_points`), the ordinary and convex flags, one table
-    per stencil (:func:`stencil_table`), the equiaffine block, and the
-    alignment oracle's entries: the frame (the centroid and the Gram entries
-    of the centred points) and their forward FFT spectrum. An entry is
+    stencil or scheme, is kept in one store of derived data (see
+    :func:`derived`): the edge lengths and the working points 2^-k p (both
+    kept from construction; see :func:`working_points`), the ordinary and
+    convex flags, one table per stencil (:func:`stencil_table`), the
+    equiaffine block, the signature columns of each SE scheme and stencil,
+    ("se", scheme, m1, m2), and of each SA scheme, ("sa", scheme), and the
+    alignment oracle's entries: the frame (the centroid and the Gram
+    entries of the centred points) and their forward FFT spectrum. An entry is
     built on first use and never changed; its arrays are read-only. The
     per-index Euclidean functions (signature sign and direction, angle,
     signed angle and its type, curvature) each read one row of the stencil
@@ -403,8 +411,10 @@ class Mesh:
 def derived(mesh: Mesh, key, build, *args):
     """The mesh's derived value under ``key``: ``build(mesh, *args)`` on first use, the stored value after.
 
-    A key names an entry kind, and its stencil where it has one, never a
-    tolerance, so a mesh stores a bounded number of entries. Entries are
+    A key names an entry kind, and its scheme and stencil where it has
+    them, never a tolerance, so a mesh stores a bounded number of entries:
+    "ordinary", "convex", ("stencil", m1, m2), "affine", ("se", scheme, m1,
+    m2), ("sa", scheme), "frame" and "spectrum". Entries are
     never changed once stored and their arrays are read-only. Concurrent
     first uses may each build the entry; ``setdefault`` keeps one of the
     identical builds. A build that raises stores nothing. An entry may also
@@ -697,9 +707,7 @@ def _curvatures(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray
     b, c = np.maximum(lo, inner), np.minimum(lo, inner)
     degenerate = c <= 1e-15 * a
     t = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-    kappa = np.zeros_like(t)
-    bent = t > 0.0
-    kappa[bent] = np.sqrt(t[bent]) / (a[bent] * b[bent] * c[bent])
+    kappa = np.divide(np.sqrt(np.maximum(t, 0.0)), a * b * c, out=np.zeros_like(t), where=t > 0.0)
     return kappa, degenerate, sides
 
 

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Group, NeighborhoodSpec
+from .geometry import Group, NeighborhoodSpec, _frozen
 
 # Relative tolerance for declaring two signatures equal.
 SIGNATURE_REL_TOL = 1e-6
@@ -117,6 +117,15 @@ class Signature:
         self.spec = spec
         self.meta = {} if meta is None else meta
 
+    @classmethod
+    def _of(cls, columns: tuple[np.ndarray, np.ndarray, np.ndarray], scheme: Scheme,
+            spec: NeighborhoodSpec) -> "Signature":
+        """A signature over stored read-only (indices, kappas, kappa_s) columns, not copied; its meta is its own."""
+        sig = cls.__new__(cls)
+        sig.indices, sig.kappas, sig.kappa_s = columns
+        sig.scheme, sig.spec, sig.meta = scheme, spec, {}
+        return sig
+
     @property
     def points(self) -> list[SignaturePoint]:
         return list(map(SignaturePoint, self.indices.tolist(), self.kappas.tolist(), self.kappa_s.tolist()))
@@ -128,15 +137,16 @@ class Signature:
         return iter(self.points)
 
 
-def quotient_signature(scheme: Scheme, spec: NeighborhoodSpec, rows: range, kappa: np.ndarray,
-                       denom: np.ndarray) -> Signature:
-    """The signature of the rows from the curvatures at ``curvature_centers(scheme, rows)`` and the denominators.
+def quotient_signature(scheme: Scheme, rows: range, kappa: np.ndarray,
+                       denom: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only signature columns (indices, kappas, kappa_s) of the rows: the last step of an entry's build.
 
-    Each kappa_s is within 2 eps (relative) of the exact quotient of the same curvatures and denominator.
+    ``kappa`` holds the curvatures at ``curvature_centers(scheme, rows)``. Each kappa_s is within 2 eps
+    (relative) of the exact quotient of the same curvatures and denominator.
     """
     c = int(scheme.centered)
     kappa_s = scheme.factor * (kappa[1 + c:] - kappa[: len(rows)]) / denom
-    return Signature(np.arange(rows.start, rows.stop), kappa[c : c + len(rows)], kappa_s, scheme, spec)
+    return _frozen(np.arange(rows.start, rows.stop), kappa[c : c + len(rows)], kappa_s)
 
 
 # A column whose magnitude is below this fraction of the whole signature's
@@ -165,18 +175,19 @@ def signature_max_error(a: Signature, b: Signature) -> float:
     """
     if a.scheme is not b.scheme or a.spec != b.spec:
         raise ValueError("signatures use different schemes or stencils")
-    if not np.array_equal(a.indices, b.indices):
+    if a.indices.shape != b.indices.shape or (a.indices != b.indices).any():
         raise ValueError("signatures cover different index sets")
     if len(a) == 0:
         return 0.0
-    cols = ((a.kappas, b.kappas), (a.kappa_s, b.kappa_s))
-    overall = max(float(np.abs(np.concatenate([u for pair in cols for u in pair])).max()), 1e-300)
-    if overall <= ZERO_SIGNATURE_ATOL:
-        return 0.0
-    floor = COLUMN_FLOOR_FRACTION * overall
-    errors = [float(abs_difference(u, v).max()) / max(float(np.abs(u).max()), float(np.abs(v).max()), floor)
-              for u, v in cols]
-    return float(np.max(errors))  # np.max, unlike Python's max, keeps a nan
+    cols = np.array([[a.kappas, a.kappa_s], [b.kappas, b.kappa_s]])
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf give nan
+        magnitudes = np.abs(cols).max(axis=2)
+        overall = max(float(magnitudes.max()), 1e-300)
+        if overall <= ZERO_SIGNATURE_ATOL:
+            return 0.0
+        scale = np.maximum(magnitudes.max(axis=0), COLUMN_FLOOR_FRACTION * overall)
+        errors = np.abs(cols[0] - cols[1]).max(axis=1) / scale
+    return float(errors.max())  # numpy's max, unlike Python's, keeps a nan
 
 
 def signatures_close(a: Signature, b: Signature, rel_tol: float = SIGNATURE_REL_TOL) -> bool:

@@ -327,6 +327,22 @@ class TestSaSignature:
             with pytest.raises(SchemeSpacingMismatch):
                 ms.sa_signature(m, ms.Scheme.EQ6)
 
+    def test_spacing_mismatch_names_the_first_arc_outside_the_band(self):
+        """The named arc is the first shorter than the longest by more than spacing_tol of it, in plain floats."""
+        named = []
+        for m in EQUIVALENCE_MESHES:
+            for tol in (affine.SPACING_REL_TOL, 1e-2):
+                try:
+                    ms.sa_signature(m, ms.Scheme.EQ6, spacing_tol=tol)
+                except SchemeSpacingMismatch as exc:
+                    lengths = np.abs(affine.consecutive_arc_lengths(m)).tolist()
+                    first = next(i for i, a in enumerate(lengths) if max(lengths) - a > tol * max(lengths))
+                    assert str(exc) == f"eq6 requires equal arc lengths; arc {first} deviates"
+                    named.append(first)
+                except ms.MeshSigError:
+                    continue
+        assert len(named) > 10 and len(set(named)) > 1
+
     def test_extrapolation_flagged(self):
         m = gen.ellipse_mesh(16, 1.4, 1.0, closed=True)
         assert "arc_length_extrapolation" in ms.sa_signature(m, ms.Scheme.EQ8).meta

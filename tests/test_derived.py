@@ -1,6 +1,7 @@
 """The per-mesh store of derived data: read-only, built once, and safe under concurrent first use."""
 
 import gc
+import math
 import sys
 import threading
 
@@ -11,7 +12,7 @@ import meshsig as ms
 from meshsig import affine, congruence, euclidean, geometry
 from meshsig import generators as gen
 from meshsig.congruence import MatchMode
-from meshsig.errors import MeshTooShort, SchemeSpacingMismatch, ZeroF
+from meshsig.errors import DegenerateStencil, MeshTooShort, SchemeSpacingMismatch, ZeroF
 from test_affine import EQUIVALENCE_MESHES, unimodular
 from test_congruence import CYCLIC_CASES, cyclic_image, pushed_diameter_pair, radial_outline
 
@@ -185,19 +186,28 @@ def oracle_bits(m):
     return [encode(congruence._frame(m)), encode(congruence._spectrum(m))]
 
 
+def se_outcomes(meshes, reverse: bool):
+    """se_signature of each mesh under every Euclidean scheme and stencil, called in reverse order when asked."""
+    keys = [(m, scheme, spec) for m in meshes for scheme in list(ms.Scheme)[:4] for spec in SPECS]
+    got = {key: outcome(ms.se_signature, *key) for key in (keys[::-1] if reverse else keys)}
+    return [got[key] for key in keys]
+
+
 def test_concurrent_first_uses_agree_with_serial_runs():
     """Eight threads (more than the cores) race on the first uses of the same meshes' entries.
 
-    The equiaffine rules also run on the overlapping pairs (a, b) and (b, c),
-    half of the threads in each order, so b's block may come from either
-    pair's joint build. Cyclic align runs under every group on the
+    Each thread starts with every SE-signature of the shared meshes, half of
+    the threads in reverse order. The equiaffine rules also run on the
+    overlapping pairs (a, b) and (b, c), half of the threads in each order,
+    so b's block may come from either pair's joint build. Cyclic align runs under every group on the
     overlapping closed pairs (x, y) and (y, z) in the same way, so y's
     frame and spectrum may come from a call where y is either mesh.
     """
     a, b = arc_pair()
     c = ms.Mesh(ms.random_motion(ms.Group.SA, 5).apply(a.points))
     x, y, z = outline_triple()
-    expected = [every_outcome(*(fresh(m) for m in pair)) for pair in PAIRS]
+    expected = [se_outcomes([fresh(m) for pair in PAIRS for m in pair], False)]
+    expected += [every_outcome(*(fresh(m) for m in pair)) for pair in PAIRS]
     expected += [sa_outcomes(fresh(a), fresh(b)), sa_outcomes(fresh(b), fresh(c))]
     expected += [cyclic_outcomes(fresh(x), fresh(y)), cyclic_outcomes(fresh(y), fresh(z))]
     shared = [tuple(fresh(m) for m in pair) for pair in PAIRS]
@@ -209,11 +219,13 @@ def test_concurrent_first_uses_agree_with_serial_runs():
     def work(k):
         try:
             start.wait(timeout=30)
+            se = se_outcomes([m for pair in shared for m in pair], k % 2 == 1)
             first, second = ((a, b), (b, c)) if k % 2 else ((b, c), (a, b))
             done = {first: sa_outcomes(*first), second: sa_outcomes(*second)}
             first, second = ((x, y), (y, z)) if k % 2 else ((y, z), (x, y))
             done.update({first: cyclic_outcomes(*first), second: cyclic_outcomes(*second)})
-            results[k] = [every_outcome(*pair) for pair in shared] + [done[p] for p in ((a, b), (b, c), (x, y), (y, z))]
+            results[k] = [se] + [every_outcome(*pair) for pair in shared]
+            results[k] += [done[p] for p in ((a, b), (b, c), (x, y), (y, z))]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -344,8 +356,26 @@ def flat_window_mesh():
     return ms.Mesh(np.vstack([flat, bend]) + [0.0, 0.5])
 
 
+# the Euclidean rules of the se-rules workload, on an open pair, and the host rule on the closed pair
+SE_RULE_CALLS = (
+    ms.decide_dist_angle, ms.decide_eq1, ms.decide_eq2_angle_type,
+    lambda a, b: ms.decide_eq2_angle_type(a, b, fine_variant=True), ms.decide_eq2_signed,
+    lambda a, b: ms.decide_eq2_signed(a, b, curvature_only=True), ms.decide_eq3, ms.decide_eq4,
+    lambda a, b: ms.decide_eq4(a, b, endpoint_rule="obtuse-start"),
+)
+
+
+def uneven_walk():
+    """An open walk turning by 0.3 whose steps differ by up to 1e-4: equally spaced at 1e-2, not at 1e-6."""
+    steps, heading = 1.0 + 1e-4 * np.sin(np.arange(12)), 0.3 * np.arange(12)
+    return ms.Mesh(np.cumsum(steps[:, None] * np.column_stack([np.cos(heading), np.sin(heading)]), axis=0))
+
+
 class TestSignatureColumns:
-    """Each scheme's SA-signature columns are one derived entry; the spacing check stays per call."""
+    """Each SA scheme's, and each SE scheme and stencil's, signature columns are one derived entry.
+
+    The ordinary, convex and spacing checks stay per call.
+    """
 
     def test_built_once_per_mesh_and_scheme(self, monkeypatch):
         calls = []
@@ -364,16 +394,40 @@ class TestSignatureColumns:
         ms.sa_signature(m2, ms.Scheme.EQ6)
         assert calls == ["block", ms.Scheme.EQ6]
 
+    def test_se_built_once_per_mesh_scheme_and_stencil(self, monkeypatch):
+        calls = []
+        build = euclidean._signature_columns
+        monkeypatch.setattr(euclidean, "_signature_columns",
+                            lambda m, scheme, spec: calls.append((id(m), scheme, spec)) or build(m, scheme, spec))
+        (a, b), (c, d) = ((fresh(m) for m in pair) for pair in PAIRS[:2])
+
+        def operation():
+            verdicts = [rule(a, b) for rule in SE_RULE_CALLS] + [ms.decide_host(c, d)]
+            sigs = [ms.se_signature(m, scheme, spec) for m in (a, b, c, d)
+                    for scheme in list(ms.Scheme)[:4] for spec in SPECS]
+            return [encode(v) for v in verdicts + sigs]
+
+        first = operation()
+        assert all(v[0] is ms.Verdict.CONGRUENT for v in first[:len(SE_RULE_CALLS) + 1])
+        assert len(calls) == len(set(calls)) == 4 * 4 * len(SPECS)
+        calls.clear()
+        assert operation() == first
+        assert calls == []
+
     def test_stored_columns_are_read_only(self):
         m = fresh(arc_pair()[0])
-        for scheme in list(ms.Scheme)[4:]:
-            sig = ms.sa_signature(m, scheme)
-            rows, kappa, denom = m._derived[("sa", scheme)]
-            assert list(rows) == sig.indices.tolist()
-            for a in (kappa, denom):
+        calls = [(ms.sa_signature, (scheme,), ("sa", scheme)) for scheme in list(ms.Scheme)[4:]]
+        calls += [(ms.se_signature, (scheme, spec, 1.0), ("se", scheme, spec.m1, spec.m2))
+                  for scheme in list(ms.Scheme)[:4] for spec in SPECS]
+        for signature, args, key in calls:
+            sig = signature(m, *args)
+            stored = m._derived[key]
+            assert all(a is b for a, b in zip(stored, (sig.indices, sig.kappas, sig.kappa_s)))
+            for a in stored:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[...] = 0
+            assert signature(m, *args).meta is not sig.meta
 
     def test_spacing_checked_on_every_call(self):
         m = uneven_arc()
@@ -383,19 +437,59 @@ class TestSignatureColumns:
         with pytest.raises(SchemeSpacingMismatch, match="not equally spaced"):
             ms.sa_signature(m, ms.Scheme.EQ6, spacing="euclidean", spacing_tol=1e-2)
         assert encode(ms.sa_signature(m, ms.Scheme.EQ6, spacing_tol=1e-2)) == loose
+        m = uneven_walk()
+        loose = encode(ms.se_signature(m, ms.Scheme.EQ1, spacing_tol=1e-2))
+        for tol in (None, 1e-5):
+            with pytest.raises(SchemeSpacingMismatch, match="eq1 requires an equally spaced mesh"):
+                ms.se_signature(m, ms.Scheme.EQ1, spacing_tol=tol)
+        assert encode(ms.se_signature(m, ms.Scheme.EQ1, spacing_tol=1e-2)) == loose
 
-    @pytest.mark.parametrize("mesh, scheme, error", [
-        (flat_window_mesh(), ms.Scheme.EQ7, ZeroF),
-        (gen.ellipse_mesh(8, 2.0, 1.0, step=0.3, closed=False), ms.Scheme.EQ8, MeshTooShort),
-    ], ids=["row-fails", "no-rows"])
-    def test_a_raising_build_stores_nothing(self, mesh, scheme, error):
+    @pytest.mark.parametrize("signature, mesh, scheme, error", [
+        (ms.sa_signature, flat_window_mesh(), ms.Scheme.EQ7, ZeroF),
+        (ms.sa_signature, gen.ellipse_mesh(8, 2.0, 1.0, step=0.3, closed=False), ms.Scheme.EQ8, MeshTooShort),
+        (ms.se_signature, gen.circle_mesh(6), ms.Scheme.EQ4, DegenerateStencil),
+        (ms.se_signature, ms.Mesh([(0.0, 0.0), (1.0, 0.0), (1.5, np.sqrt(3.0) / 2.0)]), ms.Scheme.EQ2, MeshTooShort),
+    ], ids=["row-fails", "no-rows", "se-chord-vanishes", "se-no-rows"])
+    def test_a_raising_build_stores_nothing(self, signature, mesh, scheme, error):
         m = fresh(mesh)
         with pytest.raises(error) as first:
-            ms.sa_signature(m, scheme)
-        assert ("sa", scheme) not in m._derived
+            signature(m, scheme)
+        assert not any(isinstance(key, tuple) and key[0] in ("sa", "se") for key in m._derived)
         with pytest.raises(error) as second:
-            ms.sa_signature(m, scheme)
+            signature(m, scheme)
         assert str(second.value) == str(first.value)
+
+
+def test_public_signature_copies_its_inputs():
+    indices, kappas, kappa_s = np.arange(4), np.linspace(1.0, 2.0, 4), np.linspace(-1.0, 1.0, 4)
+    sig = ms.Signature(indices, kappas, kappa_s, ms.Scheme.EQ1, ms.NeighborhoodSpec())
+    before = encode(sig)
+    for a in (indices, kappas, kappa_s):
+        a[...] = 7
+    assert encode(sig) == before
+    assert not any(c.flags.writeable for c in (sig.indices, sig.kappas, sig.kappa_s))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["kappas", "kappa_s"])
+def test_signature_error_is_nan_past_a_non_finite_entry(bad, column):
+    kappas, kappa_s = np.linspace(1.0, 2.0, 5), np.linspace(-1.0, 1.0, 5)
+    clean = ms.Signature(range(5), kappas, kappa_s, ms.Scheme.EQ2, ms.NeighborhoodSpec())
+    dirty = {"kappas": kappas.copy(), "kappa_s": kappa_s.copy()}
+    dirty[column][3] = bad
+    other = ms.Signature(range(5), dirty["kappas"], dirty["kappa_s"], ms.Scheme.EQ2, ms.NeighborhoodSpec())
+    assert ms.signature_max_error(clean, clean) == 0.0
+    for pair in ((clean, other), (other, clean), (other, other)):
+        assert math.isnan(ms.signature_max_error(*pair)), pair
+        assert not ms.signatures_close(*pair)
+
+
+def test_signature_error_is_nan_where_a_zero_column_meets_a_nan():
+    """A nan in one column decides, though the other column is zero in both signatures (a float 0 / 0 before)."""
+    zeros = np.zeros(3)
+    a, b = (ms.Signature(range(3), zeros, kappa_s, ms.Scheme.EQ2, ms.NeighborhoodSpec())
+            for kappa_s in ([1.0, np.nan, 2.0], [1.0, 1.0, 2.0]))
+    assert math.isnan(ms.signature_max_error(a, b)) and math.isnan(ms.signature_max_error(b, a))
 
 
 def joint_corpus():

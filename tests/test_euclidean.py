@@ -14,7 +14,9 @@ from meshsig.errors import (
     SchemeSpacingMismatch,
 )
 from meshsig.euclidean import interior_curvatures
+from meshsig.geometry import SPACING_REL_TOL, edge_lengths
 from meshsig.signatures import scheme_rows, signature_max_error
+from test_rules import SE_PAIRS
 
 
 def scalar_curvature_of_triple(p, q, r):
@@ -383,6 +385,33 @@ class TestSeSignature:
         # the unequal-spacing schemes accept any ordinary mesh
         ms.se_signature(m, ms.Scheme.EQ3)
         ms.se_signature(m, ms.Scheme.EQ4)
+
+    @pytest.mark.parametrize("points, tol, named", [
+        ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.001)], None, 0),
+        ([(0.0, 0.0), (1.001, 0.0), (1.001, 1.0)], None, 1),
+        # edges 1, 1.5, 1 and 0.5: the first edge shorter than 1.5 by more than tol * 1.5
+        ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.5), (0.0, 1.5), (0.0, 1.0)], None, 0),
+        ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.5), (0.0, 1.5), (0.0, 1.0)], 0.4, 3),
+    ])
+    def test_spacing_mismatch_names_the_first_edge_outside_the_band(self, points, tol, named):
+        m = ms.Mesh(points)
+        for scheme in (ms.Scheme.EQ1, ms.Scheme.EQ2):
+            with pytest.raises(SchemeSpacingMismatch, match=f"^{scheme.label} requires an equally spaced mesh; "
+                                                            f"edge {named} deviates$"):
+                ms.se_signature(m, scheme, spacing_tol=tol)
+
+    def test_spacing_mismatch_names_an_edge_by_the_band_not_the_last_bits(self):
+        """On the rule corpus's meshes, the named edge is the first one outside the band, in plain floats."""
+        named = 0
+        for m in (m for pair in SE_PAIRS for m in pair):
+            edges = edge_lengths(m).tolist()
+            if not ms.is_ordinary(m) or ms.is_equally_spaced(m):
+                continue
+            first = next(i for i, e in enumerate(edges) if max(edges) - e > SPACING_REL_TOL * max(edges))
+            with pytest.raises(SchemeSpacingMismatch, match=f"; edge {first} deviates$"):
+                ms.se_signature(m, ms.Scheme.EQ1)
+            named += 1
+        assert named > 20
 
     def test_degenerate_stencil_on_small_closed_mesh(self):
         m = gen.circle_mesh(6)

@@ -36,6 +36,11 @@ layers are timed in a fresh process that imports that side's `src/`:
   meshes) and at reuse (the entries kept from the call before); the
   minimum over repeats, unscaled, and the tracemalloc peak of one first
   use;
+- L3, the decision rules: each rule of the se-rules workload on one of
+  its 38-point open pairs, `decide_host` on the same points closed, and
+  all of them in turn, as one se-rules pair runs them; at first use
+  (every derived entry built after `Mesh()` cleared from the four meshes)
+  and at reuse; the minimum over 200 repeats, unscaled;
 - L0 and L3 off the unit scale: `Mesh()` on the points of the closed
   `ellipse_mesh(n, 2, 1)` scaled by 2^600, and cyclic SE and SA `align`
   of that mesh onto its SE and SA images started at another index, at
@@ -61,6 +66,7 @@ file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -201,6 +207,27 @@ def align_layer() -> list:
     return out
 
 
+def rules_layer() -> list:
+    """Each rule of the se-rules workload on one of its 38-point open pairs, and `decide_host` on the closed pair."""
+    import numpy as np
+    import meshsig as ms
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    pair = workloads.SERules()._pairs(np.random.default_rng(38), 38)
+    fresh = first_use(*pair["open"], *pair["closed"])
+    runs = [(name, functools.partial(rule, *pair["open"])) for name, rule in workloads.OPEN_RULES]
+    runs.append(("decide_host", functools.partial(ms.decide_host, *pair["closed"])))
+    each = list(runs)
+    runs.append(("every rule above, in turn", lambda: [run() for _, run in each][-1]))
+    out = []
+    for name, run in runs:
+        entry = {"rule": name, "first_use_ms": best_of(lambda: (fresh(), run()), 200), "congruent": run().congruent}
+        entry["reuse_ms"] = best_of(run, 200)
+        out.append(entry)
+    return out
+
+
 def far_layer() -> list:
     """`Mesh()` on the closed ellipse scaled by 2^600, and cyclic SE and SA `align` of it onto its images."""
     import numpy as np
@@ -260,6 +287,7 @@ def layers() -> dict:
     out["pair"] = pair_layer(affine, gen)
     out["per_index"] = per_index_layer()
     out["cyclic_align"] = align_layer()
+    out["rules"] = rules_layer()
     out["far_from_unit_scale"] = far_layer()
     out["calibration_ms_after"] = calibration_ms()
     return out
