@@ -62,16 +62,18 @@ from .geometry import (
     NeighborhoodSpec,
     Point2,
     SigDirection,
+    _first_short,
     _frozen,
+    _gather,
     derived,
     derived_jointly,
     is_convex,
-    is_equally_spaced,
     is_ordinary,
     orient_rows,
     row_norms,
     working_points,
 )
+from .euclidean import _check_edge_spacing
 from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
 
 # |S| below this (unit-norm coefficients) marks the conic parabolic.
@@ -159,7 +161,7 @@ def _matrix3(coef: np.ndarray) -> np.ndarray:
 
 _PAIRS = np.array(list(combinations(range(5), 2))).T
 _TRIPLES = np.array(list(combinations(range(5), 3))).T
-_FIT_OFFSETS = np.arange(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
+_FIT_OFFSETS = range(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
 # column j of the design is left out of minor j, whose sign in the null vector is (-1)^j
 _MINOR_COLUMNS = np.array([[k for k in range(6) if k != j] for j in range(6)])
 _MINOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
@@ -189,13 +191,11 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """
     w = len(pts)
     coef = np.full((w, 6), np.nan)
-    if w == 0:
-        return coef, {}
     absmax = np.abs(pts).max(axis=(1, 2))
     scale = np.maximum(absmax, 1e-300)
-    gaps = row_norms((pts[:, _PAIRS[0]] - pts[:, _PAIRS[1]]).reshape(-1, 2)).reshape(w, -1)
+    gaps = row_norms((pts[:, _PAIRS[0]] - pts[:, _PAIRS[1]]).reshape(-1, 2)).reshape(w, len(_PAIRS[0]))
     close = gaps <= 1e-12 * scale[:, None]
-    area = orient_rows(*(pts[:, t].reshape(-1, 2) for t in _TRIPLES)).reshape(w, -1)
+    area = orient_rows(*(pts[:, t].reshape(-1, 2) for t in _TRIPLES)).reshape(w, len(_TRIPLES[0]))
     collinear = np.abs(area) <= 1e-12 * (scale * scale)[:, None]
     errors = {int(r): "fit points {}, {}, {} are collinear".format(*_TRIPLES[:, collinear[r].argmax()])
               for r in np.flatnonzero(collinear.any(axis=1))}
@@ -447,12 +447,9 @@ def _build_blocks(meshes: list[Mesh]) -> list[_Block]:
     mod n, of the mesh whose rows begin at start.
     """
     starts = np.cumsum([0] + [m.n for m in meshes]).tolist()
-    centers = [np.arange(m.n) for m in meshes]
-    spans = [affine_fine_interior(m) for m in meshes]
-    has_window = np.concatenate([(s.start <= c) & (c < s.stop) for s, c in zip(spans, centers)])
-    # the (N, 5) index array is a temporary, freed before the block is built
-    windows = np.concatenate([m.points for m in meshes])[
-        np.concatenate([start + (c[:, None] + _FIT_OFFSETS) % m.n for m, c, start in zip(meshes, centers, starts)])]
+    spans = [(affine_fine_interior(m), np.arange(m.n)) for m in meshes]
+    has_window = np.concatenate([(s.start <= c) & (c < s.stop) for s, c in spans])
+    windows = np.concatenate([np.stack(_gather(m.points, _FIT_OFFSETS, range(m.n)), axis=1) for m in meshes])
     stack = _Block(windows, has_window)
     return [stack.rows(start, start + m.n) for m, start in zip(meshes, starts)]
 
@@ -469,7 +466,7 @@ def _block(mesh: Mesh) -> _Block:
 
 def _fit_window(mesh: Mesh, i: int) -> np.ndarray:
     """The five working points 2^-k p centred on p[i]."""
-    rows = [mesh.resolve(i, off) for off in range(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)]
+    rows = [mesh.resolve(i, off) for off in _FIT_OFFSETS]
     return working_points(mesh).points[rows]
 
 
@@ -711,20 +708,16 @@ def is_affine_fine(mesh: Mesh) -> bool:
     return False
 
 
-def consecutive_arc_lengths(mesh: Mesh, indices=None) -> np.ndarray:
-    """L[i] = arc length from p[i] to p[i+1], each from the conic at p[i]: the block's arcs[i, 2].
+def consecutive_arc_lengths(mesh: Mesh) -> np.ndarray:
+    """L[i] = arc length from p[i] to p[i+1] on the conic at p[i], i in ``mesh.interior(2, 3)``: the block's arcs[i, 2].
 
-    By default i runs over ``mesh.interior(2, 3)``.
+    Raises what :func:`arc_length_set` raises at the first failing i.
     """
-    default = mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
-    idx = np.array(list(default if indices is None else indices), dtype=int)
-    blk, n = _block(mesh), mesh.n
-    rows = idx % n
-    ok = blk.arc_ok[rows] & (mesh.closed | ((idx >= 0) & (idx < n)))
-    if not ok.all():
-        i = int(idx[np.argmin(ok)])
-        mesh.resolve(i, 1)  # the arc's far end first, as affine_arc_length(mesh, i, i, i + 1) reads it
-        _row(mesh, i, "arc")
+    blk, interior = _block(mesh), mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
+    rows = slice(interior.start, interior.stop)
+    bad = np.flatnonzero(~blk.arc_ok[rows])
+    if len(bad):
+        _row(mesh, interior[bad[0]], "arc")
     return blk.arcs[rows, 2]
 
 
@@ -733,10 +726,10 @@ def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[np.ndarray, np.ndarr
     indices = scheme_rows(mesh, scheme, SA_SPEC)
     if len(indices) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
-    blk, n, pts = _block(mesh), mesh.n, mesh.points
-    rows, centers = np.arange(indices.start, indices.stop), curvature_centers(scheme, indices) % n
-    arc_lo, arc_hi = denominator_offsets(scheme)
-    denom = _arcs(blk, rows, pts[(rows + arc_lo) % n, None], pts[(rows + arc_hi) % n, None])[:, 0]
+    blk, rows = _block(mesh), np.arange(indices.start, indices.stop)
+    centers = curvature_centers(scheme, indices) % mesh.n
+    ends = _gather(mesh.points, denominator_offsets(scheme), indices)
+    denom = _arcs(blk, rows, *(end[:, None] for end in ends))[:, 0]
     # row k reads the curvatures at centers[k : k + reads]
     reads, kappa_ok = 2 + int(scheme.centered), blk.kappa_ok[centers]
     ok = blk.arc_ok[rows] & (np.abs(denom) > 1e-15)
@@ -759,12 +752,12 @@ def sa_signature(
 ) -> Signature:
     """The SA-signature of a convex ordinary mesh under one of schemes 5-8.
 
-    EQ5/EQ6 require equal spacing, by consecutive arc lengths by default
-    (`spacing="euclidean"` switches to Euclidean edge lengths). EQ7/EQ8
-    measure their long arc lengths with the conic fitted at the row's
-    center point; the signature metadata flags that extrapolation.
-    SchemeSpacingMismatch names the first arc shorter than the longest by
-    more than `spacing_tol` of it.
+    EQ5/EQ6 require equal spacing of the consecutive arc lengths
+    (`spacing="affine"`, the default) or of the edges (`"euclidean"`; any
+    other value raises ValueError): SchemeSpacingMismatch names the first
+    arc or edge shorter than the longest by more than `spacing_tol` of it.
+    EQ7/EQ8 measure their long arc lengths with the conic fitted at the
+    row's center point; the signature metadata flags that extrapolation.
 
     The first row whose stencil cannot be evaluated raises: what its first
     failing curvature center raises, else what its arc length raises, else
@@ -775,25 +768,21 @@ def sa_signature(
     """
     if scheme.value <= 4:
         raise ValueError(f"{scheme} is a Euclidean scheme; use se_signature")
+    if spacing not in ("affine", "euclidean"):
+        raise ValueError(f"unknown spacing {spacing!r}; expected 'affine' or 'euclidean'")
     if not is_ordinary(mesh):
         raise NotOrdinary("signature of a mesh with a cusp")
     if not is_convex(mesh):
         raise NotConvex("equiaffine signature requires a convex mesh")
     if scheme.needs_equal_spacing:
         if spacing == "euclidean":
-            if not is_equally_spaced(mesh):
-                raise SchemeSpacingMismatch(f"{scheme.label}: mesh not equally spaced (euclidean)")
+            _check_edge_spacing(mesh, scheme, spacing_tol)
         else:
             arcs = consecutive_arc_lengths(mesh)
             if len(arcs) == 0:
                 raise MeshTooShort(f"no arc lengths computable on a {mesh.n}-point mesh")
-            lengths = np.abs(arcs)
-            longest = lengths.max()
-            if float(longest - lengths.min()) > spacing_tol * float(longest):
-                first = int(np.argmax(longest - lengths > spacing_tol * longest))
-                raise SchemeSpacingMismatch(
-                    f"{scheme.label} requires equal arc lengths; arc {first} deviates"
-                )
+            if (first := _first_short(np.abs(arcs), spacing_tol)) is not None:
+                raise SchemeSpacingMismatch(f"{scheme.label} requires equal arc lengths; arc {first} deviates")
     sig = Signature._of(derived(mesh, ("sa", scheme), _signature_columns, scheme), scheme, SA_SPEC)
     if scheme in (Scheme.EQ7, Scheme.EQ8):
         sig.meta["arc_length_extrapolation"] = (

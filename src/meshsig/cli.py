@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     sig.add_argument("--m2", type=int, default=1, help="curvature stencil forward-offset (se only)")
     sig.add_argument("--closed", action="store_true", help="treat a CSV mesh as closed")
     sig.add_argument("--spacing-tol", type=float, default=SPACING_REL_TOL,
-                     help="relative equal-spacing tolerance for schemes 1, 2, 5, 6")
+                     help="relative equal-spacing tolerance for schemes 1, 2, 5, 6 under either --sa-spacing: "
+                          "the longest edge or arc minus the shortest, over the longest")
     sig.add_argument("--sa-spacing", choices=["affine", "euclidean"], default="affine",
                      help="spacing measure for schemes 5-6")
     sig.add_argument("--out", help="signature CSV path (default: stdout)")

@@ -309,8 +309,6 @@ def _finish_with_oracle(
 
 def _values_differ(v1, v2, tol, what: str) -> str | None:
     v = np.array([v1, v2], float)
-    if v.shape[1] == 0:
-        return None
     with np.errstate(invalid="ignore"):  # inf - inf gives nan
         scale = max(float(np.abs(v).max()), 1e-300)
         diff = np.abs(v[0] - v[1])

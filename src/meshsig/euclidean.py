@@ -22,12 +22,12 @@ from .geometry import (
     Mesh,
     NeighborhoodSpec,
     _curvatures,
+    _first_short,
     _ldexp,
     _lengths,
     _working,
     derived,
     edge_lengths,
-    is_equally_spaced,
     is_ordinary,
     stencil_row,
     stencil_table,
@@ -111,6 +111,12 @@ def _signature_columns(mesh: Mesh, scheme: Scheme, spec: NeighborhoodSpec) -> tu
     return quotient_signature(scheme, indices, table.kappa[rows], denom)
 
 
+def _check_edge_spacing(mesh: Mesh, scheme: Scheme, rel_tol: float) -> None:
+    """Raise SchemeSpacingMismatch naming the first edge shorter than the longest by more than rel_tol of it."""
+    if (first := _first_short(edge_lengths(mesh), rel_tol)) is not None:
+        raise SchemeSpacingMismatch(f"{scheme.label} requires an equally spaced mesh; edge {first} deviates")
+
+
 def se_signature(
     mesh: Mesh,
     scheme: Scheme,
@@ -150,13 +156,6 @@ def se_signature(
     if not is_ordinary(mesh):
         raise NotOrdinary("signature of a mesh with a cusp")
     if scheme.needs_equal_spacing:
-        tol = SPACING_REL_TOL if spacing_tol is None else spacing_tol
-        if not is_equally_spaced(mesh, tol):
-            edges = edge_lengths(mesh)
-            longest = edges.max()
-            first = int(np.argmax(longest - edges > tol * longest))
-            raise SchemeSpacingMismatch(
-                f"{scheme.label} requires an equally spaced mesh; edge {first} deviates"
-            )
+        _check_edge_spacing(mesh, scheme, SPACING_REL_TOL if spacing_tol is None else spacing_tol)
     columns = derived(mesh, ("se", scheme, spec.m1, spec.m2), _signature_columns, scheme, spec)
     return Signature._of(columns, scheme, spec)

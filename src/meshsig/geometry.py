@@ -125,16 +125,30 @@ def row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
 
-def _lengths(pts: np.ndarray, lo: int, hi: int, centers: range) -> np.ndarray:
-    """|pts[i + lo] - pts[i + hi]| at each center i of a range, wrapped mod len(pts): every edge, cusp span and chord.
+def _gather(pts: np.ndarray, offsets, centers: range) -> list[np.ndarray]:
+    """pts[i + off] at each center i of a range, wrapped mod len(pts), for each offset: every fixed-offset read.
 
-    Both ends are slices of the rows the range reaches: a view of the
-    points where no index wraps, else one wrapped copy of them.
+    Each is a slice of the rows the range reaches: a view of the points where no index wraps, else one wrapped copy.
     """
-    base, m = min(lo, hi), len(centers)
-    first, last = centers.start + base, centers.stop + max(lo, hi)
+    base, m = min(offsets), len(centers)
+    first, last = centers.start + base, centers.stop + max(offsets)
     reach = pts[first:last] if 0 <= first and last <= len(pts) else pts.take(np.arange(first, last), axis=0, mode="wrap")
-    return row_norms(reach[lo - base : lo - base + m] - reach[hi - base : hi - base + m])
+    return [reach[off - base : off - base + m] for off in offsets]
+
+
+def _lengths(pts: np.ndarray, lo: int, hi: int, centers: range) -> np.ndarray:
+    """|pts[i + lo] - pts[i + hi]| at each center i of a range, wrapped mod len(pts): every edge, cusp span and chord."""
+    a, b = _gather(pts, (lo, hi), centers)
+    return row_norms(a - b)
+
+
+def _first_short(lengths: np.ndarray, rel_tol: float) -> int | None:
+    """The equal-spacing test: the first length shorter than the longest by more than rel_tol of it, or None.
+
+    A NaN tolerance admits no length.
+    """
+    short = np.flatnonzero(~(lengths.max() - lengths <= rel_tol * lengths.max()))
+    return int(short[0]) if len(short) else None
 
 
 def orient_rows(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -668,9 +682,8 @@ def signed_angle_type(
 
 
 def is_equally_spaced(mesh: Mesh, rel_tol: float = SPACING_REL_TOL) -> bool:
-    """True when all edges (wrap edge included for closed meshes) agree."""
-    edges = edge_lengths(mesh)
-    return float(edges.max() - edges.min()) <= rel_tol * float(edges.max())
+    """True when no edge (wrap edge included when closed) is shorter than the longest by more than rel_tol of it."""
+    return _first_short(edge_lengths(mesh), rel_tol) is None
 
 
 def _ordinary(mesh: Mesh) -> bool:
@@ -685,9 +698,7 @@ def is_ordinary(mesh: Mesh) -> bool:
 
 def neighbor_triples(mesh: Mesh, centers: range, spec: NeighborhoodSpec = SPEC11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p[i-m1], p[i], p[i+m2]) of the working points 2^-k p at every center i of a range in [0, n), as three (m, 2) arrays."""
-    pts, lo, hi = working_points(mesh).points, centers.start, centers.stop
-    prev, nxt = (pts.take(np.arange(lo + off, hi + off), axis=0, mode="wrap") for off in (-spec.m1, spec.m2))
-    return prev, pts[lo:hi], nxt
+    return tuple(_gather(working_points(mesh).points, (-spec.m1, 0, spec.m2), centers))
 
 
 def _curvatures(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

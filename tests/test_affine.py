@@ -22,6 +22,7 @@ from meshsig.errors import (
     ZeroDenominator,
     ZeroF,
 )
+from meshsig.geometry import edge_lengths
 from meshsig.signatures import denominator_offsets, scheme_rows, signature_max_error
 
 
@@ -342,6 +343,42 @@ class TestSaSignature:
                 except ms.MeshSigError:
                     continue
         assert len(named) > 10 and len(set(named)) > 1
+
+    def test_euclidean_spacing_honours_the_tolerance(self):
+        """The edges of ellipse_mesh(40, 2, 1) spread by 49% of the longest: a tolerance of 1.0 admits them."""
+        m = gen.ellipse_mesh(40, 2.0, 1.0)
+        assert len(ms.sa_signature(m, ms.Scheme.EQ6, spacing="euclidean", spacing_tol=1.0)) == 40
+        with pytest.raises(SchemeSpacingMismatch, match="^eq6 requires an equally spaced mesh; edge 0 deviates$"):
+            ms.sa_signature(m, ms.Scheme.EQ6, spacing="euclidean")
+
+    def test_euclidean_spacing_names_the_first_edge_outside_the_band(self):
+        """As se_signature does: the first edge shorter than the longest by more than spacing_tol of it."""
+        named = set()
+        for t0 in (0.0, 0.5, 1.2, 2.0):
+            m = gen.ellipse_mesh(40, 2.0, 1.0, t0=t0)
+            edges = edge_lengths(m).tolist()
+            for tol in (1e-2, 0.1, 0.3):
+                first = next(i for i, e in enumerate(edges) if max(edges) - e > tol * max(edges))
+                for scheme in (ms.Scheme.EQ5, ms.Scheme.EQ6):
+                    with pytest.raises(SchemeSpacingMismatch) as exc:
+                        ms.sa_signature(m, scheme, spacing="euclidean", spacing_tol=tol)
+                    assert str(exc.value) == f"{scheme.label} requires an equally spaced mesh; edge {first} deviates"
+                with pytest.raises(SchemeSpacingMismatch, match=f"^eq1 requires an equally spaced mesh; edge {first} deviates$"):
+                    ms.se_signature(m, ms.Scheme.EQ1, spacing_tol=tol)
+                named.add(first)
+        assert len(named) > 2
+
+    def test_nan_tolerance_admits_no_mesh(self):
+        m = gen.ellipse_mesh(16, 1.7, 0.9)
+        for kwargs in ({}, {"spacing": "euclidean"}):
+            with pytest.raises(SchemeSpacingMismatch, match=" 0 deviates$"):
+                ms.sa_signature(m, ms.Scheme.EQ6, spacing_tol=float("nan"), **kwargs)
+
+    def test_unknown_spacing_rejected(self):
+        m = gen.ellipse_mesh(16, 1.7, 0.9)
+        for scheme in (ms.Scheme.EQ6, ms.Scheme.EQ7):
+            with pytest.raises(ValueError, match="^unknown spacing 'euclidian'; expected 'affine' or 'euclidean'$"):
+                ms.sa_signature(m, scheme, spacing="euclidian")
 
     def test_extrapolation_flagged(self):
         m = gen.ellipse_mesh(16, 1.4, 1.0, closed=True)
@@ -731,13 +768,12 @@ class TestScalarEquivalence:
     @pytest.mark.parametrize("m", EQUIVALENCE_MESHES, ids=MESH_IDS)
     def test_mesh_functions(self, m):
         assert outcome(ms.is_affine_fine, m) == outcome(fine_by_views, m)
-        for indices in (None, [3, 0, -1, m.n - 1, m.n]):
-            got = outcome(affine.consecutive_arc_lengths, m, indices)
-            views = [outcome(arc_to_next, m, i) for i in (m.interior(2, 3) if indices is None else indices)]
-            if (raised := first_raised(views)) is not None:
-                assert got is raised
-            else:
-                assert got.tolist() == views
+        got = outcome(affine.consecutive_arc_lengths, m)
+        views = [outcome(arc_to_next, m, i) for i in m.interior(2, 3)]
+        if (raised := first_raised(views)) is not None:
+            assert got is raised
+        else:
+            assert got.tolist() == views
         for scheme in (ms.Scheme.EQ5, ms.Scheme.EQ6, ms.Scheme.EQ7, ms.Scheme.EQ8):
             rows = scheme_rows(m, scheme, affine.SA_SPEC)
             lo, hi = denominator_offsets(scheme)

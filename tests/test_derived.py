@@ -434,7 +434,7 @@ class TestSignatureColumns:
         loose = encode(ms.sa_signature(m, ms.Scheme.EQ6, spacing_tol=1e-2))
         with pytest.raises(SchemeSpacingMismatch, match="eq6 requires equal arc lengths"):
             ms.sa_signature(m, ms.Scheme.EQ6)
-        with pytest.raises(SchemeSpacingMismatch, match="not equally spaced"):
+        with pytest.raises(SchemeSpacingMismatch, match="eq6 requires an equally spaced mesh; edge 0 deviates"):
             ms.sa_signature(m, ms.Scheme.EQ6, spacing="euclidean", spacing_tol=1e-2)
         assert encode(ms.sa_signature(m, ms.Scheme.EQ6, spacing_tol=1e-2)) == loose
         m = uneven_walk()

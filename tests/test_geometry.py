@@ -529,6 +529,13 @@ class TestPredicates:
         m = ms.Mesh([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)], closed=True)
         assert not ms.is_fine(m)
 
+    def test_spacing_tolerance_edge_values(self):
+        """rel_tol 0 admits only equal edges, inf every mesh, NaN none."""
+        square, ellipse = ms.Mesh([(0, 0), (1, 0), (1, 1), (0, 1)], closed=True), gen.ellipse_mesh(40, 2.0, 1.0)
+        assert ms.is_equally_spaced(square, 0.0) and not ms.is_equally_spaced(ellipse, 0.0)
+        assert ms.is_equally_spaced(square, math.inf) and ms.is_equally_spaced(ellipse, math.inf)
+        assert not ms.is_equally_spaced(square, math.nan) and not ms.is_equally_spaced(ellipse, math.nan)
+
     def test_spacing_invariant_under_e2(self):
         rng = np.random.default_rng(13)
         m = gen.random_equally_spaced_mesh(rng, 10)

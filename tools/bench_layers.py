@@ -261,7 +261,7 @@ def far_layer() -> list:
 def layers() -> dict:
     """Mesh, block, kernel, per-index and alignment times of the meshsig on sys.path (run in a child process)."""
     import numpy as np
-    from meshsig import affine
+    from meshsig import affine, geometry
     from meshsig import generators as gen
 
     meshes = [(f"ellipse_mesh({n}, 2, 1)", gen.ellipse_mesh(n, 2.0, 1.0), REPEATS[n]) for n in SIZES]
@@ -276,7 +276,7 @@ def layers() -> dict:
             blk = affine._block(fresh())
             entry["block_tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
             tracemalloc.stop()
-            win = mesh.points[(np.arange(n)[:, None] + affine._FIT_OFFSETS) % n]
+            win = np.stack(geometry._gather(mesh.points, affine._FIT_OFFSETS, range(n)), axis=1)
             for kernel, call in kernel_calls(affine, blk, win).items():
                 entry[f"{kernel}_ms"] = best_of(call, repeats)
         entry["windows_fitted"] = int(blk.fitted.sum())
