@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import (
     DegenerateConfiguration,
-    DegenerateStencil,
     IndexOutOfRange,
     MeshTooShort,
     NonRealMu,
@@ -73,8 +72,7 @@ from .geometry import (
     row_norms,
     working_points,
 )
-from .euclidean import _check_edge_spacing
-from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
+from .signatures import Scheme, Signature, _check_edge_spacing, signature_columns
 
 # |S| below this (unit-norm coefficients) marks the conic parabolic.
 PARABOLIC_TOL = 1e-10
@@ -722,26 +720,20 @@ def consecutive_arc_lengths(mesh: Mesh) -> np.ndarray:
 
 
 def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The signature's read-only (indices, kappas, kappa_s) columns; raises as `sa_signature` states."""
-    indices = scheme_rows(mesh, scheme, SA_SPEC)
-    if len(indices) == 0:
-        raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
-    blk, rows = _block(mesh), np.arange(indices.start, indices.stop)
-    centers = curvature_centers(scheme, indices) % mesh.n
-    ends = _gather(mesh.points, denominator_offsets(scheme), indices)
-    denom = _arcs(blk, rows, *(end[:, None] for end in ends))[:, 0]
-    # row k reads the curvatures at centers[k : k + reads]
-    reads, kappa_ok = 2 + int(scheme.centered), blk.kappa_ok[centers]
-    ok = blk.arc_ok[rows] & (np.abs(denom) > 1e-15)
-    for j in range(reads):
-        ok &= kappa_ok[j : j + len(rows)]
-    if not ok.all():
-        k = int(np.argmin(ok))
-        for j in centers[k : k + reads].tolist():
-            _row(mesh, j, "kappa")
-        _row(mesh, int(rows[k]), "arc")
-        raise DegenerateStencil(f"{scheme.label} arc length at index {rows[k]} vanishes")
-    return quotient_signature(scheme, indices, blk.kappa[centers], denom)
+    """The signature's read-only (indices, kappas, kappa_s) columns: the block's curvatures over arc lengths."""
+    blk = _block(mesh)
+
+    def denominators(lo: int, hi: int, rows: range) -> tuple[np.ndarray, np.ndarray]:
+        own = slice(rows.start, rows.stop)
+        denom = _arcs(blk, own, *(end[:, None] for end in _gather(mesh.points, (lo, hi), rows)))[:, 0]
+        return denom, blk.arc_ok[own] & (np.abs(denom) > 1e-15)
+
+    def vanishing(i: int, lo: int, hi: int) -> str:
+        _row(mesh, i, "arc")
+        return f"{scheme.label} arc length at index {i} vanishes"
+
+    return signature_columns(mesh, scheme, SA_SPEC, lambda c: (blk.kappa[c], blk.kappa_ok[c]),
+                             lambda c: _row(mesh, c, "kappa"), denominators, vanishing)
 
 
 def sa_signature(
@@ -759,9 +751,10 @@ def sa_signature(
     EQ7/EQ8 measure their long arc lengths with the conic fitted at the
     row's center point; the signature metadata flags that extrapolation.
 
-    The first row whose stencil cannot be evaluated raises: what its first
-    failing curvature center raises, else what its arc length raises, else
-    DegenerateStencil if that arc length vanishes. The columns are built
+    The rows come from :func:`signatures.signature_columns`, as the
+    Euclidean ones do: the first that cannot be evaluated raises what its
+    first failing curvature center raises, else what its arc length raises,
+    else DegenerateStencil if that arc length vanishes. The columns are built
     once per mesh and scheme, as the derived entry ``("sa", scheme)``, and
     a build that raises stores nothing; the ordinary, convex and spacing
     checks run on every call.

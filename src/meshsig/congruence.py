@@ -307,14 +307,16 @@ def _finish_with_oracle(
     return verdict
 
 
-def _values_differ(v1, v2, tol, what: str) -> str | None:
+def _values_differ(v1, v2, tol, what: str, centers=None) -> str | None:
+    """Why v1 and v2 differ, naming the worst position k as centers[k] (as k itself without centers), or None."""
     v = np.array([v1, v2], float)
     with np.errstate(invalid="ignore"):  # inf - inf gives nan
         scale = max(float(np.abs(v).max()), 1e-300)
         diff = np.abs(v[0] - v[1])
     err = float(diff.max())
     if not err <= tol * scale:  # "not <=", so that an inf or nan difference differs
-        return f"{what} differ (max relative error {err / scale:.3e} at index {int(diff.argmax())})"
+        k = int(diff.argmax())
+        return f"{what} differ (max relative error {err / scale:.3e} at index {k if centers is None else centers[k]})"
     return None
 
 
@@ -360,18 +362,14 @@ def _both(test, reason: str):
     return lambda m1, m2, p: None if test(m1, p) and test(m2, p) else reason
 
 
-def _band(p) -> float:
-    return RIGHT_ANGLE_TOL if p["right_tol"] is None else p["right_tol"]
-
-
 _NOT_FINE = "a mesh is not fine (has a non-obtuse interior angle)"
 _ORDINARY = _both(lambda m, p: is_ordinary(m), "a mesh has a cusp")
 _EQUALLY_SPACED = _both(lambda m, p: is_equally_spaced(m), "a mesh is not equally spaced")
 
 
-def _equal(values, tol: str, what: str):
-    """values(m1) and values(m2) agree within the relative tolerance p[tol]."""
-    return lambda m1, m2, p: _values_differ(values(m1), values(m2), p[tol], what)
+def _equal(values, tol: str, what: str, reach: tuple[int, int] | None = None):
+    """values(m1) and values(m2) agree within p[tol]; a difference names center m1.interior(*reach)[k], or edge k."""
+    return lambda m1, m2, p: _values_differ(values(m1), values(m2), p[tol], what, reach and m1.interior(*reach))
 
 
 def _same_directions(m1, m2, p):
@@ -394,7 +392,7 @@ def _angle_types(spec: NeighborhoodSpec, signed: bool):
         return table.sign * kind if signed else kind
 
     def check(m1, m2, p):
-        t1, t2 = (types(m, _band(p)) for m in (m1, m2))
+        t1, t2 = (types(m, p["right_tol"]) for m in (m1, m2))
         bad = np.flatnonzero((t1 == 0) | (t2 == 0) | (t1 != t2))
         if not len(bad):
             return None
@@ -441,7 +439,7 @@ def _end_angles(m1, m2, p):
     if m1.closed:
         return None
     e1, e2 = ([signed_angle(m, i, SPEC33) for i in (3, m.n - 4)] for m in (m1, m2))
-    return _values_differ(e1, e2, p["angle_tol"], "end signed 3-angles")
+    return _values_differ(e1, e2, p["angle_tol"], "end signed 3-angles", (3, m1.n - 4))
 
 
 def _obtuse_start(m1, m2, p):
@@ -560,7 +558,7 @@ def _first_failure(checks, m1, m2, p) -> str | None:
 
 _THREE_STEP = (
     _angle_types(SPEC33, signed=True),
-    _equal(lambda m: chords(m, -3, 0, m.interior(3, 0)), "sig_tol", "3-step chord sequences"),
+    _equal(lambda m: chords(m, -3, 0, m.interior(3, 0)), "sig_tol", "3-step chord sequences", (3, 0)),
     _se_signatures(Scheme.EQ4, SPEC33),
 )
 _SA_PRECONDITIONS = (_check_counts, _ordinary_convex)
@@ -570,7 +568,7 @@ RULES = {
     "thm3.3": Rule(Group.SE, (_check_counts,), (
         _ORDINARY,
         _equal(edge_lengths, "tol", "edge length sequences"),
-        _equal(lambda m: _signed_angles(m, SPEC11), "angle_tol", "signed angle sequences"),
+        _equal(lambda m: _signed_angles(m, SPEC11), "angle_tol", "signed angle sequences", (1, 1)),
     )),
     "thm4.9": Rule(Group.SE, (_check_counts,), (
         _ORDINARY, _EQUALLY_SPACED, _same_directions, _se_signatures(Scheme.EQ1),
@@ -579,7 +577,7 @@ RULES = {
         _ORDINARY, _EQUALLY_SPACED, _same_directions,
         _Choice("fine_variant", {
             False: (_angle_types(SPEC11, signed=False),),
-            True: (_both(lambda m, p: is_fine(m, _band(p)), _NOT_FINE),),
+            True: (_both(lambda m, p: is_fine(m, p["right_tol"]), _NOT_FINE),),
         }),
         _se_signatures(Scheme.EQ2),
     )),
@@ -589,14 +587,14 @@ RULES = {
             False: (_angle_types(SPEC11, signed=True), _se_signatures(Scheme.EQ2)),
             True: (
                 _half_turn_angles,
-                _equal(lambda m: _signed_angles(m, SPEC11), "angle_tol", "signed angles"),
-                _equal(interior_curvatures, "sig_tol", "curvature sequences"),
+                _equal(lambda m: _signed_angles(m, SPEC11), "angle_tol", "signed angles", (1, 1)),
+                _equal(interior_curvatures, "sig_tol", "curvature sequences", (1, 1)),
             ),
         }),
     )),
     "thm4.25": Rule(Group.SE, (_check_counts,), (
         _ORDINARY,
-        _equal(lambda m: chords(m, -1, 1, m.interior()), "sig_tol", "centered chord sequences"),
+        _equal(lambda m: chords(m, -1, 1, m.interior()), "sig_tol", "centered chord sequences", (1, 1)),
         _angle_types(SPEC12, signed=True),
         _open_at_least(4, "the closing-chord condition needs at least 4 points"),
         _se_signatures(Scheme.EQ3, SPEC12),
@@ -606,15 +604,15 @@ RULES = {
         _ORDINARY,
         _open_at_least(8, "EQ4 needs more than 7 points on an open mesh"),
         _closed_above(4, SPEC31),
-        _equal(lambda m: interior_curvatures(m, SPEC31), "sig_tol", "(3,1)-curvature sequences"),
-        _equal(lambda m: _signed_angles(m, SPEC31), "angle_tol", "signed (3,1)-angles"),
+        _equal(lambda m: interior_curvatures(m, SPEC31), "sig_tol", "(3,1)-curvature sequences", (3, 1)),
+        _equal(lambda m: _signed_angles(m, SPEC31), "angle_tol", "signed (3,1)-angles", (3, 1)),
         *_THREE_STEP,
         _Choice("endpoint_rule", {"equal-end-angles": (_end_angles,), "obtuse-start": (_obtuse_start,)}),
     )),
     "thm5.7": Rule(Group.SA, _SA_PRECONDITIONS, (_affine_fine, _nonzero_curvature, *_AFFINE_TAIL)),
     "thm5.8": Rule(Group.SA, _SA_PRECONDITIONS, (_affine_fine, _zero_curvature_areas, *_AFFINE_TAIL)),
     "cor5.9": Rule(Group.SA, _SA_PRECONDITIONS, (
-        _both(lambda m, p: is_fine(m, _band(p)), _NOT_FINE), _zero_curvature_areas, *_AFFINE_TAIL,
+        _both(lambda m, p: is_fine(m, p["right_tol"]), _NOT_FINE), _zero_curvature_areas, *_AFFINE_TAIL,
     )),
     # thm4.26's closed-mesh checks less the (3,1) ones, gated on a complete step-3 walk
     "host": Rule(Group.SE, (_closed, _check_counts), (
@@ -623,8 +621,8 @@ RULES = {
 }
 
 _DEFAULTS = {
-    "sig_tol": SIGNATURE_REL_TOL, "tol": DEFAULT_POINT_TOL, "right_tol": None, "angle_tol": DEFAULT_ANGLE_TOL,
-    "fine_variant": False, "curvature_only": False, "endpoint_rule": "equal-end-angles",
+    "sig_tol": SIGNATURE_REL_TOL, "tol": DEFAULT_POINT_TOL, "right_tol": RIGHT_ANGLE_TOL,
+    "angle_tol": DEFAULT_ANGLE_TOL, "fine_variant": False, "curvature_only": False, "endpoint_rule": "equal-end-angles",
 }
 
 
@@ -651,7 +649,7 @@ def decide_eq1(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: floa
 
 
 def decide_eq2_angle_type(m1: Mesh, m2: Mesh, fine_variant: bool = False, sig_tol: float = SIGNATURE_REL_TOL,
-                          tol: float = DEFAULT_POINT_TOL, right_tol: float | None = None) -> CongruenceVerdict:
+                          tol: float = DEFAULT_POINT_TOL, right_tol: float = RIGHT_ANGLE_TOL) -> CongruenceVerdict:
     """Equal spacing + signature-directions + angle types + centered signatures (rule thm4.14).
 
     With ``fine_variant`` the per-point angle-type condition is replaced by
@@ -661,7 +659,7 @@ def decide_eq2_angle_type(m1: Mesh, m2: Mesh, fine_variant: bool = False, sig_to
 
 
 def decide_eq2_signed(m1: Mesh, m2: Mesh, curvature_only: bool = False, sig_tol: float = SIGNATURE_REL_TOL,
-                      tol: float = DEFAULT_POINT_TOL, right_tol: float | None = None,
+                      tol: float = DEFAULT_POINT_TOL, right_tol: float = RIGHT_ANGLE_TOL,
                       angle_tol: float = DEFAULT_ANGLE_TOL) -> CongruenceVerdict:
     """Equal spacing + signed angle types + centered signatures (rule thm4.18).
 
@@ -673,7 +671,7 @@ def decide_eq2_signed(m1: Mesh, m2: Mesh, curvature_only: bool = False, sig_tol:
 
 
 def decide_eq3(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: float = DEFAULT_POINT_TOL,
-               right_tol: float | None = None) -> CongruenceVerdict:
+               right_tol: float = RIGHT_ANGLE_TOL) -> CongruenceVerdict:
     """Centered-chord sequence + signed (1,2)-angle types + EQ3 signatures (rule thm4.25).
 
     Open meshes additionally require the closing (1,2)-span chord
@@ -683,7 +681,7 @@ def decide_eq3(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: floa
 
 
 def decide_eq4(m1: Mesh, m2: Mesh, endpoint_rule: str = "equal-end-angles", sig_tol: float = SIGNATURE_REL_TOL,
-               tol: float = DEFAULT_POINT_TOL, right_tol: float | None = None,
+               tol: float = DEFAULT_POINT_TOL, right_tol: float = RIGHT_ANGLE_TOL,
                angle_tol: float = DEFAULT_ANGLE_TOL) -> CongruenceVerdict:
     """(3,1)-curvatures and signed angles + 3-step data + EQ4 signatures (rule thm4.26).
 

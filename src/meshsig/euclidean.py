@@ -8,32 +8,33 @@ triples the curvature's relative error grows to about
 eps * (a + b + c) / (b + c - a). A mesh's curvatures are the kappa column of
 its stencil table (:func:`geometry.stencil_table`), read via ``stencil_row``.
 The chords, every quotient's denominators, come from the geometry length
-kernel that gives the edge lengths (``geometry._lengths``).
+kernel that gives the edge lengths (``geometry._lengths``). The row builder
+of both groups (:func:`signatures.signature_columns`) makes the rows, so a
+signature raises at its first failing row: DegenerateTriple at its first
+degenerate stencil, else DegenerateStencil if its chord vanishes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateStencil, DegenerateTriple, MeshTooShort, NotOrdinary, SchemeSpacingMismatch
+from .errors import DegenerateTriple, NotOrdinary
 from .geometry import (
     SPACING_REL_TOL,
     SPEC11,
     Mesh,
     NeighborhoodSpec,
     _curvatures,
-    _first_short,
     _ldexp,
     _lengths,
     _working,
     derived,
-    edge_lengths,
     is_ordinary,
     stencil_row,
     stencil_table,
     working_points,
 )
-from .signatures import Scheme, Signature, curvature_centers, denominator_offsets, quotient_signature, scheme_rows
+from .signatures import Scheme, Signature, _check_edge_spacing, signature_columns
 
 # Denominator chords smaller than this fraction of the diameter abort the quotient.
 STENCIL_REL_TOL = 1e-12
@@ -93,28 +94,16 @@ def chords(mesh: Mesh, lo: int, hi: int, centers: range) -> np.ndarray:
 
 
 def _signature_columns(mesh: Mesh, scheme: Scheme, spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The signature's read-only (indices, kappas, kappa_s) columns; raises as `se_signature` states."""
-    indices = scheme_rows(mesh, scheme, spec)
-    if len(indices) == 0:
-        raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
-    centers = curvature_centers(scheme, indices) % mesh.n
-    table, rows = stencil_table(mesh, spec), centers - mesh.interior(spec.m1, spec.m2).start
-    degenerate = table.degenerate[rows]
-    if degenerate.any():
-        stencil_row(mesh, int(centers[degenerate.argmax()]), spec, "kappa")
-    lo_c, hi_c = denominator_offsets(scheme)
-    denom = chords(mesh, lo_c, hi_c, indices)
-    bad = np.flatnonzero(denom <= STENCIL_REL_TOL * mesh.diameter)
-    if len(bad):
-        i = indices[bad[0]]
-        raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
-    return quotient_signature(scheme, indices, table.kappa[rows], denom)
+    """The signature's read-only (indices, kappas, kappa_s) columns: the stencil table's curvatures over chords."""
+    table, start = stencil_table(mesh, spec), mesh.interior(spec.m1, spec.m2).start
 
+    def denominators(lo: int, hi: int, rows: range) -> tuple[np.ndarray, np.ndarray]:
+        denom = chords(mesh, lo, hi, rows)
+        return denom, denom > STENCIL_REL_TOL * mesh.diameter
 
-def _check_edge_spacing(mesh: Mesh, scheme: Scheme, rel_tol: float) -> None:
-    """Raise SchemeSpacingMismatch naming the first edge shorter than the longest by more than rel_tol of it."""
-    if (first := _first_short(edge_lengths(mesh), rel_tol)) is not None:
-        raise SchemeSpacingMismatch(f"{scheme.label} requires an equally spaced mesh; edge {first} deviates")
+    return signature_columns(mesh, scheme, spec, lambda c: (table.kappa[c - start], ~table.degenerate[c - start]),
+                             lambda c: stencil_row(mesh, c, spec, "kappa"), denominators,
+                             lambda i, lo, hi: f"{scheme.label} denominator chord ({i}{lo:+d}, {i}{hi:+d}) vanishes")
 
 
 def se_signature(
@@ -143,9 +132,10 @@ def se_signature(
     Returns
     -------
     Signature
-        One (kappa, kappa_s) row per valid center index. DegenerateTriple is
-        raised when any stencil read has two coinciding points, else
-        DegenerateStencil at the first row whose denominator chord vanishes.
+        One (kappa, kappa_s) row per valid center index; MeshTooShort when
+        an open mesh has none. The first row that cannot be evaluated raises
+        DegenerateTriple at its first stencil with two coinciding points,
+        else DegenerateStencil if its denominator chord vanishes.
 
     The columns are built once per mesh, scheme and stencil, as the derived
     entry ``("se", scheme, m1, m2)``, and a build that raises stores

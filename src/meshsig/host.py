@@ -11,7 +11,7 @@ import numpy as np
 
 from .congruence import DEFAULT_POINT_TOL, CongruenceVerdict, _decide
 from .errors import InvalidStep
-from .geometry import Mesh
+from .geometry import RIGHT_ANGLE_TOL, Mesh
 from .signatures import SIGNATURE_REL_TOL
 
 
@@ -84,7 +84,7 @@ def totient(n: int) -> int:
 
 
 def decide_host(m1: Mesh, m2: Mesh, sig_tol: float = SIGNATURE_REL_TOL, tol: float = DEFAULT_POINT_TOL,
-                right_tol: float | None = None) -> CongruenceVerdict:
+                right_tol: float = RIGHT_ANGLE_TOL) -> CongruenceVerdict:
     """Closed-mesh congruence from 3-step data alone (rule host).
 
     Requires the step-3 traversal to be complete (n not divisible by 3), so

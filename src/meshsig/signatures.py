@@ -1,4 +1,4 @@
-"""Signature containers shared by the Euclidean and equiaffine pipelines."""
+"""Signature containers and the one row builder shared by the Euclidean and equiaffine pipelines."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Group, NeighborhoodSpec, _frozen
+from .errors import DegenerateStencil, MeshTooShort, SchemeSpacingMismatch
+from .geometry import Group, NeighborhoodSpec, _first_short, _frozen, edge_lengths
 
 # Relative tolerance for declaring two signatures equal.
 SIGNATURE_REL_TOL = 1e-6
@@ -88,14 +89,44 @@ def scheme_rows(mesh, scheme: Scheme, spec: NeighborhoodSpec) -> range:
     if mesh.closed:
         return range(mesh.n)
     (num_lo, num_hi), (den_lo, den_hi), _ = _QUOTIENTS[scheme]
-    lo = min(num_lo - spec.m1, den_lo)
-    hi = max(num_hi + spec.m2, den_hi)
+    lo, hi = min(num_lo - spec.m1, den_lo), max(num_hi + spec.m2, den_hi)
     return range(max(0, -lo), mesh.n - hi)
 
 
-def curvature_centers(scheme: Scheme, rows: range) -> np.ndarray:
-    """The curvature centers the rows read, in order: rows.start - 1 (centered schemes) to rows.stop."""
-    return np.arange(rows.start + _QUOTIENTS[scheme].numerator[0], rows.stop + 1)
+def signature_columns(mesh, scheme: Scheme, spec: NeighborhoodSpec, curvatures, read_curvature, denominators,
+                      vanishing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only columns (indices, kappas, kappa_s) of the scheme's rows, from one group's sources.
+
+    Row i reads the curvatures at i (i - 1 when centered) to i + 1, given with whether each can be read by
+    ``curvatures(centers)``, and its denominator between the points i + lo and i + hi, given with whether it
+    can divide by ``denominators(lo, hi, rows)``. MeshTooShort when the mesh has no row; else the first row
+    that cannot be evaluated raises: ``read_curvature(c)`` raises what reading each of its curvature centers
+    in order raises, then ``vanishing(i, lo, hi)`` raises what reading its denominator raises, else names the
+    denominator for DegenerateStencil. Each kappa_s is within 2 eps (relative) of the exact quotient of the
+    same curvatures and denominator.
+    """
+    rows = scheme_rows(mesh, scheme, spec)
+    if len(rows) == 0:
+        raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
+    (first, _), (lo, hi), factor = _QUOTIENTS[scheme]
+    centers = np.arange(rows.start + first, rows.stop + 1) % mesh.n
+    (kappa, kappa_ok), (denom, ok) = curvatures(centers), denominators(lo, hi, rows)
+    if not (ok.all() and kappa_ok.all()):  # every center is read by some row
+        reads = 2 - first  # row k reads the curvatures at centers[k : k + reads]
+        for j in range(reads):
+            ok = ok & kappa_ok[j : j + len(rows)]
+        k = int(np.argmin(ok))
+        for c in centers[k : k + reads].tolist():
+            read_curvature(c)
+        raise DegenerateStencil(vanishing(rows[k], lo, hi))
+    kappa_s = factor * (kappa[1 - first :] - kappa[: len(rows)]) / denom
+    return _frozen(np.arange(rows.start, rows.stop), kappa[-first : len(rows) - first], kappa_s)
+
+
+def _check_edge_spacing(mesh, scheme: Scheme, rel_tol: float) -> None:
+    """Raise SchemeSpacingMismatch naming the first edge shorter than the longest by more than rel_tol of it."""
+    if (first := _first_short(edge_lengths(mesh), rel_tol)) is not None:
+        raise SchemeSpacingMismatch(f"{scheme.label} requires an equally spaced mesh; edge {first} deviates")
 
 
 class SignaturePoint(NamedTuple):
@@ -135,18 +166,6 @@ class Signature:
 
     def __iter__(self):
         return iter(self.points)
-
-
-def quotient_signature(scheme: Scheme, rows: range, kappa: np.ndarray,
-                       denom: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only signature columns (indices, kappas, kappa_s) of the rows: the last step of an entry's build.
-
-    ``kappa`` holds the curvatures at ``curvature_centers(scheme, rows)``. Each kappa_s is within 2 eps
-    (relative) of the exact quotient of the same curvatures and denominator.
-    """
-    c = int(scheme.centered)
-    kappa_s = scheme.factor * (kappa[1 + c:] - kappa[: len(rows)]) / denom
-    return _frozen(np.arange(rows.start, rows.stop), kappa[c : c + len(rows)], kappa_s)
 
 
 # A column whose magnitude is below this fraction of the whole signature's

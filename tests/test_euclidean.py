@@ -1,3 +1,4 @@
+import functools
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -52,25 +53,25 @@ def _chord_offsets(scheme):
 
 
 def scalar_se_signature(mesh, scheme, spec):
-    # scalar reference: every curvature the rows read (DegenerateTriple at any
-    # degenerate stencil), then the rows one by one; it skips the ordinary and
-    # spacing checks, which se_signature makes first (TestSeSignature pins the
-    # row ranges of (1,1) stencils)
-    indices = scheme_rows(mesh, scheme, spec)
-    kappa = {}
-    for j in range(indices.start - scheme.centered, indices.stop + 1):
+    # scalar reference, row by row: each row's curvatures in index order
+    # (DegenerateTriple at the first degenerate stencil), then its chord
+    # (DegenerateStencil); it skips the ordinary and spacing checks, which
+    # se_signature makes first (TestSeSignature pins the row ranges of (1,1) stencils)
+    @functools.cache
+    def kappa(j):
         try:
-            kappa[j] = scalar_curvature_of_triple(mesh.p(j, -spec.m1), mesh.p(j), mesh.p(j, spec.m2))
+            return scalar_curvature_of_triple(mesh.p(j, -spec.m1), mesh.p(j), mesh.p(j, spec.m2))
         except DegenerateTriple as exc:
             raise DegenerateTriple(f"{exc} at index {mesh.resolve(j)}") from None
+
     lo_c, hi_c = _chord_offsets(scheme)
     rows = []
-    for i in indices:
-        numerator = kappa[i + 1] - kappa[i - 1 if scheme.centered else i]
+    for i in scheme_rows(mesh, scheme, spec):
+        k = [kappa(j) for j in range(i - scheme.centered, i + 2)]
         denom = float(np.linalg.norm(mesh.p(i, hi_c) - mesh.p(i, lo_c)))
         if denom <= 1e-12 * mesh.diameter:
             raise DegenerateStencil(f"{scheme.label} denominator chord ({i}{lo_c:+d}, {i}{hi_c:+d}) vanishes")
-        rows.append((i, kappa[i], scheme.factor * numerator / denom))
+        rows.append((i, k[scheme.centered], scheme.factor * (k[-1] - k[0]) / denom))
     return rows
 
 
@@ -296,6 +297,8 @@ class TestSeSignatureArrays:
             ([(14, 8)], DegenerateStencil),
             # a degenerate stencil (4, 6, 7) wins over the earlier vanishing chord (2, 8)
             ([(7, 4), (8, 2)], DegenerateTriple),
+            # row 3's vanishing chord (0, 6) wins over the later degenerate stencil (13, 15, 16), first read by row 14
+            ([(6, 0), (16, 13)], DegenerateStencil),
         ],
     )
     def test_first_failing_row_decides(self, ties, raised):

@@ -3,8 +3,9 @@
 Each ``ref_*`` function below is the rule as it was written before the
 rules became rows of ``congruence.RULES``: scalar per-index loops over the
 geometry predicates. Since then, ref_decide_eq4 and ref_decide_host also
-reject a closed mesh too small for their (3,1) and (3,3) stencils, as the
-rows do. The engine must reproduce every verdict field and every
+reject a closed mesh too small for their (3,1) and (3,3) stencils, and
+ref_values_differ names the mesh index of the worst center, as the rows
+do. The engine must reproduce every verdict field and every
 exception (class and message) on a seeded corpus.
 """
 
@@ -125,7 +126,8 @@ def ref_signatures_differ(m1, m2, scheme, spec=SPEC11, sig_tol=SIGNATURE_REL_TOL
     return None
 
 
-def ref_values_differ(v1, v2, tol, what):
+def ref_values_differ(v1, v2, tol, what, centers=None):
+    # names the worst position k as the mesh index centers[k], or as k itself (edges, set positions)
     v1 = np.asarray(v1, float)
     v2 = np.asarray(v2, float)
     if len(v1) == 0:
@@ -133,7 +135,8 @@ def ref_values_differ(v1, v2, tol, what):
     scale = max(float(np.abs(v1).max()), float(np.abs(v2).max()), 1e-300)
     err = float(np.abs(v1 - v2).max())
     if err > tol * scale:
-        return f"{what} differ (max relative error {err / scale:.3e} at index {int(np.abs(v1 - v2).argmax())})"
+        k = int(np.abs(v1 - v2).argmax())
+        return f"{what} differ (max relative error {err / scale:.3e} at index {k if centers is None else centers[k]})"
     return None
 
 
@@ -184,11 +187,11 @@ def ref_decide_eq2_signed(m1, m2, curvature_only=False, sig_tol=SIGNATURE_REL_TO
         for i, (a1, a2) in zip(interior, zip(th1, th2)):
             if not (0.0 < a1 < np.pi and 0.0 < a2 < np.pi):
                 return ref_hyp_fail(f"signed angle outside (0, pi) at index {i}")
-        if (why := ref_values_differ(th1, th2, angle_tol, "signed angles")) is not None:
+        if (why := ref_values_differ(th1, th2, angle_tol, "signed angles", interior)) is not None:
             return ref_hyp_fail(why)
         k1 = interior_curvatures(m1)
         k2 = interior_curvatures(m2)
-        if (why := ref_values_differ(k1, k2, sig_tol, "curvature sequences")) is not None:
+        if (why := ref_values_differ(k1, k2, sig_tol, "curvature sequences", interior)) is not None:
             return ref_hyp_fail(why)
         return ref_finish_with_oracle(m1, m2, Group.SE, tol)
     if (why := ref_same_signed_angle_types(m1, m2, tol=right_tol)) is not None:
@@ -205,7 +208,7 @@ def ref_decide_eq3(m1, m2, sig_tol=SIGNATURE_REL_TOL, tol=TOL, right_tol=None):
     interior = list(m1.interior())
     d1 = [chord(m1, m1.resolve(i, -1), m1.resolve(i, 1)) for i in interior]
     d2 = [chord(m2, m2.resolve(i, -1), m2.resolve(i, 1)) for i in interior]
-    if (why := ref_values_differ(d1, d2, sig_tol, "centered chord sequences")) is not None:
+    if (why := ref_values_differ(d1, d2, sig_tol, "centered chord sequences", interior)) is not None:
         return ref_hyp_fail(why)
     if (why := ref_same_signed_angle_types(m1, m2, SPEC12, tol=right_tol)) is not None:
         return ref_hyp_fail(why)
@@ -235,18 +238,18 @@ def ref_decide_eq4(m1, m2, endpoint_rule="equal-end-angles", sig_tol=SIGNATURE_R
     i31 = list(m1.interior(3, 1))
     k1 = interior_curvatures(m1, SPEC31)
     k2 = interior_curvatures(m2, SPEC31)
-    if (why := ref_values_differ(k1, k2, sig_tol, "(3,1)-curvature sequences")) is not None:
+    if (why := ref_values_differ(k1, k2, sig_tol, "(3,1)-curvature sequences", i31)) is not None:
         return ref_hyp_fail(why)
     a1 = [signed_angle(m1, i, SPEC31) for i in i31]
     a2 = [signed_angle(m2, i, SPEC31) for i in i31]
-    if (why := ref_values_differ(a1, a2, angle_tol, "signed (3,1)-angles")) is not None:
+    if (why := ref_values_differ(a1, a2, angle_tol, "signed (3,1)-angles", i31)) is not None:
         return ref_hyp_fail(why)
     if (why := ref_same_signed_angle_types(m1, m2, SPEC33, tol=right_tol)) is not None:
         return ref_hyp_fail(why)
     i3 = list(m1.interior(3, 0)) if not m1.closed else list(range(m1.n))
     d1 = [chord(m1, m1.resolve(i, -3), i) for i in i3]
     d2 = [chord(m2, m2.resolve(i, -3), i) for i in i3]
-    if (why := ref_values_differ(d1, d2, sig_tol, "3-step chord sequences")) is not None:
+    if (why := ref_values_differ(d1, d2, sig_tol, "3-step chord sequences", i3)) is not None:
         return ref_hyp_fail(why)
     if (why := ref_signatures_differ(m1, m2, Scheme.EQ4, SPEC33, sig_tol)) is not None:
         return ref_hyp_fail(why)
@@ -255,7 +258,7 @@ def ref_decide_eq4(m1, m2, endpoint_rule="equal-end-angles", sig_tol=SIGNATURE_R
         if endpoint_rule == "equal-end-angles":
             e1 = [signed_angle(m1, i, SPEC33) for i in ends]
             e2 = [signed_angle(m2, i, SPEC33) for i in ends]
-            if (why := ref_values_differ(e1, e2, angle_tol, "end signed 3-angles")) is not None:
+            if (why := ref_values_differ(e1, e2, angle_tol, "end signed 3-angles", ends)) is not None:
                 return ref_hyp_fail(why)
         elif endpoint_rule == "obtuse-start":
             for mesh in (m1, m2):
@@ -322,7 +325,7 @@ def ref_decide_dist_angle(m1, m2, tol=TOL, angle_tol=1e-9):
         return ref_hyp_fail(why)
     a1 = [signed_angle(m1, i) for i in m1.interior()]
     a2 = [signed_angle(m2, i) for i in m2.interior()]
-    if (why := ref_values_differ(a1, a2, angle_tol, "signed angle sequences")) is not None:
+    if (why := ref_values_differ(a1, a2, angle_tol, "signed angle sequences", m1.interior())) is not None:
         return ref_hyp_fail(why)
     return ref_finish_with_oracle(m1, m2, Group.SE, tol)
 
@@ -342,7 +345,7 @@ def ref_decide_host(m1, m2, sig_tol=SIGNATURE_REL_TOL, tol=1e-6, right_tol=None)
         return ref_hyp_fail(why)
     d1 = [chord(m1, m1.resolve(i, -3), i) for i in range(n)]
     d2 = [chord(m2, m2.resolve(i, -3), i) for i in range(n)]
-    if (why := ref_values_differ(d1, d2, sig_tol, "3-step chord sequences")) is not None:
+    if (why := ref_values_differ(d1, d2, sig_tol, "3-step chord sequences", range(n))) is not None:
         return ref_hyp_fail(why)
     if (why := ref_signatures_differ(m1, m2, Scheme.EQ4, SPEC33, sig_tol)) is not None:
         return ref_hyp_fail(why)
@@ -549,6 +552,24 @@ class TestRulesMatchFrozenReferences:
         assert {"signature-direction", "signature-directions", "angle", "signed", "step-3", "closing",
                 "a", "edge", "centered", "(3,1)-curvature", "3-step", "end", "starting", "curvature",
                 "eq1", "eq2", "eq3"} <= reasons
+
+
+class TestReasonsNameMeshIndices:
+    """A sequence that differs is named at the mesh index of its worst center, not at its position."""
+
+    @pytest.mark.parametrize("decide, turns, changed, reason", [
+        # the signed angles sit at centers 1..5: the third turn is at vertex 3
+        (ms.decide_dist_angle, [0.3, 0.2, 0.25, 0.1, 0.2], 2, "signed angle sequences differ"),
+        # the (3,1)-curvatures sit at centers 3..8: the last turn moves p[9], read only at center 8
+        (ms.decide_eq4, [0.3, 0.2, 0.25, 0.1, 0.2, 0.3, 0.15, 0.2], 7, "(3,1)-curvature sequences differ"),
+    ])
+    def test_open_walk(self, decide, turns, changed, reason):
+        other = list(turns)
+        other[changed] += 0.2
+        verdict = decide(convex_walk(turns), convex_walk(other))
+        assert verdict.status is Verdict.HYPOTHESES_NOT_MET
+        assert verdict.reason.startswith(reason)
+        assert verdict.reason.endswith(f"at index {changed + 1})")
 
 
 class TestOptionsValidatedFirst:

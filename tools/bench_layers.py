@@ -10,11 +10,11 @@ layers are timed in a fresh process that imports that side's `src/`:
 - L0, mesh construction, through public functions only: `Mesh()` on the
   points of the closed `ellipse_mesh(n, 2, 1)` and `is_ordinary` at first
   use (every derived entry built after `Mesh()` cleared), n in
-  10^2..10^5; the minimum over repeats, unscaled;
+  10^2..10^5; the minimum over repeats;
 - L1, the equiaffine block: `affine._block(mesh)` at first use (every
   derived entry built after `Mesh()` cleared), on the closed
   `ellipse_mesh(n, 2, 1)` for n in 10^2..10^5 and on one 32-point open
-  arc shaped like sa-arcs'; the minimum over repeats, unscaled, and the
+  arc shaped like sa-arcs'; the minimum over repeats, and the
   tracemalloc peak of one build. A size where every window is rejected is
   recorded as failed, with the first window's message, never dropped;
 - the fit, sector and gap-bound kernels, each called on the arrays the
@@ -27,20 +27,22 @@ layers are timed in a fresh process that imports that side's `src/`:
   `signed_angle` and `euclidean_curvature` at every index (n up to 10^4),
   the two kinds of reader of the stencil table, and `se_signature(EQ2)`
   at first use (with `spacing_tol=1`, which the ellipse's unequal edges
-  need); the minimum over repeats, unscaled;
+  need), and `sa_signature(EQ6)` at first use (n up to 10^4, and on the
+  32-point arc), so that both halves of the signature row builder have a
+  row; the minimum over repeats;
 - L3, the alignment oracle: `align` of a closed radial outline of n
   points (n in 10^2..10^5) onto its image under each group, started at
   another index (and reversed under E and Abar, with CYCLIC_REVERSAL),
   and index-aligned onto its SE image, as the decision rules call it; at
   first use (every derived entry built after `Mesh()` cleared from both
   meshes) and at reuse (the entries kept from the call before); the
-  minimum over repeats, unscaled, and the tracemalloc peak of one first
+  minimum over repeats, and the tracemalloc peak of one first
   use;
 - L3, the decision rules: each rule of the se-rules workload on one of
   its 38-point open pairs, `decide_host` on the same points closed, and
   all of them in turn, as one se-rules pair runs them; at first use
   (every derived entry built after `Mesh()` cleared from the four meshes)
-  and at reuse; the minimum over 200 repeats, unscaled;
+  and at reuse; the minimum over 200 repeats;
 - L0 and L3 off the unit scale: `Mesh()` on the points of the closed
   `ellipse_mesh(n, 2, 1)` scaled by 2^600, and cyclic SE and SA `align`
   of that mesh onto its SE and SA images started at another index, at
@@ -48,19 +50,26 @@ layers are timed in a fresh process that imports that side's `src/`:
   exponent k != 0, and each row records the two; where they differ
   (SE at n = 10^2, 10^3 and 10^5, SA at n = 10^2, 10^4 and 10^5), the row
   times the pair-unit scaling of one mesh's scalars and of the compared
-  arrays. The minimum over repeats, unscaled; an `align` that raises is
+  arrays. The minimum over repeats; an `align` that raises is
   recorded as failed, with its message.
 
 `--layers` prints the layers of the meshsig on sys.path as one JSON line.
 
-Every process also times the benchmark's calibration pass (a dense
-256 x 256 distance pass), so that figures from different moments can be
-compared. End to end, `perfbench/run.py` runs each workload in both
-checkouts in alternating order (the parent first on even pairs), with
-seeds first_seed, first_seed + 1, ...; the claimed workload gets `--pairs`
-pairs, the other workloads `--other-pairs`. One traced run of the claimed
-workload per side records the per-layer figures. The result is one JSON
-file.
+Every timed row is a dict: `ms`, the minimum unscaled; `calibration_ms`,
+the benchmark's calibration pass (a dense 256 x 256 distance pass, the
+median of 5) timed right before and right after the row's repeats,
+averaged; and `scaled_ms`, `ms` scaled to a host whose calibration pass
+takes perfbench's nominal 3.0 ms, as `perfbench/run.py` scales its
+operations, to take out the host's changes of speed between rows and
+between processes. Each process also records the median of 21
+calibration passes at its start and end.
+
+End to end, `perfbench/run.py` runs each workload in both checkouts in
+alternating order (the parent first on even pairs), with seeds
+first_seed, first_seed + 1, ...; the claimed workload gets `--pairs`
+pairs, the other workloads `--other-pairs`. One traced run of the
+claimed workload per side records the per-layer figures. The result is
+one JSON file.
 """
 
 from __future__ import annotations
@@ -80,11 +89,14 @@ from pathlib import Path
 SIZES = (100, 1000, 10000, 100000)
 REPEATS = {100: 50, 1000: 20, 10000: 5, 100000: 2}
 WORKLOADS = ("se-outlines", "sa-arcs", "se-rules", "cyclic-match")
+# perfbench/run.py's NOMINAL_CAL_MS: scaled times are those of a host whose calibration pass takes this long
+NOMINAL_CAL_MS = 3.0
+ROW_CALIBRATIONS = 5
 BETTER = {"points_per_s": "higher", "op_p50_ms": "lower", "op_p90_ms": "lower",
           "peak_rss_mb": "lower", "setup_s": "lower"}
 
 
-def best_of(f, repeats: int) -> float:
+def min_ms(f, repeats: int) -> float:
     """Minimum wall time of f() over the repeats, in ms."""
     times = []
     for _ in range(repeats):
@@ -94,14 +106,27 @@ def best_of(f, repeats: int) -> float:
     return 1e3 * min(times)
 
 
-def calibration_ms() -> float:
+def best_of(f, repeats: int) -> dict:
+    """Minimum wall time of f() over the repeats, in ms: unscaled, and scaled as perfbench scales its operations.
+
+    The scale is NOMINAL_CAL_MS over the mean of the calibration passes
+    timed right before and right after the repeats.
+    """
+    before = calibration_ms(ROW_CALIBRATIONS)
+    t = min_ms(f, repeats)
+    cal = (before + calibration_ms(ROW_CALIBRATIONS)) / 2
+    return {"ms": t, "scaled_ms": t * NOMINAL_CAL_MS / cal, "calibration_ms": cal}
+
+
+def calibration_ms(passes: int = 21) -> float:
+    """Median time of the benchmark's calibration pass (a dense 256 x 256 distance pass) over the passes, in ms."""
     import numpy as np
     pts = np.column_stack([np.cos(np.arange(256) * 0.05), np.sin(np.arange(256) * 0.07)])
 
     def once():
         diff = pts[:, None, :] - pts[None, :, :]
         np.sqrt((diff * diff).sum(axis=2)).max()
-    return statistics.median(best_of(once, 1) for _ in range(21))
+    return statistics.median(min_ms(once, 1) for _ in range(passes))
 
 
 def kernel_calls(affine, blk, win):
@@ -165,8 +190,22 @@ def per_index_layer() -> list:
                 lambda: [ms.euclidean_curvature(m, i) for m in (fresh(),) for i in range(n)], REPEATS[n])
         entry["se_signature_eq2_ms"] = best_of(
             lambda: ms.se_signature(fresh(), ms.Scheme.EQ2, spacing_tol=1.0), REPEATS[n])
+        if n <= 10000:
+            entry["sa_signature_eq6_ms"] = sa_signature_row(fresh, REPEATS[n])
         out.append(entry)
+    arc = first_use(gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False))
+    out.append({"n": 32, "mesh": "sa-arcs-shaped open arc", "sa_signature_eq6_ms": sa_signature_row(arc, 200)})
     return out
+
+
+def sa_signature_row(fresh, repeats: int) -> dict:
+    """`sa_signature(EQ6)` at first use on the mesh `fresh()` returns, or the error it raises, recorded as failed."""
+    import meshsig as ms
+    try:
+        ms.sa_signature(fresh(), ms.Scheme.EQ6)
+    except ms.MeshSigError as exc:
+        return {"failed": f"{type(exc).__name__}: {exc}"}
+    return best_of(lambda: ms.sa_signature(fresh(), ms.Scheme.EQ6), repeats)
 
 
 def radial_outline(rng, n: int):
