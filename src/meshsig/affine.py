@@ -110,10 +110,6 @@ class ConicCoeffs:
     def vector(self) -> np.ndarray:
         return np.array([self.A, self.B, self.C, self.D, self.E, self.F0])
 
-    @property
-    def matrix3(self) -> np.ndarray:
-        return _matrix3(self.vector[None])[0]
-
     def evaluate(self, point) -> float:
         x, y = float(point[0]), float(point[1])
         return (

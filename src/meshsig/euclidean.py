@@ -110,7 +110,7 @@ def se_signature(
     mesh: Mesh,
     scheme: Scheme,
     spec: NeighborhoodSpec = SPEC11,
-    spacing_tol: float | None = None,
+    spacing_tol: float = SPACING_REL_TOL,
 ) -> Signature:
     """The SE-signature of an ordinary mesh under one of schemes 1-4.
 
@@ -125,7 +125,7 @@ def se_signature(
     spec : NeighborhoodSpec
         Stencil for the per-point curvature.
     spacing_tol : float, optional
-        Equal-spacing tolerance for EQ1/EQ2; library default when omitted.
+        Equal-spacing tolerance for EQ1/EQ2, ``SPACING_REL_TOL`` by default.
         SchemeSpacingMismatch names the first edge shorter than the longest
         by more than this fraction of it.
 
@@ -146,6 +146,6 @@ def se_signature(
     if not is_ordinary(mesh):
         raise NotOrdinary("signature of a mesh with a cusp")
     if scheme.needs_equal_spacing:
-        _check_edge_spacing(mesh, scheme, SPACING_REL_TOL if spacing_tol is None else spacing_tol)
+        _check_edge_spacing(mesh, scheme, spacing_tol)
     columns = derived(mesh, ("se", scheme, spec.m1, spec.m2), _signature_columns, scheme, spec)
     return Signature._of(columns, scheme, spec)

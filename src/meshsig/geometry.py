@@ -102,9 +102,17 @@ class NeighborhoodSpec:
 SPEC11 = NeighborhoodSpec(1, 1)
 
 
+def _orient_xy(px, py, qx, qy, rx, ry):
+    """(q - p) x (r - p) from the points' coordinates, as floats or arrays: the one orientation formula.
+
+    Every orientation sign, hull test and stencil cross rounds as this does.
+    """
+    return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+
+
 def orient(p, q, r) -> float:
     """Twice the signed area of triangle (p, q, r); positive for ccw."""
-    return float((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+    return float(_orient_xy(p[0], p[1], q[0], q[1], r[0], r[1]))
 
 
 def _as_points(points) -> np.ndarray:
@@ -153,7 +161,7 @@ def _first_short(lengths: np.ndarray, rel_tol: float) -> int | None:
 
 def orient_rows(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """:func:`orient` of the triples (p[k], q[k], r[k]) of three (k, 2) arrays, bit for bit."""
-    return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
+    return _orient_xy(p[:, 0], p[:, 1], q[:, 0], q[:, 1], r[:, 0], r[:, 1])
 
 
 def _scale_exponent(big: float) -> int:
@@ -245,8 +253,8 @@ def _outside_octagon(pts: np.ndarray) -> np.ndarray:
     """The points not strictly inside the octagon of the extreme points in the directions k * 45 degrees.
 
     Akl and Toussaint's filter: a point strictly inside is no hull vertex.
-    The test is :func:`orient` of each octagon edge and the point, rounded
-    as orient rounds it, so it agrees with the hull's own tests.
+    The test is :func:`_orient_xy` of each octagon edge and the point, so it
+    agrees with the hull's own tests.
     """
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
     s, t = x + y, x - y
@@ -255,9 +263,8 @@ def _outside_octagon(pts: np.ndarray) -> np.ndarray:
     inside = np.ones(len(pts), dtype=bool)
     corners = a.tolist()
     for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
-        ex, ey = bx - ax, by - ay
-        if ex or ey:  # an edge of coinciding extreme points bounds nothing
-            inside &= ex * (y - ay) - ey * (x - ax) > 0
+        if (ax, ay) != (bx, by):  # an edge of coinciding extreme points bounds nothing
+            inside &= _orient_xy(ax, ay, bx, by, x, y) > 0
     inside[ext] = False  # keeps one of a set of coinciding points
     return pts[~inside]
 
@@ -288,8 +295,7 @@ def _convex_hull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if 2 * d >= m:
                 break
             px, py, cx, cy, nx, ny = x[:m - 2 * d], y[:m - 2 * d], x[d:m - d], y[d:m - d], x[2 * d:], y[2 * d:]
-            # orient(previous, center, next) <= 0, as orient rounds it
-            r = (cx - px) * (ny - py) - (cy - py) * (nx - px) <= 0
+            r = _orient_xy(px, py, cx, cy, nx, ny) <= 0  # orient(previous, center, next) <= 0
             r[max(b - 2 * d, 0):b] = False  # a triple that straddles the two chains certifies nothing
             reflex[d:m - d] |= r
         if not reflex.any():
@@ -417,9 +423,6 @@ class Mesh:
         if self.closed:
             return range(self.n)
         return range(m1, self.n - m2)
-
-    def with_points(self, points, label: str | None = None) -> "Mesh":
-        return Mesh(points, closed=self.closed, label=self.label if label is None else label)
 
 
 def derived(mesh: Mesh, key, build, *args):
@@ -736,8 +739,8 @@ def _stencil(mesh: Mesh, spec: NeighborhoodSpec) -> Stencil:
     prev, mid, nxt = neighbor_triples(mesh, mesh.interior(spec.m1, spec.m2), spec)
     kappa, degenerate, (back, ahead, _) = _curvatures(prev, mid, nxt)
     u, v = prev - mid, nxt - mid
-    # v x u, as orient(mid, nxt, prev) rounds it: its sign is the triple's, its magnitude the angle's
-    cross = v[:, 0] * u[:, 1] - v[:, 1] * u[:, 0]
+    # orient(mid, nxt, prev), v x u: its sign is the triple's, its magnitude the angle's
+    cross = _orient_xy(mid[:, 0], mid[:, 1], nxt[:, 0], nxt[:, 1], prev[:, 0], prev[:, 1])
     k = working_points(mesh).k
     band = COLLINEARITY_REL_TOL * math.ldexp(mesh.diameter, -k) ** 2
     sign = np.where(np.abs(cross) <= band, 0, np.where(cross > 0, 1, -1))
@@ -801,7 +804,7 @@ def circumcircle(p, q, r) -> tuple[Point2, float]:
     uu = ux * ux + uy * uy
     vv = vx * vx + vy * vy
     scale2 = max(uu, vv, (rx - qx) ** 2 + (ry - qy) ** 2)
-    d = 2.0 * (ux * vy - uy * vx)
+    d = 2.0 * _orient_xy(px, py, qx, qy, rx, ry)
     if abs(d) <= COLLINEARITY_REL_TOL * scale2 * 2.0:
         raise CollinearPoints("circumcircle of a collinear triple")
     cx = (vy * uu - uy * vv) / d

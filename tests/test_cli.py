@@ -250,6 +250,17 @@ class TestSignatureCommand:
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert "truncate" in capsys.readouterr().err
 
+    def test_stencil_flags_ignored_by_equiaffine_schemes(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        write_circle(path, n=16)
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        args = ["signature", str(path), "--group", "sa", "--scheme", "6", "--closed", "--out"]
+        assert main(args + [str(plain)]) == 0
+        assert "--m1/--m2" not in capsys.readouterr().err
+        assert main(args + [str(flagged), "--m1", "2"]) == 0
+        assert "note: --m1/--m2 apply to Euclidean schemes only; ignored" in capsys.readouterr().err
+        assert flagged.read_text() == plain.read_text()
+
     def test_custom_stencil_flags(self, tmp_path):
         path = tmp_path / "c.csv"
         write_circle(path, n=14, radius=2.0)

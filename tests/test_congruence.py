@@ -62,6 +62,12 @@ class TestAlign:
             err = np.abs(ms.apply_motion(verdict.witness, m).points - mg.points).max()
             assert err <= 1e-9 * max(m.diameter, mg.diameter)
 
+    def test_repr_names_status_and_reason(self):
+        circle = gen.circle_mesh(8)
+        assert repr(ms.align(circle, circle, ms.Group.SE)) == "CongruenceVerdict(congruent)"
+        verdict = ms.align(circle, gen.circle_mesh(8, radius=2.0), ms.Group.SE)
+        assert repr(verdict) == "CongruenceVerdict(not-congruent, reason='diameters differ')"
+
     def test_symmetry(self):
         rng = np.random.default_rng(22)
         for _ in range(50):

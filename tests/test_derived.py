@@ -439,9 +439,9 @@ class TestSignatureColumns:
         assert encode(ms.sa_signature(m, ms.Scheme.EQ6, spacing_tol=1e-2)) == loose
         m = uneven_walk()
         loose = encode(ms.se_signature(m, ms.Scheme.EQ1, spacing_tol=1e-2))
-        for tol in (None, 1e-5):
+        for given in ({}, {"spacing_tol": 1e-5}):  # the default, SPACING_REL_TOL, and a tighter one
             with pytest.raises(SchemeSpacingMismatch, match="eq1 requires an equally spaced mesh"):
-                ms.se_signature(m, ms.Scheme.EQ1, spacing_tol=tol)
+                ms.se_signature(m, ms.Scheme.EQ1, **given)
         assert encode(ms.se_signature(m, ms.Scheme.EQ1, spacing_tol=1e-2)) == loose
 
     @pytest.mark.parametrize("signature, mesh, scheme, error", [

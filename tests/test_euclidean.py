@@ -337,6 +337,12 @@ class TestSeSignature:
             np.testing.assert_allclose(sig.kappas, 1.0 / radius, rtol=1e-12)
             assert np.abs(sig.kappa_s).max() <= 1e-9 * (1.0 / radius)
 
+    def test_iterates_its_points(self):
+        sig = ms.se_signature(gen.circle_mesh(8), ms.Scheme.EQ2)
+        rows = list(sig)
+        assert rows == sig.points and len(rows) == len(sig) == 8
+        assert [p.index for p in rows] == sig.indices.tolist()
+
     def test_ex3_middle_signature_point(self):
         # circumradius pattern (R, R, r) with R=1, r=1/2 and d(p1, p3)=1:
         # the middle row must be (1/R, (1/r - 1/R) / d13)
@@ -398,10 +404,11 @@ class TestSeSignature:
     ])
     def test_spacing_mismatch_names_the_first_edge_outside_the_band(self, points, tol, named):
         m = ms.Mesh(points)
+        given = {} if tol is None else {"spacing_tol": tol}  # None: the default, SPACING_REL_TOL
         for scheme in (ms.Scheme.EQ1, ms.Scheme.EQ2):
             with pytest.raises(SchemeSpacingMismatch, match=f"^{scheme.label} requires an equally spaced mesh; "
                                                             f"edge {named} deviates$"):
-                ms.se_signature(m, scheme, spacing_tol=tol)
+                ms.se_signature(m, scheme, **given)
 
     def test_spacing_mismatch_names_an_edge_by_the_band_not_the_last_bits(self):
         """On the rule corpus's meshes, the named edge is the first one outside the band, in plain floats."""

@@ -58,6 +58,17 @@ class TestMesh:
         assert m.resolve(5, 1) == 0
         assert m.resolve(0, -1) == 5
 
+    def test_length_repr_and_point(self):
+        m = ms.Mesh([(0.0, 0.0), (1.0, 0.0), (2.0, 1.5)], label="tri")
+        assert len(m) == 3
+        assert repr(m) == "<Mesh 'tri' open n=3>"
+        assert repr(ms.Mesh(m.points, closed=True)) == "<Mesh closed n=3>"
+        p = m.point(2)
+        assert p == ms.Point2(2.0, 1.5) and type(p.x) is float and type(p.y) is float
+        assert ms.Mesh(m.points, closed=True).point(-1) == p
+        with pytest.raises(IndexOutOfRange):
+            m.point(3)
+
     def test_cusp_spans_match_roll_reference(self):
         """Cusp spans and edge lengths are chords of the one length kernel, bit for bit, at every scale."""
         rng = np.random.default_rng(41)
@@ -305,6 +316,10 @@ class TestMotions:
         out = ms.apply_motion(ms.GroupElement.identity(), m)
         np.testing.assert_array_equal(out.points, m.points)
         assert out.closed == m.closed
+
+    def test_repr_names_linear_part_translation_and_group(self):
+        g = ms.GroupElement(np.diag([1.0, -1.0]), (2.0, 3.0), ms.Group.E)
+        assert repr(g) == "GroupElement([[1.0, 0.0], [0.0, -1.0]], [2.0, 3.0], Group.E)"
 
     def test_quarter_turn(self):
         g = ms.GroupElement.rotation(np.pi / 2)

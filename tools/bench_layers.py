@@ -5,63 +5,54 @@
                                  [--out BENCH_<label>.json]
 
 DIR is the root of a checkout (its `src/` and `perfbench/`). Each side's
-layers are timed in a fresh process that imports that side's `src/`:
+layers are timed in a fresh process that imports that side's `src/`.
 
-- L0, mesh construction, through public functions only: `Mesh()` on the
-  points of the closed `ellipse_mesh(n, 2, 1)` and `is_ordinary` at first
-  use (every derived entry built after `Mesh()` cleared), n in
-  10^2..10^5; the minimum over repeats;
-- L1, the equiaffine block: `affine._block(mesh)` at first use (every
-  derived entry built after `Mesh()` cleared), on the closed
-  `ellipse_mesh(n, 2, 1)` for n in 10^2..10^5 and on one 32-point open
-  arc shaped like sa-arcs'; the minimum over repeats, and the
-  tracemalloc peak of one build. A size where every window is rejected is
-  recorded as failed, with the first window's message, never dropped;
-- the fit, sector and gap-bound kernels, each called on the arrays the
-  block hands it;
-- the block pair: the blocks of two such 32-point arcs built one at a time
-  and jointly in one pass (`affine.build_blocks`);
-- L2, the per-index Euclidean functions, through public functions only:
-  on the closed `ellipse_mesh(n, 2, 1)` with every derived entry built
-  after `Mesh()` cleared, one `signed_angle` call (n in 10^2..10^5),
-  `signed_angle` and `euclidean_curvature` at every index (n up to 10^4),
-  the two kinds of reader of the stencil table, and `se_signature(EQ2)`
-  at first use (with `spacing_tol=1`, which the ellipse's unequal edges
-  need), and `sa_signature(EQ6)` at first use (n up to 10^4, and on the
-  32-point arc), so that both halves of the signature row builder have a
-  row; the minimum over repeats;
-- L3, the alignment oracle: `align` of a closed radial outline of n
-  points (n in 10^2..10^5) onto its image under each group, started at
-  another index (and reversed under E and Abar, with CYCLIC_REVERSAL),
-  and index-aligned onto its SE image, as the decision rules call it; at
-  first use (every derived entry built after `Mesh()` cleared from both
-  meshes) and at reuse (the entries kept from the call before); the
-  minimum over repeats, and the tracemalloc peak of one first
-  use;
-- L3, the decision rules: each rule of the se-rules workload on one of
-  its 38-point open pairs, `decide_host` on the same points closed, and
-  all of them in turn, as one se-rules pair runs them; at first use
-  (every derived entry built after `Mesh()` cleared from the four meshes)
-  and at reuse; the minimum over 200 repeats;
-- L0 and L3 off the unit scale: `Mesh()` on the points of the closed
-  `ellipse_mesh(n, 2, 1)` scaled by 2^600, and cyclic SE and SA `align`
-  of that mesh onto its SE and SA images started at another index, at
-  first use and at reuse (n in 10^2..10^5). Both meshes have a working
-  exponent k != 0, and each row records the two; where they differ
-  (SE at n = 10^2, 10^3 and 10^5, SA at n = 10^2, 10^4 and 10^5), the row
-  times the pair-unit scaling of one mesh's scalars and of the compared
-  arrays. The minimum over repeats; an `align` that raises is
-  recorded as failed, with its message.
+The layers are one table of rows (`table`), each timed by one runner
+(`run`). A row names its layer (L0-L3), its case and its sizes, each n with
+its number of repeats; a builder that returns the call's arguments for an n;
+and the call it times. Every row times the call at first use: every derived
+entry built after `Mesh()` is cleared from the row's meshes before each call
+(a row on points or arrays has none to clear). A reuse row also times the call
+on the entries kept from the call before, and a peak row records the
+tracemalloc peak of one first use. A row's notes (`congruent`,
+`correspondence`, `exponents`, `windows_fitted`) are read from the result of
+one more call after the timed ones. A `MeshSigError` or `ArithmeticError`
+raised by any row at a size is recorded as that size's `failed` message,
+after the times taken before it; any other exception, numpy warnings under
+`-W error` included, stops the tool. The rows:
 
-`--layers` prints the layers of the meshsig on sys.path as one JSON line.
+- L0: `Mesh()` on the points of the closed `ellipse_mesh(n, 2, 1)`, plain
+  and scaled by 2^600 (working exponent k != 0), and `is_ordinary` on it;
+- L1: the equiaffine block `affine._block`, with its tracemalloc peak and
+  its fitted windows (a block that fits none fails with its first window's
+  error), and the fit, sector and gap-bound kernels on the arrays the block
+  hands them, on the closed `ellipse_mesh(n, 2, 1)` and on a 32-point open
+  arc shaped like sa-arcs'; the blocks of two such arcs one at a time and
+  jointly in one pass (`affine.build_blocks`);
+- L2: `signed_angle` at one index and, with `euclidean_curvature`, at every
+  index (n up to 10^4), `se_signature(EQ2)` (with `spacing_tol=1`, which
+  the ellipse's unequal edges need) and `sa_signature(EQ6)` (n up to 10^4,
+  and on the 32-point arc), on the closed `ellipse_mesh(n, 2, 1)`;
+- L3: `align` of a closed radial outline onto its image under each group,
+  started at another index (and reversed under E and Abar, with
+  CYCLIC_REVERSAL), and index-aligned onto its SE image, at first use and
+  reuse with the tracemalloc peak; cyclic SE and SA `align` of the ellipse
+  scaled by 2^600 onto its images started at another index, at first use
+  and reuse, with both meshes' working exponents; each rule of the se-rules
+  workload on one of its 38-point open pairs, `decide_host` on the same
+  points closed, and all of them in turn, as one se-rules pair runs them,
+  at first use and reuse over 200 repeats.
 
-Every timed row is a dict: `ms`, the minimum unscaled; `calibration_ms`,
-the benchmark's calibration pass (a dense 256 x 256 distance pass, the
-median of 5) timed right before and right after the row's repeats,
-averaged; and `scaled_ms`, `ms` scaled to a host whose calibration pass
-takes perfbench's nominal 3.0 ms, as `perfbench/run.py` scales its
-operations, to take out the host's changes of speed between rows and
-between processes. Each process also records the median of 21
+Sizes are n in 10^2..10^5 unless a row says otherwise. `--layers` prints
+the machine and the rows of the meshsig on sys.path as one JSON line.
+
+Every timed value is a dict: `ms`, the minimum over the repeats, unscaled;
+`calibration_ms`, the benchmark's calibration pass (a dense 256 x 256
+distance pass, the median of 5) timed right before and right after the
+repeats, averaged; and `scaled_ms`, `ms` scaled to a host whose
+calibration pass takes perfbench's nominal 3.0 ms, as `perfbench/run.py`
+scales its operations, to take out the host's changes of speed between
+rows and between processes. Each process also records the median of 21
 calibration passes at its start and end.
 
 End to end, `perfbench/run.py` runs each workload in both checkouts in
@@ -75,6 +66,7 @@ one JSON file.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import os
@@ -86,8 +78,9 @@ import time
 import tracemalloc
 from pathlib import Path
 
-SIZES = (100, 1000, 10000, 100000)
-REPEATS = {100: 50, 1000: 20, 10000: 5, 100000: 2}
+# each n of the sweep, and the rows' other sizes, with the number of repeats whose minimum a row records
+SWEEP = ((100, 50), (1000, 20), (10000, 5), (100000, 2))
+ARC = ((32, 200),)
 WORKLOADS = ("se-outlines", "sa-arcs", "se-rules", "cyclic-match")
 # perfbench/run.py's NOMINAL_CAL_MS: scaled times are those of a host whose calibration pass takes this long
 NOMINAL_CAL_MS = 3.0
@@ -96,14 +89,11 @@ BETTER = {"points_per_s": "higher", "op_p50_ms": "lower", "op_p90_ms": "lower",
           "peak_rss_mb": "lower", "setup_s": "lower"}
 
 
-def min_ms(f, repeats: int) -> float:
-    """Minimum wall time of f() over the repeats, in ms."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        f()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * min(times)
+def elapsed_ms(f) -> float:
+    """Wall time of one call f(), in ms."""
+    t0 = time.perf_counter()
+    f()
+    return 1e3 * (time.perf_counter() - t0)
 
 
 def best_of(f, repeats: int) -> dict:
@@ -113,7 +103,7 @@ def best_of(f, repeats: int) -> dict:
     timed right before and right after the repeats.
     """
     before = calibration_ms(ROW_CALIBRATIONS)
-    t = min_ms(f, repeats)
+    t = min(elapsed_ms(f) for _ in range(repeats))
     cal = (before + calibration_ms(ROW_CALIBRATIONS)) / 2
     return {"ms": t, "scaled_ms": t * NOMINAL_CAL_MS / cal, "calibration_ms": cal}
 
@@ -126,208 +116,136 @@ def calibration_ms(passes: int = 21) -> float:
     def once():
         diff = pts[:, None, :] - pts[None, :, :]
         np.sqrt((diff * diff).sum(axis=2)).max()
-    return statistics.median(min_ms(once, 1) for _ in range(passes))
+    return statistics.median(elapsed_ms(once) for _ in range(passes))
 
 
-def kernel_calls(affine, blk, win):
-    """The fit, sector and gap-bound kernels as the block calls them, on this block's arrays."""
-    import numpy as np
-    windows = win if blk.has_window.all() else win[2:-2]
-    coef, S, F, center = (np.array(a) for a in (blk.coef, blk.S, blk.F, blk.center))
-    return {"fit": lambda: affine._fit(windows), "sectors": lambda: affine._sectors(coef, S, F, center, win),
-            "gap_bounds": lambda: affine._gap_bounds(coef, S, F)}
-
-
-def pair_layer(affine, gen) -> dict:
-    """Two sa-arcs-shaped 32-point arcs: their blocks one at a time, and jointly in one pass."""
-    arcs = (gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False),
-            gen.ellipse_mesh(32, 2.1, 0.8, t0=2.0, step=0.09, closed=False))
-    fresh = first_use(*arcs)  # clears both arcs before the second is read
-    return {"meshes": "open ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094) and ellipse_mesh(32, 2.1, 0.8, t0=2.0, step=0.09)",
-            "one_at_a_time_ms": best_of(lambda: [affine._block(m) for m in (fresh(), arcs[1])], 200),
-            "joint_ms": best_of(lambda: affine.build_blocks(fresh(), arcs[1]), 200)}
-
-
-def first_use(*meshes):
-    """A function that drops from the meshes every derived entry built after `Mesh()` and returns the first mesh."""
-    from_construction = [set(m._derived) for m in meshes]
-
-    def clear():
-        for mesh, keep in zip(meshes, from_construction):
-            for key in set(mesh._derived) - keep:
-                del mesh._derived[key]
-        return meshes[0]
-    return clear
-
-
-def mesh_layer() -> list:
-    """`Mesh()` on a closed ellipse's points, and `is_ordinary` on the mesh with its derived entries cleared."""
-    import meshsig as ms
+def ellipse(n: int) -> tuple:
+    """The closed `ellipse_mesh(n, 2, 1)`, as a row's arguments: the mesh of every row that names none."""
     from meshsig import generators as gen
-
-    out = []
-    for n in SIZES:
-        pts = gen.ellipse_mesh(n, 2.0, 1.0).points
-        fresh = first_use(ms.Mesh(pts, closed=True))
-        out.append({"n": n, "mesh_ms": best_of(lambda: ms.Mesh(pts, closed=True), REPEATS[n]),
-                    "is_ordinary_first_use_ms": best_of(lambda: ms.is_ordinary(fresh()), REPEATS[n])})
-    return out
+    return (gen.ellipse_mesh(n, 2.0, 1.0),)
 
 
-def per_index_layer() -> list:
-    """Per-index functions and se_signature on closed ellipses whose derived entries are cleared before each call."""
-    import meshsig as ms
-    from meshsig import generators as gen
-
-    out = []
-    for n in SIZES:
-        fresh = first_use(gen.ellipse_mesh(n, 2.0, 1.0))
-        entry = {"n": n, "one_signed_angle_ms": best_of(lambda: ms.signed_angle(fresh(), n // 3), REPEATS[n])}
-        if n <= 10000:
-            entry["every_signed_angle_ms"] = best_of(
-                lambda: [ms.signed_angle(m, i) for m in (fresh(),) for i in range(n)], REPEATS[n])
-            entry["every_euclidean_curvature_ms"] = best_of(
-                lambda: [ms.euclidean_curvature(m, i) for m in (fresh(),) for i in range(n)], REPEATS[n])
-        entry["se_signature_eq2_ms"] = best_of(
-            lambda: ms.se_signature(fresh(), ms.Scheme.EQ2, spacing_tol=1.0), REPEATS[n])
-        if n <= 10000:
-            entry["sa_signature_eq6_ms"] = sa_signature_row(fresh, REPEATS[n])
-        out.append(entry)
-    arc = first_use(gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False))
-    out.append({"n": 32, "mesh": "sa-arcs-shaped open arc", "sa_signature_eq6_ms": sa_signature_row(arc, 200)})
-    return out
+# One case of a layer: `call(*build(n))`, timed at first use at each (n, repeats) of its sizes. A `reuse` row also
+# times the call on the entries that the call before kept, a `peak` row records the tracemalloc peak of one first
+# use, and `notes(result, *args)` is what to record of the result of one more call.
+Row = collections.namedtuple("Row", "layer case call build sizes reuse peak notes",
+                             defaults=(ellipse, SWEEP, False, False, lambda result, *args: {}))
 
 
-def sa_signature_row(fresh, repeats: int) -> dict:
-    """`sa_signature(EQ6)` at first use on the mesh `fresh()` returns, or the error it raises, recorded as failed."""
-    import meshsig as ms
+def run(row: Row, n: int, repeats: int) -> dict:
+    """The row's times and notes at size n, or the library error that stopped it, after the times taken before."""
+    from meshsig import Mesh, MeshSigError
+
+    args, entry = row.build(n), {"n": n}
+    built_by_mesh = [(m, dict(m._derived)) for m in args if isinstance(m, Mesh)]
+
+    def fresh():  # the arguments, with every derived entry built after Mesh() dropped from their meshes
+        for mesh, entries in built_by_mesh:
+            mesh._derived = dict(entries)
+        return args
     try:
-        ms.sa_signature(fresh(), ms.Scheme.EQ6)
-    except ms.MeshSigError as exc:
-        return {"failed": f"{type(exc).__name__}: {exc}"}
-    return best_of(lambda: ms.sa_signature(fresh(), ms.Scheme.EQ6), repeats)
-
-
-def radial_outline(rng, n: int):
-    """A closed star-shaped outline with no symmetry: random low harmonics of the radius."""
-    import numpy as np
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    r = 1.0 + sum(rng.uniform(-0.08, 0.08) * np.cos(k * t + rng.uniform(0.0, 2.0 * np.pi)) for k in range(2, 6))
-    return np.column_stack([r * np.cos(t), r * np.sin(t)])
-
-
-def align_layer() -> list:
-    """`align` of closed radial outlines onto their images, cyclic and index-aligned, at first use and at reuse."""
-    import numpy as np
-    import meshsig as ms
-
-    cases = ((ms.Group.SE, ms.MatchMode.CYCLIC), (ms.Group.E, ms.MatchMode.CYCLIC_REVERSAL),
-             (ms.Group.SA, ms.MatchMode.CYCLIC), (ms.Group.ABAR, ms.MatchMode.CYCLIC_REVERSAL),
-             (ms.Group.SE, ms.MatchMode.INDEX_ALIGNED))
-    out = []
-    for n in SIZES:
-        rng = np.random.default_rng(n)
-        pts = radial_outline(rng, n)
-        for group, mode in cases:
-            linear, start = ms.random_motion(group, rng).linear, 0 if mode is ms.MatchMode.INDEX_ALIGNED else n // 3
-            order = (start - np.arange(n)) % n if mode is ms.MatchMode.CYCLIC_REVERSAL else (np.arange(n) + start) % n
-            m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh((pts @ linear.T)[order], closed=True)
-            fresh = first_use(m1, m2)
-            entry = {"n": n, "group": group.value, "mode": mode.value,
-                     "first_use_ms": best_of(lambda: ms.align(fresh(), m2, group, mode), REPEATS[n])}
-            verdict = ms.align(m1, m2, group, mode)
-            entry["reuse_ms"] = best_of(lambda: ms.align(m1, m2, group, mode), REPEATS[n])
+        entry["first_use_ms"] = best_of(lambda: row.call(*fresh()), repeats)
+        if row.reuse:
+            entry["reuse_ms"] = best_of(lambda: row.call(*args), repeats)
+        if row.peak:
             tracemalloc.start()
-            ms.align(fresh(), m2, group, mode)
+            row.call(*fresh())
             entry["first_use_tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
             tracemalloc.stop()
-            entry["congruent"], entry["correspondence"] = verdict.congruent, verdict.correspondence
-            out.append(entry)
-    return out
+        entry.update(row.notes(row.call(*args), *args))
+    except (MeshSigError, ArithmeticError) as exc:
+        entry["failed"] = f"{type(exc).__name__}: {exc}"
+    return entry
 
 
-def rules_layer() -> list:
-    """Each rule of the se-rules workload on one of its 38-point open pairs, and `decide_host` on the closed pair."""
+def table() -> list[Row]:
+    """Every row of `--layers`, in the order they are timed."""
     import numpy as np
     import meshsig as ms
+    from meshsig import affine, geometry, generators as gen
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 
-    pair = workloads.SERules()._pairs(np.random.default_rng(38), 38)
-    fresh = first_use(*pair["open"], *pair["closed"])
-    runs = [(name, functools.partial(rule, *pair["open"])) for name, rule in workloads.OPEN_RULES]
-    runs.append(("decide_host", functools.partial(ms.decide_host, *pair["closed"])))
-    each = list(runs)
-    runs.append(("every rule above, in turn", lambda: [run() for _, run in each][-1]))
-    out = []
-    for name, run in runs:
-        entry = {"rule": name, "first_use_ms": best_of(lambda: (fresh(), run()), 200), "congruent": run().congruent}
-        entry["reuse_ms"] = best_of(run, 200)
-        out.append(entry)
-    return out
+    on_ellipse, on_arc = "closed ellipse_mesh(n, 2, 1)", "open arc ellipse_mesh(n, 1.6, 1.1, t0=0.4, step=0.094)"
+    arc = lambda n: (gen.ellipse_mesh(n, 1.6, 1.1, t0=0.4, step=0.094, closed=False),)
+    arcs = lambda n: (*arc(n), gen.ellipse_mesh(n, 2.1, 0.8, t0=2.0, step=0.09, closed=False))
+    closed, far = functools.partial(ms.Mesh, closed=True), lambda pts: np.ldexp(pts, 600)
+    every_index = lambda f: lambda m: [f(m, i) for i in range(m.n)]
+    sa6 = lambda m: ms.sa_signature(m, ms.Scheme.EQ6)
+    verdict = lambda v, *meshes: {"congruent": v.congruent, "correspondence": v.correspondence}
 
+    def fitted(blk, mesh):
+        if not blk.fitted.any():
+            affine._row(mesh, min(blk.fit_errors))  # raises the first window's fit error
+        return {"windows_fitted": int(blk.fitted.sum())}
 
-def far_layer() -> list:
-    """`Mesh()` on the closed ellipse scaled by 2^600, and cyclic SE and SA `align` of it onto its images."""
-    import numpy as np
-    import meshsig as ms
-    from meshsig import generators as gen
-    from meshsig.geometry import working_points
+    def kernel_args(kernel, mesh_of, n):  # the kernel's arguments, as the block hands them
+        mesh, = mesh_of(n)
+        blk, win = affine._block(mesh), np.stack(geometry._gather(mesh.points, affine._FIT_OFFSETS, range(n)), axis=1)
+        arrays = [np.array(a) for a in (blk.coef, blk.S, blk.F, blk.center)]
+        windows = win if blk.has_window.all() else win[2:-2]
+        return {"_fit": (windows,), "_sectors": (*arrays, win), "_gap_bounds": arrays[:3]}[kernel]
 
-    out = []
-    for n in SIZES:
-        unit = gen.ellipse_mesh(n, 2.0, 1.0).points
-        pts = np.ldexp(unit, 600)
-        entry = {"n": n, "mesh_ms": best_of(lambda: ms.Mesh(pts, closed=True), REPEATS[n]), "cyclic_align": []}
-        for group in (ms.Group.SE, ms.Group.SA):
-            image = np.roll(ms.random_motion(group, n).apply(unit), -(n // 3), axis=0)
-            m1, m2 = ms.Mesh(pts, closed=True), ms.Mesh(np.ldexp(image, 600), closed=True)
-            fresh = first_use(m1, m2)
-            row = {"group": group.value, "exponents": [working_points(m).k for m in (m1, m2)]}
-            try:
-                verdict = ms.align(fresh(), m2, group, ms.MatchMode.CYCLIC)
-            except (ArithmeticError, ms.MeshSigError) as exc:  # an oracle on unscaled coordinates overflows here
-                row["failed"] = f"{type(exc).__name__}: {exc}"
-            else:
-                row["first_use_ms"] = best_of(lambda: ms.align(fresh(), m2, group, ms.MatchMode.CYCLIC), REPEATS[n])
-                row["reuse_ms"] = best_of(lambda: ms.align(m1, m2, group, ms.MatchMode.CYCLIC), REPEATS[n])
-                row["congruent"], row["correspondence"] = verdict.congruent, verdict.correspondence
-            entry["cyclic_align"].append(row)
-        out.append(entry)
-    return out
+    cases = [(ms.Group(group), ms.MatchMode(mode)) for group, mode in (
+        ("se", "cyclic"), ("e", "cyclic-reversal"), ("sa", "cyclic"), ("abar", "cyclic-reversal"), ("se", "aligned"))]
+
+    def outline_pair(j, n):  # a star-shaped outline with no symmetry (random low harmonics of the radius), its image
+        rng, t = np.random.default_rng(n), np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        r = 1.0 + sum(rng.uniform(-0.08, 0.08) * np.cos(k * t + rng.uniform(0.0, 2.0 * np.pi)) for k in range(2, 6))
+        pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        linear = [ms.random_motion(group, rng).linear for group, _ in cases[:j + 1]][-1]  # the cases draw in turn
+        mode = cases[j][1]
+        start = 0 if mode is ms.MatchMode.INDEX_ALIGNED else n // 3
+        order = (start - np.arange(n)) % n if mode is ms.MatchMode.CYCLIC_REVERSAL else (np.arange(n) + start) % n
+        return closed(pts), closed((pts @ linear.T)[order])
+
+    def far_pair(group, n):
+        unit = ellipse(n)[0].points
+        return closed(far(unit)), closed(far(np.roll(ms.random_motion(group, n).apply(unit), -(n // 3), axis=0)))
+
+    def rule_meshes(n):  # one se-rules pair, open and closed
+        pair = workloads.SERules()._pairs(np.random.default_rng(n), n)
+        return (*pair["open"], *pair["closed"])
+
+    rules = [(f"{name}, se-rules 38-point open pair", lambda a, b, c, d, rule=rule: rule(a, b))
+             for name, rule in workloads.OPEN_RULES]
+    rules.append(("decide_host, the same points closed", lambda a, b, c, d: ms.decide_host(c, d)))
+    rules.append(("every rule above, in turn", lambda *m, each=[r for _, r in rules]: [r(*m) for r in each][-1]))
+    rows = [Row("L0", f"Mesh() on the points of the {on_ellipse}", closed, lambda n: (ellipse(n)[0].points,)),
+            Row("L0", f"Mesh() on the points of the {on_ellipse} scaled by 2^600", closed,
+                lambda n: (far(ellipse(n)[0].points),)),
+            Row("L0", f"is_ordinary, {on_ellipse}", ms.is_ordinary)]
+    for case, mesh_of, sizes in ((on_ellipse, ellipse, SWEEP), (on_arc, arc, ARC)):
+        rows.append(Row("L1", f"affine._block, {case}", affine._block, mesh_of, sizes, peak=True, notes=fitted))
+        rows += [Row("L1", f"affine.{k} on the arrays of the block, {case}", getattr(affine, k),
+                     functools.partial(kernel_args, k, mesh_of), sizes) for k in ("_fit", "_sectors", "_gap_bounds")]
+    both_arcs = f"the {on_arc} and the open arc ellipse_mesh(n, 2.1, 0.8, t0=2.0, step=0.09)"
+    rows += [Row("L1", f"affine._block of each of {both_arcs}", lambda *m: [affine._block(x) for x in m], arcs, ARC),
+             Row("L1", f"affine.build_blocks of {both_arcs}, in one pass", affine.build_blocks, arcs, ARC),
+             Row("L2", f"signed_angle at index n // 3, {on_ellipse}", lambda m: ms.signed_angle(m, m.n // 3)),
+             Row("L2", f"signed_angle at every index, {on_ellipse}", every_index(ms.signed_angle), sizes=SWEEP[:3]),
+             Row("L2", f"euclidean_curvature at every index, {on_ellipse}", every_index(ms.euclidean_curvature),
+                 sizes=SWEEP[:3]),
+             Row("L2", f"se_signature(EQ2, spacing_tol=1), {on_ellipse}",
+                 lambda m: ms.se_signature(m, ms.Scheme.EQ2, spacing_tol=1.0)),
+             Row("L2", f"sa_signature(EQ6), {on_ellipse}", sa6, sizes=SWEEP[:3]),
+             Row("L2", f"sa_signature(EQ6), {on_arc}", sa6, arc, ARC)]
+    rows += [Row("L3", f"align {group.value} {mode.value}, closed radial outline onto its image",
+                 functools.partial(ms.align, group=group, mode=mode), functools.partial(outline_pair, j),
+                 reuse=True, peak=True, notes=verdict) for j, (group, mode) in enumerate(cases)]
+    rows += [Row("L3", f"align {group.value} cyclic, {on_ellipse} scaled by 2^600 onto its image",
+                 functools.partial(ms.align, group=group, mode=ms.MatchMode.CYCLIC), functools.partial(far_pair, group),
+                 reuse=True, notes=lambda v, *m: {"exponents": [geometry.working_points(x).k for x in m], **verdict(v)})
+             for group in (ms.Group.SE, ms.Group.SA)]
+    return rows + [Row("L3", case, call, rule_meshes, ((38, 200),), reuse=True,
+                       notes=lambda v, *m: {"congruent": v.congruent}) for case, call in rules]
 
 
 def layers() -> dict:
-    """Mesh, block, kernel, per-index and alignment times of the meshsig on sys.path (run in a child process)."""
-    import numpy as np
-    from meshsig import affine, geometry
-    from meshsig import generators as gen
-
-    meshes = [(f"ellipse_mesh({n}, 2, 1)", gen.ellipse_mesh(n, 2.0, 1.0), REPEATS[n]) for n in SIZES]
-    meshes.append(("sa-arcs-shaped open arc, n=32", gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False), 200))
-    out = {"calibration_ms": calibration_ms(), "mesh": mesh_layer(), "sizes": []}
-    for name, mesh, repeats in meshes:
-        n = mesh.n
-        fresh = first_use(mesh)
-        with np.errstate(all="ignore"):
-            entry = {"mesh": name, "n": n, "block_ms": best_of(lambda: affine._block(fresh()), repeats)}
-            tracemalloc.start()
-            blk = affine._block(fresh())
-            entry["block_tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
-            tracemalloc.stop()
-            win = np.stack(geometry._gather(mesh.points, affine._FIT_OFFSETS, range(n)), axis=1)
-            for kernel, call in kernel_calls(affine, blk, win).items():
-                entry[f"{kernel}_ms"] = best_of(call, repeats)
-        entry["windows_fitted"] = int(blk.fitted.sum())
-        if not blk.fitted.any():
-            first = min(blk.fit_errors)
-            entry["failed"] = f"every window rejected; window {first}: {blk.fit_errors[first]}"
-        out["sizes"].append(entry)
-    out["pair"] = pair_layer(affine, gen)
-    out["per_index"] = per_index_layer()
-    out["cyclic_align"] = align_layer()
-    out["rules"] = rules_layer()
-    out["far_from_unit_scale"] = far_layer()
+    """Every row of the table, timed on the meshsig on sys.path (run in a child process)."""
+    out = {"calibration_ms": calibration_ms()}
+    out["rows"] = [{"layer": row.layer, "case": row.case, "sizes": [run(row, n, repeats) for n, repeats in row.sizes]}
+                   for row in table()]
     out["calibration_ms_after"] = calibration_ms()
     return out
 
@@ -392,7 +310,7 @@ def main() -> int:
     ap.add_argument("--layers", action="store_true", help="print the layers of the meshsig on sys.path as one JSON line")
     args = ap.parse_args()
     if args.layers:
-        print(json.dumps(layers()))
+        print(json.dumps({"machine": machine(), **layers()}))
         return 0
     if not (args.parent and args.change and args.claimed and args.out):
         ap.error("--parent, --change, --claimed and --out are required unless --layers is given")
