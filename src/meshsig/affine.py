@@ -728,7 +728,7 @@ def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[np.ndarray, np.ndarr
         _row(mesh, i, "arc")
         return f"{scheme.label} arc length at index {i} vanishes"
 
-    return signature_columns(mesh, scheme, SA_SPEC, lambda c: (blk.kappa[c], blk.kappa_ok[c]),
+    return signature_columns(mesh, scheme, SA_SPEC, (0, blk.kappa, blk.kappa_ok),
                              lambda c: _row(mesh, c, "kappa"), denominators, vanishing)
 
 

@@ -120,9 +120,19 @@ def _frame(mesh: Mesh) -> _Frame:
     return derived(mesh, "frame", _build_frame)
 
 
+def _build_spectrum(mesh: Mesh) -> np.ndarray:
+    centred = working_points(mesh).points - _frame(mesh).mean
+    return _frozen(np.fft.rfft(np.ascontiguousarray(centred.T)))[0]
+
+
 def _spectrum(mesh: Mesh) -> np.ndarray:
-    """``np.fft.rfft`` of the centred coordinates, a read-only (2, n // 2 + 1) array in working units, built once."""
-    return derived(mesh, "spectrum", lambda m: _frozen(np.fft.rfft((working_points(m).points - _frame(m).mean).T))[0])
+    """``np.fft.rfft`` of the centred coordinates, a read-only (2, n // 2 + 1) array in working units, built once.
+
+    It is stored in C order, a row per coordinate, as the transform of the
+    C-ordered rows: the transform of the transposed (n, 2) points would be
+    column-major, and ``_shift_scan``'s products would read it strided.
+    """
+    return derived(mesh, "spectrum", _build_spectrum)
 
 
 def _witness_maps(H: np.ndarray, p: _Frame, group: Group, j: int) -> tuple[list[np.ndarray], str]:
@@ -179,25 +189,45 @@ def _shift_scan(m1: Mesh, m2: Mesh, group: Group, reversal: bool, limit: float):
     2n limit², so ``admitted``, the flat indices of residual within
     2n limit² + bound, holds every correspondence that could verify, up to
     the rounding of the centring and of the deviation check itself.
+
+    The spectrum products are stacked in C order with the shift axis last,
+    and the inverse FFT runs over that last axis, so the transform, every
+    later pass over h and the computed residual, a C-ordered
+    (1 + reversal, n) array returned as its (n, 1 + reversal) transpose,
+    run on contiguous memory under every numpy: an FFT over any other axis
+    returns a strided array on numpy 1.x. A strided layout gives the same
+    values, only more slowly: each of those passes then walks memory out
+    of order.
     """
     k1, k2 = working_points(m1).k, working_points(m2).k
     K, n, (_, g00, g01, g11), q, fp, fq = max(k1, k2), m1.n, _frame(m1), _frame(m2), _spectrum(m1), _spectrum(m2)
     spectra = [fp.conj()[:, None] * fq] + ([fp[:, None] * fq] if reversal else [])
-    h = np.fft.irfft(np.stack(spectra, axis=-1), n, axis=-2)  # in units 2^(k1 + k2)
+    h = np.fft.irfft(np.stack(spectra, axis=2), n)  # in units 2^(k1 + k2), C-ordered (2, 2, 1 + reversal, n)
     pp, qq = math.ldexp(g00 + g11, 2 * (k1 - K)), math.ldexp(q.g00 + q.g11, 2 * (k2 - K))
     if group in (Group.SE, Group.E):
-        h00, h01, h10, h11 = _ldexp(h, k1 + k2 - 2 * K).reshape(4, n, -1)
+        h00, h01, h10, h11 = _ldexp(h, k1 + k2 - 2 * K).reshape(4, -1, n)
         fit = np.hypot(h00 + h11, h01 - h10)
         if group is Group.E:
             fit = np.maximum(fit, np.hypot(h00 - h11, h01 + h10))
         residual, kappa = pp + qq - 2.0 * fit, 1.0
     else:
-        h00, h01, h10, h11 = h.reshape(4, n, -1)
+        h00, h01, h10, h11 = h.reshape(4, -1, n)
         det = g00 * g11 - g01 * g01
         fit = g11 * (h00 * h00 + h01 * h01) - 2.0 * g01 * (h00 * h10 + h01 * h11) + g00 * (h10 * h10 + h11 * h11)
         residual, kappa = qq - _ldexp(fit / det, 2 * (k2 - K)), (g00 + g11) ** 2 / det
     bound = 8.0 * math.ulp(1.0) * (pp + qq) * (math.sqrt(n * kappa) * math.log2(2 * n) + n * kappa)
-    return residual, bound, np.flatnonzero(residual.ravel() <= 2 * n * limit ** 2 + bound)
+    residual = residual.T  # residual[s, rev]; its flat indices s (1 + reversal) + rev
+    return residual, bound, np.flatnonzero(residual <= 2 * n * limit ** 2 + bound)
+
+
+def _cyclic_rows(X: np.ndarray, shift: int, rev: bool) -> np.ndarray:
+    """X[σ(k)] for k in [0, n): σ(k) = (shift - k) mod n with rev, else (k + shift) mod n; read as two slices.
+
+    X itself for the identity, else one copy of the two slices joined.
+    """
+    if rev:
+        return np.concatenate((X[shift::-1], X[:shift:-1]))
+    return np.concatenate((X[shift:], X[:shift])) if shift else X
 
 
 def align(
@@ -272,17 +302,17 @@ def align(
     Pc, Qc = P1 - p.mean, P2 - q.mean  # each in its own units
     P, Q = _ldexp(P1, k1 - K), _ldexp(P2, k2 - K)
     mean1, mean2 = _ldexp(p.mean, k1 - K), _ldexp(q.mean, k2 - K)
-    order, width, base = [0], 1, np.arange(n)
+    order, width = [0], 1
     if mode is not MatchMode.INDEX_ALIGNED:
         residual, _, order = _shift_scan(m1, m2, group, mode is MatchMode.CYCLIC_REVERSAL, limit)
         order, width = order if len(order) else [residual.argmin()], residual.shape[1]
     for shift, rev in (divmod(int(j), width) for j in order):
         tag = f"reversed shift+{shift}" if rev else f"shift+{shift}" if shift else "identity"
-        idx = (shift - base) % n if rev else (base + shift) % n if shift else slice(None)
-        maps, why = _witness_maps(Pc.T @ Qc[idx], p, group, k2 - k1)
+        maps, why = _witness_maps(Pc.T @ _cyclic_rows(Qc, shift, rev), p, group, k2 - k1)
+        matched = _cyclic_rows(Q, shift, rev)
         for linear in maps:
             translation = mean2 - linear @ mean1
-            deviation = float(np.abs(P @ linear.T + translation - Q[idx]).max())
+            deviation = float(np.abs(P @ linear.T + translation - matched).max())
             if deviation <= limit:  # translation and deviation back in input units
                 witness = GroupElement(linear, _ldexp(translation, K), group)
                 return CongruenceVerdict(Verdict.CONGRUENT, witness=witness, max_deviation=math.ldexp(deviation, K),

@@ -101,7 +101,7 @@ def _signature_columns(mesh: Mesh, scheme: Scheme, spec: NeighborhoodSpec) -> tu
         denom = chords(mesh, lo, hi, rows)
         return denom, denom > STENCIL_REL_TOL * mesh.diameter
 
-    return signature_columns(mesh, scheme, spec, lambda c: (table.kappa[c - start], ~table.degenerate[c - start]),
+    return signature_columns(mesh, scheme, spec, (start, table.kappa, ~table.degenerate),
                              lambda c: stencil_row(mesh, c, spec, "kappa"), denominators,
                              lambda i, lo, hi: f"{scheme.label} denominator chord ({i}{lo:+d}, {i}{hi:+d}) vanishes")
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateStencil, MeshTooShort, SchemeSpacingMismatch
-from .geometry import Group, NeighborhoodSpec, _first_short, _frozen, edge_lengths
+from .geometry import Group, NeighborhoodSpec, _first_short, _frozen, _gather, edge_lengths
 
 # Relative tolerance for declaring two signatures equal.
 SIGNATURE_REL_TOL = 1e-6
@@ -97,27 +97,29 @@ def signature_columns(mesh, scheme: Scheme, spec: NeighborhoodSpec, curvatures, 
                       vanishing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The read-only columns (indices, kappas, kappa_s) of the scheme's rows, from one group's sources.
 
-    Row i reads the curvatures at i (i - 1 when centered) to i + 1, given with whether each can be read by
-    ``curvatures(centers)``, and its denominator between the points i + lo and i + hi, given with whether it
-    can divide by ``denominators(lo, hi, rows)``. MeshTooShort when the mesh has no row; else the first row
-    that cannot be evaluated raises: ``read_curvature(c)`` raises what reading each of its curvature centers
-    in order raises, then ``vanishing(i, lo, hi)`` raises what reading its denominator raises, else names the
-    denominator for DegenerateStencil. Each kappa_s is within 2 eps (relative) of the exact quotient of the
-    same curvatures and denominator.
+    Row i reads the curvatures at i (i - 1 when centered) to i + 1, from ``curvatures = (start, kappa, ok)``:
+    the curvature at each center start + j and whether it can be read, read through ``geometry._gather``; and
+    its denominator between the points i + lo and i + hi, given with whether it can divide by
+    ``denominators(lo, hi, rows)``. MeshTooShort when the mesh has no row; else the first row that cannot be
+    evaluated raises: ``read_curvature(c)`` raises what reading each of its curvature centers in order raises,
+    then ``vanishing(i, lo, hi)`` raises what reading its denominator raises, else names the denominator for
+    DegenerateStencil. Each kappa_s is within 2 eps (relative) of the exact quotient of the same curvatures
+    and denominator.
     """
     rows = scheme_rows(mesh, scheme, spec)
     if len(rows) == 0:
         raise MeshTooShort(f"no valid {scheme.label} stencil on a {mesh.n}-point open mesh")
     (first, _), (lo, hi), factor = _QUOTIENTS[scheme]
-    centers = np.arange(rows.start + first, rows.stop + 1) % mesh.n
-    (kappa, kappa_ok), (denom, ok) = curvatures(centers), denominators(lo, hi, rows)
+    start, *columns = curvatures
+    (kappa,), (kappa_ok,) = (_gather(col, (-start,), range(rows.start + first, rows.stop + 1)) for col in columns)
+    denom, ok = denominators(lo, hi, rows)
     if not (ok.all() and kappa_ok.all()):  # every center is read by some row
-        reads = 2 - first  # row k reads the curvatures at centers[k : k + reads]
+        reads = 2 - first  # row k reads the curvatures at centers rows[k] + first, ..., rows[k] + 1
         for j in range(reads):
             ok = ok & kappa_ok[j : j + len(rows)]
         k = int(np.argmin(ok))
-        for c in centers[k : k + reads].tolist():
-            read_curvature(c)
+        for j in range(reads):
+            read_curvature((rows[k] + first + j) % mesh.n)
         raise DegenerateStencil(vanishing(rows[k], lo, hi))
     kappa_s = factor * (kappa[1 - first :] - kappa[: len(rows)]) / denom
     return _frozen(np.arange(rows.start, rows.stop), kappa[-first : len(rows) - first], kappa_s)

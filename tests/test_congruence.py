@@ -352,6 +352,27 @@ class TestLeastSquaresOracle:
                 admitted = congruence._shift_scan(m, mq, group, True, limit)[2]
                 assert admitted.tolist() == expected, (group, reverse)
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 300])
+    def test_cyclic_rows_are_the_modular_gathers(self, n):
+        X, k = np.random.default_rng(n).normal(size=(n, 2)), np.arange(n)
+        for s in range(n):
+            assert np.array_equal(congruence._cyclic_rows(X, s, False), X[(k + s) % n])
+            assert np.array_equal(congruence._cyclic_rows(X, s, True), X[(s - k) % n])
+
+    def test_scan_runs_on_contiguous_arrays(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        pts = radial_outline(rng, 300)
+        m, inputs, irfft = ms.Mesh(pts, closed=True), [], np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, *args, **kwargs: inputs.append(a) or irfft(a, *args, **kwargs))
+        for group, _, reverse in CYCLIC_CASES:
+            mq = ms.Mesh(cyclic_image(rng, pts, group, reverse)[0], closed=True)
+            residual = congruence._shift_scan(m, mq, group, reverse, 0.0)[0]
+            assert residual.shape == (300, 1 + reverse) and residual.T.flags.c_contiguous, group
+            assert congruence._spectrum(mq).flags.c_contiguous
+        assert congruence._spectrum(m).flags.c_contiguous
+        # the transform runs over the last axis of a C-ordered input, the one layout numpy 1.x keeps C-ordered
+        assert [(a.flags.c_contiguous, a.shape[-1]) for a in inputs] == [(True, 151)] * len(CYCLIC_CASES)
+
     def test_cyclic_scan_memory_is_linear(self):
         rng = np.random.default_rng(33)
         pts = radial_outline(rng, 20000)

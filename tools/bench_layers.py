@@ -38,10 +38,14 @@ after the times taken before it; any other exception, numpy warnings under
   CYCLIC_REVERSAL), and index-aligned onto its SE image, at first use and
   reuse with the tracemalloc peak; cyclic SE and SA `align` of the ellipse
   scaled by 2^600 onto its images started at another index, at first use
-  and reuse, with both meshes' working exponents; each rule of the se-rules
-  workload on one of its 38-point open pairs, `decide_host` on the same
-  points closed, and all of them in turn, as one se-rules pair runs them,
-  at first use and reuse over 200 repeats.
+  and reuse, with both meshes' working exponents; cyclic SA and Abar
+  `align` of the radial outline's image under diag(300, 1/300) onto the
+  outline started at another index, at first use and reuse (n up to 10^3:
+  the first mesh's anisotropy widens the scan's bound until every shift is
+  verified, O(n^2)); each rule of the se-rules workload on one of its
+  38-point open pairs, `decide_host` on the same points closed, and all of
+  them in turn, as one se-rules pair runs them, at first use and reuse
+  over 200 repeats.
 
 Sizes are n in 10^2..10^5 unless a row says otherwise. `--layers` prints
 the machine and the rows of the meshsig on sys.path as one JSON line.
@@ -189,15 +193,22 @@ def table() -> list[Row]:
     cases = [(ms.Group(group), ms.MatchMode(mode)) for group, mode in (
         ("se", "cyclic"), ("e", "cyclic-reversal"), ("sa", "cyclic"), ("abar", "cyclic-reversal"), ("se", "aligned"))]
 
-    def outline_pair(j, n):  # a star-shaped outline with no symmetry (random low harmonics of the radius), its image
+    def outline(n):  # a star-shaped outline with no symmetry (random low harmonics of the radius), and its rng
         rng, t = np.random.default_rng(n), np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         r = 1.0 + sum(rng.uniform(-0.08, 0.08) * np.cos(k * t + rng.uniform(0.0, 2.0 * np.pi)) for k in range(2, 6))
-        pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        return np.column_stack([r * np.cos(t), r * np.sin(t)]), rng
+
+    def outline_pair(j, n):  # the outline and its image under the j-th case
+        pts, rng = outline(n)
         linear = [ms.random_motion(group, rng).linear for group, _ in cases[:j + 1]][-1]  # the cases draw in turn
         mode = cases[j][1]
         start = 0 if mode is ms.MatchMode.INDEX_ALIGNED else n // 3
         order = (start - np.arange(n)) % n if mode is ms.MatchMode.CYCLIC_REVERSAL else (np.arange(n) + start) % n
         return closed(pts), closed((pts @ linear.T)[order])
+
+    def stretched_pair(n):  # the outline's image under diag(300, 1/300), and the outline started at n // 3
+        pts = outline(n)[0]
+        return closed(pts * [300.0, 1.0 / 300.0]), closed(np.roll(pts, -(n // 3), axis=0))
 
     def far_pair(group, n):
         unit = ellipse(n)[0].points
@@ -237,6 +248,9 @@ def table() -> list[Row]:
                  functools.partial(ms.align, group=group, mode=ms.MatchMode.CYCLIC), functools.partial(far_pair, group),
                  reuse=True, notes=lambda v, *m: {"exponents": [geometry.working_points(x).k for x in m], **verdict(v)})
              for group in (ms.Group.SE, ms.Group.SA)]
+    rows += [Row("L3", f"align {group.value} cyclic, image of a closed radial outline under diag(300, 1/300) onto it",
+                 functools.partial(ms.align, group=group, mode=ms.MatchMode.CYCLIC), stretched_pair, SWEEP[:2],
+                 reuse=True, notes=verdict) for group in (ms.Group.SA, ms.Group.ABAR)]
     return rows + [Row("L3", case, call, rule_meshes, ((38, 200),), reuse=True,
                        notes=lambda v, *m: {"congruent": v.congruent}) for case, call in rules]
 
