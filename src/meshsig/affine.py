@@ -12,8 +12,8 @@ unchanged by coefficient rescaling and by unimodular maps.
 Each mesh's derived data holds one equiaffine block, built in one pass on
 first use and never changed afterwards. The block is two read-only tables,
 one float and one bool, with one row per point: row i belongs to the
-window centred at p[i] and holds its conic (every window's signed 5x5
-minors from one stacked determinant), S, F, the curvature, the centre,
+window centred at p[i] and holds its conic (the bracket pencil through
+its five points, all windows in one stack), S, F, the curvature, the centre,
 the window's four consecutive arc lengths, its fineness and its hyperbola
 gap bound, plus the flags that say which of them may be read. Each column
 reads by name through one name-to-column map. A degenerate window is
@@ -78,8 +78,6 @@ from .signatures import Scheme, Signature, _check_edge_spacing, signature_column
 PARABOLIC_TOL = 1e-10
 # |F| below this (unit-norm coefficients) marks a degenerate conic (line pair).
 ZERO_F_TOL = 1e-12
-# A five-point window's design has rank < 5 when sigma_5 <= RANK_TOL sigma_1.
-RANK_TOL = 1e-13
 # Residual bound for the five fitted points, at unit design-row scale.
 RESIDUAL_TOL = 1e-8
 
@@ -148,17 +146,11 @@ class ArcLengthSet:
 # Kernels: each works on a stack of windows or conics, one row per window
 # ---------------------------------------------------------------------------
 
-def _matrix3(coef: np.ndarray) -> np.ndarray:
-    """(m, 3, 3) stack of [[A, B, D], [B, C, E], [D, E, F0]] from (m, 6) coefficients."""
-    return coef[:, [[0, 1, 3], [1, 2, 4], [3, 4, 5]]]
-
-
 _PAIRS = np.array(list(combinations(range(5), 2))).T
 _TRIPLES = np.array(list(combinations(range(5), 3))).T
 _FIT_OFFSETS = range(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
-# column j of the design is left out of minor j, whose sign in the null vector is (-1)^j
-_MINOR_COLUMNS = np.array([[k for k in range(6) if k != j] for j in range(6)])
-_MINOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+# _fit's brackets: [024], [134], [014], [234], then [2ij] for each of its lines L01, L02, L23, L13
+_BRACKETS = np.array([(0, 2, 4), (1, 3, 4), (0, 1, 4), (2, 3, 4), (2, 0, 1), (2, 0, 2), (2, 2, 3), (2, 1, 3)]).T
 
 
 def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
@@ -167,16 +159,14 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     Returns (coef, errors): coef is (w, 6), unit-norm and sign-normalized,
     NaN on the rows of degenerate windows, and errors maps each of those
     rows to its DegenerateConfiguration message: coinciding points first,
-    then a collinear triple, then rank < 5, then the residual.
+    then a collinear triple, then the residual.
 
-    Each window is fitted in its own centered, isotropically scaled frame,
-    where the conic is the null vector of the 5x6 design D: its signed 5x5
-    minors, from one stacked determinant, of norm m = sigma_1 ... sigma_5.
-    Rank < 5 means sigma_5 <= RANK_TOL sigma_1 in D's SVD. As m / |D|_F^5 <=
-    sigma_5 / sigma_1 <= sqrt(5) m^(1/5) / |D|_F, m > 2 RANK_TOL |D|_F^5
-    means full rank (half of that absorbs the rounding of the minors and of
-    the SVD, each under 100 eps) and sqrt(5) m^(1/5) <= RANK_TOL |D|_F rank
-    < 5; only windows in between take the SVD's verdict and null vector.
+    Five points with no three collinear lie on exactly one conic, the member
+    of the pencil through p0 ... p3 that passes through p4 (Richter-Gebert,
+    Perspectives on Projective Geometry, 2011, ch. 10): C(x) = [024][134]
+    L01(x) L23(x) - [014][234] L02(x) L13(x), [ijk] the orientation of p_i,
+    p_j, p_k and L_ij(x) = [ijx] = (y_i - y_j) x + (x_j - x_i) y + [2ij],
+    formed on the differences to p2 scaled by a power of two, and mapped back.
 
     Bound: each entry of a fitted row is within 2 eps sigma_1 / sigma_5 of
     the unit-norm, sign-normalized exact conic through the same five
@@ -199,25 +189,20 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     if len(ok) == 0:
         return coef, errors
     p = pts[ok]
-    centroid = p.mean(axis=1)
-    spread = np.sqrt(((p - centroid[:, None]) ** 2).sum(axis=2).mean(axis=1))
-    u = (p - centroid[:, None]) / spread[:, None, None]
-    x, y = u[..., 0], u[..., 1]
-    design = np.stack([x * x, 2.0 * x * y, y * y, 2.0 * x, 2.0 * y, np.ones_like(x)], axis=2)
-    null = _MINOR_SIGNS * np.linalg.det(design[:, :, _MINOR_COLUMNS].transpose(0, 2, 1, 3))
-    m, frob = row_norms(null), np.sqrt((design * design).sum(axis=(1, 2)))
-    deficient = np.sqrt(5.0) * m ** 0.2 <= RANK_TOL * frob
-    unsure = np.flatnonzero(~deficient & ~(m > 2.0 * RANK_TOL * frob ** 5))
-    if len(unsure):
-        _, sv, vt = np.linalg.svd(design[unsure])
-        deficient[unsure], null[unsure], m[unsure] = sv[:, 4] <= RANK_TOL * sv[:, 0], vt[:, -1], 1.0
-    with np.errstate(invalid="ignore"):  # 0 / 0 where every minor vanishes, a rank-deficient window
-        null = null / m[:, None]
+    diff = p - p[:, 2, None]
+    exp = np.frexp(np.abs(diff).max(axis=(1, 2)))[1]
+    u = np.ldexp(diff, -exp[:, None, None]).transpose(1, 0, 2).copy()  # (5, k, 2): point j of every window in u[j]
+    br = orient_rows(*(u[t].reshape(-1, 2) for t in _BRACKETS)).reshape(8, len(ok))
+    (i, j), x, y = _BRACKETS[1:, 4:], u[..., 0], u[..., 1]
+    lines = np.stack([y[i] - y[j], x[j] - x[i], br[4:]], axis=2)
+    pair = lines[:2, :, :, None] * lines[2:, :, None, :]  # L01 L23 and L02 L13 as outer products
+    pair = pair + pair.transpose(0, 1, 3, 2)  # twice each line pair's symmetric conic matrix
+    conic = (br[0] * br[1])[:, None, None] * pair[0] - (br[2] * br[3])[:, None, None] * pair[1]
     frame = np.zeros((len(ok), 3, 3))
-    frame[:, 0, 0] = frame[:, 1, 1] = 1.0 / spread
-    frame[:, :2, 2] = -centroid / spread[:, None]
+    frame[:, 0, 0] = frame[:, 1, 1] = np.ldexp(1.0, -exp)
+    frame[:, :2, 2] = np.ldexp(-p[:, 2], -exp[:, None])
     frame[:, 2, 2] = 1.0
-    mat = frame.transpose(0, 2, 1) @ _matrix3(null) @ frame
+    mat = frame.transpose(0, 2, 1) @ conic @ frame
     vec = mat[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]]
     vec = vec / row_norms(vec)[:, None]
     big = np.abs(vec) > 1e-12
@@ -228,8 +213,6 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     residual = a * px * px + 2.0 * b * px * py + c * py * py + 2.0 * d * px + 2.0 * e * py + f0
     worst = np.abs(residual).max(axis=1)
     row_scale = np.maximum(absmax[ok] ** 2, 1.0)
-    for k in np.flatnonzero(deficient):
-        errors[int(ok[k])] = "conic through the five points is not unique (rank < 5)"
     for k in np.flatnonzero(worst > RESIDUAL_TOL * row_scale):
         errors.setdefault(int(ok[k]), f"conic fit residual {worst[k]:.3e} exceeds tolerance")
     coef[ok] = vec
@@ -237,14 +220,29 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     return coef, errors
 
 
-def _invariants(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S = AC - B^2 and F = det(3x3) of each row of an (m, 6) coefficient stack.
+# F = A C F0 + 2 B D E - A E^2 - B^2 F0 - C D^2: column t of (i, j, k, factor) is the term factor coef_i coef_j coef_k
+_LEIBNIZ = np.array([(0, 2, 5, 1), (1, 3, 4, 2), (0, 4, 4, -1), (1, 1, 5, -1), (2, 3, 3, -1)]).T
 
-    Bound, against exact evaluation of the same coefficients: |S error| <=
-    2 eps (|AC| + B^2) and |F error| <= 64 eps P, where P is the sum of the
-    absolute values of the six products in F's expansion.
+
+def _invariants(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S = AC - B^2 and F = det [[A, B, D], [B, C, E], [D, E, F0]] of each row of an (m, 6) coefficient stack.
+
+    F is the compensated sum of its five Leibniz terms (Ogita, Rump and Oishi, SISC 26, 2005): Dekker's
+    error-free products and two-sums, whose low parts are added once at the end. Bound, against exact
+    evaluation of the same coefficients, barring overflow and underflow: |S error| <= 2 eps (|AC| + B^2) and
+    |F error| <= eps |F| + 32 eps^2 P <= 64 eps P, P the sum of the absolute values of F's six products.
     """
-    return coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1], np.linalg.det(_matrix3(coef))
+    i, j, k, factor = _LEIBNIZ
+    q, low = factor[:, None] * coef.T[i], 0.0  # (5, m): term t in row t, as q + low
+    for y in (coef.T[j], coef.T[k]):
+        cq, cy = 134217729.0 * q, 134217729.0 * y  # 2^27 + 1: Veltkamp's split into 26-bit halves
+        qh, yh = cq - (cq - q), cy - (cy - y)
+        ql, yl, p = q - qh, y - yh, q * y
+        q, low = p, low * y + (ql * yl - (((p - qh * yh) - ql * yh) - qh * yl))  # p + that = q y exactly
+    hi = np.cumsum(q, axis=0)  # the partial sums, whose two-sum errors follow
+    back = hi[1:] - hi[:-1]
+    lo = low.sum(axis=0) + ((hi[:-1] - (hi[1:] - back)) + (q[1:] - back)).sum(axis=0)
+    return coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1], hi[-1] + lo
 
 
 def _kappa(S: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -491,7 +489,7 @@ def _row(mesh: Mesh, i: int, read: str = "") -> tuple[_Block, int]:
 # ---------------------------------------------------------------------------
 
 def fit_conic(points) -> ConicCoeffs:
-    """Unique conic through five points via null-space extraction.
+    """Unique conic through five points, the bracket pencil of `_fit`, within 2 eps sigma_1 / sigma_5.
 
     Parameters
     ----------
@@ -501,14 +499,14 @@ def fit_conic(points) -> ConicCoeffs:
     Returns
     -------
     ConicCoeffs
-        Unit-norm, sign-normalized coefficients; every input point has
-        residual below ``RESIDUAL_TOL`` at unit design-row scale.
+        Unit-norm, sign-normalized coefficients, within `_fit`'s bound;
+        every input point has residual below ``RESIDUAL_TOL`` at unit design-row scale.
 
     Raises
     ------
     DegenerateConfiguration
-        Coincident points, a collinear triple, or a design matrix of
-        rank < 5.
+        Not a (5, 2) array, coincident points, a collinear triple (no
+        unique conic), or a residual over ``RESIDUAL_TOL``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (5, 2):

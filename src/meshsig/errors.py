@@ -58,7 +58,8 @@ class NotConvex(MeshSigError):
 
 
 class DegenerateConfiguration(MeshSigError):
-    """Conic fit impossible: coincident or collinear points (rank < 5)."""
+    """Conic fit impossible: coincident points, a collinear triple (no unique conic), or a residual over
+    tolerance. A unique conic is fitted within 2 eps sigma_1 / sigma_5 (`affine._fit`)."""
 
 
 class ZeroF(MeshSigError):

@@ -495,9 +495,8 @@ def test_signature_error_is_nan_where_a_zero_column_meets_a_nan():
 def joint_corpus():
     """The affine equivalence corpus plus larger seeded meshes, open and closed, of 20 to 400 points.
 
-    Between them, their windows coincide, hold a collinear triple, have rank
-    < 5, fail the residual check, take the SVD fallback, and fit ellipses,
-    hyperbolas and parabolas.
+    Between them, their windows coincide, hold a collinear triple, fail the
+    residual check, and fit ellipses, hyperbolas and parabolas.
     """
     rng = np.random.default_rng(61)
     out = list(EQUIVALENCE_MESHES)
@@ -516,7 +515,7 @@ def joint_corpus():
             pts = pts + rng.normal(scale=1e-6, size=pts.shape)
         out.append(ms.Mesh(pts @ unimodular(rng).T + rng.uniform(-5.0, 5.0, size=2), closed=closed))
     for k in range(4):
-        # strongly anisotropic clouds: collinear and rank < 5 windows, and windows between the rank filter's bounds
+        # strongly anisotropic clouds: collinear windows, and windows of design condition up to the 1e17s
         cloud = rng.normal(size=(300, 2)) * [1e5, 1e-6] * 10.0 ** rng.uniform(-1.0, 1.0, size=(300, 1))
         out.append(ms.Mesh(cloud, closed=k % 2 == 1))
         # every fifth point off a line, with 3e-11 noise: windows of four nearly collinear points,
@@ -547,13 +546,10 @@ class TestJointBlocks:
                 assert block_bits(blk) == solo[j], f"corpus mesh {j}"
                 assert m._derived["affine"] is blk
 
-    def test_corpus_reaches_every_kind_of_row(self, monkeypatch):
-        svd_rows, svd = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svd_rows.append(len(a)) or svd(a, *args, **kw))
+    def test_corpus_reaches_every_kind_of_row(self):
         blocks = affine.build_blocks(*(fresh(m) for m in joint_corpus()))
-        assert svd_rows
         tails = {msg.split(" ")[-1] for blk in blocks for msg in blk.fit_errors.values()}
-        assert tails == {"coincide", "collinear", "5)", "tolerance"}
+        assert tails == {"coincide", "collinear", "tolerance"}
         assert all(np.isnan(blk.coef[~blk.fitted]).all() for blk in blocks)  # no window, or a degenerate one
         tol = affine.PARABOLIC_TOL
         kinds = [(blk.parabolic, blk.kappa_ok & (blk.kappa > tol), blk.kappa_ok & (blk.kappa < -tol)) for blk in blocks]

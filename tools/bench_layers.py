@@ -32,7 +32,9 @@ after the times taken before it; any other exception, numpy warnings under
 - L2: `signed_angle` at one index and, with `euclidean_curvature`, at every
   index (n up to 10^4), `se_signature(EQ2)` (with `spacing_tol=1`, which
   the ellipse's unequal edges need) and `sa_signature(EQ6)` (n up to 10^4,
-  and on the 32-point arc), on the closed `ellipse_mesh(n, 2, 1)`;
+  and on the 32-point arc), on the closed `ellipse_mesh(n, 2, 1)`; the mesh
+  predicates `is_convex`, `is_fine` and `is_affine_fine`, on the closed
+  `ellipse_mesh(n, 2, 1)` and on the 32-point arc;
 - L3: `align` of a closed radial outline onto its image under each group,
   started at another index (and reversed under E and Abar, with
   CYCLIC_REVERSAL), and index-aligned onto its SE image, at first use and
@@ -241,6 +243,9 @@ def table() -> list[Row]:
                  lambda m: ms.se_signature(m, ms.Scheme.EQ2, spacing_tol=1.0)),
              Row("L2", f"sa_signature(EQ6), {on_ellipse}", sa6, sizes=SWEEP[:3]),
              Row("L2", f"sa_signature(EQ6), {on_arc}", sa6, arc, ARC)]
+    rows += [Row("L2", f"{f.__name__}, {case}", f, mesh_of, sizes)
+             for f in (ms.is_convex, ms.is_fine, ms.is_affine_fine)
+             for case, mesh_of, sizes in ((on_ellipse, ellipse, SWEEP), (on_arc, arc, ARC))]
     rows += [Row("L3", f"align {group.value} {mode.value}, closed radial outline onto its image",
                  functools.partial(ms.align, group=group, mode=mode), functools.partial(outline_pair, j),
                  reuse=True, peak=True, notes=verdict) for j, (group, mode) in enumerate(cases)]
