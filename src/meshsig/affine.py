@@ -15,7 +15,9 @@ one float and one bool, with one row per point: row i belongs to the
 window centred at p[i] and holds its conic (the bracket pencil through
 its five points, all windows in one stack), S, F, the curvature, the centre,
 the window's four consecutive arc lengths, its fineness and its hyperbola
-gap bound, plus the flags that say which of them may be read. Each column
+gap bound, plus the flags that say which of them may be read. An arc
+length is read on a window's conic exactly where its curvature is: one
+formula (`_arcs`) serves ellipses, hyperbolas and parabolas alike. Each column
 reads by name through one name-to-column map. A degenerate window is
 recorded in the block and raises only when that window is read, through
 one helper (`_row`) shared by every per-index and array function.
@@ -52,7 +54,6 @@ from .errors import (
     ParabolicConic,
     SchemeSpacingMismatch,
     WrongCurvatureSign,
-    ZeroDenominator,
     ZeroF,
 )
 from .geometry import (
@@ -323,10 +324,9 @@ def _gap_bounds(coef: np.ndarray, S: np.ndarray, F: np.ndarray) -> tuple[np.ndar
 
 
 # The block's float table, column by column (name, width), and its bool table, one column per flag.
-_FLOATS = (("coef", 6), ("S", 1), ("F", 1), ("kappa", 1), ("center", 2), ("para_scale", 1), ("para_ratio", 1),
-           ("arcs", 4), ("rho", 1), ("sector", 1), ("area", 1), ("radicand", 1), ("mu", 1))
-_FLAGS = ("has_window", "fitted", "zero_f", "parabolic", "zero_den", "kappa_ok", "arc_ok", "fine_area",
-          "gap_undefined", "position", "affine_fine")
+_FLOATS = (("coef", 6), ("S", 1), ("F", 1), ("kappa", 1), ("center", 2), ("arcs", 4), ("rho", 1), ("sector", 1),
+           ("area", 1), ("radicand", 1), ("mu", 1))
+_FLAGS = ("has_window", "fitted", "zero_f", "kappa_ok", "fine_area", "gap_undefined", "position", "affine_fine")
 _STARTS = np.cumsum([0] + [width for _, width in _FLOATS]).tolist()
 # name -> (table, column): an index for a one-wide column, a slice for coef, center and arcs
 _COLUMNS = {**{name: ("values", start if width == 1 else slice(start, start + width))
@@ -340,14 +340,15 @@ class _Block:
     Built from a (N, 5, 2) window stack and its has-window mask, drawn from
     one or more meshes: a mesh's block is its rows of the stack (`rows`),
     row i belonging to the window centered at p[i]. Two read-only tables
-    hold every column: ``values``, (N, 22) float64, and ``flags``, (N, 11)
+    hold every column: ``values``, (N, 20) float64, and ``flags``, (N, 8)
     bool, laid out by ``_COLUMNS``; each column also reads by its name
-    (``blk.kappa``, ``blk.coef``, ``blk.arc_ok``, ...) as a view of its
+    (``blk.kappa``, ``blk.coef``, ``blk.kappa_ok``, ...) as a view of its
     table. Rows without a window (the two ends of an open mesh) or with a
     degenerate fit hold NaN; `fit_errors` maps the degenerate rows to
-    fit_conic's message. A row's failures are raised only when it is read,
-    by `_row`. Every kernel works row by row, so a mesh's rows of a stack
-    over several meshes equal its own one-mesh build bit for bit.
+    fit_conic's message. A row's curvature and its arc lengths can be read
+    where ``kappa_ok`` holds; a row's failures are raised only when it is
+    read, by `_row`. Every kernel works row by row, so a mesh's rows of a
+    stack over several meshes equal its own one-mesh build bit for bit.
     """
 
     __slots__ = ("values", "flags", "fit_errors")
@@ -362,17 +363,12 @@ class _Block:
         fitted[list(self.fit_errors)] = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             S, F = _invariants(coef)
-            kappa, center = _kappa(S, F), _centers(coef, S)
-            a, b, d, e = coef[:, 0], coef[:, 1], coef[:, 3], coef[:, 4]
-            denom, norm = a * e - b * d, row_norms(coef)
-            zero_f, parabolic = np.abs(F) <= ZERO_F_TOL, fitted & ~(np.abs(S) > tol)
-            zero_den = (np.abs(a) <= 1e-12 * norm) | (np.abs(denom) <= 1e-12 * norm * norm)
+            kappa, center, zero_f = _kappa(S, F), _centers(coef, S), np.abs(F) <= ZERO_F_TOL
             kappa_ok = fitted & ~zero_f
-            self._fill(coef=coef, S=S, F=F, kappa=kappa, center=center, para_scale=np.cbrt(a * a / denom),
-                       para_ratio=b / a, has_window=has_window, fitted=fitted, zero_f=zero_f, parabolic=parabolic,
-                       zero_den=zero_den, kappa_ok=kappa_ok,
-                       arc_ok=fitted & np.where(parabolic, ~zero_den, ~zero_f))
-            elliptic = kappa_ok & (kappa > tol) & (S > tol)
+            self._fill(coef=coef, S=S, F=F, kappa=kappa, center=center, has_window=has_window, fitted=fitted,
+                       zero_f=zero_f, kappa_ok=kappa_ok)
+            # kappa = S / cbrt(F)^2 > 0 implies S > 0: the conic is an ellipse
+            elliptic = kappa_ok & (kappa > tol)
             rho, sector = (np.where(elliptic, v, np.nan) for v in _sectors(coef, S, F, center, win))
             area = _ellipse_areas(S, F)
             gap_undefined, radicand, mu = _gap_bounds(coef, S, F)
@@ -414,22 +410,25 @@ def _arcs(blk: _Block, rows, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
     """Arc lengths from pk[r, j] to pl[r, j] on the conic of block row rows[r].
 
     rows (an index array or a slice) picks the block rows; pk and pl are (m,
-    k, 2). Nonzero-curvature conics use the center parallelogram area;
-    parabolic conics use the signed linear element.
-    Values on rows whose arc length raises (`_row` with read="arc") are meaningless.
+    k, 2). The arc length is |kappa (d x (pk - center))|, d = pk - pl, the
+    center parallelogram area, taken as
 
-    Bound, with d = pk - pl and e = pk - center: on a central conic within
-    3 eps |kappa| (|d_x e_y| + |d_y e_x|) of |kappa (d x e)| for the row's
-    kappa and center; on a parabolic one within 2 eps (2 + (|AE| + |BD|) /
-    |AE - BD|) |s| (|d_x| + |B d_y / A|) of s (d_x + (B / A) d_y), s =
-    cbrt(A^2 / (AE - BD)), for the row's coefficients.
+        L = |S (d x pk) - d x c| / cbrt(F)^2,   c = (BE - CD, BD - AE) = S center,
+
+    which divides by neither S nor A: one formula for every conic, parabolas
+    included (there it is |cbrt(A^2 / (AE - BD)) (d_x + (B / A) d_y)|).
+    Values on rows whose curvature raises (`_row` with read="kappa") are
+    meaningless.
+
+    Bound, against exact evaluation of L for the row's coefficients, S and
+    F and the given points: 4 eps (T / cbrt(F)^2 + L), where T = |S|
+    (|d_x pk_y| + |d_y pk_x|) + |d_x| (|BD| + |AE|) + |d_y| (|BE| + |CD|).
     """
-    # the branch not taken may multiply inf by 0 (an infinite center or parabolic factor)
-    with np.errstate(invalid="ignore", over="ignore"):
-        d, e = pk - pl, pk - blk.center[rows, None]
-        cross = d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]
-        linear = blk.para_scale[rows, None] * (d[..., 0] + blk.para_ratio[rows, None] * d[..., 1])
-        return np.where(blk.parabolic[rows, None], linear, np.abs(blk.kappa[rows, None] * cross))
+    a, b, c, d, e = (blk.coef[rows, k, None] for k in range(5))
+    cx, cy = b * e - c * d, b * d - a * e
+    dx, dy = pk[..., 0] - pl[..., 0], pk[..., 1] - pl[..., 1]
+    area = blk.S[rows, None] * (dx * pk[..., 1] - dy * pk[..., 0]) - (dx * cy - dy * cx)
+    return np.abs(area) / np.cbrt(blk.F[rows, None]) ** 2
 
 
 def _build_blocks(meshes: list[Mesh]) -> list[_Block]:
@@ -466,9 +465,9 @@ def _row(mesh: Mesh, i: int, read: str = "") -> tuple[_Block, int]:
     """Block and row of the window at p[i], raising what reading that row raises.
 
     In this order: IndexOutOfRange for a window reaching past an end, the
-    fit's DegenerateConfiguration, and then, for ``read="kappa"``, ZeroF;
-    for ``read="arc"``, ZeroDenominator on a parabolic row and ZeroF on any
-    other. Every function of this module that reads a row raises through here.
+    fit's DegenerateConfiguration, and then, for ``read="kappa"`` (the
+    curvature, or an arc length on the row's conic), ZeroF. Every function
+    of this module that reads a row raises through here.
     """
     i = mesh.resolve(i)
     blk = _block(mesh)
@@ -476,10 +475,7 @@ def _row(mesh: Mesh, i: int, read: str = "") -> tuple[_Block, int]:
         _fit_window(mesh, i)  # the window reaches past an end: IndexOutOfRange
     if i in blk.fit_errors:
         raise DegenerateConfiguration(f"window at index {i}: {blk.fit_errors[i]}")
-    if read == "arc" and blk.parabolic[i]:
-        if blk.zero_den[i]:
-            raise ZeroDenominator(f"parabolic arc length at index {i}: A or AE - BD vanishes")
-    elif read and blk.zero_f[i]:
+    if read and blk.zero_f[i]:
         raise ZeroF(f"cubic invariant {float(blk.F[i])!r} at index {i} too small: degenerate conic")
     return blk, i
 
@@ -578,22 +574,23 @@ def _check_arc_offset(mesh: Mesh, at: int, j: int) -> None:
 
 
 def affine_arc_length(mesh: Mesh, at: int, k: int, l: int) -> float:
-    """Arc length between p[k] and p[l] measured by the conic fitted at `at`.
+    """Arc length between p[k] and p[l] measured by the conic fitted at `at`, within the bound of ``_arcs``.
 
-    Nonzero-curvature conics use the center parallelogram area; parabolic
-    conics use the signed linear element (consumers take abs when a length
-    is required). Both endpoints must lie in the five-neighborhood of `at`.
+    The length is the center parallelogram area |kappa (d x (p[k] - center))|,
+    d = p[k] - p[l], in a form that also holds on parabolas. Both endpoints
+    must lie in the five-neighborhood of `at`; it raises where the curvature
+    at `at` raises.
     """
     _check_arc_offset(mesh, at, k)
     _check_arc_offset(mesh, at, l)
     pk, pl = mesh.p(k), mesh.p(l)
-    blk, at = _row(mesh, at, "arc")
+    blk, at = _row(mesh, at, "kappa")
     return float(_arcs(blk, np.array([at]), pk[None, None], pl[None, None])[0, 0])
 
 
 def arc_length_set(mesh: Mesh, i: int) -> ArcLengthSet:
     """The four consecutive arc lengths of the two-neighborhood of p[i]."""
-    blk, i = _row(mesh, i, "arc")
+    blk, i = _row(mesh, i, "kappa")
     return ArcLengthSet(at=i, values=tuple(blk.arcs[i].tolist()))
 
 
@@ -601,12 +598,13 @@ def interior_arc_length_sets(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """(values, ok): the arc-length set of every center of ``affine_fine_interior``.
 
     values is (k, 4) and holds :func:`arc_length_set`'s values, within the
-    bounds of ``_arcs``, on the rows where ok is True; arc_length_set raises
-    at the other rows.
+    bound of ``_arcs``, on the rows where ok is True: the rows whose
+    curvature can be read (``kappa_ok``). arc_length_set raises at the other
+    rows.
     """
     blk, interior = _block(mesh), affine_fine_interior(mesh)
     rows = slice(interior.start, interior.stop)
-    return blk.arcs[rows], blk.arc_ok[rows]
+    return blk.arcs[rows], blk.kappa_ok[rows]
 
 
 def sd_affine(mesh: Mesh, i: int) -> SigDirection:
@@ -643,8 +641,6 @@ def has_fine_area(mesh: Mesh, i: int) -> bool:
     kappa = float(blk.kappa[i])
     if kappa <= PARABOLIC_TOL:
         raise WrongCurvatureSign(f"fine-area needs positive curvature, got {kappa!r}")
-    if blk.S[i] <= PARABOLIC_TOL:
-        raise WrongCurvatureSign("approximating conic is not an ellipse")
     if blk.rho[i] <= 0.0:
         raise DegenerateConfiguration("imaginary ellipse from conic fit")
     return blk.fine_area[i]
@@ -707,9 +703,9 @@ def consecutive_arc_lengths(mesh: Mesh) -> np.ndarray:
     """
     blk, interior = _block(mesh), mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
     rows = slice(interior.start, interior.stop)
-    bad = np.flatnonzero(~blk.arc_ok[rows])
+    bad = np.flatnonzero(~blk.kappa_ok[rows])
     if len(bad):
-        _row(mesh, interior[bad[0]], "arc")
+        _row(mesh, interior[bad[0]], "kappa")
     return blk.arcs[rows, 2]
 
 
@@ -720,11 +716,10 @@ def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[np.ndarray, np.ndarr
     def denominators(lo: int, hi: int, rows: range) -> tuple[np.ndarray, np.ndarray]:
         own = slice(rows.start, rows.stop)
         denom = _arcs(blk, own, *(end[:, None] for end in _gather(mesh.points, (lo, hi), rows)))[:, 0]
-        return denom, blk.arc_ok[own] & (np.abs(denom) > 1e-15)
+        return denom, blk.kappa_ok[own] & (denom > 1e-15)
 
     def vanishing(i: int, lo: int, hi: int) -> str:
-        _row(mesh, i, "arc")
-        return f"{scheme.label} arc length at index {i} vanishes"
+        return f"{scheme.label} arc length at index {i} vanishes"  # its conic's curvature at i was read first
 
     return signature_columns(mesh, scheme, SA_SPEC, (0, blk.kappa, blk.kappa_ok),
                              lambda c: _row(mesh, c, "kappa"), denominators, vanishing)
@@ -747,8 +742,8 @@ def sa_signature(
 
     The rows come from :func:`signatures.signature_columns`, as the
     Euclidean ones do: the first that cannot be evaluated raises what its
-    first failing curvature center raises, else what its arc length raises,
-    else DegenerateStencil if that arc length vanishes. The columns are built
+    first failing curvature center raises (its arc length lies on the conic
+    of one of them), else DegenerateStencil if that arc length vanishes. The columns are built
     once per mesh and scheme, as the derived entry ``("sa", scheme)``, and
     a build that raises stores nothing; the ordinary, convex and spacing
     checks run on every call.
@@ -768,7 +763,7 @@ def sa_signature(
             arcs = consecutive_arc_lengths(mesh)
             if len(arcs) == 0:
                 raise MeshTooShort(f"no arc lengths computable on a {mesh.n}-point mesh")
-            if (first := _first_short(np.abs(arcs), spacing_tol)) is not None:
+            if (first := _first_short(arcs, spacing_tol)) is not None:
                 raise SchemeSpacingMismatch(f"{scheme.label} requires equal arc lengths; arc {first} deviates")
     sig = Signature._of(derived(mesh, ("sa", scheme), _signature_columns, scheme), scheme, SA_SPEC)
     if scheme in (Scheme.EQ7, Scheme.EQ8):

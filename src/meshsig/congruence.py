@@ -538,7 +538,7 @@ def _zero_curvature_areas(m1, m2, p):
 def _arc_length_sets(m1, m2, p):
     interior, sig_tol = affine.affine_fine_interior(m1), p["sig_tol"]
     (a1, ok1), (a2, ok2) = affine.interior_arc_length_sets(m1), affine.interior_arc_length_sets(m2)
-    scale = np.maximum(np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)), 1e-300)
+    scale = np.maximum(np.maximum(a1.max(axis=1), a2.max(axis=1)), 1e-300)
     differ = ~(abs_difference(a1, a2).max(axis=1) <= sig_tol * scale)
     bad = np.flatnonzero(~(ok1 & ok2) | differ)
     if not len(bad):

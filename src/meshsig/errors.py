@@ -70,10 +70,6 @@ class ParabolicConic(MeshSigError):
     """Conic center undefined: quadratic invariant is zero (parabola)."""
 
 
-class ZeroDenominator(MeshSigError):
-    """Zero-curvature arc-length branch hit a vanishing denominator."""
-
-
 class WrongCurvatureSign(MeshSigError):
     """Fineness predicate called on a point with the wrong curvature sign."""
 

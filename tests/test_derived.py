@@ -552,7 +552,8 @@ class TestJointBlocks:
         assert tails == {"coincide", "collinear", "tolerance"}
         assert all(np.isnan(blk.coef[~blk.fitted]).all() for blk in blocks)  # no window, or a degenerate one
         tol = affine.PARABOLIC_TOL
-        kinds = [(blk.parabolic, blk.kappa_ok & (blk.kappa > tol), blk.kappa_ok & (blk.kappa < -tol)) for blk in blocks]
+        kinds = [(blk.kappa_ok & (np.abs(blk.kappa) <= tol), blk.kappa_ok & (blk.kappa > tol),
+                  blk.kappa_ok & (blk.kappa < -tol)) for blk in blocks]
         assert all(any(row[j].any() for row in kinds) for j in range(3))
 
     def test_a_joint_block_keeps_none_of_the_other_meshes_rows(self):

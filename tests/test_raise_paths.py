@@ -49,14 +49,6 @@ class TestReadMeshJson:
 
 
 class TestFineArea:
-    def test_not_an_ellipse(self):
-        # S and F are absolute on coefficients of unit norm in input units, so a radius-500
-        # circle's S falls in the parabolic band while its curvature stays above it
-        m = gen.circle_mesh(8, radius=500.0)
-        assert affine._block(m).S[0] <= affine.PARABOLIC_TOL < ms.affine_curvature(m, 0)
-        with pytest.raises(WrongCurvatureSign, match="^approximating conic is not an ellipse$"):
-            ms.has_fine_area(m, 0)
-
     def test_imaginary_ellipse(self):
         # a conic through five real points is a real ellipse up to rounding; no fitted window
         # is known to reach this branch, so the block's rho is set by hand

@@ -25,10 +25,10 @@ after the times taken before it; any other exception, numpy warnings under
   and scaled by 2^600 (working exponent k != 0), and `is_ordinary` on it;
 - L1: the equiaffine block `affine._block`, with its tracemalloc peak and
   its fitted windows (a block that fits none fails with its first window's
-  error), and the fit, sector and gap-bound kernels on the arrays the block
-  hands them, on the closed `ellipse_mesh(n, 2, 1)` and on a 32-point open
-  arc shaped like sa-arcs'; the blocks of two such arcs one at a time and
-  jointly in one pass (`affine.build_blocks`);
+  error), and the fit, arc-length, sector and gap-bound kernels on the
+  arrays the block hands them, on the closed `ellipse_mesh(n, 2, 1)` and
+  on a 32-point open arc shaped like sa-arcs'; the blocks of two such arcs
+  one at a time and jointly in one pass (`affine.build_blocks`);
 - L2: `signed_angle` at one index and, with `euclidean_curvature`, at every
   index (n up to 10^4), `se_signature(EQ2)` (with `spacing_tol=1`, which
   the ellipse's unequal edges need) and `sa_signature(EQ6)` (n up to 10^4,
@@ -47,7 +47,9 @@ after the times taken before it; any other exception, numpy warnings under
   verified, O(n^2)); each rule of the se-rules workload on one of its
   38-point open pairs, `decide_host` on the same points closed, and all of
   them in turn, as one se-rules pair runs them, at first use and reuse
-  over 200 repeats.
+  over 200 repeats; `decide_affine` thm5.7, thm5.8 and cor5.9 on one
+  congruent pair of the sa-arcs workload (32-point open ellipse arcs), at
+  first use and reuse over 200 repeats.
 
 Sizes are n in 10^2..10^5 unless a row says otherwise. `--layers` prints
 the machine and the rows of the meshsig on sys.path as one JSON line.
@@ -190,7 +192,8 @@ def table() -> list[Row]:
         blk, win = affine._block(mesh), np.stack(geometry._gather(mesh.points, affine._FIT_OFFSETS, range(n)), axis=1)
         arrays = [np.array(a) for a in (blk.coef, blk.S, blk.F, blk.center)]
         windows = win if blk.has_window.all() else win[2:-2]
-        return {"_fit": (windows,), "_sectors": (*arrays, win), "_gap_bounds": arrays[:3]}[kernel]
+        return {"_fit": (windows,), "_arcs": (blk, slice(None), win[:, :-1], win[:, 1:]), "_sectors": (*arrays, win),
+                "_gap_bounds": arrays[:3]}[kernel]
 
     cases = [(ms.Group(group), ms.MatchMode(mode)) for group, mode in (
         ("se", "cyclic"), ("e", "cyclic-reversal"), ("sa", "cyclic"), ("abar", "cyclic-reversal"), ("se", "aligned"))]
@@ -220,6 +223,10 @@ def table() -> list[Row]:
         pair = workloads.SERules()._pairs(np.random.default_rng(n), n)
         return (*pair["open"], *pair["closed"])
 
+    def sa_pair(n):  # one congruent pair of the sa-arcs workload, n = its 32 points
+        pair = workloads.SAArcs()._pair(np.random.default_rng(n), False)
+        return pair["m1"], pair["m2"]
+
     rules = [(f"{name}, se-rules 38-point open pair", lambda a, b, c, d, rule=rule: rule(a, b))
              for name, rule in workloads.OPEN_RULES]
     rules.append(("decide_host, the same points closed", lambda a, b, c, d: ms.decide_host(c, d)))
@@ -231,7 +238,8 @@ def table() -> list[Row]:
     for case, mesh_of, sizes in ((on_ellipse, ellipse, SWEEP), (on_arc, arc, ARC)):
         rows.append(Row("L1", f"affine._block, {case}", affine._block, mesh_of, sizes, peak=True, notes=fitted))
         rows += [Row("L1", f"affine.{k} on the arrays of the block, {case}", getattr(affine, k),
-                     functools.partial(kernel_args, k, mesh_of), sizes) for k in ("_fit", "_sectors", "_gap_bounds")]
+                     functools.partial(kernel_args, k, mesh_of), sizes)
+                 for k in ("_fit", "_arcs", "_sectors", "_gap_bounds")]
     both_arcs = f"the {on_arc} and the open arc ellipse_mesh(n, 2.1, 0.8, t0=2.0, step=0.09)"
     rows += [Row("L1", f"affine._block of each of {both_arcs}", lambda *m: [affine._block(x) for x in m], arcs, ARC),
              Row("L1", f"affine.build_blocks of {both_arcs}, in one pass", affine.build_blocks, arcs, ARC),
@@ -256,8 +264,11 @@ def table() -> list[Row]:
     rows += [Row("L3", f"align {group.value} cyclic, image of a closed radial outline under diag(300, 1/300) onto it",
                  functools.partial(ms.align, group=group, mode=ms.MatchMode.CYCLIC), stretched_pair, SWEEP[:2],
                  reuse=True, notes=verdict) for group in (ms.Group.SA, ms.Group.ABAR)]
-    return rows + [Row("L3", case, call, rule_meshes, ((38, 200),), reuse=True,
-                       notes=lambda v, *m: {"congruent": v.congruent}) for case, call in rules]
+    decisions = [(case, call, rule_meshes, ((38, 200),)) for case, call in rules]
+    decisions += [(f"decide_affine {variant}, sa-arcs 32-point congruent pair",
+                   functools.partial(ms.decide_affine, variant=variant), sa_pair, ARC) for variant in workloads.SA_VARIANTS]
+    return rows + [Row("L3", case, call, meshes, sizes, reuse=True, notes=lambda v, *m: {"congruent": v.congruent})
+                   for case, call, meshes, sizes in decisions]
 
 
 def layers() -> dict:
