@@ -79,7 +79,7 @@ from .signatures import Scheme, Signature, _check_edge_spacing, signature_column
 PARABOLIC_TOL = 1e-10
 # |F| below this (unit-norm coefficients) marks a degenerate conic (line pair).
 ZERO_F_TOL = 1e-12
-# Residual bound for the five fitted points, at unit design-row scale.
+# Residual bound of the unit-norm conic at the five points of its window's frame (see `_fit`).
 RESIDUAL_TOL = 1e-8
 
 # Conic fit window: the two-neighborhood on each side of the center point.
@@ -94,8 +94,9 @@ SA_SPEC = NeighborhoodSpec(FIT_HALF_WIDTH, FIT_HALF_WIDTH)
 class ConicCoeffs:
     """Coefficients of A x^2 + 2B xy + C y^2 + 2D x + 2E y + F0 = 0.
 
-    Stored at unit Euclidean norm with the first non-negligible entry of
-    (A, B, C) positive, so a conic has one representation.
+    Stored at unit Euclidean norm and signed so that the first of A, B, C
+    over 1e-12 in magnitude is positive, or, where none is, the first of all
+    six: a conic has one representation.
     """
 
     A: float
@@ -148,10 +149,13 @@ class ArcLengthSet:
 # ---------------------------------------------------------------------------
 
 _PAIRS = np.array(list(combinations(range(5), 2))).T
-_TRIPLES = np.array(list(combinations(range(5), 3))).T
+# the ten triples, each through the centre point 2 rotated to start there: its orientation is then u_j x u_k
+_TRIPLES = np.array([t[t.index(2):] + t[:t.index(2)] if 2 in t else t for t in combinations(range(5), 3)]).T
 _FIT_OFFSETS = range(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
-# _fit's brackets: [024], [134], [014], [234], then [2ij] for each of its lines L01, L02, L23, L13
-_BRACKETS = np.array([(0, 2, 4), (1, 3, 4), (0, 1, 4), (2, 3, 4), (2, 0, 1), (2, 0, 2), (2, 2, 3), (2, 1, 3)]).T
+# _fit's lines L01, L02, L23, L13, each through its two points (i, j)
+_LINES = np.array([(0, 1), (0, 2), (2, 3), (1, 3)]).T
+# A, B, C, D, E, F0 in a flattened symmetric conic matrix, and their degrees in the coordinates' scale
+_UPPER, _DEGREE = [0, 1, 4, 2, 5, 8], np.array([2, 2, 2, 1, 1, 0])
 
 
 def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
@@ -162,63 +166,65 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     rows to its DegenerateConfiguration message: coinciding points first,
     then a collinear triple, then the residual.
 
+    Each window is worked in its own frame: u = 2^-e (p - p2), the
+    differences to its centre point p2, with e chosen so that max|u| lies in
+    [1/2, 1). There, two of its points coincide when their gap is at most
+    1e-12 max|u|, a triple is collinear when its orientation [ijk] is at most
+    1e-12 max|u|^2 in magnitude, and the fitted conic, at unit norm, must
+    vanish within RESIDUAL_TOL at the five points u. These verdicts do not
+    change under translation (up to the rounding of p - p2) or under
+    power-of-two dilation.
+
     Five points with no three collinear lie on exactly one conic, the member
     of the pencil through p0 ... p3 that passes through p4 (Richter-Gebert,
     Perspectives on Projective Geometry, 2011, ch. 10): C(x) = [024][134]
     L01(x) L23(x) - [014][234] L02(x) L13(x), [ijk] the orientation of p_i,
-    p_j, p_k and L_ij(x) = [ijx] = (y_i - y_j) x + (x_j - x_i) y + [2ij],
-    formed on the differences to p2 scaled by a power of two, and mapped back.
+    p_j, p_k and L_ij(x) = [ijx] = (y_i - y_j) x + (x_j - x_i) y + [2ij].
+    Every bracket is one of the ten orientations of the collinearity screen:
+    L01's constant is [012], L13's is -[123], and L02 and L23 pass through
+    p2 = 0. The conic is mapped back to the given coordinates.
 
     Bound: each entry of a fitted row is within 2 eps sigma_1 / sigma_5 of
     the unit-norm, sign-normalized exact conic through the same five
     doubles, where sigma_1 / sigma_5 is the condition of the window's 5x6
     design [x^2, 2xy, y^2, 2x, 2y, 1] in the given coordinates.
     """
-    w = len(pts)
-    coef = np.full((w, 6), np.nan)
-    absmax = np.abs(pts).max(axis=(1, 2))
-    scale = np.maximum(absmax, 1e-300)
-    gaps = row_norms((pts[:, _PAIRS[0]] - pts[:, _PAIRS[1]]).reshape(-1, 2)).reshape(w, len(_PAIRS[0]))
-    close = gaps <= 1e-12 * scale[:, None]
-    area = orient_rows(*(pts[:, t].reshape(-1, 2) for t in _TRIPLES)).reshape(w, len(_TRIPLES[0]))
-    collinear = np.abs(area) <= 1e-12 * (scale * scale)[:, None]
-    errors = {int(r): "fit points {}, {}, {} are collinear".format(*_TRIPLES[:, collinear[r].argmax()])
-              for r in np.flatnonzero(collinear.any(axis=1))}
-    errors.update({int(r): "fit points {} and {} coincide".format(*_PAIRS[:, close[r].argmax()])
-                   for r in np.flatnonzero(close.any(axis=1))})
-    ok = np.flatnonzero(~(close.any(axis=1) | collinear.any(axis=1)))
-    if len(ok) == 0:
-        return coef, errors
-    p = pts[ok]
-    diff = p - p[:, 2, None]
-    exp = np.frexp(np.abs(diff).max(axis=(1, 2)))[1]
-    u = np.ldexp(diff, -exp[:, None, None]).transpose(1, 0, 2).copy()  # (5, k, 2): point j of every window in u[j]
-    br = orient_rows(*(u[t].reshape(-1, 2) for t in _BRACKETS)).reshape(8, len(ok))
-    (i, j), x, y = _BRACKETS[1:, 4:], u[..., 0], u[..., 1]
-    lines = np.stack([y[i] - y[j], x[j] - x[i], br[4:]], axis=2)
+    diff = pts - pts[:, 2, None]
+    big, exp = np.frexp(np.abs(diff).max(axis=(1, 2)))  # big = max|u|
+    u = np.ldexp(diff, -exp[:, None, None]).transpose(1, 0, 2).copy()  # (5, w, 2): point j of every window in u[j]
+    gaps = row_norms((u[_PAIRS[0]] - u[_PAIRS[1]]).reshape(-1, 2)).reshape(len(_PAIRS[0]), -1)
+    br = orient_rows(*(u[t].reshape(-1, 2) for t in _TRIPLES)).reshape(len(_TRIPLES[0]), -1)
+    close, collinear = gaps <= 1e-12 * big, np.abs(br) <= 1e-12 * big * big
+    errors = {int(r): "fit points {}, {}, {} are collinear".format(*sorted(_TRIPLES[:, collinear[:, r].argmax()]))
+              for r in np.flatnonzero(collinear.any(axis=0))}
+    errors.update({int(r): "fit points {} and {} coincide".format(*_PAIRS[:, close[:, r].argmax()])
+                   for r in np.flatnonzero(close.any(axis=0))})
+    # br in _TRIPLES order: [012], [013], [014], [023], [024], [034], [123], [124], [134], [234]
+    (i, j), x, y, zero = _LINES, u[..., 0], u[..., 1], np.zeros(len(pts))
+    lines = np.stack([y[i] - y[j], x[j] - x[i], np.stack([br[0], zero, zero, -br[6]])], axis=2)
     pair = lines[:2, :, :, None] * lines[2:, :, None, :]  # L01 L23 and L02 L13 as outer products
     pair = pair + pair.transpose(0, 1, 3, 2)  # twice each line pair's symmetric conic matrix
-    conic = (br[0] * br[1])[:, None, None] * pair[0] - (br[2] * br[3])[:, None, None] * pair[1]
-    frame = np.zeros((len(ok), 3, 3))
-    frame[:, 0, 0] = frame[:, 1, 1] = np.ldexp(1.0, -exp)
-    frame[:, :2, 2] = np.ldexp(-p[:, 2], -exp[:, None])
-    frame[:, 2, 2] = 1.0
-    mat = frame.transpose(0, 2, 1) @ conic @ frame
-    vec = mat[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]]
-    vec = vec / row_norms(vec)[:, None]
-    big = np.abs(vec) > 1e-12
-    lead = np.where(big[:, :3].any(axis=1), np.argmax(big[:, :3], axis=1), np.argmax(big, axis=1))
-    vec = np.where((vec[np.arange(len(ok)), lead] < 0)[:, None], -vec, vec)
-    a, b, c, d, e, f0 = (vec[:, k, None] for k in range(6))
-    px, py = p[..., 0], p[..., 1]
-    residual = a * px * px + 2.0 * b * px * py + c * py * py + 2.0 * d * px + 2.0 * e * py + f0
-    worst = np.abs(residual).max(axis=1)
-    row_scale = np.maximum(absmax[ok] ** 2, 1.0)
-    for k in np.flatnonzero(worst > RESIDUAL_TOL * row_scale):
-        errors.setdefault(int(ok[k]), f"conic fit residual {worst[k]:.3e} exceeds tolerance")
-    coef[ok] = vec
-    coef[list(errors)] = np.nan
-    return coef, errors
+    conic = (br[4] * br[8])[:, None, None] * pair[0] - (br[2] * br[9])[:, None, None] * pair[1]
+    # back to the given coordinates: x -> u = 2^-exp (x - p2) is the scale 2^-exp, then the shift by -2^-exp p2. The
+    # shift is a matmul; the scale enters A, B and C twice and D and E once, and is applied exactly, as powers of two,
+    # together with the one that puts the largest entry in [1/2, 1) (-4096 is below every exponent), so none overflows
+    shift = np.tile(np.eye(3), (len(pts), 1, 1))
+    shift[:, :2, 2] = np.ldexp(-pts[:, 2], -exp[:, None])
+    mant, power = np.frexp((shift.transpose(0, 2, 1) @ conic @ shift).reshape(-1, 9)[:, _UPPER])
+    power = power - exp[:, None] * _DEGREE
+    vec = np.ldexp(mant, power - np.where(mant == 0.0, -4096, power).max(axis=1)[:, None])
+    with np.errstate(invalid="ignore"):  # the pencil of a screened window may vanish
+        unit = conic.reshape(-1, 9)[:, _UPPER]
+        a, b, c, d, e, f0 = unit.T / row_norms(unit)
+        vec = vec / row_norms(vec)[:, None]
+    worst = np.abs(a * x * x + 2.0 * b * x * y + c * y * y + 2.0 * d * x + 2.0 * e * y + f0).max(axis=0)
+    for r in np.flatnonzero(worst > RESIDUAL_TOL):
+        errors.setdefault(int(r), f"conic fit residual {worst[r]:.3e} exceeds tolerance")
+    large = np.abs(vec) > 1e-12
+    lead = np.where(large[:, :3].any(axis=1), np.argmax(large[:, :3], axis=1), np.argmax(large, axis=1))
+    vec = np.where((vec[np.arange(len(pts)), lead] < 0)[:, None], -vec, vec)
+    vec[list(errors)] = np.nan
+    return vec, errors
 
 
 # F = A C F0 + 2 B D E - A E^2 - B^2 F0 - C D^2: column t of (i, j, k, factor) is the term factor coef_i coef_j coef_k
@@ -495,14 +501,18 @@ def fit_conic(points) -> ConicCoeffs:
     Returns
     -------
     ConicCoeffs
-        Unit-norm, sign-normalized coefficients, within `_fit`'s bound;
-        every input point has residual below ``RESIDUAL_TOL`` at unit design-row scale.
+        Unit-norm, sign-normalized coefficients, within `_fit`'s bound. In
+        the window's frame (its differences to the centre point p2, scaled
+        by a power of two so that the largest magnitude lies in [1/2, 1)),
+        the unit-norm conic vanishes within ``RESIDUAL_TOL`` at every point.
 
     Raises
     ------
     DegenerateConfiguration
-        Not a (5, 2) array, coincident points, a collinear triple (no
-        unique conic), or a residual over ``RESIDUAL_TOL``.
+        Not a (5, 2) array, or, in the window's frame, coincident points
+        (a gap of at most 1e-12 of the largest magnitude), a collinear
+        triple (an orientation of at most 1e-12 of its square: no unique
+        conic), or a residual over ``RESIDUAL_TOL``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (5, 2):
@@ -581,6 +591,8 @@ def affine_arc_length(mesh: Mesh, at: int, k: int, l: int) -> float:
     must lie in the five-neighborhood of `at`; it raises where the curvature
     at `at` raises.
     """
+    if mesh.closed:
+        at, k, l = (mesh.resolve(j) for j in (at, k, l))
     _check_arc_offset(mesh, at, k)
     _check_arc_offset(mesh, at, l)
     pk, pl = mesh.p(k), mesh.p(l)
@@ -619,7 +631,7 @@ def sd_affine(mesh: Mesh, i: int) -> SigDirection:
     the working diameter 2^-k diameter, so no square overflows or underflows.
     """
     window, scale = _fit_window(mesh, i), math.ldexp(mesh.diameter, -working_points(mesh).k)
-    turns = orient_rows(window[:-2], window[1:-1], window[2:])
+    i, turns = mesh.resolve(i), orient_rows(window[:-2], window[1:-1], window[2:])
     if (np.abs(turns) <= 1e-12 * scale ** 2).any():
         raise DegenerateConfiguration(f"collinear turn in the two-neighborhood of {i}")
     if not ((turns > 0).all() or (turns < 0).all()):
@@ -656,10 +668,10 @@ def hyperbola_gap_bound(mesh: Mesh, i: int) -> float:
     """
     blk, w = _row(mesh, i)
     if blk.gap_undefined[w]:
-        raise ParabolicConic(f"conic at index {i} is parabolic in the unit scale: no gap bound")
+        raise ParabolicConic(f"conic at index {w} is parabolic in the unit scale: no gap bound")
     radicand = float(blk.radicand[w])
     if radicand < 0.0:
-        raise NonRealMu(f"gap bound radicand {radicand!r} negative at index {i}")
+        raise NonRealMu(f"gap bound radicand {radicand!r} negative at index {w}")
     return float(blk.mu[w])
 
 

@@ -59,7 +59,8 @@ class NotConvex(MeshSigError):
 
 class DegenerateConfiguration(MeshSigError):
     """Conic fit impossible: coincident points, a collinear triple (no unique conic), or a residual over
-    tolerance. A unique conic is fitted within 2 eps sigma_1 / sigma_5 (`affine._fit`)."""
+    tolerance, each judged in the window's frame, its differences to the centre point scaled by a power of
+    two. A unique conic is fitted within 2 eps sigma_1 / sigma_5 (`affine._fit`)."""
 
 
 class ZeroF(MeshSigError):

@@ -647,7 +647,8 @@ def equivalence_meshes():
     out.append(ms.Mesh(np.vstack([gen.ellipse_mesh(6, 2.0, 1.0, step=0.3).points, [[3.0, 3.0], [4.0, 3.0], [5.0, 3.0]]])))
     out.append(gen.circle_mesh(3))  # closed 3- and 4-point meshes: repeated window points
     out.append(gen.circle_mesh(4))
-    # far from the origin, a step that Mesh accepts is below the fit's coincidence scale
+    # far from the origin, a step of 1e-8 that Mesh accepts: each window is screened in its own frame, where the
+    # step is no coincidence, and its conic in the given coordinates has F under ZERO_F_TOL
     far = gen.ellipse_mesh(8, 2.0, 1.0, step=0.3).points + 1e7
     far[4] = far[3] + 1e-8
     out.append(ms.Mesh(far))
@@ -905,3 +906,80 @@ class TestScalarEquivalence:
             got.append("".join(letter[ms.decide_affine(m1, m2, variant, sig_tol).status]
                                for variant in ("thm5.7", "thm5.8", "cor5.9") for sig_tol in (1e-6, 1e-2)))
         assert got == expected
+
+
+def told(f, *args):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return f(*args)
+    except ms.MeshSigError as exc:
+        return type(exc), str(exc)
+
+
+def corpus_windows():
+    """The named windows, five coinciding points, every window of the equivalence corpus, and the windows of a
+    comb (every fifth point off a line, with 3e-11 noise), some of which fail the residual check."""
+    named = [COLLINEAR_WINDOW, RANK_WINDOW, ZERO_F_WINDOW, np.zeros((5, 2))]
+    comb = np.where(np.arange(41) % 5 == 0, 0.3, 0.0) + 3e-11 * np.random.default_rng(49).normal(size=41)
+    meshes = EQUIVALENCE_MESHES + [ms.Mesh(np.column_stack([np.linspace(-1.0, 1.0, 41), comb]))]
+    windows = [np.stack([m.p(i, off) for off in range(-2, 3)]) for m in meshes for i in m.interior(2, 2)]
+    return np.array(named + windows, dtype=float)
+
+
+# (-1, 1), (-0.5, 0.25), (0, 0), (0.5, 0.25), (1, 1), whose largest difference to the centre point is 1, with p4
+# moved to p3 + (0, g) (its closest pair at g) or p1 to (-0.5, 0.5 - g) (its orientation [012] at g)
+def edge_window(g, moved):
+    w = np.array([(-1.0, 1.0), (-0.5, 0.25), (0.0, 0.0), (0.5, 0.25), (1.0, 1.0)])
+    w[moved] = (0.5, 0.25 + g) if moved == 4 else (-0.5, 0.5 - g)
+    return w
+
+
+class TestFitFrame:
+    """_fit screens and checks each window in its own frame, so its verdicts do not depend on where the window
+    lies or on a power-of-two dilation."""
+
+    @pytest.mark.parametrize("j", [-600, -300, -30, 30, 300, 600])
+    def test_verdicts_under_power_of_two_dilations(self, j):
+        """The same errors, and finite coefficients on every other window: the map back to the given coordinates
+        scales exactly, so it overflows nowhere in this range."""
+        windows = corpus_windows()
+        errors = affine._fit(windows)[1]
+        assert {msg.split(" ")[-1] for msg in errors.values()} == {"coincide", "collinear", "tolerance"}
+        coef, got = affine._fit(np.ldexp(windows, j))
+        assert got == errors
+        assert np.isfinite(np.delete(coef, list(errors), axis=0)).all()
+
+    def test_integer_windows_under_integer_translations(self):
+        rng = np.random.default_rng(48)
+        windows = rng.integers(-6, 7, size=(2000, 5, 2)).astype(float)
+        errors = affine._fit(windows)[1]
+        assert {msg.split(" ")[-1] for msg in errors.values()} == {"coincide", "collinear"}
+        assert 0 < len(errors) < len(windows)
+        for k in (1, 13, 27, 40):
+            shift = rng.integers(-2 ** k, 2 ** k + 1, size=2).astype(float)
+            assert affine._fit(windows + shift)[1] == errors, k
+
+    def test_a_shifted_ellipse_fits_every_window(self):
+        m = gen.ellipse_mesh(200, 2.0, 1.0)
+        assert affine._block(ms.Mesh(m.points + 1e4, closed=True)).fit_errors == {}
+
+    @pytest.mark.parametrize("g, moved, want", [(1e-11, 4, None), (1e-13, 4, "fit points 3 and 4 coincide"),
+                                                (1e-11, 1, None), (1e-13, 1, "fit points 0, 1, 2 are collinear")])
+    def test_screening_band_edges(self, g, moved, want):
+        """The coincidence band is 1e-12 of the largest difference to the centre point, the collinearity band
+        1e-12 of its square: a window at 1e-11 of either fits, at 1e-13 it is screened. So it stays when moved
+        by 10^4 times that difference, where the raw coordinates would have to be resolved to 1e-15 of their
+        size, and when dilated by 2^+-300."""
+        w = edge_window(g, moved)
+        for window in (w, w + 1e4, np.ldexp(w, 300), np.ldexp(w, -300), np.ldexp(w + 1e4, -300)):
+            coef, errors = affine._fit(window[None])
+            assert errors == ({} if want is None else {0: want})
+            assert np.isnan(coef).all() == (want is not None)
+
+    @pytest.mark.parametrize("m", [m for m in EQUIVALENCE_MESHES if m.closed],
+                             ids=[k for k, m in zip(MESH_IDS, EQUIVALENCE_MESHES) if m.closed])
+    def test_messages_name_the_resolved_index(self, m):
+        arcs = tuple(lambda m, i, dk=dk, dl=dl: ms.affine_arc_length(m, i, i + dk, i + dl) for dk, dl in ARC_OFFSETS)
+        for view in VIEWS + (ms.sd_affine,) + arcs:
+            for i in range(m.n):
+                assert told(view, m, i + m.n) == told(view, m, i), (view.__name__, i)

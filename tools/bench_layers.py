@@ -26,7 +26,9 @@ after the times taken before it; any other exception, numpy warnings under
 - L1: the equiaffine block `affine._block`, with its tracemalloc peak and
   its fitted windows (a block that fits none fails with its first window's
   error), and the fit, arc-length, sector and gap-bound kernels on the
-  arrays the block hands them, on the closed `ellipse_mesh(n, 2, 1)` and
+  arrays the block hands them, under the block's numpy error state (a
+  hyperbolic row's sector and a negative gap-bound radicand are NaN
+  there, not warnings), on the closed `ellipse_mesh(n, 2, 1)` and
   on a 32-point open arc shaped like sa-arcs'; the blocks of two such arcs
   one at a time and jointly in one pass (`affine.build_blocks`);
 - L2: `signed_angle` at one index and, with `euclidean_curvature`, at every
@@ -49,7 +51,14 @@ after the times taken before it; any other exception, numpy warnings under
   them in turn, as one se-rules pair runs them, at first use and reuse
   over 200 repeats; `decide_affine` thm5.7, thm5.8 and cor5.9 on one
   congruent pair of the sa-arcs workload (32-point open ellipse arcs), at
-  first use and reuse over 200 repeats.
+  first use and reuse over 200 repeats;
+- L4: the CLI in-process (`cli.main`, its output discarded), on CSV files
+  written once per size, before the timed calls: `signature --group se
+  --scheme 2` on a 1600-point closed equilateral outline of the se-outlines
+  workload, `signature --group sa --scheme 6` on the 32-point open arc of
+  the sa-arcs pair, and `congruent --mode cyclic` on a 300-point closed
+  radial outline and its SE image started at another index; each records
+  its exit code.
 
 Sizes are n in 10^2..10^5 unless a row says otherwise. `--layers` prints
 the machine and the rows of the meshsig on sys.path as one JSON line.
@@ -75,13 +84,16 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -166,11 +178,11 @@ def run(row: Row, n: int, repeats: int) -> dict:
     return entry
 
 
-def table() -> list[Row]:
-    """Every row of `--layers`, in the order they are timed."""
+def table(workdir: Path) -> list[Row]:
+    """Every row of `--layers`, in the order they are timed; the L4 rows write their files under workdir."""
     import numpy as np
     import meshsig as ms
-    from meshsig import affine, geometry, generators as gen
+    from meshsig import affine, cli, geometry, meshio, generators as gen
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 
@@ -194,6 +206,12 @@ def table() -> list[Row]:
         windows = win if blk.has_window.all() else win[2:-2]
         return {"_fit": (windows,), "_arcs": (blk, slice(None), win[:, :-1], win[:, 1:]), "_sectors": (*arrays, win),
                 "_gap_bounds": arrays[:3]}[kernel]
+
+    def as_the_block_calls(kernel):  # the kernel under the errstate of `_Block`, which reads its invalid rows as NaN
+        def call(*args):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return kernel(*args)
+        return call
 
     cases = [(ms.Group(group), ms.MatchMode(mode)) for group, mode in (
         ("se", "cyclic"), ("e", "cyclic-reversal"), ("sa", "cyclic"), ("abar", "cyclic-reversal"), ("se", "aligned"))]
@@ -237,7 +255,7 @@ def table() -> list[Row]:
             Row("L0", f"is_ordinary, {on_ellipse}", ms.is_ordinary)]
     for case, mesh_of, sizes in ((on_ellipse, ellipse, SWEEP), (on_arc, arc, ARC)):
         rows.append(Row("L1", f"affine._block, {case}", affine._block, mesh_of, sizes, peak=True, notes=fitted))
-        rows += [Row("L1", f"affine.{k} on the arrays of the block, {case}", getattr(affine, k),
+        rows += [Row("L1", f"affine.{k} on the arrays of the block, {case}", as_the_block_calls(getattr(affine, k)),
                      functools.partial(kernel_args, k, mesh_of), sizes)
                  for k in ("_fit", "_arcs", "_sectors", "_gap_bounds")]
     both_arcs = f"the {on_arc} and the open arc ellipse_mesh(n, 2.1, 0.8, t0=2.0, step=0.09)"
@@ -267,15 +285,39 @@ def table() -> list[Row]:
     decisions = [(case, call, rule_meshes, ((38, 200),)) for case, call in rules]
     decisions += [(f"decide_affine {variant}, sa-arcs 32-point congruent pair",
                    functools.partial(ms.decide_affine, variant=variant), sa_pair, ARC) for variant in workloads.SA_VARIANTS]
-    return rows + [Row("L3", case, call, meshes, sizes, reuse=True, notes=lambda v, *m: {"congruent": v.congruent})
-                   for case, call, meshes, sizes in decisions]
+    rows += [Row("L3", case, call, meshes, sizes, reuse=True, notes=lambda v, *m: {"congruent": v.congruent})
+             for case, call, meshes, sizes in decisions]
+
+    def command(argv):  # cli.main(argv), its stdout and stderr discarded
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(argv)
+
+    def cli_args(name, meshes, *options):  # the meshes written as CSV files, once, and the command's argv
+        paths = [str(workdir / f"{name}-{k}.csv") for k in range(len(meshes))]
+        for mesh, path in zip(meshes, paths):
+            meshio.write_mesh_csv(mesh, path)
+        return ([name, *paths, *options],)
+
+    exit_code, sig_out = lambda code, argv: {"exit_code": code}, str(workdir / "signature.csv")
+    equilateral = lambda n: [closed(workloads.equilateral_closed(np.random.default_rng(n), n, 0.1))]
+    return rows + [
+        Row("L4", "cli signature --group se --scheme 2, 1600-point closed equilateral outline of se-outlines", command,
+            lambda n: cli_args("signature", equilateral(n), "--group", "se", "--scheme", "2", "--closed", "--out",
+                               sig_out), ((1600, 20),), notes=exit_code),
+        Row("L4", "cli signature --group sa --scheme 6, 32-point open arc of an sa-arcs pair", command,
+            lambda n: cli_args("signature", sa_pair(n)[:1], "--group", "sa", "--scheme", "6", "--out", sig_out), ARC,
+            notes=exit_code),
+        Row("L4", "cli congruent --mode cyclic, 300-point closed radial outline and its SE image", command,
+            lambda n: cli_args("congruent", outline_pair(0, n), "--mode", "cyclic", "--closed"), ((300, 50),),
+            notes=exit_code)]
 
 
 def layers() -> dict:
     """Every row of the table, timed on the meshsig on sys.path (run in a child process)."""
     out = {"calibration_ms": calibration_ms()}
-    out["rows"] = [{"layer": row.layer, "case": row.case, "sizes": [run(row, n, repeats) for n, repeats in row.sizes]}
-                   for row in table()]
+    with tempfile.TemporaryDirectory() as workdir:
+        out["rows"] = [{"layer": row.layer, "case": row.case, "sizes": [run(row, n, repeats) for n, repeats in row.sizes]}
+                       for row in table(Path(workdir))]
     out["calibration_ms_after"] = calibration_ms()
     return out
 
