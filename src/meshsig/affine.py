@@ -18,9 +18,13 @@ the window's four consecutive arc lengths, its fineness and its hyperbola
 gap bound, plus the flags that say which of them may be read. An arc
 length is read on a window's conic exactly where its curvature is: one
 formula (`_arcs`) serves ellipses, hyperbolas and parabolas alike. Each column
-reads by name through one name-to-column map. A degenerate window is
+reads by name through one name-to-column map. The fit's two screens,
+coinciding points and a collinear triple, both judged in the window's
+frame, are the layer's only test of a degenerate window: five points that
+pass them lie on exactly one conic, and it is real. A degenerate window is
 recorded in the block and raises only when that window is read, through
-one helper (`_row`) shared by every per-index and array function.
+one helper (`_row`) shared by every per-index and array function,
+`sd_affine` included: it reads the window's three turns off the fit.
 `build_blocks` builds the missing blocks of several meshes in one pass
 over all their windows, as the equiaffine rules do for a pair; a mesh's
 block from such a pass is a read-only copy of its rows of the two tables,
@@ -38,7 +42,6 @@ windows raises what its first failing index raises, as one window would.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -71,7 +74,6 @@ from .geometry import (
     is_ordinary,
     orient_rows,
     row_norms,
-    working_points,
 )
 from .signatures import Scheme, Signature, _check_edge_spacing, signature_columns
 
@@ -79,8 +81,6 @@ from .signatures import Scheme, Signature, _check_edge_spacing, signature_column
 PARABOLIC_TOL = 1e-10
 # |F| below this (unit-norm coefficients) marks a degenerate conic (line pair).
 ZERO_F_TOL = 1e-12
-# Residual bound of the unit-norm conic at the five points of its window's frame (see `_fit`).
-RESIDUAL_TOL = 1e-8
 
 # Conic fit window: the two-neighborhood on each side of the center point.
 FIT_HALF_WIDTH = 2
@@ -158,22 +158,24 @@ _LINES = np.array([(0, 1), (0, 2), (2, 3), (1, 3)]).T
 _UPPER, _DEGREE = [0, 1, 4, 2, 5, 8], np.array([2, 2, 2, 1, 1, 0])
 
 
-def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str], np.ndarray]:
     """Conics through a (w, 5, 2) stack of five-point windows.
 
-    Returns (coef, errors): coef is (w, 6), unit-norm and sign-normalized,
-    NaN on the rows of degenerate windows, and errors maps each of those
-    rows to its DegenerateConfiguration message: coinciding points first,
-    then a collinear triple, then the residual.
+    Returns (coef, errors, turns): coef is (w, 6), unit-norm and
+    sign-normalized, NaN on the rows of degenerate windows; errors maps each
+    of those rows to its DegenerateConfiguration message, coinciding points
+    first, then a collinear triple; turns is (w, 3), the window's
+    orientations [012], [123] and [234] in its frame.
 
     Each window is worked in its own frame: u = 2^-e (p - p2), the
     differences to its centre point p2, with e chosen so that max|u| lies in
     [1/2, 1). There, two of its points coincide when their gap is at most
-    1e-12 max|u|, a triple is collinear when its orientation [ijk] is at most
-    1e-12 max|u|^2 in magnitude, and the fitted conic, at unit norm, must
-    vanish within RESIDUAL_TOL at the five points u. These verdicts do not
-    change under translation (up to the rounding of p - p2) or under
-    power-of-two dilation.
+    1e-12 max|u|, and a triple is collinear when its orientation [ijk] is at
+    most 1e-12 max|u|^2 in magnitude. These two screens are the only test of
+    a degenerate window: a window that passes them has no three points
+    collinear, so its conic is unique. Their verdicts do not change under
+    translation (up to the rounding of p - p2) or under power-of-two
+    dilation.
 
     Five points with no three collinear lie on exactly one conic, the member
     of the pencil through p0 ... p3 that passes through p4 (Richter-Gebert,
@@ -214,17 +216,12 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     power = power - exp[:, None] * _DEGREE
     vec = np.ldexp(mant, power - np.where(mant == 0.0, -4096, power).max(axis=1)[:, None])
     with np.errstate(invalid="ignore"):  # the pencil of a screened window may vanish
-        unit = conic.reshape(-1, 9)[:, _UPPER]
-        a, b, c, d, e, f0 = unit.T / row_norms(unit)
         vec = vec / row_norms(vec)[:, None]
-    worst = np.abs(a * x * x + 2.0 * b * x * y + c * y * y + 2.0 * d * x + 2.0 * e * y + f0).max(axis=0)
-    for r in np.flatnonzero(worst > RESIDUAL_TOL):
-        errors.setdefault(int(r), f"conic fit residual {worst[r]:.3e} exceeds tolerance")
     large = np.abs(vec) > 1e-12
     lead = np.where(large[:, :3].any(axis=1), np.argmax(large[:, :3], axis=1), np.argmax(large, axis=1))
     vec = np.where((vec[np.arange(len(pts)), lead] < 0)[:, None], -vec, vec)
     vec[list(errors)] = np.nan
-    return vec, errors
+    return vec, errors, br[[0, 6, 9]].T
 
 
 # F = A C F0 + 2 B D E - A E^2 - B^2 F0 - C D^2: column t of (i, j, k, factor) is the term factor coef_i coef_j coef_k
@@ -332,7 +329,8 @@ def _gap_bounds(coef: np.ndarray, S: np.ndarray, F: np.ndarray) -> tuple[np.ndar
 # The block's float table, column by column (name, width), and its bool table, one column per flag.
 _FLOATS = (("coef", 6), ("S", 1), ("F", 1), ("kappa", 1), ("center", 2), ("arcs", 4), ("rho", 1), ("sector", 1),
            ("area", 1), ("radicand", 1), ("mu", 1))
-_FLAGS = ("has_window", "fitted", "zero_f", "kappa_ok", "fine_area", "gap_undefined", "position", "affine_fine")
+_FLAGS = ("has_window", "fitted", "zero_f", "kappa_ok", "fine_area", "gap_undefined", "position", "affine_fine",
+          "convex_position", "ccw")
 _STARTS = np.cumsum([0] + [width for _, width in _FLOATS]).tolist()
 # name -> (table, column): an index for a one-wide column, a slice for coef, center and arcs
 _COLUMNS = {**{name: ("values", start if width == 1 else slice(start, start + width))
@@ -346,15 +344,17 @@ class _Block:
     Built from a (N, 5, 2) window stack and its has-window mask, drawn from
     one or more meshes: a mesh's block is its rows of the stack (`rows`),
     row i belonging to the window centered at p[i]. Two read-only tables
-    hold every column: ``values``, (N, 20) float64, and ``flags``, (N, 8)
+    hold every column: ``values``, (N, 20) float64, and ``flags``, (N, 10)
     bool, laid out by ``_COLUMNS``; each column also reads by its name
     (``blk.kappa``, ``blk.coef``, ``blk.kappa_ok``, ...) as a view of its
     table. Rows without a window (the two ends of an open mesh) or with a
     degenerate fit hold NaN; `fit_errors` maps the degenerate rows to
     fit_conic's message. A row's curvature and its arc lengths can be read
-    where ``kappa_ok`` holds; a row's failures are raised only when it is
-    read, by `_row`. Every kernel works row by row, so a mesh's rows of a
-    stack over several meshes equal its own one-mesh build bit for bit.
+    where ``kappa_ok`` holds; ``convex_position`` (the fit's three turns
+    share a strict sign) and ``ccw`` (its middle turn is positive) give
+    `sd_affine`. A row's failures are raised only when it is read, by
+    `_row`. Every kernel works row by row, so a mesh's rows of a stack over
+    several meshes equal its own one-mesh build bit for bit.
     """
 
     __slots__ = ("values", "flags", "fit_errors")
@@ -362,8 +362,8 @@ class _Block:
     def __init__(self, win: np.ndarray, has_window: np.ndarray):
         tol, rows = PARABOLIC_TOL, np.flatnonzero(has_window)
         self.values, self.flags = np.full((len(win), _STARTS[-1]), np.nan), np.zeros((len(win), len(_FLAGS)), bool)
-        coef = np.full((len(win), 6), np.nan)
-        coef[rows], errors = _fit(win[rows])
+        coef, turns = np.full((len(win), 6), np.nan), np.full((len(win), 3), np.nan)
+        coef[rows], errors, turns[rows] = _fit(win[rows])
         self.fit_errors = {int(rows[r]): msg for r, msg in errors.items()}
         fitted = has_window.copy()
         fitted[list(self.fit_errors)] = False
@@ -372,7 +372,8 @@ class _Block:
             kappa, center, zero_f = _kappa(S, F), _centers(coef, S), np.abs(F) <= ZERO_F_TOL
             kappa_ok = fitted & ~zero_f
             self._fill(coef=coef, S=S, F=F, kappa=kappa, center=center, has_window=has_window, fitted=fitted,
-                       zero_f=zero_f, kappa_ok=kappa_ok)
+                       zero_f=zero_f, kappa_ok=kappa_ok, ccw=turns[:, 1] > 0.0,
+                       convex_position=(turns > 0.0).all(axis=1) | (turns < 0.0).all(axis=1))
             # kappa = S / cbrt(F)^2 > 0 implies S > 0: the conic is an ellipse
             elliptic = kappa_ok & (kappa > tol)
             rho, sector = (np.where(elliptic, v, np.nan) for v in _sectors(coef, S, F, center, win))
@@ -384,7 +385,7 @@ class _Block:
             fine_area, in_position = area >= sector * (1.0 - 1e-9), ~gap_undefined & (radicand >= 0.0) & position
             self._fill(arcs=_arcs(self, slice(None), win[:, :-1], win[:, 1:]), rho=rho, sector=sector, area=area,
                        fine_area=fine_area, gap_undefined=gap_undefined, radicand=radicand, mu=mu, position=position,
-                       affine_fine=kappa_ok & np.where(kappa > tol, (rho > 0.0) & fine_area,
+                       affine_fine=kappa_ok & np.where(kappa > tol, fine_area,
                                                        np.where(kappa < -tol, in_position, True)))
         _frozen(self.values, self.flags)
 
@@ -461,24 +462,20 @@ def _block(mesh: Mesh) -> _Block:
     return build_blocks(mesh)[0]
 
 
-def _fit_window(mesh: Mesh, i: int) -> np.ndarray:
-    """The five working points 2^-k p centred on p[i]."""
-    rows = [mesh.resolve(i, off) for off in _FIT_OFFSETS]
-    return working_points(mesh).points[rows]
-
-
 def _row(mesh: Mesh, i: int, read: str = "") -> tuple[_Block, int]:
     """Block and row of the window at p[i], raising what reading that row raises.
 
     In this order: IndexOutOfRange for a window reaching past an end, the
-    fit's DegenerateConfiguration, and then, for ``read="kappa"`` (the
-    curvature, or an arc length on the row's conic), ZeroF. Every function
-    of this module that reads a row raises through here.
+    fit's DegenerateConfiguration (its coincidence or collinearity screen,
+    the only degeneracy test of a window), and then, for ``read="kappa"``
+    (the curvature, or an arc length on the row's conic), ZeroF. Every
+    function of this module that reads a row raises through here.
     """
     i = mesh.resolve(i)
     blk = _block(mesh)
     if not blk.has_window[i]:
-        _fit_window(mesh, i)  # the window reaches past an end: IndexOutOfRange
+        for off in _FIT_OFFSETS:
+            mesh.resolve(i, off)  # the window reaches past an end: IndexOutOfRange
     if i in blk.fit_errors:
         raise DegenerateConfiguration(f"window at index {i}: {blk.fit_errors[i]}")
     if read and blk.zero_f[i]:
@@ -501,23 +498,23 @@ def fit_conic(points) -> ConicCoeffs:
     Returns
     -------
     ConicCoeffs
-        Unit-norm, sign-normalized coefficients, within `_fit`'s bound. In
-        the window's frame (its differences to the centre point p2, scaled
-        by a power of two so that the largest magnitude lies in [1/2, 1)),
-        the unit-norm conic vanishes within ``RESIDUAL_TOL`` at every point.
+        Unit-norm, sign-normalized coefficients, within `_fit`'s bound.
 
     Raises
     ------
     DegenerateConfiguration
-        Not a (5, 2) array, or, in the window's frame, coincident points
-        (a gap of at most 1e-12 of the largest magnitude), a collinear
-        triple (an orientation of at most 1e-12 of its square: no unique
-        conic), or a residual over ``RESIDUAL_TOL``.
+        Not a (5, 2) array, or, in the window's frame (its differences to
+        the centre point p2, scaled by a power of two so that the largest
+        magnitude lies in [1/2, 1)), coincident points (a gap of at most
+        1e-12 of the largest magnitude) or a collinear triple (an
+        orientation of at most 1e-12 of its square: no unique conic). These
+        two screens are the only degeneracy test: five points that pass
+        them lie on exactly one conic.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (5, 2):
         raise DegenerateConfiguration(f"conic fit needs exactly 5 points, got {pts.shape}")
-    coef, errors = _fit(pts[None])
+    coef, errors, _ = _fit(pts[None])
     if errors:
         raise DegenerateConfiguration(errors[0])
     return ConicCoeffs.from_vector(coef[0])
@@ -622,21 +619,16 @@ def interior_arc_length_sets(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 def sd_affine(mesh: Mesh, i: int) -> SigDirection:
     """Traversal orientation of the two-neighborhood on its fitted conic.
 
-    The three turns of the window, at p[i-1], p[i] and p[i+1], must share a
-    sign. A turn counts as zero when its orient is at most
-    ``1e-12 * diameter**2`` in magnitude (a band of this function's own,
-    apart from ``COLLINEARITY_REL_TOL``); a zero or mixed-sign turn means
-    the window is not in convex position and raises DegenerateConfiguration.
-    The turns are taken on the working points 2^-k p against the band of
-    the working diameter 2^-k diameter, so no square overflows or underflows.
+    The window is read through `_row`, so it raises what its fit raises; a
+    collinear turn is one of the fit's collinear triples, judged in the
+    window's frame. The fit's three turns, its orientations at p[i-1], p[i]
+    and p[i+1], must then share a sign, else the window is not in convex
+    position and raises DegenerateConfiguration. SD when they are positive.
     """
-    window, scale = _fit_window(mesh, i), math.ldexp(mesh.diameter, -working_points(mesh).k)
-    i, turns = mesh.resolve(i), orient_rows(window[:-2], window[1:-1], window[2:])
-    if (np.abs(turns) <= 1e-12 * scale ** 2).any():
-        raise DegenerateConfiguration(f"collinear turn in the two-neighborhood of {i}")
-    if not ((turns > 0).all() or (turns < 0).all()):
+    blk, i = _row(mesh, i)
+    if not blk.convex_position[i]:
         raise DegenerateConfiguration(f"two-neighborhood of {i} is not in convex position")
-    return SigDirection.SD if turns[0] > 0 else SigDirection.NOT_SD
+    return SigDirection.SD if blk.ccw[i] else SigDirection.NOT_SD
 
 
 def ellipse_area(c: ConicCoeffs) -> float:
@@ -648,13 +640,16 @@ def ellipse_area(c: ConicCoeffs) -> float:
 
 
 def has_fine_area(mesh: Mesh, i: int) -> bool:
-    """Ellipse-side fineness: the fitted ellipse's area covers the sector its window sweeps (`_sectors`)."""
+    """Ellipse-side fineness: the fitted ellipse's area covers the sector its window sweeps (`_sectors`).
+
+    A conic through five real points is real, so a positive curvature reads
+    a real ellipse; were rounding to make it imaginary, its sector would be
+    NaN and the window would read as not fine.
+    """
     blk, i = _row(mesh, i, "kappa")
     kappa = float(blk.kappa[i])
     if kappa <= PARABOLIC_TOL:
         raise WrongCurvatureSign(f"fine-area needs positive curvature, got {kappa!r}")
-    if blk.rho[i] <= 0.0:
-        raise DegenerateConfiguration("imaginary ellipse from conic fit")
     return blk.fine_area[i]
 
 

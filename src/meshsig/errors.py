@@ -58,9 +58,10 @@ class NotConvex(MeshSigError):
 
 
 class DegenerateConfiguration(MeshSigError):
-    """Conic fit impossible: coincident points, a collinear triple (no unique conic), or a residual over
-    tolerance, each judged in the window's frame, its differences to the centre point scaled by a power of
-    two. A unique conic is fitted within 2 eps sigma_1 / sigma_5 (`affine._fit`)."""
+    """Conic fit impossible: coincident points or a collinear triple (no unique conic), each judged in the
+    window's frame, its differences to the centre point scaled by a power of two. These two screens are the
+    equiaffine layer's only degeneracy test: any other window has one conic, fitted within 2 eps sigma_1 /
+    sigma_5 (`affine._fit`). `sd_affine` also raises it for a fitted window not in convex position."""
 
 
 class ZeroF(MeshSigError):

@@ -495,8 +495,9 @@ def test_signature_error_is_nan_where_a_zero_column_meets_a_nan():
 def joint_corpus():
     """The affine equivalence corpus plus larger seeded meshes, open and closed, of 20 to 400 points.
 
-    Between them, their windows coincide, hold a collinear triple, fail the
-    residual check, and fit ellipses, hyperbolas and parabolas.
+    Between them, their windows coincide, hold a collinear triple, are
+    ill-conditioned (the combs' four nearly collinear points), and fit
+    ellipses, hyperbolas and parabolas.
     """
     rng = np.random.default_rng(61)
     out = list(EQUIVALENCE_MESHES)
@@ -519,7 +520,7 @@ def joint_corpus():
         cloud = rng.normal(size=(300, 2)) * [1e5, 1e-6] * 10.0 ** rng.uniform(-1.0, 1.0, size=(300, 1))
         out.append(ms.Mesh(cloud, closed=k % 2 == 1))
         # every fifth point off a line, with 3e-11 noise: windows of four nearly collinear points,
-        # whose fit residual can fail
+        # of design condition 1e11 to 2e12
         comb = np.where(np.arange(41) % 5 == 0, 0.3, 0.0) + 3e-11 * rng.normal(size=41)
         out.append(ms.Mesh(np.column_stack([np.linspace(-1.0, 1.0, 41), comb])))
     return out
@@ -549,8 +550,10 @@ class TestJointBlocks:
     def test_corpus_reaches_every_kind_of_row(self):
         blocks = affine.build_blocks(*(fresh(m) for m in joint_corpus()))
         tails = {msg.split(" ")[-1] for blk in blocks for msg in blk.fit_errors.values()}
-        assert tails == {"coincide", "collinear", "tolerance"}
+        assert tails == {"coincide", "collinear"}
         assert all(np.isnan(blk.coef[~blk.fitted]).all() for blk in blocks)  # no window, or a degenerate one
+        # the converse: a window that passes the fit's two screens has one conic, and it is finite
+        assert all(np.isfinite(np.column_stack([blk.coef, blk.S, blk.F])[blk.fitted]).all() for blk in blocks)
         tol = affine.PARABOLIC_TOL
         kinds = [(blk.kappa_ok & (np.abs(blk.kappa) <= tol), blk.kappa_ok & (blk.kappa > tol),
                   blk.kappa_ok & (blk.kappa < -tol)) for blk in blocks]

@@ -53,6 +53,7 @@ def meshes() -> dict:
         "circle": exact(gen.circle_mesh(64)),
         "equally spaced walk": walk,
         "closed walk": ms.Mesh(walk.points, closed=True),
+        "sa-arcs arc": gen.ellipse_mesh(32, 1.6, 1.1, t0=0.4, step=0.094, closed=False),
     }
 
 
@@ -122,7 +123,11 @@ def chords_row(mesh):
 
 
 def sd_affine_row(mesh):
-    return [(None, [outcome(ms.sd_affine, mesh, i) for i in mesh.interior(2, 2)])]
+    """sd_affine at every window; moved by 10^4 times its extent, the mesh reads the same directions and errors."""
+    got = [outcome(ms.sd_affine, mesh, i) for i in mesh.interior(2, 2)]
+    far = ms.Mesh(mesh.points + 1e4 * np.ptp(mesh.points, axis=0), closed=mesh.closed)
+    assert [outcome(ms.sd_affine, far, i) for i in far.interior(2, 2)] == got
+    return [(None, got)]
 
 
 def circumcircle_row(mesh):
@@ -154,7 +159,7 @@ ROWS = {
     "diameter, edges, flags, signs and angles": (geometry_row, SCALES),
     "curvatures": (curvature_row, SCALES),
     "chords": (chords_row, SCALES),
-    "sd_affine": (sd_affine_row, SCALES),
+    "sd_affine": (sd_affine_row, SCALES + (300, -300)),
     "circumcircle and curvature_of_triple": (circumcircle_row, SCALES),
     "se_signature eq1-eq4": (signature_row, SLOPE_SCALES),
 }

@@ -674,7 +674,12 @@ class TestFarFromUnitScale:
             assert ms.angle(far, i) == pytest.approx(ms.angle(unit, i), rel=1e-15)
         assert ms.is_convex(far) == ms.is_convex(unit)
         assert ms.is_fine(far) == ms.is_fine(unit)
-        assert ms.sd_affine(far, 2) is ms.sd_affine(unit, 2)
+        raised = []
+        for mesh in (far, unit):  # the window holds the collinear triple p0, p2, p4: the same error at both scales
+            with pytest.raises(ms.MeshSigError) as exc:
+                ms.sd_affine(mesh, 2)
+            raised.append((exc.type, str(exc.value)))
+        assert raised[0] == raised[1]
 
     @pytest.mark.parametrize("s", [1e170, 2.0 ** 600, 1e-170])
     def test_ellipse(self, s):

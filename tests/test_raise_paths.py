@@ -10,7 +10,6 @@ import meshsig as ms
 from meshsig import affine, generators as gen, meshio
 from meshsig.cli import main
 from meshsig.errors import (
-    DegenerateConfiguration,
     IndexOutOfRange,
     InvalidMesh,
     InvalidStep,
@@ -49,20 +48,6 @@ class TestReadMeshJson:
 
 
 class TestFineArea:
-    def test_imaginary_ellipse(self):
-        # a conic through five real points is a real ellipse up to rounding; no fitted window
-        # is known to reach this branch, so the block's rho is set by hand
-        m = gen.circle_mesh(8)
-        blk = affine._block(m)
-        values = blk.values.copy()
-        values[0, affine._COLUMNS["rho"][1]] = -1.0
-        fake = object.__new__(affine._Block)
-        fake.values, fake.flags, fake.fit_errors = values, blk.flags, blk.fit_errors
-        m._derived["affine"] = fake
-        with pytest.raises(DegenerateConfiguration, match="^imaginary ellipse from conic fit$"):
-            ms.has_fine_area(m, 0)
-        assert ms.has_fine_area(m, 1)
-
     def test_ellipse_area(self):
         t = 0.7 * np.arange(5)
         assert affine.ellipse_area(ms.fit_conic(np.column_stack([np.cos(t), np.sin(t)]))) == pytest.approx(math.pi)

@@ -57,13 +57,15 @@ after the times taken before it; any other exception, numpy warnings under
   --scheme 2` on a 1600-point closed equilateral outline of the se-outlines
   workload, `signature --group sa --scheme 6` on the 32-point open arc of
   the sa-arcs pair, and `congruent --mode cyclic` on a 300-point closed
-  radial outline and its SE image started at another index; each records
-  its exit code.
+  radial outline and its SE image started at another index; and
+  `selfcheck --trials 5`, whose meshes it draws itself; each records its
+  exit code.
 
 Sizes are n in 10^2..10^5 unless a row says otherwise. `--layers` prints
 the machine and the rows of the meshsig on sys.path as one JSON line.
 
-Every timed value is a dict: `ms`, the minimum over the repeats, unscaled;
+Every timed value (`first_use_ms`, `reuse_ms`) is a dict: `ms`, the
+minimum over the repeats, unscaled;
 `calibration_ms`, the benchmark's calibration pass (a dense 256 x 256
 distance pass, the median of 5) timed right before and right after the
 repeats, averaged; and `scaled_ms`, `ms` scaled to a host whose
@@ -71,6 +73,11 @@ calibration pass takes perfbench's nominal 3.0 ms, as `perfbench/run.py`
 scales its operations, to take out the host's changes of speed between
 rows and between processes. Each process also records the median of 21
 calibration passes at its start and end.
+
+Each side's layers are timed twice, in the order parent, change, change,
+parent, and both runs are recorded, with the lower of their two scaled
+minimums per row, size and timed value (`lower_scaled_ms`): a slow spell
+of the host shorter than one run then moves no row.
 
 End to end, `perfbench/run.py` runs each workload in both checkouts in
 alternating order (the parent first on even pairs), with seeds
@@ -309,6 +316,8 @@ def table(workdir: Path) -> list[Row]:
             notes=exit_code),
         Row("L4", "cli congruent --mode cyclic, 300-point closed radial outline and its SE image", command,
             lambda n: cli_args("congruent", outline_pair(0, n), "--mode", "cyclic", "--closed"), ((300, 50),),
+            notes=exit_code),
+        Row("L4", "cli selfcheck --trials n", command, lambda n: (["selfcheck", "--trials", str(n)],), ((5, 5),),
             notes=exit_code)]
 
 
@@ -328,6 +337,19 @@ def child_layers(tree: Path) -> dict:
     done = subprocess.run([sys.executable, __file__, "--layers"], env=env, capture_output=True, text=True,
                           check=True, timeout=900)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def lower_scaled(runs: list) -> list:
+    """Per row and size of the `--layers` runs, the lower of their scaled minimums of each timed value, in ms."""
+    rows = []
+    for same_row in zip(*(r["rows"] for r in runs)):
+        sizes = []
+        for entries in zip(*(row["sizes"] for row in same_row)):
+            timed = {key for e in entries for key, v in e.items() if isinstance(v, dict) and "scaled_ms" in v}
+            sizes.append({"n": entries[0]["n"], **{key: min(e[key]["scaled_ms"] for e in entries if key in e)
+                                                   for key in sorted(timed)}})
+        rows.append({"layer": same_row[0]["layer"], "case": same_row[0]["case"], "sizes": sizes})
+    return rows
 
 
 def run_workload(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -391,7 +413,11 @@ def main() -> int:
     named = {str(args.parent): "PARENT", str(args.change): "CHANGE", str(args.out): args.out.name}
     argv = [named.get(a, a) for a in sys.argv[1:]]
     method = {"script": "tools/bench_layers.py", "argv": argv, "description": " ".join(__doc__.split())}
-    result = {"method": method, "machine": machine(), "layers": {side: child_layers(tree) for side, tree in trees.items()},
+    runs = {side: [] for side in trees}
+    for side in ("parent", "change", "change", "parent"):
+        runs[side].append(child_layers(trees[side]))
+    result = {"method": method, "machine": machine(),
+              "layers": {side: {"runs": r, "lower_scaled_ms": lower_scaled(r)} for side, r in runs.items()},
               "claimed": args.claimed, "end_to_end": {}, "traced": {}}
     for workload in WORKLOADS:
         pairs = []
