@@ -650,7 +650,7 @@ def has_fine_area(mesh: Mesh, i: int) -> bool:
     kappa = float(blk.kappa[i])
     if kappa <= PARABOLIC_TOL:
         raise WrongCurvatureSign(f"fine-area needs positive curvature, got {kappa!r}")
-    return blk.fine_area[i]
+    return bool(blk.fine_area[i])
 
 
 def hyperbola_gap_bound(mesh: Mesh, i: int) -> float:

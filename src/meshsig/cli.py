@@ -139,7 +139,7 @@ def cmd_signature(args) -> int:
     if args.out:
         meshio.write_signature_csv(sig, args.out, provenance=provenance)
     else:
-        sys.stdout.write("\n".join(meshio.signature_lines(sig)) + "\n")
+        sys.stdout.write(meshio.signature_text(sig))
     if args.plot:
         meshio.write_signature_svg(sig, args.plot)
     return EXIT_OK

@@ -52,10 +52,10 @@ def _csv_coords(path: Path) -> np.ndarray:
     while start < len(rows) and _is_header(rows[start]):
         start += 1
     data = rows[start:]
+    # one comma on every row, not only in total, so that the joined rows split into their own fields
     if data and set(map(str.count, data, repeat(","))) == {1}:
-        fields = chain.from_iterable(map(str.split, data, repeat(",")))
         try:
-            return np.fromiter(map(float, fields), float, 2 * len(data)).reshape(-1, 2)
+            return np.fromiter(map(float, ",".join(data).split(",")), float, 2 * len(data)).reshape(-1, 2)
         except ValueError:
             pass
     raise _csv_error(path.name, lines)
@@ -136,20 +136,22 @@ def write_mesh_json(mesh: Mesh, path) -> None:
 SIGNATURE_HEADER = "index,kappa,kappa_s,scheme,m1,m2"
 
 
-def signature_lines(sig: Signature) -> list[str]:
-    """The header and one CSV row per signature point, each float at 17 significant digits.
+def signature_text(sig: Signature) -> str:
+    """The header and one CSV row per signature point, each float at 17 significant digits, each line ended.
 
-    ``"%.17g" % v`` and ``format(v, ".17g")`` give the same text for every double.
+    All rows are formatted by one bytes ``%`` over the whole text, which is
+    faster than a str ``%``. ``b"%.17g" % v``, ``"%.17g" % v`` and
+    ``format(v, ".17g")`` give the same text for every double.
     """
-    row = f"%d,%.17g,%.17g,{sig.scheme.label},{sig.spec.m1},{sig.spec.m2}"
-    rows = zip(sig.indices.tolist(), sig.kappas.tolist(), sig.kappa_s.tolist())
-    return [SIGNATURE_HEADER] + [row % r for r in rows]
+    row = f"%d,%.17g,%.17g,{sig.scheme.label},{sig.spec.m1},{sig.spec.m2}\n".encode()
+    values = chain.from_iterable(zip(sig.indices.tolist(), sig.kappas.tolist(), sig.kappa_s.tolist()))
+    return ((f"{SIGNATURE_HEADER}\n".encode() + row * len(sig)) % tuple(values)).decode()
 
 
 def write_signature_csv(sig: Signature, path, provenance: dict | None = None) -> None:
     """Dump a signature at full precision with provenance comment lines."""
-    comments = [f"# {key}: {value}" for key, value in (*(provenance or {}).items(), *sig.meta.items())]
-    Path(path).write_text("\n".join(comments + signature_lines(sig)) + "\n")
+    comments = "".join(f"# {key}: {value}\n" for key, value in (*(provenance or {}).items(), *sig.meta.items()))
+    Path(path).write_text(comments + signature_text(sig))
 
 
 def read_signature_csv(path) -> Signature:

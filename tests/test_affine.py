@@ -270,7 +270,11 @@ class TestFineness:
     def test_small_arc_has_fine_area(self):
         m = gen.ellipse_mesh(12, 2.0, 1.0, t0=0.3, step=0.2, closed=False)
         for i in m.interior(2, 2):
-            assert ms.has_fine_area(m, i)
+            assert ms.has_fine_area(m, i) is True
+        # four steps of 1.7 sweep more than the whole ellipse: no window is fine. Both verdicts are Python bools
+        wide = gen.ellipse_mesh(12, 2.0, 1.0, t0=0.3, step=1.7, closed=False)
+        for i in wide.interior(2, 2):
+            assert ms.has_fine_area(wide, i) is False
 
     def test_wrong_sign_raises(self):
         hyp = gen.hyperbola_mesh(9)

@@ -66,6 +66,8 @@ class TestMeshIO:
 
     @pytest.mark.parametrize("text, message", [
         ("0,0\n1,0,3\n", "bad.csv, line 2: expected two fields, got 3"),
+        # three commas on three rows: a count of all commas would take this file for three "x,y" rows
+        ("0,0\n1\n2,3,4\n", "bad.csv, line 2: expected two fields, got 1"),
         ("x,y,z\n0,0\n", "bad.csv, line 1: expected two fields, got 3"),
         ("x,y\n# note\n0,0\n\n1,zzz\n2,1\n", "bad.csv, line 5: non-numeric field '1' or 'zzz'"),
         ("0,0\nx,y\n", "bad.csv, line 2: non-numeric field 'x' or 'y'"),

@@ -271,6 +271,46 @@ class TestDiameter:
             if n <= 10000:
                 assert got == (dense_diameter(pts) if n <= 1000 else calipers_diameter(pts))
 
+    def check_route(self, pts, convex, monkeypatch):
+        """check(pts), with the convex route taken, building no hull, if and only if `convex`."""
+        assert (geometry._convex_polygon(pts) is not None) == convex
+        with monkeypatch.context() as m:
+            if convex:
+                m.setattr(geometry, "_convex_hull", lambda pts: pytest.fail("hull built for a convex sequence"))
+            want = dense_diameter(pts) if len(pts) <= 4000 else calipers_diameter(pts)
+            assert _pointset_diameter(pts) == want
+        assert _hull_diameter(pts) == want
+
+    def test_convex_sequences_in_both_orientations(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        for n in (129, 130, 500, 3000):
+            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            pts = np.column_stack([3.0 * np.cos(t), np.sin(t)]) @ rng.normal(size=(2, 2)) + rng.uniform(-100, 100, 2)
+            self.check_route(pts, True, monkeypatch)
+            self.check_route(pts[::-1], True, monkeypatch)
+
+    def test_large_convex_circle(self, monkeypatch):
+        pts = regular_polygon(100000, 7.0, 0.3)
+        self.check_route(pts, True, monkeypatch)
+        self.check_route(pts[::-1], True, monkeypatch)
+
+    def test_star_polygon_winding_twice(self, monkeypatch):
+        # every second vertex of a regular 1001-gon, twice round: each turn is a left turn of the same size
+        star = regular_polygon(1001, 2.0)[(2 * np.arange(1001)) % 1001]
+        assert (geometry.orient_rows(np.roll(star, 1, axis=0), star, np.roll(star, -1, axis=0)) > 0).all()
+        self.check_route(star, False, monkeypatch)
+        self.check_route(star[::-1], False, monkeypatch)
+
+    def test_convex_sequence_with_a_repeated_or_collinear_vertex(self, monkeypatch):
+        t = np.linspace(0.0, np.pi, 300)[1:-1]
+        arc = np.column_stack([4.0 * np.cos(t), 3.0 * np.sin(t)])
+        # the arc from (4, 0) to (-4, 0) and the chord back, which is an edge of a strictly convex polygon
+        polygon = np.vstack([[[4.0, 0.0]], arc, [[-4.0, 0.0]]])
+        self.check_route(polygon, True, monkeypatch)
+        self.check_route(np.insert(polygon, 100, polygon[100], axis=0), False, monkeypatch)
+        # (0, 0) on the chord: its turn is exactly 0
+        self.check_route(np.vstack([polygon, [[0.0, 0.0]]]), False, monkeypatch)
+
     def test_mesh_uses_it(self):
         pts = regular_polygon(37, 3.0)
         assert ms.Mesh(pts, closed=True).diameter == dense_diameter(pts)

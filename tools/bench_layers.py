@@ -22,7 +22,9 @@ after the times taken before it; any other exception, numpy warnings under
 `-W error` included, stops the tool. The rows:
 
 - L0: `Mesh()` on the points of the closed `ellipse_mesh(n, 2, 1)`, plain
-  and scaled by 2^600 (working exponent k != 0), and `is_ordinary` on it;
+  and scaled by 2^600 (working exponent k != 0), and on a closed five-lobed
+  outline r = 1 + 0.3 cos 5t, which is not convex, so that its diameter
+  takes the hull path; and `is_ordinary` on the ellipse;
 - L1: the equiaffine block `affine._block`, with its tracemalloc peak and
   its fitted windows (a block that fits none fails with its first window's
   error), and the fit, arc-length, sector and gap-bound kernels on the
@@ -65,19 +67,23 @@ Sizes are n in 10^2..10^5 unless a row says otherwise. `--layers` prints
 the machine and the rows of the meshsig on sys.path as one JSON line.
 
 Every timed value (`first_use_ms`, `reuse_ms`) is a dict: `ms`, the
-minimum over the repeats, unscaled;
-`calibration_ms`, the benchmark's calibration pass (a dense 256 x 256
-distance pass, the median of 5) timed right before and right after the
-repeats, averaged; and `scaled_ms`, `ms` scaled to a host whose
-calibration pass takes perfbench's nominal 3.0 ms, as `perfbench/run.py`
-scales its operations, to take out the host's changes of speed between
-rows and between processes. Each process also records the median of 21
-calibration passes at its start and end.
+minimum over the repeats, unscaled; `calibration_ms`, the benchmark's
+calibration pass (a dense 256 x 256 distance pass, the median of 5) timed
+right before and right after the repeats, averaged; and `scaled_ms`, `ms`
+scaled to a host whose calibration pass takes perfbench's nominal 3.0 ms,
+as `perfbench/run.py` scales its operations, to take out the host's changes
+of speed between processes. Every row of a process is scaled by the same
+calibration, `process_calibration_ms`: the median of the rows'
+`calibration_ms` and of the 21-pass medians that the process takes at its
+start (`calibration_ms`) and end (`calibration_ms_after`). A row is not
+scaled by its own calibration, which one slow pass around a fast row would
+raise, making the row read fast.
 
 Each side's layers are timed twice, in the order parent, change, change,
-parent, and both runs are recorded, with the lower of their two scaled
-minimums per row, size and timed value (`lower_scaled_ms`): a slow spell
-of the host shorter than one run then moves no row.
+parent, and both runs are recorded, with the lower of their two minimums
+per row, size and timed value, unscaled (`lower_ms`) and scaled
+(`lower_scaled_ms`): a slow spell of the host shorter than one run then
+moves no row.
 
 End to end, `perfbench/run.py` runs each workload in both checkouts in
 alternating order (the parent first on even pairs), with seeds
@@ -124,15 +130,10 @@ def elapsed_ms(f) -> float:
 
 
 def best_of(f, repeats: int) -> dict:
-    """Minimum wall time of f() over the repeats, in ms: unscaled, and scaled as perfbench scales its operations.
-
-    The scale is NOMINAL_CAL_MS over the mean of the calibration passes
-    timed right before and right after the repeats.
-    """
+    """Minimum wall time of f() over the repeats, in ms, and the mean of the calibration passes timed around them."""
     before = calibration_ms(ROW_CALIBRATIONS)
     t = min(elapsed_ms(f) for _ in range(repeats))
-    cal = (before + calibration_ms(ROW_CALIBRATIONS)) / 2
-    return {"ms": t, "scaled_ms": t * NOMINAL_CAL_MS / cal, "calibration_ms": cal}
+    return {"ms": t, "calibration_ms": (before + calibration_ms(ROW_CALIBRATIONS)) / 2}
 
 
 def calibration_ms(passes: int = 21) -> float:
@@ -236,6 +237,10 @@ def table(workdir: Path) -> list[Row]:
         order = (start - np.arange(n)) % n if mode is ms.MatchMode.CYCLIC_REVERSAL else (np.arange(n) + start) % n
         return closed(pts), closed((pts @ linear.T)[order])
 
+    def lobed(n):  # reflex at every valley between two lobes, so that its diameter takes the hull path
+        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return (1.0 + 0.3 * np.cos(5.0 * t))[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+
     def stretched_pair(n):  # the outline's image under diag(300, 1/300), and the outline started at n // 3
         pts = outline(n)[0]
         return closed(pts * [300.0, 1.0 / 300.0]), closed(np.roll(pts, -(n // 3), axis=0))
@@ -259,6 +264,8 @@ def table(workdir: Path) -> list[Row]:
     rows = [Row("L0", f"Mesh() on the points of the {on_ellipse}", closed, lambda n: (ellipse(n)[0].points,)),
             Row("L0", f"Mesh() on the points of the {on_ellipse} scaled by 2^600", closed,
                 lambda n: (far(ellipse(n)[0].points),)),
+            Row("L0", "Mesh() on the points of the closed five-lobed outline r = 1 + 0.3 cos 5t (not convex)", closed,
+                lambda n: (lobed(n),)),
             Row("L0", f"is_ordinary, {on_ellipse}", ms.is_ordinary)]
     for case, mesh_of, sizes in ((on_ellipse, ellipse, SWEEP), (on_arc, arc, ARC)):
         rows.append(Row("L1", f"affine._block, {case}", affine._block, mesh_of, sizes, peak=True, notes=fitted))
@@ -328,6 +335,11 @@ def layers() -> dict:
         out["rows"] = [{"layer": row.layer, "case": row.case, "sizes": [run(row, n, repeats) for n, repeats in row.sizes]}
                        for row in table(Path(workdir))]
     out["calibration_ms_after"] = calibration_ms()
+    timed = [v for row in out["rows"] for entry in row["sizes"] for v in entry.values() if isinstance(v, dict)]
+    cal = statistics.median([out["calibration_ms"], out["calibration_ms_after"], *(v["calibration_ms"] for v in timed)])
+    out["process_calibration_ms"] = cal
+    for v in timed:  # scaled as perfbench scales its operations
+        v["scaled_ms"] = v["ms"] * NOMINAL_CAL_MS / cal
     return out
 
 
@@ -339,14 +351,14 @@ def child_layers(tree: Path) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def lower_scaled(runs: list) -> list:
-    """Per row and size of the `--layers` runs, the lower of their scaled minimums of each timed value, in ms."""
+def lower(runs: list, value: str) -> list:
+    """Per row and size of the `--layers` runs, the lower of their minimums of each timed value: `ms` or `scaled_ms`."""
     rows = []
     for same_row in zip(*(r["rows"] for r in runs)):
         sizes = []
         for entries in zip(*(row["sizes"] for row in same_row)):
-            timed = {key for e in entries for key, v in e.items() if isinstance(v, dict) and "scaled_ms" in v}
-            sizes.append({"n": entries[0]["n"], **{key: min(e[key]["scaled_ms"] for e in entries if key in e)
+            timed = {key for e in entries for key, v in e.items() if isinstance(v, dict)}
+            sizes.append({"n": entries[0]["n"], **{key: min(e[key][value] for e in entries if key in e)
                                                    for key in sorted(timed)}})
         rows.append({"layer": same_row[0]["layer"], "case": same_row[0]["case"], "sizes": sizes})
     return rows
@@ -417,7 +429,8 @@ def main() -> int:
     for side in ("parent", "change", "change", "parent"):
         runs[side].append(child_layers(trees[side]))
     result = {"method": method, "machine": machine(),
-              "layers": {side: {"runs": r, "lower_scaled_ms": lower_scaled(r)} for side, r in runs.items()},
+              "layers": {side: {"runs": r, "lower_ms": lower(r, "ms"), "lower_scaled_ms": lower(r, "scaled_ms")}
+                         for side, r in runs.items()},
               "claimed": args.claimed, "end_to_end": {}, "traced": {}}
     for workload in WORKLOADS:
         pairs = []
