@@ -9,35 +9,40 @@ with the quadratic invariant S = AC - B^2 and the cubic invariant F the
 determinant of [[A,B,D],[B,C,E],[D,E,F0]]. The curvature S / cbrt(F)^2 is
 unchanged by coefficient rescaling and by unimodular maps.
 
+Each window is worked in its own frame u = 2^-e (p - p2), its differences
+to its centre point scaled by 2^-e, e a multiple of 3 (`_fit`). There the
+fit screens out coinciding points and collinear triples, the layer's only
+degeneracy test, and writes the conic as the bracket pencil through the
+five points, whose determinant F is twice the product of the screen's ten
+brackets: never 0 on a screened window, and exact in sign. S, F, the
+curvature, centre, sector, gap bound and arc lengths are all read in the
+frame, and nothing is mapped back: the curvature (of weight -4/3 in the
+coordinates' scale), the arcs (2/3) and the gap bound (1) return to the
+given units by exact powers of two. So the block does not change with
+where a mesh lies (up to the rounding of p - p2) or with a power-of-two
+dilation, except through PARABOLIC_TOL, which compares the curvature in the
+given units.
+
 Each mesh's derived data holds one equiaffine block, built in one pass on
-first use and never changed afterwards. The block is two read-only tables,
-one float and one bool, with one row per point: row i belongs to the
-window centred at p[i] and holds its conic (the bracket pencil through
-its five points, all windows in one stack), S, F, the curvature, the centre,
-the window's four consecutive arc lengths, its fineness and its hyperbola
-gap bound, plus the flags that say which of them may be read. An arc
-length is read on a window's conic exactly where its curvature is: one
-formula (`_arcs`) serves ellipses, hyperbolas and parabolas alike. Each column
-reads by name through one name-to-column map. The fit's two screens,
-coinciding points and a collinear triple, both judged in the window's
-frame, are the layer's only test of a degenerate window: five points that
-pass them lie on exactly one conic, and it is real. A degenerate window is
-recorded in the block and raises only when that window is read, through
-one helper (`_row`) shared by every per-index and array function,
-`sd_affine` included: it reads the window's three turns off the fit.
-`build_blocks` builds the missing blocks of several meshes in one pass
-over all their windows, as the equiaffine rules do for a pair; a mesh's
-block from such a pass is a read-only copy of its rows of the two tables,
+first use and never changed afterwards: two read-only tables, one float
+and one bool, whose row i belongs to the window centred at p[i]. One arc
+formula (`_arcs`) serves every conic. A degenerate window is recorded in
+the block and raises only when read, through one helper (`_row`) shared by
+every per-index and array function, `sd_affine` included: it reads the
+window's three turns off the fit. `build_blocks` builds the missing blocks
+of several meshes in one pass, as the equiaffine rules do for a pair, each
 identical bit for bit to the mesh's own build. Each scheme's SA-signature
-columns are an entry of their own. The per-index functions (`conic_at`,
-`affine_curvature`, `has_fine_area`, ...) read the block, and
-`fit_conic`, `invariants` and `kappa_from_invariants` run the same
-kernels on one row.
+columns are an entry of their own. `fit_conic` and `conic_at` alone map a
+frame conic back to the given coordinates (`_given_conics`), in
+ConicCoeffs' form; `invariants` and `kappa_from_invariants` evaluate such
+coefficients.
 
 Numerical contract: each kernel's docstring states a bound against the
 exact evaluation (rational arithmetic, roots and angles to 50 digits) of
-its formula on the same doubles it was given. A function over many
-windows raises what its first failing index raises, as one window would.
+its formula on the same doubles it was given, or, for the frame's values,
+against the exact conic through the same frame doubles. A function over
+many windows raises what its first failing index raises, as one window
+would.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .errors import (
     ParabolicConic,
     SchemeSpacingMismatch,
     WrongCurvatureSign,
-    ZeroF,
 )
 from .geometry import (
     SPACING_REL_TOL,
@@ -77,10 +81,8 @@ from .geometry import (
 )
 from .signatures import Scheme, Signature, _check_edge_spacing, signature_columns
 
-# |S| below this (unit-norm coefficients) marks the conic parabolic.
+# |kappa| (given units), or |S| of unit-norm coefficients, at most this marks a conic parabolic.
 PARABOLIC_TOL = 1e-10
-# |F| below this (unit-norm coefficients) marks a degenerate conic (line pair).
-ZERO_F_TOL = 1e-12
 
 # Conic fit window: the two-neighborhood on each side of the center point.
 FIT_HALF_WIDTH = 2
@@ -156,97 +158,95 @@ _FIT_OFFSETS = range(-FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
 _LINES = np.array([(0, 1), (0, 2), (2, 3), (1, 3)]).T
 # A, B, C, D, E, F0 in a flattened symmetric conic matrix, and their degrees in the coordinates' scale
 _UPPER, _DEGREE = [0, 1, 4, 2, 5, 8], np.array([2, 2, 2, 1, 1, 0])
+# the symmetric conic matrix [[A, B, D], [B, C, E], [D, E, F0]] of a coefficient row
+_MATRIX = np.array([[0, 1, 3], [1, 2, 4], [3, 4, 5]])
 
 
-def _fit(pts: np.ndarray) -> tuple[np.ndarray, dict[int, str], np.ndarray]:
-    """Conics through a (w, 5, 2) stack of five-point windows.
+def _fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
+    """Conics through a (w, 5, 2) stack of five-point windows, each in its own frame.
 
-    Returns (coef, errors, turns): coef is (w, 6), unit-norm and
-    sign-normalized, NaN on the rows of degenerate windows; errors maps each
-    of those rows to its DegenerateConfiguration message, coinciding points
-    first, then a collinear triple; turns is (w, 3), the window's
-    orientations [012], [123] and [234] in its frame.
+    Returns (coef, F, u, exp, turns, errors): the frame points u (w, 5, 2)
+    and exponent e (w,); the frame conic's A, B, C, D, E, F0 (w, 6; F0 = 0,
+    as p2 is the frame's origin) and its cubic invariant F (w,), both NaN
+    on degenerate rows; the orientations [012], [123] and [234] (w, 3); and
+    each degenerate row's DegenerateConfiguration message, coinciding points
+    first, then a collinear triple.
 
-    Each window is worked in its own frame: u = 2^-e (p - p2), the
-    differences to its centre point p2, with e chosen so that max|u| lies in
-    [1/2, 1). There, two of its points coincide when their gap is at most
-    1e-12 max|u|, and a triple is collinear when its orientation [ijk] is at
-    most 1e-12 max|u|^2 in magnitude. These two screens are the only test of
-    a degenerate window: a window that passes them has no three points
-    collinear, so its conic is unique. Their verdicts do not change under
-    translation (up to the rounding of p - p2) or under power-of-two
-    dilation.
+    The frame is u = 2^-e (p - p2), e a multiple of 3 such that max|u| lies
+    in [1/8, 1). Two points coincide when their gap is at most 1e-12 max|u|,
+    a triple is collinear when its orientation [ijk] is at most 1e-12
+    max|u|^2 in magnitude: the only test of a degenerate window, whose
+    verdicts do not change under translation (up to the rounding of p - p2)
+    or power-of-two dilation. Five points with no three collinear lie on
+    exactly one conic, the bracket pencil (Richter-Gebert, Perspectives on
+    Projective Geometry, 2011, ch. 10) C(x) = [024][134] L01(x) L23(x) -
+    [014][234] L02(x) L13(x), L_ij(x) = [ijx] = (y_i - y_j) x + (x_j - x_i) y
+    + [2ij]; every bracket is one of the screen's ten orientations. coef is
+    C's matrix with each line pair doubled, whose determinant is exactly
+    twice the product of the ten brackets: F is that product, never 0 on a
+    screened window and exact in sign. Both are signed by `_lead_signs`.
 
-    Five points with no three collinear lie on exactly one conic, the member
-    of the pencil through p0 ... p3 that passes through p4 (Richter-Gebert,
-    Perspectives on Projective Geometry, 2011, ch. 10): C(x) = [024][134]
-    L01(x) L23(x) - [014][234] L02(x) L13(x), [ijk] the orientation of p_i,
-    p_j, p_k and L_ij(x) = [ijx] = (y_i - y_j) x + (x_j - x_i) y + [2ij].
-    Every bracket is one of the ten orientations of the collinearity screen:
-    L01's constant is [012], L13's is -[123], and L02 and L23 pass through
-    p2 = 0. The conic is mapped back to the given coordinates.
-
-    Bound: each entry of a fitted row is within 2 eps sigma_1 / sigma_5 of
-    the unit-norm, sign-normalized exact conic through the same five
-    doubles, where sigma_1 / sigma_5 is the condition of the window's 5x6
-    design [x^2, 2xy, y^2, 2x, 2y, 1] in the given coordinates.
+    Bounds against the exact conic through the same frame doubles (u = eps /
+    2, P_t the absolute products of bracket t's two terms, r_t = ((1 + u)^4
+    - 1) P_t / |[t]| its relative error, r = max_t r_t, X_abs an entry X
+    with every bracket-pair and line-pair product taken in absolute value):
+    F within phi |F|, phi = prod_t (1 + r_t) (1 + u)^9 - 1; each entry
+    within rho X_abs, rho = (1 + r)^3 (1 + u)^6 - 1; S = AC - B^2 within
+    sigma = eps_2 (A_abs C_abs + B_abs^2), eps_2 = (1 + rho)^2 (1 + u)^2 -
+    1; and the curvature S / cbrt(F)^2 within 4 eps of the quotient of some
+    S and F in those bounds, and 2^(-4e/3) times it in the given units.
     """
     diff = pts - pts[:, 2, None]
-    big, exp = np.frexp(np.abs(diff).max(axis=(1, 2)))  # big = max|u|
-    u = np.ldexp(diff, -exp[:, None, None]).transpose(1, 0, 2).copy()  # (5, w, 2): point j of every window in u[j]
-    gaps = row_norms((u[_PAIRS[0]] - u[_PAIRS[1]]).reshape(-1, 2)).reshape(len(_PAIRS[0]), -1)
-    br = orient_rows(*(u[t].reshape(-1, 2) for t in _TRIPLES)).reshape(len(_TRIPLES[0]), -1)
+    mant, top = np.frexp(np.abs(diff).max(axis=(1, 2)))
+    exp = -(-top // 3) * 3  # 3 ceil(top / 3): max|diff| = mant 2^top, mant in [1/2, 1)
+    big = np.ldexp(mant, top - exp)  # max|u|
+    u = np.ldexp(diff, -exp[:, None, None])
+    ut = u.transpose(1, 0, 2).copy()  # (5, w, 2): point j of every window in ut[j]
+    gaps = row_norms((ut[_PAIRS[0]] - ut[_PAIRS[1]]).reshape(-1, 2)).reshape(len(_PAIRS[0]), -1)
+    br = orient_rows(*(ut[t].reshape(-1, 2) for t in _TRIPLES)).reshape(len(_TRIPLES[0]), -1)
     close, collinear = gaps <= 1e-12 * big, np.abs(br) <= 1e-12 * big * big
     errors = {int(r): "fit points {}, {}, {} are collinear".format(*sorted(_TRIPLES[:, collinear[:, r].argmax()]))
               for r in np.flatnonzero(collinear.any(axis=0))}
     errors.update({int(r): "fit points {} and {} coincide".format(*_PAIRS[:, close[:, r].argmax()])
                    for r in np.flatnonzero(close.any(axis=0))})
     # br in _TRIPLES order: [012], [013], [014], [023], [024], [034], [123], [124], [134], [234]
-    (i, j), x, y, zero = _LINES, u[..., 0], u[..., 1], np.zeros(len(pts))
+    (i, j), x, y, zero = _LINES, ut[..., 0], ut[..., 1], np.zeros(len(pts))
     lines = np.stack([y[i] - y[j], x[j] - x[i], np.stack([br[0], zero, zero, -br[6]])], axis=2)
     pair = lines[:2, :, :, None] * lines[2:, :, None, :]  # L01 L23 and L02 L13 as outer products
     pair = pair + pair.transpose(0, 1, 3, 2)  # twice each line pair's symmetric conic matrix
     conic = (br[4] * br[8])[:, None, None] * pair[0] - (br[2] * br[9])[:, None, None] * pair[1]
-    # back to the given coordinates: x -> u = 2^-exp (x - p2) is the scale 2^-exp, then the shift by -2^-exp p2. The
-    # shift is a matmul; the scale enters A, B and C twice and D and E once, and is applied exactly, as powers of two,
-    # together with the one that puts the largest entry in [1/2, 1) (-4096 is below every exponent), so none overflows
-    shift = np.tile(np.eye(3), (len(pts), 1, 1))
-    shift[:, :2, 2] = np.ldexp(-pts[:, 2], -exp[:, None])
-    mant, power = np.frexp((shift.transpose(0, 2, 1) @ conic @ shift).reshape(-1, 9)[:, _UPPER])
+    sign = _lead_signs(conic.reshape(-1, 9)[:, _UPPER])
+    coef, F = sign[:, None] * conic.reshape(-1, 9)[:, _UPPER], sign * 2.0 * np.prod(br, axis=0)
+    coef[list(errors)], F[list(errors)] = np.nan, np.nan
+    return coef, F, u, exp, br[[0, 6, 9]].T, errors
+
+
+def _lead_signs(coef: np.ndarray) -> np.ndarray:
+    """+-1 per row of an (m, 6) stack: the sign of its first of A, B, C over 1e-12 of its norm in magnitude, or,
+    where none is, of its first of all six. A conic times its sign has one representation."""
+    large = np.abs(coef) > 1e-12 * row_norms(coef)[:, None]
+    lead = np.where(large[:, :3].any(axis=1), np.argmax(large[:, :3], axis=1), np.argmax(large, axis=1))
+    return np.where(coef[np.arange(len(coef)), lead] < 0, -1.0, 1.0)
+
+
+def _given_conics(coef: np.ndarray, exp: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Fitted frame conics (m, 6) in the given coordinates, in ConicCoeffs' form, within 2 eps sigma_1 / sigma_5.
+
+    Row r's frame is x -> 2^-exp[r] (x - centres[r]). The shift is a matmul;
+    the scale (twice in A, B and C, once in D and E) is applied exactly, as
+    powers of two, with the one that puts the largest entry in [1/2, 1)
+    (-4096 is below every exponent), so none overflows. sigma_1 / sigma_5 is
+    the condition of the window's 5x6 design [x^2, 2xy, y^2, 2x, 2y, 1], and
+    the bound is against the unit-norm, signed exact conic through the same
+    five doubles.
+    """
+    shift = np.tile(np.eye(3), (len(coef), 1, 1))
+    shift[:, :2, 2] = np.ldexp(-centres, -exp[:, None])
+    mant, power = np.frexp((shift.transpose(0, 2, 1) @ coef[:, _MATRIX] @ shift).reshape(-1, 9)[:, _UPPER])
     power = power - exp[:, None] * _DEGREE
     vec = np.ldexp(mant, power - np.where(mant == 0.0, -4096, power).max(axis=1)[:, None])
-    with np.errstate(invalid="ignore"):  # the pencil of a screened window may vanish
-        vec = vec / row_norms(vec)[:, None]
-    large = np.abs(vec) > 1e-12
-    lead = np.where(large[:, :3].any(axis=1), np.argmax(large[:, :3], axis=1), np.argmax(large, axis=1))
-    vec = np.where((vec[np.arange(len(pts)), lead] < 0)[:, None], -vec, vec)
-    vec[list(errors)] = np.nan
-    return vec, errors, br[[0, 6, 9]].T
-
-
-# F = A C F0 + 2 B D E - A E^2 - B^2 F0 - C D^2: column t of (i, j, k, factor) is the term factor coef_i coef_j coef_k
-_LEIBNIZ = np.array([(0, 2, 5, 1), (1, 3, 4, 2), (0, 4, 4, -1), (1, 1, 5, -1), (2, 3, 3, -1)]).T
-
-
-def _invariants(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S = AC - B^2 and F = det [[A, B, D], [B, C, E], [D, E, F0]] of each row of an (m, 6) coefficient stack.
-
-    F is the compensated sum of its five Leibniz terms (Ogita, Rump and Oishi, SISC 26, 2005): Dekker's
-    error-free products and two-sums, whose low parts are added once at the end. Bound, against exact
-    evaluation of the same coefficients, barring overflow and underflow: |S error| <= 2 eps (|AC| + B^2) and
-    |F error| <= eps |F| + 32 eps^2 P <= 64 eps P, P the sum of the absolute values of F's six products.
-    """
-    i, j, k, factor = _LEIBNIZ
-    q, low = factor[:, None] * coef.T[i], 0.0  # (5, m): term t in row t, as q + low
-    for y in (coef.T[j], coef.T[k]):
-        cq, cy = 134217729.0 * q, 134217729.0 * y  # 2^27 + 1: Veltkamp's split into 26-bit halves
-        qh, yh = cq - (cq - q), cy - (cy - y)
-        ql, yl, p = q - qh, y - yh, q * y
-        q, low = p, low * y + (ql * yl - (((p - qh * yh) - ql * yh) - qh * yl))  # p + that = q y exactly
-    hi = np.cumsum(q, axis=0)  # the partial sums, whose two-sum errors follow
-    back = hi[1:] - hi[:-1]
-    lo = low.sum(axis=0) + ((hi[:-1] - (hi[1:] - back)) + (q[1:] - back)).sum(axis=0)
-    return coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1], hi[-1] + lo
+    vec = vec / row_norms(vec)[:, None]
+    return _lead_signs(vec)[:, None] * vec
 
 
 def _kappa(S: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -311,12 +311,13 @@ def _gap_bounds(coef: np.ndarray, S: np.ndarray, F: np.ndarray) -> tuple[np.ndar
     t^2 - (A+C) t + S = 0 (ties toward the larger value) has unit magnitude:
     the radicand is -F / (|lambda1| S), from the given S and F.
 
-    Bound, against -F / (|lambda1| (AC - B^2)) evaluated exactly for the same
-    doubles: the radicand within a relative (3 eps sqrt(D) + 2 eps |A + C|) /
-    |lambda1| + eps (70 P / |F| + 4 (|AC| + B^2) / |AC - B^2| + 4), P as in
-    `_invariants`, where D = (A - C)^2 + 4 B^2 is the discriminant (A + C)^2 -
-    4 S, formed without cancellation; mu within half of that plus 2 eps.
-    The terms are lambda1's error, F's and S's bounds, and two roundings.
+    Bound against the exact frame conic, in `_fit`'s terms: |lambda1| within
+    Lambda = (rho + 5 eps (1 + rho)) (A_abs + 2 B_abs + C_abs) (its rounding,
+    and the entries' error, which moves the spectral radius by at most their
+    row sums), so the radicand within psi = (1 + phi) (1 + u)^2 / ((1 -
+    Lambda / |lambda1*|) (1 - sigma / |S*|)) - 1 (relative) where both
+    factors are positive, and mu within psi / 2 + psi^2 + eps for psi < 1,
+    and 2^e times it in the given units.
     """
     tr, diff = coef[:, 0] + coef[:, 2], coef[:, 0] - coef[:, 2]
     root = np.sqrt(diff * diff + 4.0 * coef[:, 1] * coef[:, 1])
@@ -327,10 +328,9 @@ def _gap_bounds(coef: np.ndarray, S: np.ndarray, F: np.ndarray) -> tuple[np.ndar
 
 
 # The block's float table, column by column (name, width), and its bool table, one column per flag.
-_FLOATS = (("coef", 6), ("S", 1), ("F", 1), ("kappa", 1), ("center", 2), ("arcs", 4), ("rho", 1), ("sector", 1),
-           ("area", 1), ("radicand", 1), ("mu", 1))
-_FLAGS = ("has_window", "fitted", "zero_f", "kappa_ok", "fine_area", "gap_undefined", "position", "affine_fine",
-          "convex_position", "ccw")
+_FLOATS = (("coef", 6), ("exp", 1), ("S", 1), ("F", 1), ("kappa", 1), ("center", 2), ("arcs", 4), ("rho", 1),
+           ("sector", 1), ("area", 1), ("radicand", 1), ("mu", 1))
+_FLAGS = ("has_window", "fitted", "fine_area", "gap_undefined", "position", "affine_fine", "convex_position", "ccw")
 _STARTS = np.cumsum([0] + [width for _, width in _FLOATS]).tolist()
 # name -> (table, column): an index for a one-wide column, a slice for coef, center and arcs
 _COLUMNS = {**{name: ("values", start if width == 1 else slice(start, start + width))
@@ -344,17 +344,18 @@ class _Block:
     Built from a (N, 5, 2) window stack and its has-window mask, drawn from
     one or more meshes: a mesh's block is its rows of the stack (`rows`),
     row i belonging to the window centered at p[i]. Two read-only tables
-    hold every column: ``values``, (N, 20) float64, and ``flags``, (N, 10)
+    hold every column: ``values``, (N, 21) float64, and ``flags``, (N, 8)
     bool, laid out by ``_COLUMNS``; each column also reads by its name
-    (``blk.kappa``, ``blk.coef``, ``blk.kappa_ok``, ...) as a view of its
+    (``blk.kappa``, ``blk.coef``, ``blk.fitted``, ...) as a view of its
     table. Rows without a window (the two ends of an open mesh) or with a
     degenerate fit hold NaN; `fit_errors` maps the degenerate rows to
-    fit_conic's message. A row's curvature and its arc lengths can be read
-    where ``kappa_ok`` holds; ``convex_position`` (the fit's three turns
-    share a strict sign) and ``ccw`` (its middle turn is positive) give
-    `sd_affine`. A row's failures are raised only when it is read, by
-    `_row`. Every kernel works row by row, so a mesh's rows of a stack over
-    several meshes equal its own one-mesh build bit for bit.
+    fit_conic's message, raised by `_row` when the row is read; every other
+    row is fitted and can be read. ``convex_position`` (the fit's three
+    turns share a strict sign) and ``ccw`` (its middle turn is positive)
+    give `sd_affine`. coef, S, F, center, rho, sector, area and radicand are
+    the window's frame's (`_fit`), exp its exponent e; kappa, the arcs and
+    mu are in the given units. Every kernel works row by row, so a mesh's
+    rows of a stack over several meshes equal its own build bit for bit.
     """
 
     __slots__ = ("values", "flags", "fit_errors")
@@ -362,31 +363,31 @@ class _Block:
     def __init__(self, win: np.ndarray, has_window: np.ndarray):
         tol, rows = PARABOLIC_TOL, np.flatnonzero(has_window)
         self.values, self.flags = np.full((len(win), _STARTS[-1]), np.nan), np.zeros((len(win), len(_FLAGS)), bool)
-        coef, turns = np.full((len(win), 6), np.nan), np.full((len(win), 3), np.nan)
-        coef[rows], errors, turns[rows] = _fit(win[rows])
+        coef, F, u, turns = (np.full((len(win), *shape), np.nan) for shape in ((6,), (), (5, 2), (3,)))
+        exp = np.zeros(len(win), int)
+        coef[rows], F[rows], u[rows], exp[rows], turns[rows], errors = _fit(win[rows])
         self.fit_errors = {int(rows[r]): msg for r, msg in errors.items()}
         fitted = has_window.copy()
         fitted[list(self.fit_errors)] = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            S, F = _invariants(coef)
-            kappa, center, zero_f = _kappa(S, F), _centers(coef, S), np.abs(F) <= ZERO_F_TOL
-            kappa_ok = fitted & ~zero_f
-            self._fill(coef=coef, S=S, F=F, kappa=kappa, center=center, has_window=has_window, fitted=fitted,
-                       zero_f=zero_f, kappa_ok=kappa_ok, ccw=turns[:, 1] > 0.0,
+            S = coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1]
+            kappa, center = np.ldexp(_kappa(S, F), -4 * exp // 3), _centers(coef, S)
+            self._fill(coef=coef, exp=np.where(has_window, exp, np.nan), S=S, F=F, kappa=kappa, center=center,
+                       has_window=has_window, fitted=fitted, ccw=turns[:, 1] > 0.0,
                        convex_position=(turns > 0.0).all(axis=1) | (turns < 0.0).all(axis=1))
             # kappa = S / cbrt(F)^2 > 0 implies S > 0: the conic is an ellipse
-            elliptic = kappa_ok & (kappa > tol)
-            rho, sector = (np.where(elliptic, v, np.nan) for v in _sectors(coef, S, F, center, win))
+            elliptic = fitted & (kappa > tol)
+            rho, sector = (np.where(elliptic, v, np.nan) for v in _sectors(coef, S, F, center, u))
             area = _ellipse_areas(S, F)
             gap_undefined, radicand, mu = _gap_bounds(coef, S, F)
-            position = (row_norms(np.diff(win, axis=1).reshape(-1, 2)).reshape(len(win), -1) < mu[:, None]).all(axis=1)
+            position = (row_norms(np.diff(u, axis=1).reshape(-1, 2)).reshape(len(win), -1) < mu[:, None]).all(axis=1)
             # is_affine_fine's condition per window: fine-area where the curvature
             # is positive, fine-position (a non-real bound failing) where negative
             fine_area, in_position = area >= sector * (1.0 - 1e-9), ~gap_undefined & (radicand >= 0.0) & position
-            self._fill(arcs=_arcs(self, slice(None), win[:, :-1], win[:, 1:]), rho=rho, sector=sector, area=area,
-                       fine_area=fine_area, gap_undefined=gap_undefined, radicand=radicand, mu=mu, position=position,
-                       affine_fine=kappa_ok & np.where(kappa > tol, fine_area,
-                                                       np.where(kappa < -tol, in_position, True)))
+            arcs = np.ldexp(_arcs(coef, S, F, u[:, :-1], u[:, 1:]), 2 * exp[:, None] // 3)
+            self._fill(arcs=arcs, rho=rho, sector=sector, area=area, fine_area=fine_area, gap_undefined=gap_undefined,
+                       radicand=radicand, mu=np.ldexp(mu, exp), position=position,
+                       affine_fine=fitted & np.where(kappa > tol, fine_area, np.where(kappa < -tol, in_position, True)))
         _frozen(self.values, self.flags)
 
     def _fill(self, **columns: np.ndarray) -> None:
@@ -413,29 +414,33 @@ for _name, (_table, _col) in _COLUMNS.items():
     setattr(_Block, _name, property(lambda blk, table=_table, col=_col: getattr(blk, table)[:, col]))
 
 
-def _arcs(blk: _Block, rows, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
-    """Arc lengths from pk[r, j] to pl[r, j] on the conic of block row rows[r].
+def _arcs(coef: np.ndarray, S: np.ndarray, F: np.ndarray, uk: np.ndarray, ul: np.ndarray) -> np.ndarray:
+    """Arc lengths from uk[r, j] to ul[r, j], (m, k, 2) in row r's frame, on row r's frame conic, S and F.
 
-    rows (an index array or a slice) picks the block rows; pk and pl are (m,
-    k, 2). The arc length is |kappa (d x (pk - center))|, d = pk - pl, the
-    center parallelogram area, taken as
-
-        L = |S (d x pk) - d x c| / cbrt(F)^2,   c = (BE - CD, BD - AE) = S center,
-
-    which divides by neither S nor A: one formula for every conic, parabolas
-    included (there it is |cbrt(A^2 / (AE - BD)) (d_x + (B / A) d_y)|).
-    Values on rows whose curvature raises (`_row` with read="kappa") are
-    meaningless.
-
-    Bound, against exact evaluation of L for the row's coefficients, S and
-    F and the given points: 4 eps (T / cbrt(F)^2 + L), where T = |S|
-    (|d_x pk_y| + |d_y pk_x|) + |d_x| (|BD| + |AE|) + |d_y| (|BE| + |CD|).
+    The arc length is the center parallelogram area |kappa (d x (uk -
+    center))|, d = uk - ul, taken as L = |N| / cbrt(F)^2 with N = S (d x uk)
+    - d x c and c = (BE - CD, BD - AE) = S center: one formula for every
+    conic, parabolas included, dividing by neither S nor A. Bound against
+    the exact frame conic and the exact d of the frame doubles, in `_fit`'s
+    terms: within ((1 + eps_N) (1 + 4 eps) / (1 - phi) - 1) N_abs /
+    cbrt(F*)^2, eps_N = (1 + eps_2) (1 + u)^5 - 1, N_abs = S_abs (|d_x uk_y|
+    + |d_y uk_x|) + |d_x| c_abs_y + |d_y| c_abs_x, S_abs = A_abs C_abs +
+    B_abs^2, c_abs = (B_abs E_abs + C_abs D_abs, B_abs D_abs + A_abs E_abs);
+    and 2^(2e/3) times that in the given units.
     """
-    a, b, c, d, e = (blk.coef[rows, k, None] for k in range(5))
+    a, b, c, d, e = (coef[:, k, None] for k in range(5))
     cx, cy = b * e - c * d, b * d - a * e
-    dx, dy = pk[..., 0] - pl[..., 0], pk[..., 1] - pl[..., 1]
-    area = blk.S[rows, None] * (dx * pk[..., 1] - dy * pk[..., 0]) - (dx * cy - dy * cx)
-    return np.abs(area) / np.cbrt(blk.F[rows, None]) ** 2
+    dx, dy = uk[..., 0] - ul[..., 0], uk[..., 1] - ul[..., 1]
+    area = S[:, None] * (dx * uk[..., 1] - dy * uk[..., 0]) - (dx * cy - dy * cx)
+    return np.abs(area) / np.cbrt(F[:, None]) ** 2
+
+
+def _given_arcs(blk: "_Block", rows, centres: np.ndarray, pk: np.ndarray, pl: np.ndarray) -> np.ndarray:
+    """`_arcs` in the given units from pk[r, j] to pl[r, j] (m, k, 2), on windowed block row rows[r] centred at
+    centres[r]: on the frame points 2^-e (p - centre), scaled back by 2^(2e/3)."""
+    exp = blk.exp[rows].astype(int)
+    uk, ul = (np.ldexp(p - centres[:, None], -exp[:, None, None]) for p in (pk, pl))
+    return np.ldexp(_arcs(blk.coef[rows], blk.S[rows], blk.F[rows], uk, ul), 2 * exp[:, None] // 3)
 
 
 def _build_blocks(meshes: list[Mesh]) -> list[_Block]:
@@ -462,14 +467,13 @@ def _block(mesh: Mesh) -> _Block:
     return build_blocks(mesh)[0]
 
 
-def _row(mesh: Mesh, i: int, read: str = "") -> tuple[_Block, int]:
+def _row(mesh: Mesh, i: int) -> tuple[_Block, int]:
     """Block and row of the window at p[i], raising what reading that row raises.
 
-    In this order: IndexOutOfRange for a window reaching past an end, the
-    fit's DegenerateConfiguration (its coincidence or collinearity screen,
-    the only degeneracy test of a window), and then, for ``read="kappa"``
-    (the curvature, or an arc length on the row's conic), ZeroF. Every
-    function of this module that reads a row raises through here.
+    In this order: IndexOutOfRange for a window reaching past an end, then
+    the fit's DegenerateConfiguration (its coincidence or collinearity
+    screen, the only degeneracy test of a window). Every function of this
+    module that reads a row raises through here.
     """
     i = mesh.resolve(i)
     blk = _block(mesh)
@@ -478,8 +482,6 @@ def _row(mesh: Mesh, i: int, read: str = "") -> tuple[_Block, int]:
             mesh.resolve(i, off)  # the window reaches past an end: IndexOutOfRange
     if i in blk.fit_errors:
         raise DegenerateConfiguration(f"window at index {i}: {blk.fit_errors[i]}")
-    if read and blk.zero_f[i]:
-        raise ZeroF(f"cubic invariant {float(blk.F[i])!r} at index {i} too small: degenerate conic")
     return blk, i
 
 
@@ -503,61 +505,56 @@ def fit_conic(points) -> ConicCoeffs:
     Raises
     ------
     DegenerateConfiguration
-        Not a (5, 2) array, or, in the window's frame (its differences to
-        the centre point p2, scaled by a power of two so that the largest
-        magnitude lies in [1/2, 1)), coincident points (a gap of at most
-        1e-12 of the largest magnitude) or a collinear triple (an
-        orientation of at most 1e-12 of its square: no unique conic). These
-        two screens are the only degeneracy test: five points that pass
-        them lie on exactly one conic.
+        Not a (5, 2) array, or coincident points or a collinear triple by
+        `_fit`'s screens in the window's frame: no unique conic.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (5, 2):
         raise DegenerateConfiguration(f"conic fit needs exactly 5 points, got {pts.shape}")
-    coef, errors, _ = _fit(pts[None])
+    coef, _, _, exp, _, errors = _fit(pts[None])
     if errors:
         raise DegenerateConfiguration(errors[0])
-    return ConicCoeffs.from_vector(coef[0])
+    return ConicCoeffs.from_vector(_given_conics(coef, exp, pts[None, 2])[0])
 
 
 def invariants(c: ConicCoeffs) -> AffineInvariants:
-    """Quadratic invariant S = AC - B^2 and cubic invariant F = det(3x3)."""
-    s, f = _invariants(c.vector[None])
-    return AffineInvariants(S=float(s[0]), F=float(f[0]))
+    """S = AC - B^2, within 2 eps (|AC| + B^2), and F = det [[A, B, D], [B, C, E], [D, E, F0]] as the plain sum
+    A C F0 + 2 B D E - A E^2 - B^2 F0 - C D^2, within 4 eps times its terms' absolute sum, of their exact values."""
+    a, b, c, d, e, f0 = c.vector.tolist()
+    return AffineInvariants(S=a * c - b * b, F=a * c * f0 + 2.0 * b * d * e - a * e * e - b * b * f0 - c * d * d)
 
 
 def kappa_from_invariants(inv: AffineInvariants) -> float:
-    """S / (real cube root of F)^2; well-defined for either sign of F."""
-    if abs(inv.F) <= ZERO_F_TOL:
-        raise ZeroF(f"cubic invariant {inv.F!r} too small: degenerate conic")
+    """S / (real cube root of F)^2, within 4 eps; DegenerateConfiguration where F is 0 (a line pair)."""
+    if inv.F == 0.0:
+        raise DegenerateConfiguration("cubic invariant F is 0: degenerate conic")
     return float(_kappa(np.array([inv.S]), np.array([inv.F]))[0])
 
 
 def conic_at(mesh: Mesh, i: int) -> ConicCoeffs:
-    """Conic through the two-neighborhood of p[i], read from the mesh's block."""
+    """Conic through the two-neighborhood of p[i]: the block's frame conic, in the given coordinates."""
     blk, i = _row(mesh, i)
-    return ConicCoeffs.from_vector(blk.coef[i])
+    row = [i]
+    return ConicCoeffs.from_vector(_given_conics(blk.coef[row], blk.exp[row].astype(int), mesh.points[row])[0])
 
 
 def affine_curvature(mesh: Mesh, i: int) -> float:
     """Equiaffine curvature at p[i] from its two-neighborhood conic."""
-    blk, i = _row(mesh, i, "kappa")
+    blk, i = _row(mesh, i)
     return float(blk.kappa[i])
 
 
 def interior_curvatures(mesh: Mesh) -> np.ndarray:
     """Curvature at every center of ``affine_fine_interior(mesh)``, as one array.
 
-    The values are :func:`affine_curvature`'s: each within 4 eps of S /
-    cbrt(F)^2 for its window's S and F, whose own bounds are those of the
-    fit and of the invariants (see the module docstring). Raises what the
-    first failing center raises.
+    The values are :func:`affine_curvature`'s, within `_fit`'s bound.
+    Raises what the first failing center raises.
     """
     blk, interior = _block(mesh), affine_fine_interior(mesh)
     rows = slice(interior.start, interior.stop)
-    bad = np.flatnonzero(~blk.kappa_ok[rows])
+    bad = np.flatnonzero(~blk.fitted[rows])
     if len(bad):
-        _row(mesh, interior[bad[0]], "kappa")
+        _row(mesh, interior[bad[0]])
     return blk.kappa[rows]
 
 
@@ -593,13 +590,13 @@ def affine_arc_length(mesh: Mesh, at: int, k: int, l: int) -> float:
     _check_arc_offset(mesh, at, k)
     _check_arc_offset(mesh, at, l)
     pk, pl = mesh.p(k), mesh.p(l)
-    blk, at = _row(mesh, at, "kappa")
-    return float(_arcs(blk, np.array([at]), pk[None, None], pl[None, None])[0, 0])
+    blk, at = _row(mesh, at)
+    return float(_given_arcs(blk, [at], mesh.points[[at]], pk[None, None], pl[None, None])[0, 0])
 
 
 def arc_length_set(mesh: Mesh, i: int) -> ArcLengthSet:
     """The four consecutive arc lengths of the two-neighborhood of p[i]."""
-    blk, i = _row(mesh, i, "kappa")
+    blk, i = _row(mesh, i)
     return ArcLengthSet(at=i, values=tuple(blk.arcs[i].tolist()))
 
 
@@ -607,13 +604,12 @@ def interior_arc_length_sets(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """(values, ok): the arc-length set of every center of ``affine_fine_interior``.
 
     values is (k, 4) and holds :func:`arc_length_set`'s values, within the
-    bound of ``_arcs``, on the rows where ok is True: the rows whose
-    curvature can be read (``kappa_ok``). arc_length_set raises at the other
-    rows.
+    bound of ``_arcs``, on the rows where ok is True: the fitted rows.
+    arc_length_set raises at the other rows.
     """
     blk, interior = _block(mesh), affine_fine_interior(mesh)
     rows = slice(interior.start, interior.stop)
-    return blk.arcs[rows], blk.kappa_ok[rows]
+    return blk.arcs[rows], blk.fitted[rows]
 
 
 def sd_affine(mesh: Mesh, i: int) -> SigDirection:
@@ -646,7 +642,7 @@ def has_fine_area(mesh: Mesh, i: int) -> bool:
     a real ellipse; were rounding to make it imaginary, its sector would be
     NaN and the window would read as not fine.
     """
-    blk, i = _row(mesh, i, "kappa")
+    blk, i = _row(mesh, i)
     kappa = float(blk.kappa[i])
     if kappa <= PARABOLIC_TOL:
         raise WrongCurvatureSign(f"fine-area needs positive curvature, got {kappa!r}")
@@ -664,8 +660,9 @@ def hyperbola_gap_bound(mesh: Mesh, i: int) -> float:
     blk, w = _row(mesh, i)
     if blk.gap_undefined[w]:
         raise ParabolicConic(f"conic at index {w} is parabolic in the unit scale: no gap bound")
-    radicand = float(blk.radicand[w])
-    if radicand < 0.0:
+    if blk.radicand[w] < 0.0:  # in the frame, whose sign survives any dilation; named in the given units
+        with np.errstate(over="ignore"):
+            radicand = float(np.ldexp(blk.radicand[w], 2 * int(blk.exp[w])))
         raise NonRealMu(f"gap bound radicand {radicand!r} negative at index {w}")
     return float(blk.mu[w])
 
@@ -710,9 +707,9 @@ def consecutive_arc_lengths(mesh: Mesh) -> np.ndarray:
     """
     blk, interior = _block(mesh), mesh.interior(FIT_HALF_WIDTH, FIT_HALF_WIDTH + 1)
     rows = slice(interior.start, interior.stop)
-    bad = np.flatnonzero(~blk.kappa_ok[rows])
+    bad = np.flatnonzero(~blk.fitted[rows])
     if len(bad):
-        _row(mesh, interior[bad[0]], "kappa")
+        _row(mesh, interior[bad[0]])
     return blk.arcs[rows, 2]
 
 
@@ -722,14 +719,15 @@ def _signature_columns(mesh: Mesh, scheme: Scheme) -> tuple[np.ndarray, np.ndarr
 
     def denominators(lo: int, hi: int, rows: range) -> tuple[np.ndarray, np.ndarray]:
         own = slice(rows.start, rows.stop)
-        denom = _arcs(blk, own, *(end[:, None] for end in _gather(mesh.points, (lo, hi), rows)))[:, 0]
-        return denom, blk.kappa_ok[own] & (denom > 1e-15)
+        ends = (end[:, None] for end in _gather(mesh.points, (lo, hi), rows))
+        denom = _given_arcs(blk, own, mesh.points[own], *ends)[:, 0]
+        return denom, blk.fitted[own] & (denom > 1e-15)
 
     def vanishing(i: int, lo: int, hi: int) -> str:
         return f"{scheme.label} arc length at index {i} vanishes"  # its conic's curvature at i was read first
 
-    return signature_columns(mesh, scheme, SA_SPEC, (0, blk.kappa, blk.kappa_ok),
-                             lambda c: _row(mesh, c, "kappa"), denominators, vanishing)
+    return signature_columns(mesh, scheme, SA_SPEC, (0, blk.kappa, blk.fitted),
+                             lambda c: _row(mesh, c), denominators, vanishing)
 
 
 def sa_signature(

@@ -64,10 +64,6 @@ class DegenerateConfiguration(MeshSigError):
     sigma_5 (`affine._fit`). `sd_affine` also raises it for a fitted window not in convex position."""
 
 
-class ZeroF(MeshSigError):
-    """Cubic conic invariant vanished (degenerate conic, e.g. a line pair)."""
-
-
 class ParabolicConic(MeshSigError):
     """Conic center undefined: quadratic invariant is zero (parabola)."""
 

@@ -8,7 +8,9 @@ everything but roots, arctangents and sines, which are taken in 50-digit
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,19 +170,64 @@ def sector(coef, S, F, center, window) -> tuple[Decimal, Fraction, list]:
         return abs(decimal(shoelace)) + r2 / 2 * sum(segment(d) for d in angles), shoelace, angles
 
 
-def gap_radicand(coef) -> tuple[Decimal | None, Decimal]:
+def gap_radicand(a, b, c, f) -> tuple[Decimal | None, Decimal]:
     """(radicand, lam): -F / (|lam| (AC - B^2)) with lam the larger-magnitude root of t^2 - (A+C) t + AC - B^2.
 
-    radicand is None where the quotient divides by zero.
+    a, b, c and f are exact (Fractions); radicand is None where the quotient divides by zero.
     """
-    a, b, c = fractions(coef)[:3]
+    a, b, c, f = (Fraction(v) for v in (a, b, c, f))
     tr = a + c
     with localcontext() as ctx:
         ctx.prec = DIGITS
         root = sqrt((a - c) ** 2 + 4 * b * b)
         r1, r2 = (decimal(tr) + root) / 2, (decimal(tr) - root) / 2
         lam = r1 if abs(r1) > abs(r2) else r2 if abs(r2) > abs(r1) else max(r1, r2)
-        s_exact, f_exact = invariants(coef)
-        if lam == 0 or s_exact == 0:
+        s = a * c - b * b
+        if lam == 0 or s == 0:
             return None, lam
-        return -decimal(f_exact / s_exact) / abs(lam), lam
+        return -decimal(f / s) / abs(lam), lam
+
+
+def frame(points, centre, exp: int) -> list:
+    """Frame points 2^-exp (p - centre), rounded as the equiaffine fit forms them, as (x, y) Fractions."""
+    u = np.ldexp(np.asarray(points, dtype=float) - np.asarray(centre, dtype=float), -int(exp))
+    return [tuple(fractions(p)) for p in u.reshape(-1, 2)]
+
+
+def _orientation(p, q, r) -> tuple[Fraction, Fraction]:
+    """(q - p) x (r - p) and the sum of the absolute values of its two products, exactly."""
+    (qx, qy), (rx, ry) = ((a - b for a, b in zip(v, p)) for v in (q, r))
+    return qx * ry - qy * rx, abs(qx * ry) + abs(qy * rx)
+
+
+class FrameConic(NamedTuple):
+    brackets: list  # [ijk] of the ten triples, in combinations order
+    products: list  # P_t: bracket t's two products in absolute value, from its first point (2 where it has 2)
+    conic: list     # A, B, C, D, E, F0 of the pencil, each line pair doubled
+    scales: list    # each entry with every bracket-pair and line-pair product in absolute value
+
+
+def frame_conic(u) -> FrameConic:
+    """The bracket pencil [024][134] L01 L23 - [014][234] L02 L13 through five frame points u (u[2] = 0), exactly.
+
+    L_ij(x) = [ijx] = (y_i - y_j) x + (x_j - x_i) y + [2ij], and each line
+    pair L L' is written as the symmetric matrix of L L' + L' L.
+    """
+    triples = [t[t.index(2):] + t[:t.index(2)] if 2 in t else t for t in combinations(range(5), 3)]
+    brackets, products = zip(*(_orientation(*(u[k] for k in t)) for t in triples))
+    br = dict(zip(combinations(range(5), 3), brackets))
+
+    def line(i, j):
+        (xi, yi), (xj, yj) = u[i], u[j]
+        return yi - yj, xj - xi, _orientation(u[2], u[i], u[j])[0]
+
+    def pair(l, k, a, b):
+        return l[a] * k[b] + l[b] * k[a], abs(l[a] * k[b]) + abs(l[b] * k[a])
+
+    k4, k2 = br[0, 2, 4] * br[1, 3, 4], br[0, 1, 4] * br[2, 3, 4]
+    conic, scales = [], []
+    for a, b in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)):
+        (p0, s0), (p1, s1) = pair(line(0, 1), line(2, 3), a, b), pair(line(0, 2), line(1, 3), a, b)
+        conic.append(k4 * p0 - k2 * p1)
+        scales.append(abs(k4) * s0 + abs(k2) * s1)
+    return FrameConic(list(brackets), list(products), conic, scales)

@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
+from math import inf, nextafter, prod
 
 import exact
 import numpy as np
@@ -19,7 +20,6 @@ from meshsig.errors import (
     ParabolicConic,
     SchemeSpacingMismatch,
     WrongCurvatureSign,
-    ZeroF,
 )
 from meshsig.geometry import edge_lengths
 from meshsig.signatures import denominator_offsets, scheme_rows, signature_max_error
@@ -324,8 +324,7 @@ class TestFineness:
         """kappa = S / cbrt(F)^2 > 0 implies S > 0, so a window whose curvature clears the parabolic band is an
         ellipse even where S itself, absolute on unit-norm coefficients, lies in the band: a radius-500 circle
         (S = 1.6e-11, kappa = 2.5e-4) and y = x^2 + 1e-10 x^4 (S = 8e-11, kappa = 2.5e-10)."""
-        blk = affine._block(mesh)
-        assert blk.S[2] <= affine.PARABOLIC_TOL < blk.kappa[2]
+        assert ms.invariants(affine.conic_at(mesh, 2)).S <= affine.PARABOLIC_TOL < affine._block(mesh).kappa[2]
         assert all(ms.has_fine_area(mesh, i) for i in mesh.interior(2, 2))
         assert ms.is_affine_fine(mesh)
         assert ms.decide_affine(mesh, mesh, "thm5.7").congruent
@@ -481,7 +480,7 @@ def check_fit(coef, window, up_to_sign=False):
 
 
 def check_invariants(coef, S, F):
-    """_invariants: S within 2 eps (|AC| + B^2), F within 64 eps times its absolute Leibniz terms."""
+    """invariants: S within 2 eps (|AC| + B^2), F within 64 eps times its absolute Leibniz terms."""
     (s_ref, f_ref), (s_scale, f_scale) = exact.invariants(coef), exact.invariant_scales(coef)
     assert_within(S, s_ref, 2 * EPS * s_scale, "S")
     assert_within(F, f_ref, 64 * EPS * f_scale, "F")
@@ -507,24 +506,83 @@ def check_center(coef, S, center):
         assert_within(got, want, 2 * EPS * scale / abs(s), "center")
 
 
-def check_arc(mesh, at, k, l, value):
-    """_arcs: within 4 eps (T / cbrt(F)^2 + L) of L = |S (d x p_k) - d x c| / cbrt(F)^2 for the row's
-    coefficients, S and F, where d = p_k - p_l, c = (BE - CD, BD - AE) and T = |S| (|d_x p_ky| + |d_y p_kx|) +
-    |d_x| (|BD| + |AE|) + |d_y| (|BE| + |CD|)."""
-    blk, at = affine._block(mesh), mesh.resolve(at)
-    a, b, c, d, e, _ = exact.fractions(blk.coef[at])
-    s, q = Fraction(float(blk.S[at])), Fraction(exact.cbrt(float(blk.F[at]))) ** 2
-    (kx, ky), (lx, ly) = exact.fractions(mesh.p(k)), exact.fractions(mesh.p(l))
+UNIT = EPS / 2  # the unit roundoff
+
+
+def up(x):
+    """A double at least x, as a Fraction: a bound rounded up, so that the checks' arithmetic stays small."""
+    return Fraction(nextafter(float(x), inf))
+
+
+class Frame:
+    """The window at p[i] in its frame (`affine._fit`): the block row, its exact conic, and the docstring's bounds.
+
+    e is the frame exponent, u the frame points; ref is `exact.frame_conic` of u. r_t = ((1 + u)^4 - 1) P_t /
+    |[t]| bounds bracket t's relative error, phi that of F, rho that of each conic entry against its absolute
+    scale, and eps_2 that of S and of c = (BE - CD, BD - AE) against theirs.
+    """
+
+    def __init__(self, mesh, i):
+        self.mesh, self.blk, self.i = mesh, affine._block(mesh), mesh.resolve(i)
+        self.e = int(self.blk.exp[self.i])
+        self.u = exact.frame([mesh.p(self.i, off) for off in range(-2, 3)], mesh.p(self.i), self.e)
+        ref = exact.frame_conic(self.u)
+        # the block's conic is signed by `affine._lead_signs`: take the exact one's sign from its largest entry
+        big = max(range(6), key=lambda k: abs(ref.conic[k]))
+        sign = 1 if (ref.conic[big] < 0) == (self.blk.coef[self.i, big] < 0) else -1
+        self.ref = ref._replace(conic=[sign * x for x in ref.conic])
+        r = [up(((1 + UNIT) ** 4 - 1) * p / abs(b)) for b, p in zip(self.ref.brackets, self.ref.products)]
+        self.phi = up(prod(1 + x for x in r) * (1 + UNIT) ** 9 - 1)
+        self.rho = up((1 + max(r)) ** 3 * (1 + UNIT) ** 6 - 1)
+        self.eps2 = up((1 + self.rho) ** 2 * (1 + UNIT) ** 2 - 1)
+        a, b, c = self.ref.conic[:3]
+        aa, ba, ca = self.ref.scales[:3]
+        self.S, self.F = a * c - b * b, sign * 2 * prod(self.ref.brackets)
+        self.sigma = up(self.eps2 * (aa * ca + ba * ba))
+
+    def point(self, j):
+        return exact.frame(self.mesh.p(j), self.mesh.p(self.i), self.e)[0]
+
+
+def check_frame(mesh, i, kappa, fr=None):
+    """The block's S, F and curvature at a fitted window against its exact frame conic.
+
+    F within phi |F*| (F* = 2 x the ten brackets' product, which is det of the exact conic), S within sigma of S*,
+    and the frame curvature 2^(4e/3) kappa within 4 eps of S' / cbrt(F')^2 for some S' within sigma of S* and F'
+    within phi |F*| of F*: cubed, kappa_u^3 F*^2 lies in the range of S'^3 (1 + theta)^3 / (1 + phi')^2.
+    """
+    fr = fr or Frame(mesh, i)
+    assert exact.invariants(fr.ref.conic)[1] == fr.F and fr.ref.conic[5] == 0
+    assert_within(fr.blk.F[fr.i], fr.F, fr.phi * abs(fr.F), "F")
+    assert_within(fr.blk.S[fr.i], fr.S, fr.sigma, "S")
+    k = Fraction(float(kappa)) * Fraction(2) ** (4 * fr.e // 3)
+    ends = [s ** 3 * t ** 3 / f ** 2 for s in (fr.S - fr.sigma, fr.S + fr.sigma) for t in (1 - 4 * EPS, 1 + 4 * EPS)
+            for f in (1 - fr.phi, 1 + fr.phi)]
+    assert min(ends) <= k ** 3 * fr.F ** 2 <= max(ends), f"frame curvature {float(k)!r} off its exact conic's"
+
+
+def check_arc(mesh, at, k, l, value, fr=None):
+    """_arcs: 2^(-2e/3) value within ((1 + eps_N) (1 + 4 eps) / (1 - phi) - 1) N_abs / cbrt(F*)^2 of L* = |N*| /
+    cbrt(F*)^2, N = S (d x u_k) - d x c for the exact frame conic, d = u_k - u_l and c = (BE - CD, BD - AE), where
+    eps_N = (1 + eps_2) (1 + u)^5 - 1 and N_abs = S_abs (|d_x u_ky| + |d_y u_kx|) + |d_x| c_abs_y + |d_y| c_abs_x."""
+    fr = fr or Frame(mesh, at)
+    (a, b, c, d, e, _), (aa, ba, ca, da, ea, _) = fr.ref.conic, fr.ref.scales
+    (kx, ky), (lx, ly) = fr.point(k), fr.point(l)
     dx, dy = kx - lx, ky - ly
-    ref = abs(s * (dx * ky - dy * kx) - (dx * (b * d - a * e) - dy * (b * e - c * d))) / q
-    t = abs(s) * (abs(dx * ky) + abs(dy * kx)) + abs(dx) * (abs(b * d) + abs(a * e))
-    t += abs(dy) * (abs(b * e) + abs(c * d))
-    assert_within(value, ref, 4 * EPS * (t / q + ref), f"arc length ({at}: {k}, {l})")
+    n = fr.S * (dx * ky - dy * kx) - (dx * (b * d - a * e) - dy * (b * e - c * d))
+    n_abs = (aa * ca + ba * ba) * (abs(dx * ky) + abs(dy * kx)) + abs(dx) * (ba * da + aa * ea)
+    n_abs += abs(dy) * (ba * ea + ca * da)
+    eps_n = (1 + fr.eps2) * (1 + UNIT) ** 5 - 1
+    q = Fraction(exact.cbrt(fr.F)) ** 2
+    scale = Fraction(2) ** (2 * fr.e // 3)
+    bound = up(((1 + eps_n) * (1 + 4 * EPS) / (1 - fr.phi) - 1) * n_abs / q)
+    assert_within(value, abs(n) / q * scale, bound * scale, f"arc length ({fr.i}: {k}, {l})")
 
 
-def check_fine_area(mesh, i, kappa):
+def check_fine_area(mesh, i, kappa, fr=None):
     """has_fine_area: area within 4 eps (relative) of pi |F| / S^(3/2) and sector within the bound of
-    `affine._sectors`; the verdict area >= sector (1 - 1e-9) is the exact one unless the sides are that close."""
+    `affine._sectors`, both for the block's frame S, F, conic, centre and frame points; the verdict area >= sector
+    (1 - 1e-9) is the exact one unless the sides are that close."""
     got, blk, i = outcome(ms.has_fine_area, mesh, i), affine._block(mesh), mesh.resolve(i)
     if kappa <= PARABOLIC_TOL:
         assert got is WrongCurvatureSign
@@ -536,7 +594,7 @@ def check_fine_area(mesh, i, kappa):
         return
     area = Fraction(exact.ellipse_area(S, F))
     assert_within(blk.area[i], area, 4 * EPS * area, "ellipse area")
-    window = np.array([mesh.p(i, off) for off in range(-2, 3)])
+    window = np.array([[float(x), float(y)] for x, y in (fr or Frame(mesh, i)).u])
     sector, shoelace, angles = exact.sector(coef, S, F, center, window)
     quad = np.linalg.eigvalsh(coef[[[0, 1], [1, 2]]])
     angle_error = 4 * exact.EPS * (np.abs(quad).max() / np.abs(quad).min() + 4)
@@ -554,39 +612,39 @@ def check_fine_area(mesh, i, kappa):
     assert got == (margin >= 0) if abs(margin) > slack else got in (True, False)
 
 
-def check_gap_bound(mesh, i, kappa):
-    """hyperbola_gap_bound: radicand within the relative bound of `affine._gap_bounds` of -F / (|lam| S), mu
-    within half that plus 2 eps; in_fine_position's verdict is the exact one unless a gap is that close to mu."""
-    got, blk = outcome(affine.hyperbola_gap_bound, mesh, i), affine._block(mesh)
+def check_gap_bound(mesh, i, kappa, fr=None):
+    """hyperbola_gap_bound: the frame radicand within psi (relative) of -F* / (|lambda1*| S*) of the exact frame
+    conic, and mu within psi / 2 + psi^2 + eps of 2^e times twice its root (`affine._gap_bounds`);
+    in_fine_position's verdict is the exact one unless a frame gap is that close to the frame's mu."""
+    got = outcome(affine.hyperbola_gap_bound, mesh, i)
     position = outcome(ms.in_fine_position, mesh, i) if not isinstance(kappa, type) else None
-    i = mesh.resolve(i)
+    fr = fr or Frame(mesh, i)
     if position is not None and kappa >= -PARABOLIC_TOL:
         assert position is WrongCurvatureSign
         position = None
-    coef = blk.coef[i]
-    radicand, lam = exact.gap_radicand(coef)
+    radicand, lam = exact.gap_radicand(*fr.ref.conic[:3], fr.F)
+    psi = None
     if radicand is not None:
-        (s, f), (s_scale, f_scale) = exact.invariants(coef), exact.invariant_scales(coef)
-        a, b, c = exact.fractions(coef)[:3]
-        root = Fraction(exact.sqrt((a - c) ** 2 + 4 * b * b))
-        rel = (3 * EPS * root + 2 * EPS * abs(a + c)) / abs(Fraction(lam))
-        rel += EPS * (70 * f_scale / abs(f) + 4 * s_scale / abs(s) + 4)
-    if radicand is None or rel >= 1:
+        aa, ba, ca = fr.ref.scales[:3]
+        lam_error = (fr.rho + 5 * EPS * (1 + fr.rho)) * (aa + 2 * ba + ca)
+        if lam_error < abs(Fraction(lam)) and fr.sigma < abs(fr.S):
+            shrink = (1 - lam_error / abs(Fraction(lam))) * (1 - fr.sigma / abs(fr.S))
+            psi = up((1 + fr.phi) * (1 + UNIT) ** 2 / shrink - 1)
+    if psi is None or psi >= 1:
         assert got is ParabolicConic or got is NonRealMu or isinstance(got, float)
         assert position in (None, True, False, got)
         return
     if radicand < 0:
         assert got is NonRealMu and position in (None, NonRealMu)
         return
-    assert_within(blk.radicand[i], radicand, rel * Fraction(radicand), "gap bound radicand")
-    mu, mu_rel = 2 * exact.sqrt(Fraction(radicand)), rel / 2 + 2 * EPS
-    assert_within(got, mu, mu_rel * Fraction(mu), "gap bound")
+    assert_within(fr.blk.radicand[fr.i], radicand, psi * Fraction(radicand), "gap bound radicand")
+    mu, mu_rel = 2 * Fraction(exact.sqrt(Fraction(radicand))), psi / 2 + psi * psi + EPS
+    assert_within(got, mu * Fraction(2) ** fr.e, mu_rel * mu * Fraction(2) ** fr.e, "gap bound")
     if position is None:
         return
-    window = [exact.fractions(mesh.p(i, off)) for off in range(-2, 3)]
-    gaps = [Fraction(exact.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)) for (x0, y0), (x1, y1) in zip(window, window[1:])]
-    close = any(abs(g - Fraction(mu)) <= mu_rel * Fraction(mu) + 2 * EPS * g for g in gaps)
-    assert position in (True, False) if close else position == all(g < Fraction(mu) for g in gaps)
+    gaps = [Fraction(exact.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)) for (x0, y0), (x1, y1) in zip(fr.u, fr.u[1:])]
+    close = any(abs(g - mu) <= mu_rel * mu + 2 * EPS * g for g in gaps)
+    assert position in (True, False) if close else position == all(g < mu for g in gaps)
 
 
 def outcome(f, *args, **kwargs):
@@ -599,8 +657,9 @@ def outcome(f, *args, **kwargs):
 
 # Five-point windows found by random search: a collinear triple, whose fit
 # fails; an anisotropic window whose design condition is about 1e17, which
-# still fits within its bound; and a nearly flat ellipse whose cubic
-# invariant |F| falls under ZERO_F_TOL.
+# still fits within its bound; and a nearly flat ellipse, whose cubic
+# invariant on unit-norm coefficients in the given coordinates is about 1e-13,
+# while its frame's F, the bracket product, is exact in sign.
 COLLINEAR_WINDOW = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [3.5, 2.5]]
 RANK_WINDOW = [
     [-93618.56243713814, 1.6568208237096478e-06],
@@ -609,7 +668,7 @@ RANK_WINDOW = [
     [49808.257092461216, -1.7986763456655916e-06],
     [49719.66803502334, -2.9316445394689224e-06],
 ]
-ZERO_F_WINDOW = [
+FLAT_WINDOW = [
     [0.5863637597020782, 2.1668144337527085e-06],
     [-0.9517132717360007, 8.211697388417176e-07],
     [0.2869716100435681, -2.562411845486543e-06],
@@ -651,25 +710,25 @@ def equivalence_meshes():
         out.append(ms.Mesh(pts, closed=closed))
     out.append(ms.Mesh(rng.normal(size=(12, 2))))
     out.append(ms.Mesh(rng.normal(size=(12, 2)), closed=True))
-    for window in (COLLINEAR_WINDOW, RANK_WINDOW, ZERO_F_WINDOW):
+    for window in (COLLINEAR_WINDOW, RANK_WINDOW, FLAT_WINDOW):
         out.append(ms.Mesh(window))
         out.append(ms.Mesh(window, closed=True))
     out.append(ms.Mesh(np.vstack([gen.ellipse_mesh(6, 2.0, 1.0, step=0.3).points, [[3.0, 3.0], [4.0, 3.0], [5.0, 3.0]]])))
     out.append(gen.circle_mesh(3))  # closed 3- and 4-point meshes: repeated window points
     out.append(gen.circle_mesh(4))
     # far from the origin, a step of 1e-8 that Mesh accepts: each window is screened in its own frame, where the
-    # step is no coincidence, and its conic in the given coordinates has F under ZERO_F_TOL
+    # step is no coincidence, and its curvature and arcs are read there
     far = gen.ellipse_mesh(8, 2.0, 1.0, step=0.3).points + 1e7
     far[4] = far[3] + 1e-8
     out.append(ms.Mesh(far))
-    # convex, and its first window a nearly flat parabolic conic: the centered
-    # schemes read that window's raising curvature only as a row's left neighbor
+    # convex, and its first window a nearly flat conic, whose curvature the
+    # centered schemes read only as a row's left neighbor
     t = np.array([0.2, 0.6, 1.0, 1.4, 1.8])
     flat = np.column_stack([np.cos(t), 2.6e-6 * np.sin(t)])
     bend = [[-0.8, -0.05], [-1.3, -0.4], [-1.5, -1.0], [-1.4, -1.7], [-1.0, -2.3]]
     out.append(ms.Mesh(np.vstack([flat, bend]) + [0.0, 0.5]))
     # convex: a sideways parabola (zero arc-length denominators from row 2), then a
-    # nearly flat ellipse arc (raising curvatures from row 8): the first row decides
+    # nearly flat ellipse arc (large curvatures from row 8)
     y = np.arange(-1.0, 2.01, 0.5)
     t = np.linspace(1.8, 0.2, 6)
     c, s = np.cos(0.1), np.sin(0.1)
@@ -732,7 +791,7 @@ class TestScalarEquivalence:
                     except ms.MeshSigError as exc:
                         seen.add((type(exc).__name__, str(exc).split(" ")[-1]))
         names = {name for name, _ in seen}
-        assert {"DegenerateConfiguration", "ZeroF", "NonRealMu", "WrongCurvatureSign"} <= names
+        assert {"DegenerateConfiguration", "NonRealMu", "WrongCurvatureSign"} <= names
         tails = {tail for name, tail in seen if name == "DegenerateConfiguration"}
         assert {"coincide", "collinear"} <= tails
 
@@ -741,9 +800,14 @@ class TestScalarEquivalence:
                                 (np.zeros((4, 2)), "exactly 5 points")):
             with pytest.raises(DegenerateConfiguration, match=message):
                 ms.fit_conic(window)
-        with pytest.raises(ZeroF):
-            affine.kappa_from_invariants(ms.invariants(ms.fit_conic(ZERO_F_WINDOW)))
-        check_fit(ms.fit_conic(RANK_WINDOW).vector, RANK_WINDOW)
+        for window in (RANK_WINDOW, FLAT_WINDOW):
+            c = ms.fit_conic(window)
+            check_fit(c.vector, window)
+            inv = ms.invariants(c)
+            check_invariants(c.vector, inv.S, inv.F)
+            check_kappa(inv.S, inv.F, affine.kappa_from_invariants(inv))
+        flat = ms.Mesh(FLAT_WINDOW)
+        check_frame(flat, 2, ms.affine_curvature(flat, 2))
         rng = np.random.default_rng(41)
         for _ in range(400):
             w = rng.normal(size=(5, 2)) * 10.0 ** rng.uniform(-3, 3, size=(1, 2))
@@ -760,8 +824,7 @@ class TestScalarEquivalence:
                 check_invariants(c.vector, inv.S, inv.F)
                 if abs(inv.S) > PARABOLIC_TOL:
                     check_center(c.vector, inv.S, ms.conic_center(c))
-                if abs(inv.F) > affine.ZERO_F_TOL:
-                    check_kappa(inv.S, inv.F, affine.kappa_from_invariants(inv))
+                check_kappa(inv.S, inv.F, affine.kappa_from_invariants(inv))
 
     def test_fit_bound_on_anisotropic_windows(self):
         """Axis spreads up to 10^+-6, on every window that is not screened and whose design condition a
@@ -769,11 +832,12 @@ class TestScalarEquivalence:
         first entry of (A, B, C) over 1e-12 in magnitude, the exact conic's its first non-zero one."""
         rng = np.random.default_rng(44)
         windows = rng.normal(size=(400, 5, 2)) * 10.0 ** rng.uniform(-6, 6, size=(400, 1, 2))
-        coef, errors, _ = affine._fit(windows)
+        coef, _, _, exp, _, errors = affine._fit(windows)
         assert all("collinear" in msg or "coincide" in msg for msg in errors.values())
         checked = [r for r in range(len(windows)) if r not in errors and design_condition(windows[r]) <= 1e13]
-        for r in checked:
-            check_fit(coef[r], windows[r], up_to_sign=True)
+        given = affine._given_conics(coef[checked], exp[checked], windows[checked, 2])
+        for r, row in zip(checked, given):
+            check_fit(row, windows[r], up_to_sign=True)
         assert len(checked) > 300
 
     def test_fit_under_power_of_two_dilations(self):
@@ -794,24 +858,28 @@ class TestScalarEquivalence:
         S = rng.normal(size=20000)
         F = rng.normal(size=20000) * 10.0 ** rng.uniform(-6, 3, size=20000)
         for inv in map(affine.AffineInvariants, S.tolist(), F.tolist()):
-            if abs(inv.F) <= affine.ZERO_F_TOL:
-                with pytest.raises(ZeroF):
-                    affine.kappa_from_invariants(inv)
-            else:
-                check_kappa(inv.S, inv.F, affine.kappa_from_invariants(inv))
+            check_kappa(inv.S, inv.F, affine.kappa_from_invariants(inv))
+        # only F = 0 raises, and a subnormal F neither divides by zero nor warns
+        for f in (0.0, -0.0):
+            with pytest.raises(DegenerateConfiguration, match="cubic invariant F is 0"):
+                affine.kappa_from_invariants(affine.AffineInvariants(1.0, f))
+        with np.errstate(all="raise"):
+            for f in (5e-324, -1e-310, 1e-200):
+                check_kappa(0.5, f, affine.kappa_from_invariants(affine.AffineInvariants(0.5, f)))
 
     def test_cubic_invariant_rounding(self):
-        """F within eps |F| + 32 eps^2 P: random coefficients over six decades, and rounded line pairs,
-        whose exact F is tiny against P."""
+        """invariants' F, the plain Leibniz sum, within 4 eps P: random coefficients over six decades, and rounded
+        line pairs, whose exact F is tiny against P."""
         rng = np.random.default_rng(46)
         l, k = rng.normal(size=(2, 1000, 3))
         pairs = np.stack([l[:, 0] * k[:, 0], (l[:, 0] * k[:, 1] + l[:, 1] * k[:, 0]) / 2, l[:, 1] * k[:, 1],
                           (l[:, 0] * k[:, 2] + l[:, 2] * k[:, 0]) / 2, (l[:, 1] * k[:, 2] + l[:, 2] * k[:, 1]) / 2,
                           l[:, 2] * k[:, 2]], axis=1)
         coef = np.vstack([rng.normal(size=(1000, 6)) * 10.0 ** rng.uniform(-6, 0, size=(1000, 6)), pairs])
-        for row, F in zip(coef, affine._invariants(coef)[1]):
+        for row in coef:
+            F = ms.invariants(affine.ConicCoeffs.from_vector(row)).F
             (_, f_ref), (_, f_scale) = exact.invariants(row), exact.invariant_scales(row)
-            assert_within(F, f_ref, EPS * abs(f_ref) + 32 * EPS * EPS * f_scale, "F")
+            assert_within(F, f_ref, 4 * EPS * f_scale, "F")
 
     @pytest.mark.parametrize("m", EQUIVALENCE_MESHES, ids=MESH_IDS)
     def test_per_index_views(self, m):
@@ -827,14 +895,10 @@ class TestScalarEquivalence:
             check_fit(c.vector, [m.p(i, off) for off in range(-2, 3)])
             inv = ms.invariants(c)
             check_invariants(c.vector, inv.S, inv.F)
-            kappa = outcome(ms.affine_curvature, m, i)
-            if abs(inv.F) <= affine.ZERO_F_TOL:
-                assert kappa is ZeroF
-                assert outcome(ms.has_fine_area, m, i) is outcome(ms.in_fine_position, m, i) is ZeroF
-            else:
-                check_kappa(inv.S, inv.F, kappa)
-                check_fine_area(m, i, kappa)
-            check_gap_bound(m, i, kappa)
+            kappa, fr = outcome(ms.affine_curvature, m, i), Frame(m, i)
+            check_frame(m, i, kappa, fr)
+            check_fine_area(m, i, kappa, fr)
+            check_gap_bound(m, i, kappa, fr)
             if abs(inv.S) > PARABOLIC_TOL:
                 check_center(c.vector, inv.S, ms.conic_center(c))
             arcs = outcome(ms.arc_length_set, m, i)
@@ -842,7 +906,7 @@ class TestScalarEquivalence:
                 assert arcs is kappa  # an arc length can be read exactly where the curvature can
             else:
                 for off, value in zip(range(-2, 2), arcs.values):
-                    check_arc(m, i, m.resolve(i, off), m.resolve(i, off + 1), value)
+                    check_arc(m, i, m.resolve(i, off), m.resolve(i, off + 1), value, fr)
             for dk, dl in ARC_OFFSETS:
                 k, l = i + dk, i + dl
                 if m.closed:
@@ -854,7 +918,7 @@ class TestScalarEquivalence:
                 elif isinstance(arcs, type):
                     assert got is arcs
                 else:
-                    check_arc(m, i, k, l, got)
+                    check_arc(m, i, k, l, got, fr)
 
     @pytest.mark.parametrize("m", EQUIVALENCE_MESHES, ids=MESH_IDS)
     def test_mesh_functions(self, m):
@@ -929,7 +993,7 @@ def told(f, *args):
 def corpus_windows():
     """The named windows, five coinciding points, every window of the equivalence corpus, and the windows of a
     comb (every fifth point off a line, with 3e-11 noise), whose four nearly collinear points are ill-conditioned."""
-    named = [COLLINEAR_WINDOW, RANK_WINDOW, ZERO_F_WINDOW, np.zeros((5, 2))]
+    named = [COLLINEAR_WINDOW, RANK_WINDOW, FLAT_WINDOW, np.zeros((5, 2))]
     comb = np.where(np.arange(41) % 5 == 0, 0.3, 0.0) + 3e-11 * np.random.default_rng(49).normal(size=41)
     meshes = EQUIVALENCE_MESHES + [ms.Mesh(np.column_stack([np.linspace(-1.0, 1.0, 41), comb]))]
     windows = [np.stack([m.p(i, off) for off in range(-2, 3)]) for m in meshes for i in m.interior(2, 2)]
@@ -944,30 +1008,51 @@ def edge_window(g, moved):
     return w
 
 
+class TestBracketIdentity:
+    """det of the bracket pencil, each line pair doubled, is twice the product of the ten brackets."""
+
+    def test_on_rational_windows(self):
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            num, den = rng.integers(-60, 61, size=(5, 2)), rng.integers(1, 40, size=(5, 2))
+            pts = [tuple(Fraction(int(a), int(b)) for a, b in zip(n, d)) for n, d in zip(num, den)]
+            u = [(x - pts[2][0], y - pts[2][1]) for x, y in pts]
+            ref = exact.frame_conic(u)
+            assert exact.invariants(ref.conic)[1] == 2 * prod(ref.brackets)
+            assert ref.conic[5] == 0  # the frame's origin p2 lies on the conic
+            # and every point does: the pencil is the conic through the five points
+            a, b, c, d, e, f0 = ref.conic
+            assert all(a * x * x + 2 * b * x * y + c * y * y + 2 * d * x + 2 * e * y + f0 == 0 for x, y in u)
+
+
 class TestFitFrame:
     """_fit screens each window in its own frame, so its verdicts do not depend on where the window
     lies or on a power-of-two dilation."""
 
     @pytest.mark.parametrize("j", [-600, -300, -30, 30, 300, 600])
     def test_verdicts_under_power_of_two_dilations(self, j):
-        """The same errors, and finite coefficients on every other window: the map back to the given coordinates
-        scales exactly, so it overflows nowhere in this range."""
+        """The same errors and, j being a multiple of 3, the same frame conics and F bit for bit; and finite
+        coefficients on every other window: the map back to the given coordinates scales exactly, so it overflows
+        nowhere in this range."""
         windows = corpus_windows()
-        errors = affine._fit(windows)[1]
+        coef, F, _, exp, _, errors = affine._fit(windows)
         assert {msg.split(" ")[-1] for msg in errors.values()} == {"coincide", "collinear"}
-        coef, got, _ = affine._fit(np.ldexp(windows, j))
-        assert got == errors
-        assert np.isfinite(np.delete(coef, list(errors), axis=0)).all()
+        far = np.ldexp(windows, j)
+        got = affine._fit(far)
+        fitted = [r for r in range(len(windows)) if r not in errors]
+        assert got[-1] == errors and (got[3][fitted] == exp[fitted] + j).all()
+        assert got[0].tobytes() == coef.tobytes() and got[1].tobytes() == F.tobytes()
+        assert np.isfinite(affine._given_conics(got[0][fitted], got[3][fitted], far[fitted, 2])).all()
 
     def test_integer_windows_under_integer_translations(self):
         rng = np.random.default_rng(48)
         windows = rng.integers(-6, 7, size=(2000, 5, 2)).astype(float)
-        errors = affine._fit(windows)[1]
+        errors = affine._fit(windows)[-1]
         assert {msg.split(" ")[-1] for msg in errors.values()} == {"coincide", "collinear"}
         assert 0 < len(errors) < len(windows)
         for k in (1, 13, 27, 40):
             shift = rng.integers(-2 ** k, 2 ** k + 1, size=2).astype(float)
-            assert affine._fit(windows + shift)[1] == errors, k
+            assert affine._fit(windows + shift)[-1] == errors, k
 
     def test_a_shifted_ellipse_fits_every_window(self):
         m = gen.ellipse_mesh(200, 2.0, 1.0)
@@ -982,9 +1067,9 @@ class TestFitFrame:
         size, and when dilated by 2^+-300."""
         w = edge_window(g, moved)
         for window in (w, w + 1e4, np.ldexp(w, 300), np.ldexp(w, -300), np.ldexp(w + 1e4, -300)):
-            coef, errors, _ = affine._fit(window[None])
+            coef, F, *_, errors = affine._fit(window[None])
             assert errors == ({} if want is None else {0: want})
-            assert np.isnan(coef).all() == (want is not None)
+            assert np.isnan(coef).all() == np.isnan(F).all() == (want is not None)
 
     @pytest.mark.parametrize("m", [m for m in EQUIVALENCE_MESHES if m.closed],
                              ids=[k for k, m in zip(MESH_IDS, EQUIVALENCE_MESHES) if m.closed])

@@ -12,7 +12,7 @@ import meshsig as ms
 from meshsig import affine, congruence, euclidean, geometry
 from meshsig import generators as gen
 from meshsig.congruence import MatchMode
-from meshsig.errors import DegenerateStencil, MeshTooShort, SchemeSpacingMismatch, ZeroF
+from meshsig.errors import DegenerateConfiguration, DegenerateStencil, MeshTooShort, SchemeSpacingMismatch
 from test_affine import EQUIVALENCE_MESHES, unimodular
 from test_congruence import CYCLIC_CASES, cyclic_image, pushed_diameter_pair, radial_outline
 
@@ -348,14 +348,6 @@ def uneven_arc():
     return ms.Mesh(np.column_stack([2.0 * np.cos(t), np.sin(t)]))
 
 
-def flat_window_mesh():
-    """Convex, with a nearly flat first window whose cubic invariant falls under ZERO_F_TOL."""
-    t = np.array([0.2, 0.6, 1.0, 1.4, 1.8])
-    flat = np.column_stack([np.cos(t), 2.6e-6 * np.sin(t)])
-    bend = [[-0.8, -0.05], [-1.3, -0.4], [-1.5, -1.0], [-1.4, -1.7], [-1.0, -2.3]]
-    return ms.Mesh(np.vstack([flat, bend]) + [0.0, 0.5])
-
-
 # the Euclidean rules of the se-rules workload, on an open pair, and the host rule on the closed pair
 SE_RULE_CALLS = (
     ms.decide_dist_angle, ms.decide_eq1, ms.decide_eq2_angle_type,
@@ -445,7 +437,7 @@ class TestSignatureColumns:
         assert encode(ms.se_signature(m, ms.Scheme.EQ1, spacing_tol=1e-2)) == loose
 
     @pytest.mark.parametrize("signature, mesh, scheme, error", [
-        (ms.sa_signature, flat_window_mesh(), ms.Scheme.EQ7, ZeroF),
+        (ms.sa_signature, gen.circle_mesh(4), ms.Scheme.EQ5, DegenerateConfiguration),
         (ms.sa_signature, gen.ellipse_mesh(8, 2.0, 1.0, step=0.3, closed=False), ms.Scheme.EQ8, MeshTooShort),
         (ms.se_signature, gen.circle_mesh(6), ms.Scheme.EQ4, DegenerateStencil),
         (ms.se_signature, ms.Mesh([(0.0, 0.0), (1.0, 0.0), (1.5, np.sqrt(3.0) / 2.0)]), ms.Scheme.EQ2, MeshTooShort),
@@ -555,8 +547,8 @@ class TestJointBlocks:
         # the converse: a window that passes the fit's two screens has one conic, and it is finite
         assert all(np.isfinite(np.column_stack([blk.coef, blk.S, blk.F])[blk.fitted]).all() for blk in blocks)
         tol = affine.PARABOLIC_TOL
-        kinds = [(blk.kappa_ok & (np.abs(blk.kappa) <= tol), blk.kappa_ok & (blk.kappa > tol),
-                  blk.kappa_ok & (blk.kappa < -tol)) for blk in blocks]
+        kinds = [(blk.fitted & (np.abs(blk.kappa) <= tol), blk.fitted & (blk.kappa > tol),
+                  blk.fitted & (blk.kappa < -tol)) for blk in blocks]
         assert all(any(row[j].any() for row in kinds) for j in range(3))
 
     def test_a_joint_block_keeps_none_of_the_other_meshes_rows(self):

@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import meshsig as ms
-from meshsig import congruence
+from meshsig import affine, congruence
 from meshsig import generators as gen
-from meshsig.errors import MeshSigError
+from meshsig.errors import MeshSigError, NonRealMu, ParabolicConic
 from meshsig.euclidean import chords, interior_curvatures
 from meshsig.geometry import edge_lengths
 
@@ -297,3 +298,196 @@ class TestScalesThatFailedBefore:
         center, radius = outcome(ms.circumcircle, *triple)
         assert center == (0.0, 0.0) and radius == s
         assert outcome(ms.curvature_of_triple, *triple) == pytest.approx(1.0 / s, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The equiaffine block: every window is read in its own frame u = 2^-e (p - p2)
+# ---------------------------------------------------------------------------
+
+KAPPA, ARC = Fraction(-4, 3), Fraction(2, 3)  # the weights of the equiaffine curvature and arc length
+AFFINE_SCALES = (3, -3, 30, -30, 300, -300, 600, -600, 999, -999)
+OFF_LATTICE = (1, -2, 301, -598)  # not multiples of 3
+
+
+def exact_scaled(parts: list, j: int) -> list:
+    """`scaled` for rational weights, where w j is an integer."""
+    return [(w, v if w is None else np.ldexp(v, int(w * j))) for w, v in parts]
+
+
+def gap_bound(mesh, i):
+    """hyperbola_gap_bound at i, or the name of what it raises: its message's radicand has weight 2."""
+    try:
+        return "", affine.hyperbola_gap_bound(mesh, i)
+    except (NonRealMu, ParabolicConic) as exc:
+        return type(exc).__name__, np.nan
+
+
+def affine_row(mesh, kappas=True, mu=True):
+    """The block's reads at every window: its arcs (weight 2/3), what its gap bound raises, with mu the bound (1),
+    and, with kappas, its curvatures (-4/3).
+
+    At |j| = 999 a curvature, 2^(-4j/3) kappa, is no longer a double, so those rows leave it out.
+    """
+    centers = affine.affine_fine_interior(mesh)
+    gaps = [gap_bound(mesh, i) for i in centers]
+    parts = [(ARC, outcome(affine.consecutive_arc_lengths, mesh)),
+             per_index(lambda m, i: list(ms.arc_length_set(m, i).values), mesh, centers, ARC),
+             (None, [name for name, _ in gaps])]
+    if mu:
+        parts.append((1, np.array([bound for _, bound in gaps])))
+    if kappas:
+        parts += [(KAPPA, outcome(affine.interior_curvatures, mesh)), per_index(ms.affine_curvature, mesh, centers, KAPPA)]
+    return parts
+
+
+def sa_signature_row(mesh):
+    parts = []
+    for scheme in (ms.Scheme.EQ5, ms.Scheme.EQ6, ms.Scheme.EQ7, ms.Scheme.EQ8):
+        sig = outcome(ms.sa_signature, mesh, scheme, "euclidean", 1.0)
+        if isinstance(sig, tuple):
+            parts.append((None, sig))
+        else:
+            parts += [(None, sig.indices.tolist()), (KAPPA, sig.kappas), (-2, sig.kappa_s)]
+    return parts
+
+
+@pytest.mark.parametrize("j", AFFINE_SCALES)
+@pytest.mark.parametrize("name", list(MESHES))
+def test_affine_row(name, j):
+    """j a multiple of 3: each window's frame exponent moves by j and its frame points do not change, so every
+    curvature, arc and gap bound is 2^(w j) times the undilated one, bit for bit."""
+    mesh = MESHES[name]
+    kappas = abs(j) <= 600
+    assert_same(outcome(affine_row, dilated(mesh, j), kappas), exact_scaled(outcome(affine_row, mesh, kappas), j))
+
+
+@pytest.mark.parametrize("j", [3, -3, 30, -30, 300])
+@pytest.mark.parametrize("name", list(MESHES))
+def test_sa_signature_row(name, j):
+    """Bit for bit up to 2^300. At 2^-300 the arcs fall under the signature's absolute denominator band, 1e-15
+    (ROADMAP item 15), and every row reads as a vanishing denominator."""
+    mesh = MESHES[name]
+    assert_same(outcome(sa_signature_row, dilated(mesh, j)), exact_scaled(outcome(sa_signature_row, mesh), j))
+
+
+def assert_cube_root_rounding(got, want, weight, j):
+    """got within 8 eps (relative) of 2^(weight j) want, weight a multiple of 1/3: cubed, exactly,
+    got^3 / (2^(3 weight j) want^3) lies between ((1 - 4 eps) / (1 + 4 eps))^3 and its inverse."""
+    eps = Fraction(np.finfo(float).eps)
+    lo = ((1 - 4 * eps) / (1 + 4 * eps)) ** 3
+    for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
+        assert (g == w == 0.0) or lo <= Fraction(g) ** 3 / (Fraction(w) ** 3 * Fraction(2) ** int(3 * weight * j)) <= 1 / lo
+
+
+@pytest.mark.parametrize("j", OFF_LATTICE)
+@pytest.mark.parametrize("name", list(MESHES))
+def test_affine_row_off_the_lattice(name, j):
+    """j not a multiple of 3: each frame is then 2^s times the undilated one, s in -2 ... 2, exactly, so the
+    brackets, S, F, every arc's numerator and the gap bound scale exactly, and only the cube roots round apart.
+    The gap bounds and every error are bit for bit; each curvature and arc is within 8 eps of 2^(w j) times its
+    undilated value (both are within 4 eps of the same exact quotient)."""
+    mesh = MESHES[name]
+    got, want = outcome(affine_row, dilated(mesh, j)), outcome(affine_row, mesh)
+    assert len(got) == len(want)
+    for (w, g), (_, e) in zip(got, want):
+        if w in (KAPPA, ARC) and not isinstance(e, tuple):
+            assert_cube_root_rounding(g, e, w, j)
+        else:
+            assert_same([(w, g)], exact_scaled([(w, e)], j))
+
+
+def translation_bound(mesh, t):
+    """The translation rows' bound on a mesh moved by t, D its diameter and h its shortest edge: each curvature
+    within 16 eps (|t| / h) (D / h)^2 max(max|kappa|, D^(-4/3)), each arc within 16 eps (|t| / h) (D / h)
+    (relative). Moving rounds each coordinate by up to eps |t| / 2, a relative move of eps |t| / h of a window's
+    frame points; the curvature, a difference of second order over the window, amplifies it by (D / h)^2 at most
+    on these meshes, the arcs by D / h. The bound holds with a margin of at least 3 on every translated mesh below.
+    """
+    eps, D, h = np.finfo(float).eps, mesh.diameter, edge_lengths(mesh).min()
+    move = 16 * eps * np.abs(t).max() / h
+    kappas = outcome(affine.interior_curvatures, mesh)
+    return move * (D / h) ** 2 * max(np.abs(kappas).max(), D ** (-4 / 3)), move * D / h
+
+
+def assert_translated(got, want, mesh, t):
+    """The outcome of the unmoved mesh: the same errors and flags, and curvatures and arcs within their bounds."""
+    kappa_bound, arc_bound = translation_bound(mesh, t)
+    assert len(got) == len(want)
+    for (w, g), (_, e) in zip(got, want):
+        if w is None or isinstance(e, tuple):
+            assert g == e
+        elif w == KAPPA:
+            assert np.abs(np.asarray(g) - e).max() <= kappa_bound, (w, g, e)
+        else:
+            assert (np.abs(np.asarray(g) - e) <= arc_bound * np.abs(e)).all(), (w, g, e)
+
+
+def moved(mesh, t):
+    return ms.Mesh(mesh.points + t, closed=mesh.closed)
+
+
+@pytest.mark.parametrize("direction", [(1.0, 1.0), (1.0, -2.0), (-1.0, 0.0)])
+@pytest.mark.parametrize("factor", [1e2, 1e4])
+@pytest.mark.parametrize("name", list(MESHES))
+def test_translation_row(name, factor, direction):
+    """Moved by up to 10^4 times its diameter, a mesh reads the same errors, flags and fineness, and every
+    curvature and arc within the translation bound. (The gap bound is another function of the conic, with a
+    conditioning of its own; its errors are compared.)"""
+    mesh = MESHES[name]
+    t = factor * mesh.diameter * np.array(direction)
+    far = moved(mesh, t)
+    assert outcome(ms.is_affine_fine, far) == outcome(ms.is_affine_fine, mesh)
+    assert [outcome(ms.sd_affine, far, i) for i in far.interior(2, 2)] == [
+        outcome(ms.sd_affine, mesh, i) for i in mesh.interior(2, 2)]
+    assert_translated(outcome(affine_row, far, True, False), outcome(affine_row, mesh, True, False), mesh, t)
+
+
+SA_ARC = MESHES["sa-arcs arc"]
+
+
+class TestEquiaffineProbes:
+    """Calls that raised when the block mapped each conic back to the given coordinates and judged its cubic
+    invariant there against an absolute band. Each returns its unmoved, undilated outcome, with no warning."""
+
+    def eq6(self, mesh):
+        sig = outcome(ms.sa_signature, mesh, ms.Scheme.EQ6)
+        assert isinstance(sig, ms.Signature), sig
+        return sig
+
+    @pytest.mark.parametrize("shift", [1e2, 1e3, 1e4])
+    def test_shifted_ellipse_signature(self, shift):
+        mesh = gen.ellipse_mesh(200, 2.0, 1.0)
+        unit, far = self.eq6(mesh), self.eq6(moved(mesh, (shift, shift)))
+        assert far.indices.tolist() == unit.indices.tolist()
+        assert np.abs(far.kappas - unit.kappas).max() <= translation_bound(mesh, (shift, shift))[0]
+        assert outcome(ms.is_affine_fine, moved(mesh, (shift, shift))) is True
+
+    @pytest.mark.parametrize("j", [30, -30, 300, -300, 600, 999])
+    def test_dilated_ellipse_is_affine_fine(self, j):
+        mesh = exact(gen.ellipse_mesh(40, 2.0, 1.0))
+        assert outcome(ms.is_affine_fine, mesh) is outcome(ms.is_affine_fine, dilated(mesh, j)) is True
+
+    def test_large_circle_is_affine_fine(self):
+        big = gen.circle_mesh(8, radius=1000.0)
+        assert outcome(ms.is_affine_fine, big) is outcome(ms.is_affine_fine, gen.circle_mesh(8)) is True
+        np.testing.assert_allclose(outcome(affine.interior_curvatures, big), 1e-4, rtol=1e-12)
+
+    def test_sa_arc_shifted_and_dilated(self):
+        unit = self.eq6(SA_ARC)
+        far = self.eq6(moved(SA_ARC, (100.0, 100.0)))
+        assert far.indices.tolist() == unit.indices.tolist()
+        assert np.abs(far.kappas - unit.kappas).max() <= translation_bound(SA_ARC, (100.0, 100.0))[0]
+        big = self.eq6(dilated(SA_ARC, 12))
+        assert big.kappas.tobytes() == np.ldexp(unit.kappas, -16).tobytes()
+
+    @pytest.mark.parametrize("degrees", [0.0, 30.0, 90.0])
+    def test_moved_parabola_arc_length_set(self, degrees):
+        c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+        turned = ms.Mesh(gen.parabola_mesh(9).points @ np.array([[c, -s], [s, c]]).T)
+        t = np.array([1e3, -2e3])
+        unit, far = outcome(ms.arc_length_set, turned, 4), outcome(ms.arc_length_set, moved(turned, t), 4)
+        assert isinstance(far, affine.ArcLengthSet) and far.at == 4
+        arc_bound = translation_bound(turned, t)[1]
+        np.testing.assert_allclose(far.values, unit.values, rtol=arc_bound, atol=0.0)
+        # a turn is in SA: the upright parabola's lengths
+        np.testing.assert_allclose(unit.values, ms.arc_length_set(gen.parabola_mesh(9), 4).values, rtol=1e-13)

@@ -10,13 +10,13 @@ import meshsig as ms
 from meshsig import affine, generators as gen, meshio
 from meshsig.cli import main
 from meshsig.errors import (
+    DegenerateConfiguration,
     IndexOutOfRange,
     InvalidMesh,
     InvalidStep,
     MeshParseError,
     NotOrdinary,
     WrongCurvatureSign,
-    ZeroF,
 )
 from meshsig.geometry import SPEC11
 
@@ -68,13 +68,26 @@ def test_open_mesh_without_windows():
 
 
 def test_affine_interior_curvatures_raise_at_the_first_failing_center():
-    # a nearly flat first window: its cubic invariant falls under ZERO_F_TOL
+    # an ellipse arc, then three collinear points: the windows at 2 ... 5 fit, the one at 6 is screened
+    m = ms.Mesh(np.vstack([gen.ellipse_mesh(6, 2.0, 1.0, step=0.3).points, [[3.0, 3.0], [4.0, 3.0], [5.0, 3.0]]]))
+    with pytest.raises(DegenerateConfiguration, match="^window at index 6: fit points 2, 3, 4 are collinear$"):
+        affine.interior_curvatures(m)
+
+
+def test_affine_interior_curvatures_of_a_nearly_flat_window():
+    # a nearly flat first window, whose cubic invariant on unit-norm coefficients in the given coordinates is about
+    # 1e-13: its frame's F, twice the ten brackets' product, is exact in sign, and every curvature is within its
+    # frame bound of the exact conic through the window's frame points
+    from test_affine import check_frame
+
     t = np.array([0.2, 0.6, 1.0, 1.4, 1.8])
     flat = np.column_stack([np.cos(t), 2.6e-6 * np.sin(t)])
     bend = [[-0.8, -0.05], [-1.3, -0.4], [-1.5, -1.0], [-1.4, -1.7], [-1.0, -2.3]]
     m = ms.Mesh(np.vstack([flat, bend]) + [0.0, 0.5])
-    with pytest.raises(ZeroF, match="at index 2 too small"):
-        affine.interior_curvatures(m)
+    kappas = affine.interior_curvatures(m)
+    assert len(kappas) == m.n - 4 and kappas[0] > 1e3  # the flat window's ellipse is long and thin
+    for i, kappa in zip(affine.affine_fine_interior(m), kappas):
+        check_frame(m, i, kappa)
 
 
 class TestSignatureFrontEnds:

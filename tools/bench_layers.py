@@ -28,11 +28,12 @@ after the times taken before it; any other exception, numpy warnings under
 - L1: the equiaffine block `affine._block`, with its tracemalloc peak and
   its fitted windows (a block that fits none fails with its first window's
   error), and the fit, arc-length, sector and gap-bound kernels on the
-  arrays the block hands them, under the block's numpy error state (a
-  hyperbolic row's sector and a negative gap-bound radicand are NaN
-  there, not warnings), on the closed `ellipse_mesh(n, 2, 1)` and
-  on a 32-point open arc shaped like sa-arcs'; the blocks of two such arcs
-  one at a time and jointly in one pass (`affine.build_blocks`);
+  arguments the block hands them (recorded from one build of the block),
+  under the block's numpy error state (a hyperbolic row's sector and a
+  negative gap-bound radicand are NaN there, not warnings), on the closed
+  `ellipse_mesh(n, 2, 1)` and on a 32-point open arc shaped like
+  sa-arcs'; the block of that arc scaled by 2^600; the blocks of two such
+  arcs one at a time and jointly in one pass (`affine.build_blocks`);
 - L2: `signed_angle` at one index and, with `euclidean_curvature`, at every
   index (n up to 10^4), `se_signature(EQ2)` (with `spacing_tol=1`, which
   the ellipse's unequal edges need) and `sa_signature(EQ6)` (n up to 10^4,
@@ -207,13 +208,15 @@ def table(workdir: Path) -> list[Row]:
             affine._row(mesh, min(blk.fit_errors))  # raises the first window's fit error
         return {"windows_fitted": int(blk.fitted.sum())}
 
-    def kernel_args(kernel, mesh_of, n):  # the kernel's arguments, as the block hands them
+    def kernel_args(kernel, mesh_of, n):  # the kernel's arguments, recorded as the block hands them
         mesh, = mesh_of(n)
-        blk, win = affine._block(mesh), np.stack(geometry._gather(mesh.points, affine._FIT_OFFSETS, range(n)), axis=1)
-        arrays = [np.array(a) for a in (blk.coef, blk.S, blk.F, blk.center)]
-        windows = win if blk.has_window.all() else win[2:-2]
-        return {"_fit": (windows,), "_arcs": (blk, slice(None), win[:, :-1], win[:, 1:]), "_sectors": (*arrays, win),
-                "_gap_bounds": arrays[:3]}[kernel]
+        seen, kernel_call = [], getattr(affine, kernel)
+        setattr(affine, kernel, lambda *args: seen.append(args) or kernel_call(*args))
+        try:
+            affine._block(mesh)
+        finally:
+            setattr(affine, kernel, kernel_call)
+        return seen[0]
 
     def as_the_block_calls(kernel):  # the kernel under the errstate of `_Block`, which reads its invalid rows as NaN
         def call(*args):
@@ -267,8 +270,11 @@ def table(workdir: Path) -> list[Row]:
             Row("L0", "Mesh() on the points of the closed five-lobed outline r = 1 + 0.3 cos 5t (not convex)", closed,
                 lambda n: (lobed(n),)),
             Row("L0", f"is_ordinary, {on_ellipse}", ms.is_ordinary)]
+    far_arc = lambda n: (ms.Mesh(far(arc(n)[0].points)),)
     for case, mesh_of, sizes in ((on_ellipse, ellipse, SWEEP), (on_arc, arc, ARC)):
         rows.append(Row("L1", f"affine._block, {case}", affine._block, mesh_of, sizes, peak=True, notes=fitted))
+        if mesh_of is arc:
+            rows.append(Row("L1", f"affine._block, {case} scaled by 2^600", affine._block, far_arc, ARC, notes=fitted))
         rows += [Row("L1", f"affine.{k} on the arrays of the block, {case}", as_the_block_calls(getattr(affine, k)),
                      functools.partial(kernel_args, k, mesh_of), sizes)
                  for k in ("_fit", "_arcs", "_sectors", "_gap_bounds")]
