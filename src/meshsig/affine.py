@@ -215,8 +215,9 @@ def _fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     pair = lines[:2, :, :, None] * lines[2:, :, None, :]  # L01 L23 and L02 L13 as outer products
     pair = pair + pair.transpose(0, 1, 3, 2)  # twice each line pair's symmetric conic matrix
     conic = (br[4] * br[8])[:, None, None] * pair[0] - (br[2] * br[9])[:, None, None] * pair[1]
-    sign = _lead_signs(conic.reshape(-1, 9)[:, _UPPER])
-    coef, F = sign[:, None] * conic.reshape(-1, 9)[:, _UPPER], sign * 2.0 * np.prod(br, axis=0)
+    coef = conic.reshape(-1, 9)[:, _UPPER]
+    sign = _lead_signs(coef)
+    coef, F = sign[:, None] * coef, sign * 2.0 * np.prod(br, axis=0)
     coef[list(errors)], F[list(errors)] = np.nan, np.nan
     return coef, F, u, exp, br[[0, 6, 9]].T, errors
 

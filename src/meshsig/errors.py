@@ -60,8 +60,8 @@ class NotConvex(MeshSigError):
 class DegenerateConfiguration(MeshSigError):
     """Conic fit impossible: coincident points or a collinear triple (no unique conic), each judged in the
     window's frame, its differences to the centre point scaled by a power of two. These two screens are the
-    equiaffine layer's only degeneracy test: any other window has one conic, fitted within 2 eps sigma_1 /
-    sigma_5 (`affine._fit`). `sd_affine` also raises it for a fitted window not in convex position."""
+    equiaffine layer's only degeneracy test: any other window has one conic, with F != 0 (`affine._fit`).
+    Also raised by `sd_affine` for a window not in convex position, and by `kappa_from_invariants` for F = 0."""
 
 
 class ParabolicConic(MeshSigError):

@@ -78,8 +78,9 @@ def outcome(f, *args):
 
 
 def scaled(parts: list, j: int) -> list:
-    """Each (weight, value) part with its float value times 2^(weight j); a part of weight None is unchanged."""
-    return [(w, v if w is None else np.ldexp(v, w * j)) for w, v in parts]
+    """Each (weight, value) part with its float value times 2^(weight j), weight j an integer; a part of weight None
+    is unchanged."""
+    return [(w, v if w is None else np.ldexp(v, int(w * j))) for w, v in parts]
 
 
 def assert_same(got: list, want: list) -> None:
@@ -309,11 +310,6 @@ AFFINE_SCALES = (3, -3, 30, -30, 300, -300, 600, -600, 999, -999)
 OFF_LATTICE = (1, -2, 301, -598)  # not multiples of 3
 
 
-def exact_scaled(parts: list, j: int) -> list:
-    """`scaled` for rational weights, where w j is an integer."""
-    return [(w, v if w is None else np.ldexp(v, int(w * j))) for w, v in parts]
-
-
 def gap_bound(mesh, i):
     """hyperbola_gap_bound at i, or the name of what it raises: its message's radicand has weight 2."""
     try:
@@ -358,7 +354,7 @@ def test_affine_row(name, j):
     curvature, arc and gap bound is 2^(w j) times the undilated one, bit for bit."""
     mesh = MESHES[name]
     kappas = abs(j) <= 600
-    assert_same(outcome(affine_row, dilated(mesh, j), kappas), exact_scaled(outcome(affine_row, mesh, kappas), j))
+    assert_same(outcome(affine_row, dilated(mesh, j), kappas), scaled(outcome(affine_row, mesh, kappas), j))
 
 
 @pytest.mark.parametrize("j", [3, -3, 30, -30, 300])
@@ -367,7 +363,7 @@ def test_sa_signature_row(name, j):
     """Bit for bit up to 2^300. At 2^-300 the arcs fall under the signature's absolute denominator band, 1e-15
     (ROADMAP item 15), and every row reads as a vanishing denominator."""
     mesh = MESHES[name]
-    assert_same(outcome(sa_signature_row, dilated(mesh, j)), exact_scaled(outcome(sa_signature_row, mesh), j))
+    assert_same(outcome(sa_signature_row, dilated(mesh, j)), scaled(outcome(sa_signature_row, mesh), j))
 
 
 def assert_cube_root_rounding(got, want, weight, j):
@@ -393,7 +389,7 @@ def test_affine_row_off_the_lattice(name, j):
         if w in (KAPPA, ARC) and not isinstance(e, tuple):
             assert_cube_root_rounding(g, e, w, j)
         else:
-            assert_same([(w, g)], exact_scaled([(w, e)], j))
+            assert_same([(w, g)], scaled([(w, e)], j))
 
 
 def translation_bound(mesh, t):
